@@ -54,20 +54,9 @@ type Term struct {
 	Datatype string
 }
 
-// String renders the term in N-Triples syntax.
-func (t Term) String() string {
-	switch t.Kind {
-	case IRI:
-		return "<" + t.Value + ">"
-	case Blank:
-		return "_:" + t.Value
-	default:
-		if t.Datatype != "" {
-			return fmt.Sprintf("%q^^<%s>", t.Value, t.Datatype)
-		}
-		return fmt.Sprintf("%q", t.Value)
-	}
-}
+// String renders the term in N-Triples syntax — the engine's display
+// form (see AppendString).
+func (t Term) String() string { return string(t.AppendString(nil)) }
 
 // key is the canonical uniqueness key of a term.
 func (t Term) key() string {
@@ -166,17 +155,7 @@ func (d *Dict) LookupIRI(iri string) (ID, bool) {
 
 // Decode returns the term for id. The second result is false for None
 // or out-of-range IDs.
-func (d *Dict) Decode(id ID) (Term, bool) {
-	if id == None {
-		return Term{}, false
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if int(id) > len(d.terms) {
-		return Term{}, false
-	}
-	return d.terms[id-1], true
-}
+func (d *Dict) Decode(id ID) (Term, bool) { return d.Snapshot().Decode(id) }
 
 // MustDecode is Decode that panics on unknown IDs; for internal
 // invariant checks and tests.
@@ -186,6 +165,29 @@ func (d *Dict) MustDecode(id ID) Term {
 		panic(fmt.Sprintf("dict: unknown id %d", id))
 	}
 	return t
+}
+
+// Terms is a read-only view of the terms assigned when it was taken,
+// decoded without the dictionary lock. The dictionary is append-only:
+// a later Encode writes past the view's end or into a fresh array,
+// never into what the view covers.
+type Terms []Term
+
+// Snapshot returns the view of every term assigned so far, taking the
+// dictionary read lock once — for callers that decode a whole result.
+func (d *Dict) Snapshot() Terms {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.terms
+}
+
+// Decode returns the term for id; false for None and for IDs assigned
+// after the snapshot.
+func (ts Terms) Decode(id ID) (Term, bool) {
+	if id == None || uint64(id) > uint64(len(ts)) {
+		return Term{}, false
+	}
+	return ts[id-1], true
 }
 
 // Len returns the number of distinct terms stored.

@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"ids/internal/dict"
@@ -259,5 +261,59 @@ func TestArenaPoolSlots(t *testing.T) {
 	s3 := p.Get(-1, 2)
 	if s3[0] != s2[0] {
 		t.Fatal("free list did not recycle")
+	}
+}
+
+// TestGatherToFinishesOnRootOnly: both gathers run what follows them
+// once, on the root, over every rank's rows, and hand each rank that
+// one result.
+func TestGatherToFinishesOnRootOnly(t *testing.T) {
+	g := buildGraph(4)
+	var finishes atomic.Int64
+	tabs := make([]*Table, 4)
+	batches := make([]*Batch, 4)
+	runWorld(t, 4, func(r *mpp.Rank) error {
+		a := NewArena()
+		b, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/age", "?a"), a)
+		if err != nil {
+			return err
+		}
+		local := b.Materialize()
+		tabs[r.ID()], err = GatherBatchTo(r, b, a, func(all *Batch) (*Table, error) {
+			finishes.Add(1)
+			if r.ID() != RootRank {
+				return nil, fmt.Errorf("batch finish ran on rank %d", r.ID())
+			}
+			return all.Materialize(), nil
+		})
+		if err != nil {
+			return err
+		}
+		rowTab, err := GatherTo(r, local, func(all *Table) (*Table, error) {
+			finishes.Add(1)
+			if r.ID() != RootRank {
+				return nil, fmt.Errorf("row finish ran on rank %d", r.ID())
+			}
+			return all, nil
+		})
+		if err != nil {
+			return err
+		}
+		if got, want := tableRowsAsIDs(rowTab), tableRowsAsIDs(tabs[r.ID()]); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("rank %d: row gather %v, batch gather %v", r.ID(), got, want)
+		}
+		batches[r.ID()], err = GatherBatch(r, b, a)
+		return err
+	})
+	if finishes.Load() != 2 {
+		t.Fatalf("finish ran %d times over 2 gathers, want 2", finishes.Load())
+	}
+	for i := range tabs {
+		if tabs[i] != tabs[0] || batches[i] != batches[0] {
+			t.Fatalf("rank %d holds its own copy of the gathered result", i)
+		}
+	}
+	if tabs[0].Len() != 20 || batches[0].Len() != 20 { // buildGraph: 20 people with an age
+		t.Fatalf("gathered %d rows (batch %d), want 20", tabs[0].Len(), batches[0].Len())
 	}
 }

@@ -324,14 +324,23 @@ func hashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*B
 	return out, nil
 }
 
-// GatherBatch concentrates all rows of the distributed batch onto
-// every rank.
+// RootRank is the rank that concatenates a gathered result and runs
+// what follows the gather.
+const RootRank = 0
+
+// GatherBatch concentrates all rows of the distributed batch: the root
+// concatenates them once into its arena and every rank returns that
+// one batch, read-only.
 func GatherBatch(r *mpp.Rank, b *Batch, a *Arena) (*Batch, error) {
-	parts, err := mpp.AllGatherSized(r, sliceChunk(a, b, 0, b.NRows), chunkRows)
-	if err != nil {
-		return nil, err
-	}
-	return concatChunks(a, b.Vars, parts), nil
+	return GatherBatchTo(r, b, a, func(all *Batch) (*Batch, error) { return all, nil })
+}
+
+// GatherBatchTo is GatherBatch with the work that follows the gather
+// folded in: finish runs on the root only, on the concatenated batch,
+// and every rank returns its result (see mpp.GatherRoot).
+func GatherBatchTo[R any](r *mpp.Rank, b *Batch, a *Arena, finish func(all *Batch) (R, error)) (R, error) {
+	return mpp.GatherRoot(r, RootRank, sliceChunk(a, b, 0, b.NRows), chunkRows,
+		func(parts []batchChunk) (R, error) { return finish(concatChunks(a, b.Vars, parts)) })
 }
 
 // DistinctLocalBatch removes duplicate rows within this rank's

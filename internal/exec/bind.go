@@ -8,9 +8,9 @@ import (
 // BIND runs at the post-gather, late-materialization boundary: computed
 // values (floats, strings, booleans) cannot ride in the dictionary-ID
 // columnar stream, and per-rank interning would break cross-rank
-// exchange determinism. After Gather every rank holds the full solution
-// table, so both engines share these row operators verbatim and agree
-// byte-for-byte.
+// exchange determinism. Inside the gather the root holds the full
+// solution table (GatherTo), so both engines share these row operators
+// verbatim, run them once, and agree byte-for-byte.
 
 // BindSpec is one BIND(expr AS ?var) computed column.
 type BindSpec struct {

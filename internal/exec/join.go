@@ -303,18 +303,25 @@ func LeftJoin(r *mpp.Rank, left, right *Table) (*Table, error) {
 	return out, nil
 }
 
-// Gather concentrates all rows of the distributed table onto every
-// rank (the engine reads results from rank 0).
+// Gather concentrates all rows of the distributed table: the root
+// concatenates them once and every rank returns that one table,
+// read-only.
 func Gather(r *mpp.Rank, t *Table) (*Table, error) {
-	parts, err := mpp.AllGatherSlice(r, t.Rows)
-	if err != nil {
-		return nil, err
-	}
-	out := NewTable(t.Vars...)
-	for _, part := range parts {
-		out.Rows = append(out.Rows, part...)
-	}
-	return out, nil
+	return GatherTo(r, t, func(all *Table) (*Table, error) { return all, nil })
+}
+
+// GatherTo is Gather with the work that follows the gather folded in:
+// finish runs on the root only, on the concatenated table, and every
+// rank returns its result (see mpp.GatherRoot).
+func GatherTo(r *mpp.Rank, t *Table, finish func(all *Table) (*Table, error)) (*Table, error) {
+	return mpp.GatherRoot(r, RootRank, t.Rows, func(rows [][]expr.Value) int { return len(rows) },
+		func(parts [][][]expr.Value) (*Table, error) {
+			all := NewTable(t.Vars...)
+			for _, part := range parts {
+				all.Rows = append(all.Rows, part...)
+			}
+			return finish(all)
+		})
 }
 
 // DistinctGlobal removes duplicates across ranks: rows are hash-

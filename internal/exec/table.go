@@ -69,24 +69,35 @@ func (t *Table) colIndex() map[string]int {
 	return m
 }
 
-// Project returns a table with only the named columns, in order.
-// Unknown names produce an error.
+// Project returns a table with only the named columns, in order — the
+// receiver itself when that is every column in place. Unknown names
+// produce an error.
 func (t *Table) Project(names []string) (*Table, error) {
 	if len(names) == 0 {
 		return t, nil // SELECT *
 	}
 	idx := make([]int, len(names))
+	identity := len(names) == len(t.Vars)
 	for i, n := range names {
 		c := t.Col(n)
 		if c < 0 {
 			return nil, fmt.Errorf("exec: projection of unbound variable ?%s", n)
 		}
 		idx[i] = c
+		identity = identity && c == i
+	}
+	if identity {
+		return t, nil
 	}
 	out := NewTable(names...)
 	out.Rows = make([][]expr.Value, len(t.Rows))
+	// One backing array for every projected cell, as Batch.Materialize
+	// lays a result out; the capped row slices cannot grow into each
+	// other.
+	w := len(idx)
+	cells := make([]expr.Value, len(t.Rows)*w)
 	for r, row := range t.Rows {
-		nr := make([]expr.Value, len(idx))
+		nr := cells[r*w : (r+1)*w : (r+1)*w]
 		for i, c := range idx {
 			nr[i] = row[c]
 		}

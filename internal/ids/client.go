@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ids/internal/obs"
@@ -96,8 +97,20 @@ func (c *Client) postHdr(path string, hdr map[string]string, in, out any) error 
 		}
 		return fmt.Errorf("ids client: %s returned %s", path, resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read the whole body into a reused buffer, then unmarshal: a
+	// json.Decoder on the stream re-grows its own buffer to the size of
+	// the body on every call, megabytes for a large answer.
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	defer bodyBufPool.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), out)
 }
+
+// bodyBufPool recycles postHdr's response-body buffers.
+var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func (c *Client) get(path string, out any) error {
 	resp, err := c.HTTP.Get(c.Base + path)

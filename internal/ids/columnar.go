@@ -18,8 +18,8 @@ import (
 // Columnar plan execution: the batch/vector twin of runPlanRec and
 // runSteps in engine.go. The pre-gather pipeline carries column batches
 // of dict IDs through arena-backed buffers; rows are materialized once,
-// at gather, and the post-gather stages (aggregate, order, slice,
-// project) reuse the row operators unchanged.
+// on the gather root, and the post-gather stages are Engine.finalize,
+// shared with the row engine.
 //
 // Accounting discipline: arena-backed scratch is recycled across
 // operators and queries, so an operator may allocate nothing. Each op
@@ -55,8 +55,8 @@ func freshSince(a *exec.Arena, b0, m0 int64) (bytes, mallocs int64) {
 
 // runPlanBatch executes the plan on one rank through the columnar
 // operators, returning the final (gathered, materialized, ordered,
-// projected) table — identical on every rank, and identical row sets to
-// the row engine's runPlanRec.
+// projected) table — the gather root's, on every rank, and identical
+// row sets to the row engine's runPlanRec.
 func (e *Engine) runPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena) (*exec.Table, error) {
 	b, err := e.runStepsBatch(ctx, r, pl.Steps, nil, rec, profs, a, 0)
 	if err != nil {
@@ -79,32 +79,19 @@ func (e *Engine) runPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, r
 	ot := startOp(rec, r)
 	fb0, fm0 := a.Fresh()
 	in := b.Len()
-	b, err = exec.GatherBatch(r, b, a)
-	if err != nil {
-		return nil, err
+	out, err := exec.GatherBatchTo(r, b, a, func(all *exec.Batch) (*exec.Table, error) {
+		tab := all.Materialize()
+		gb, gm := all.MaterializeFootprint()
+		db, dm := freshSince(a, fb0, fm0)
+		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: tab.Len(),
+			AllocBytes: gb + db, Mallocs: gm + dm})
+		return e.finalize(r, pl, tab, rec)
+	})
+	if err == nil && r.ID() != exec.RootRank {
+		db, dm := freshSince(a, fb0, fm0)
+		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, AllocBytes: db, Mallocs: dm})
 	}
-	tab := b.Materialize()
-	gb, gm := b.MaterializeFootprint()
-	db, dm := freshSince(a, fb0, fm0)
-	ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: tab.Len(),
-		AllocBytes: gb + db, Mallocs: gm + dm})
-	tab = e.applyBinds(r, pl, tab, rec)
-	if len(pl.Aggregates) > 0 {
-		ot := startOp(rec, r)
-		in := tab.Len()
-		tab, err = exec.Aggregate(tab, pl.GroupBy, pl.Aggregates, e.res())
-		if err != nil {
-			return nil, err
-		}
-		ab, am := tab.Footprint()
-		ot.record(rec, r, obs.OpSample{Op: "aggregate", RowsIn: in, RowsOut: tab.Len(),
-			AllocBytes: ab, Mallocs: am})
-	}
-	tab.SortBy(pl.OrderBy, e.res())
-	if pl.Limit >= 0 || pl.Offset > 0 {
-		tab = tab.Slice(pl.Offset, pl.Limit)
-	}
-	return tab.Project(pl.Select)
+	return out, err
 }
 
 // runStepsBatch is the columnar runSteps: identical step dispatch,

@@ -230,32 +230,40 @@ type Result struct {
 // Decode renders a row value as a display string using the engine's
 // dictionary.
 func (e *Engine) Decode(v expr.Value) string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.decode(v)
+	return string(appendCell(nil, e.Graph.Dict.Snapshot(), v, false))
 }
 
-// decode is Decode without the read lock (caller holds it).
-func (e *Engine) decode(v expr.Value) string {
+// appendCell appends a row value's display form to dst — a term's
+// N-Triples syntax, a computed value's literal form — raw, or (js) as
+// the JSON string literal that decodes to it. Strings, Decode and the
+// /query response writer all render through it.
+func appendCell(dst []byte, terms dict.Terms, v expr.Value, js bool) []byte {
 	if v.Kind == expr.KindID {
-		if t, ok := e.Graph.Dict.Decode(v.ID); ok {
-			return t.String()
+		if t, ok := terms.Decode(v.ID); ok {
+			if js {
+				return t.AppendJSON(dst)
+			}
+			return t.AppendString(dst)
 		}
-		return fmt.Sprintf("id:%d", v.ID)
 	}
-	s := v.String()
-	return strings.TrimPrefix(s, "")
+	if js {
+		return dict.AppendJSONString(dst, v.String())
+	}
+	return append(dst, v.String()...)
 }
 
-// Strings decodes all rows.
+// Strings decodes all rows. The dictionary is append-only and every ID
+// in a result was assigned before the result existed, so one snapshot
+// of it serves the whole table without the engine lock.
 func (e *Engine) Strings(res *Result) [][]string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	terms := e.Graph.Dict.Snapshot()
 	out := make([][]string, len(res.Rows))
+	var buf []byte
 	for i, row := range res.Rows {
 		sr := make([]string, len(row))
 		for j, v := range row {
-			sr[j] = e.decode(v)
+			buf = appendCell(buf[:0], terms, v, false)
+			sr[j] = string(buf)
 		}
 		out[i] = sr
 	}
@@ -431,22 +439,17 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 	}
 
 	execStart := time.Now()
-	rows := make([][][]expr.Value, e.Topo.Size())
-	var vars []string
+	var answer *exec.Table // every rank gets the same table back; the root keeps it
 	report, err := mpp.RunCtx(ctx, e.Topo, e.Net, e.Seed, func(r *mpp.Rank) error {
 		var rec *obs.RankRecorder
 		if recs != nil {
 			rec = recs[r.ID()]
 		}
 		tab, err := e.runPlanRec(ctx, r, pl, rec, qprofs, arenas)
-		if err != nil {
-			return err
+		if r.ID() == exec.RootRank {
+			answer = tab
 		}
-		if r.ID() == 0 {
-			vars = tab.Vars
-		}
-		rows[r.ID()] = tab.Rows
-		return nil
+		return err
 	})
 	// Fold the query's profiling deltas into the persistent per-rank
 	// profiles (even on error: partial executions still inform cost
@@ -467,7 +470,7 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 			"wall_seconds", time.Since(start).Seconds())
 		return nil, err
 	}
-	res := &Result{Vars: vars, Rows: rows[0], Report: report, Plan: pl}
+	res := &Result{Vars: answer.Vars, Rows: answer.Rows, Report: report, Plan: pl}
 	wall := time.Since(start).Seconds()
 	allocB, allocM := obs.ReadAllocs().DeltaSince(alloc0)
 	ru := &obs.ResourceUsage{AllocBytes: allocB, Mallocs: allocM}
@@ -539,7 +542,8 @@ func (e *Engine) observeWorkload(ctx context.Context, ob insights.Observation) *
 }
 
 // RunPlan executes the plan steps on one rank and returns the final
-// (gathered, ordered, projected) table — identical on every rank.
+// (gathered, ordered, projected) table — one table, built by the gather
+// root and handed to every rank, so callers must treat it as read-only.
 // Exposed so workflow drivers can embed queries inside a larger
 // mpp.Run with extra stages (e.g. docking) in the same world. It
 // records straight into the persistent per-rank profiles (which are
@@ -583,40 +587,25 @@ func (e *Engine) runPlanRec(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec
 	}
 	ot := startOp(rec, r)
 	in := tab.Len()
-	tab, err = exec.Gather(r, tab)
-	if err != nil {
-		return nil, err
+	out, err := exec.GatherTo(r, tab, func(all *exec.Table) (*exec.Table, error) {
+		gb, gm := all.FootprintShallow()
+		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: all.Len(),
+			AllocBytes: gb, Mallocs: gm})
+		return e.finalize(r, pl, all, rec)
+	})
+	if err == nil && r.ID() != exec.RootRank {
+		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in})
 	}
-	gb, gm := tab.FootprintShallow()
-	ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: tab.Len(),
-		AllocBytes: gb, Mallocs: gm})
-	tab = e.applyBinds(r, pl, tab, rec)
-	if len(pl.Aggregates) > 0 {
-		ot := startOp(rec, r)
-		in := tab.Len()
-		tab, err = exec.Aggregate(tab, pl.GroupBy, pl.Aggregates, e.res())
-		if err != nil {
-			return nil, err
-		}
-		ab, am := tab.Footprint()
-		ot.record(rec, r, obs.OpSample{Op: "aggregate", RowsIn: in, RowsOut: tab.Len(),
-			AllocBytes: ab, Mallocs: am})
-	}
-	tab.SortBy(pl.OrderBy, e.res())
-	if pl.Limit >= 0 || pl.Offset > 0 {
-		tab = tab.Slice(pl.Offset, pl.Limit)
-	}
-	tab, err = tab.Project(pl.Select)
-	if err != nil {
-		return nil, err
-	}
-	return tab, nil
+	return out, err
 }
 
-// applyBinds runs the plan's BIND columns and their dependent
-// post-filters on the gathered table — the shared late phase of both
-// engines (exec/bind.go explains why BIND sits post-gather).
-func (e *Engine) applyBinds(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.RankRecorder) *exec.Table {
+// finalize turns the gathered solutions into the answer: BIND columns
+// and the filters that depend on them (exec/bind.go explains why BIND
+// sits post-gather), aggregation, ORDER BY, OFFSET/LIMIT, projection.
+// It runs once per query, on the gather root, inside the gather (see
+// exec.GatherTo), for both engines; the other ranks receive the table
+// it returns and record none of its operators.
+func (e *Engine) finalize(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.RankRecorder) (*exec.Table, error) {
 	res := e.res()
 	if len(pl.Binds) > 0 {
 		ot := startOp(rec, r)
@@ -633,7 +622,23 @@ func (e *Engine) applyBinds(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *ob
 		ot.record(rec, r, obs.OpSample{Op: "filter", RowsIn: in, RowsOut: tab.Len(),
 			Note: "post-bind"})
 	}
-	return tab
+	if len(pl.Aggregates) > 0 {
+		ot := startOp(rec, r)
+		in := tab.Len()
+		var err error
+		tab, err = exec.Aggregate(tab, pl.GroupBy, pl.Aggregates, res)
+		if err != nil {
+			return nil, err
+		}
+		ab, am := tab.Footprint()
+		ot.record(rec, r, obs.OpSample{Op: "aggregate", RowsIn: in, RowsOut: tab.Len(),
+			AllocBytes: ab, Mallocs: am})
+	}
+	tab.SortBy(pl.OrderBy, res)
+	if pl.Limit >= 0 || pl.Offset > 0 {
+		tab = tab.Slice(pl.Offset, pl.Limit)
+	}
+	return tab.Project(pl.Select)
 }
 
 // runSteps executes a step list against the rank's shard, starting

@@ -1,0 +1,165 @@
+package ids
+
+import (
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"ids/internal/cache"
+	"ids/internal/expr"
+	"ids/internal/fault"
+	"ids/internal/obs"
+	"ids/internal/store"
+)
+
+// opNamed returns the trace's operators of one kind.
+func opNamed(tr *obs.QueryTrace, name string) []obs.OpTrace {
+	var out []obs.OpTrace
+	for _, op := range tr.Ops {
+		if op.Op == name {
+			out = append(out, op)
+		}
+	}
+	return out
+}
+
+// TestFinalizeExplainAnalyze: the operators after the gather run on the
+// root alone, and EXPLAIN ANALYZE still lists them — with the row
+// counts of the query, not p copies of them.
+func TestFinalizeExplainAnalyze(t *testing.T) {
+	_, e := enginePair(t, 4)
+	one := func(tr *obs.QueryTrace, name string) obs.OpTrace {
+		t.Helper()
+		ops := opNamed(tr, name)
+		if len(ops) != 1 {
+			t.Fatalf("trace has %d %q operators, want 1: %+v", len(ops), name, tr.Ops)
+		}
+		return ops[0]
+	}
+
+	// Aggregate: every tag triple gathered, 5 groups out.
+	all, err := e.Query(`SELECT ?s ?t WHERE { ?s <http://x/tag> ?t . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(all.Rows)
+	res, err := e.QueryTraced(`SELECT ?t (COUNT(?s) AS ?n) WHERE { ?s <http://x/tag> ?t . } GROUP BY ?t ORDER BY ?t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, agg := one(res.Trace, "gather"), one(res.Trace, "aggregate")
+	if n < 40 || g.RowsIn != n || g.RowsOut != n {
+		t.Fatalf("gather rows in/out = %d/%d, want %d/%d", g.RowsIn, g.RowsOut, n, n)
+	}
+	if len(g.Ranks) != 4 {
+		t.Fatalf("gather reports %d ranks, want all 4", len(g.Ranks))
+	}
+	if agg.RowsIn != n || agg.RowsOut != len(res.Rows) || agg.RowsOut != 5 {
+		t.Fatalf("aggregate rows in/out = %d/%d, want %d/5", agg.RowsIn, agg.RowsOut, n)
+	}
+	if len(agg.Ranks) != 1 || agg.Ranks[0].Rank != 0 {
+		t.Fatalf("aggregate ran on %+v, want the root alone", agg.Ranks)
+	}
+	var sb strings.Builder
+	res.Trace.Render(&sb, true)
+	for _, want := range []string{"gather", "aggregate"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("EXPLAIN ANALYZE lost %q:\n%s", want, sb.String())
+		}
+	}
+
+	// BIND with a dependent post-filter: 40 scores in, 40 bound, the
+	// survivors out.
+	res, err = e.QueryTraced(`SELECT ?s ?d WHERE { ?s <http://x/score> ?v . BIND(?v - 50 AS ?d) FILTER(?d > 0) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, b := one(res.Trace, "gather"), one(res.Trace, "bind")
+	if g.RowsOut != 40 || b.RowsIn != 40 || b.RowsOut != 40 {
+		t.Fatalf("gather out %d, bind in/out %d/%d, want 40 throughout", g.RowsOut, b.RowsIn, b.RowsOut)
+	}
+	var post obs.OpTrace
+	for _, f := range opNamed(res.Trace, "filter") {
+		if f.Note == "post-bind" {
+			post = f
+		}
+	}
+	if post.RowsIn != 40 || post.RowsOut != len(res.Rows) {
+		t.Fatalf("post-bind filter rows in/out = %d/%d, want 40/%d", post.RowsIn, post.RowsOut, len(res.Rows))
+	}
+	if b.AllocBytes <= 0 || len(b.Ranks) != 1 {
+		t.Fatalf("bind attribution = %d B over %d ranks, want one rank's worth", b.AllocBytes, len(b.Ranks))
+	}
+}
+
+// TestFinalizeRunsOnce counts BIND evaluations: one per solution, on
+// one rank, however many ranks gathered — while the simulated clock
+// still charges every call (TestEquivClockGolden pins the amounts).
+func TestFinalizeRunsOnce(t *testing.T) {
+	for _, columnar := range []bool{false, true} {
+		rowE, colE := enginePair(t, 4)
+		e := rowE
+		if columnar {
+			e = colE
+		}
+		var calls atomic.Int64
+		err := e.Reg.RegisterWithCost("x.tick",
+			func(args []expr.Value) (expr.Value, error) {
+				calls.Add(1)
+				return args[0], nil
+			},
+			func([]expr.Value) float64 { return 0.25 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Query(`SELECT ?s ?w WHERE { ?s <http://x/score> ?v . BIND(x.tick(?v) AS ?w) }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 40 || calls.Load() != 40 {
+			t.Fatalf("columnar=%v: %d rows, %d BIND evaluations; want 40 and 40", columnar, len(res.Rows), calls.Load())
+		}
+		if res.Report.Makespan < 40*0.25 {
+			t.Fatalf("columnar=%v: makespan %g does not carry the 40 charged calls", columnar, res.Report.Makespan)
+		}
+	}
+}
+
+// TestCachedQueryPlacementFailureIsAMiss: when the result cache cannot
+// store an answer, the asker still gets it — as a miss, counted and
+// logged — and the next asker recomputes.
+func TestCachedQueryPlacementFailureIsAMiss(t *testing.T) {
+	inj := fault.NewInjector(1)
+	inj.Add(fault.Rule{Op: fault.OpRename, Prob: 1})
+	backing, err := store.OpenFS(t.TempDir(), fault.NewFS(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cache.New(cache.DefaultConfig(), backing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(t, 2)
+	e.EnableResultCache(c)
+	inj.Arm()
+	q := `SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n`
+	for i := 0; i < 2; i++ {
+		res, hit, err := e.CachedQuery(q)
+		if err != nil {
+			t.Fatalf("run %d: a failed placement surfaced as a query error: %v", i, err)
+		}
+		if hit || len(res.Rows) != 5 {
+			t.Fatalf("run %d: hit=%v rows=%d, want a 5-row miss", i, hit, len(res.Rows))
+		}
+	}
+	if n := e.met.resultCachePutErrors.Value(); n != 2 {
+		t.Fatalf("ids_result_cache_put_errors_total = %v, want 2", n)
+	}
+	inj.Disarm()
+	if _, hit, err := e.CachedQuery(q); err != nil || hit {
+		t.Fatalf("after repair: hit=%v err=%v, want a clean miss that stores", hit, err)
+	}
+	if _, hit, err := e.CachedQuery(q); err != nil || !hit {
+		t.Fatalf("after repair: hit=%v err=%v, want a hit", hit, err)
+	}
+}

@@ -36,8 +36,9 @@ type engineMetrics struct {
 	commBytes   *obs.Counter
 	commSeconds *obs.Counter
 
-	resultCacheHits   *obs.Counter
-	resultCacheMisses *obs.Counter
+	resultCacheHits      *obs.Counter
+	resultCacheMisses    *obs.Counter
+	resultCachePutErrors *obs.Counter
 
 	rebalanceMoved *obs.Counter
 
@@ -73,6 +74,7 @@ func newEngineMetrics() *engineMetrics {
 	reg.Describe("mpp_comm_seconds_total", "Alpha-beta modeled communication seconds (max over ranks, summed over queries).")
 	reg.Describe("ids_result_cache_hits_total", "Whole-query result cache hits.")
 	reg.Describe("ids_result_cache_misses_total", "Whole-query result cache misses.")
+	reg.Describe("ids_result_cache_put_errors_total", "Computed results the result cache failed to store (served anyway, as misses).")
 	reg.Describe("ids_phase_vt_seconds_total", "Per-phase bottleneck virtual seconds, summed over queries.")
 	reg.Describe("exec_op_rows_in_total", "Operator input rows (traced queries), summed over ranks.")
 	reg.Describe("exec_op_rows_out_total", "Operator output rows (traced queries), summed over ranks.")
@@ -114,26 +116,27 @@ func newEngineMetrics() *engineMetrics {
 	obs.RegisterRuntimeCollectors(reg)
 	reg.Gauge("ids_degraded").Set(0) // exported from the start, flips on markDegraded
 	return &engineMetrics{
-		reg:               reg,
-		queries:           reg.Counter("ids_queries_total"),
-		queryErrors:       reg.Counter("ids_query_errors_total"),
-		rowsReturned:      reg.Counter("ids_rows_returned_total"),
-		updates:           reg.Counter("ids_updates_total"),
-		queryDuration:     reg.Histogram("ids_query_duration_seconds", nil),
-		queryVTSeconds:    reg.Summary("ids_query_vt_seconds"),
-		collectives:       reg.Counter("mpp_collectives_total"),
-		commBytes:         reg.Counter("mpp_comm_bytes_total"),
-		commSeconds:       reg.Counter("mpp_comm_seconds_total"),
-		resultCacheHits:   reg.Counter("ids_result_cache_hits_total"),
-		resultCacheMisses: reg.Counter("ids_result_cache_misses_total"),
-		rebalanceMoved:    reg.Counter("exec_rebalance_rows_moved_total"),
-		vecSearchSeconds:  reg.Histogram("ids_vector_search_seconds", nil),
-		vecVisited:        reg.Counter("ids_vector_visited_nodes_total"),
-		vecUpserts:        reg.Counter("ids_vector_upserts_total"),
-		queryAllocBytes:   reg.Histogram("ids_query_alloc_bytes", DefAllocBuckets),
-		allocBytesTotal:   reg.Counter("ids_query_alloc_bytes_total"),
-		mallocsTotal:      reg.Counter("ids_query_mallocs_total"),
-		cpuSecondsTotal:   reg.Counter("ids_query_cpu_seconds_total"),
+		reg:                  reg,
+		queries:              reg.Counter("ids_queries_total"),
+		queryErrors:          reg.Counter("ids_query_errors_total"),
+		rowsReturned:         reg.Counter("ids_rows_returned_total"),
+		updates:              reg.Counter("ids_updates_total"),
+		queryDuration:        reg.Histogram("ids_query_duration_seconds", nil),
+		queryVTSeconds:       reg.Summary("ids_query_vt_seconds"),
+		collectives:          reg.Counter("mpp_collectives_total"),
+		commBytes:            reg.Counter("mpp_comm_bytes_total"),
+		commSeconds:          reg.Counter("mpp_comm_seconds_total"),
+		resultCacheHits:      reg.Counter("ids_result_cache_hits_total"),
+		resultCacheMisses:    reg.Counter("ids_result_cache_misses_total"),
+		resultCachePutErrors: reg.Counter("ids_result_cache_put_errors_total"),
+		rebalanceMoved:       reg.Counter("exec_rebalance_rows_moved_total"),
+		vecSearchSeconds:     reg.Histogram("ids_vector_search_seconds", nil),
+		vecVisited:           reg.Counter("ids_vector_visited_nodes_total"),
+		vecUpserts:           reg.Counter("ids_vector_upserts_total"),
+		queryAllocBytes:      reg.Histogram("ids_query_alloc_bytes", DefAllocBuckets),
+		allocBytesTotal:      reg.Counter("ids_query_alloc_bytes_total"),
+		mallocsTotal:         reg.Counter("ids_query_mallocs_total"),
+		cpuSecondsTotal:      reg.Counter("ids_query_cpu_seconds_total"),
 	}
 }
 

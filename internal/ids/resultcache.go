@@ -109,7 +109,10 @@ func (e *Engine) CachedQueryCtx(ctx context.Context, qs string) (*Result, bool, 
 	}
 	tab := &exec.Table{Vars: res.Vars, Rows: res.Rows}
 	if err := e.resultCache.Put(nil, key, tab.Encode(), 0); err != nil {
-		return nil, false, err
+		// Placement is best-effort: the answer is computed and correct,
+		// the next asker just recomputes it.
+		e.met.resultCachePutErrors.Inc()
+		e.Logger().WarnContext(ctx, "result cache placement failed", "key", key, "err", err)
 	}
 	return res, false, nil
 }

@@ -524,7 +524,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		QID:          qid,
 		TraceParent:  tc.String(),
 		Vars:         res.Vars,
-		Rows:         s.Engine.Strings(res),
 		Makespan:     res.Report.Makespan,
 		Phases:       res.Report.Phases,
 		Plan:         res.Plan.Explain(),
@@ -539,7 +538,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.Trace = res.Trace
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// The rows go out straight from the result's dictionary IDs; a write
+	// error here means the client went away mid-answer.
+	if err := writeQueryResponse(w, s.Engine.Graph.Dict.Snapshot(), &resp, res.Rows); err != nil {
+		s.log.WarnContext(ctx, "query response not delivered", "err", err)
+	}
 }
 
 // maybeFlightCapture fires the flight recorder when a query breached

@@ -131,6 +131,59 @@ func AllGatherSized[T any](r *Rank, v T, elems func(T) int) ([]T, error) {
 	return out, nil
 }
 
+// GatherRoot gathers one arbitrarily sized value from every rank onto
+// root, has root alone turn the parts into a result with build, and
+// hands that one result to every rank — the engine's result path:
+// the answer is concatenated and finished once, not once per rank.
+//
+// The simulated machine cannot tell this from an all-gather followed by
+// build on every rank. Every rank publishes its part and charges its
+// own transfer as in AllGatherSized, and the collective is the same two
+// barriers, so the communication ledger is unchanged. build runs on
+// root between the barriers (it must not enter a collective); what it
+// charges is queued, not applied, and after the closing barrier every
+// rank, root included, applies the queue in order to the phases it was
+// charged in — the very additions, in the very order, each rank's clock
+// made when each rank ran build itself. The parts, and a result that
+// references them, must not be mutated after the call on any rank.
+func GatherRoot[T, R any](r *Rank, root int, v T, elems func(T) int, build func(parts []T) (R, error)) (R, error) {
+	w := r.w
+	w.slots[r.id] = v
+	r.chargeXfer(elems(v))
+	var zero R
+	if err := r.Barrier(); err != nil {
+		return zero, err
+	}
+	if r.id == root {
+		parts := make([]T, len(w.slots))
+		for i, s := range w.slots {
+			parts[i] = s.(T)
+		}
+		var held []heldCharge
+		r.held = &held
+		out, err := build(parts)
+		r.held, r.heldVT = nil, 0
+		if err != nil {
+			// Returning aborts the world (RunCtx), releasing the ranks
+			// parked on the closing barrier.
+			return zero, err
+		}
+		// Only root writes pub, and only here: the next GatherRoot's
+		// opening barrier cannot complete before every rank has read
+		// this one's result below.
+		w.pub = gathered{out: out, held: held}
+	}
+	if err := r.Barrier(); err != nil {
+		return zero, err
+	}
+	for _, c := range w.pub.held {
+		r.vt += c.d
+		r.acc[c.phase] += c.d
+	}
+	out, _ := w.pub.out.(R) // a nil interface result asserts to R's zero value
+	return out, nil
+}
+
 // AllToAllSized performs a personalized exchange of arbitrarily sized
 // values: send[i] goes to rank i, and recv[i] is what rank i sent to
 // this rank. The sender is charged elems(send[i]) logical elements for

@@ -87,8 +87,9 @@ type World struct {
 	seed int64
 
 	bar   *barrier
-	slots []any   // allgather/bcast exchange slots, one per rank
-	mat   [][]any // alltoall exchange matrix, mat[src][dst]
+	slots []any    // allgather/bcast exchange slots, one per rank
+	mat   [][]any  // alltoall exchange matrix, mat[src][dst]
+	pub   gathered // GatherRoot's result, written by the root between its barriers
 	ranks []*Rank
 }
 
@@ -106,6 +107,23 @@ type Rank struct {
 	err   error
 	comm  CommStats     // rank-local collective accounting
 	res   ResourceStats // rank-local resource accounting (see Account)
+	// held is non-nil while the rank runs GatherRoot's build: charges
+	// queue there (heldVT is their running sum, so Now still advances)
+	// and every rank applies them after the closing barrier.
+	held   *[]heldCharge
+	heldVT float64
+}
+
+// heldCharge is one Charge call made inside GatherRoot's build.
+type heldCharge struct {
+	phase string
+	d     float64
+}
+
+// gathered is what GatherRoot's root publishes to the world.
+type gathered struct {
+	out  any
+	held []heldCharge
 }
 
 // ID returns the rank's index in [0, Size).
@@ -132,11 +150,17 @@ func (r *Rank) Node() int { return r.id / r.w.topo.RanksPerNode }
 func (r *Rank) Nodes() int { return r.w.topo.Nodes }
 
 // Now returns the rank's current virtual time in seconds.
-func (r *Rank) Now() float64 { return r.vt }
+func (r *Rank) Now() float64 { return r.vt + r.heldVT }
 
 // RNG returns the rank's deterministic random source, seeded from the
-// world seed and the rank id.
-func (r *Rank) RNG() *rand.Rand { return r.rng }
+// world seed and the rank id. It is built on first use: a source is
+// 4.9 KB and no query path draws from it.
+func (r *Rank) RNG() *rand.Rand {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.w.seed ^ int64(uint64(r.id+1)*0x9e3779b97f4a7c15>>1)))
+	}
+	return r.rng
+}
 
 // SetPhase switches the accounting phase; subsequent Charge calls are
 // attributed to it. Phase names become rows in the report breakdown
@@ -150,6 +174,11 @@ func (r *Rank) Phase() string { return r.phase }
 // the time to the current phase. Negative charges are ignored.
 func (r *Rank) Charge(d float64) {
 	if d <= 0 {
+		return
+	}
+	if r.held != nil {
+		*r.held = append(*r.held, heldCharge{r.phase, d})
+		r.heldVT += d
 		return
 	}
 	r.vt += d
@@ -291,7 +320,6 @@ func RunCtx(ctx context.Context, topo Topology, net NetModel, seed int64, body f
 			ctx:   ctx,
 			acc:   make(map[string]float64),
 			phase: "main",
-			rng:   rand.New(rand.NewSource(seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15>>1))),
 		}
 		w.ranks[i] = r
 		go func(r *Rank) {

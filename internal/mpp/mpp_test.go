@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -392,5 +393,149 @@ func BenchmarkAllGather(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestGatherRootMatchesAllGatherClock is GatherRoot's contract with the
+// simulated machine: gathering to the root and building there, once,
+// leaves every rank's clock, every phase total and the communication
+// ledger exactly where an all-gather followed by the same build on
+// every rank leaves them — bit for bit, charges and all.
+func TestGatherRootMatchesAllGatherClock(t *testing.T) {
+	const p = 4
+	// build charges uneven, non-representable amounts in two phases.
+	build := func(r *Rank, parts [][]int) int {
+		sum := 0
+		for _, part := range parts {
+			for _, v := range part {
+				sum += v
+				r.Charge(0.0137 + float64(v)*1e-5)
+			}
+		}
+		r.SetPhase("finish")
+		r.Charge(0.1)
+		r.SetPhase("merge")
+		return sum
+	}
+	part := func(r *Rank) []int {
+		out := make([]int, r.ID()+2)
+		for i := range out {
+			out[i] = r.ID()*10 + i
+		}
+		return out
+	}
+	elems := func(v []int) int { return len(v) }
+	body := func(gather func(r *Rank) (int, error)) func(r *Rank) error {
+		return func(r *Rank) error {
+			r.SetPhase("scan")
+			r.Charge(float64(r.ID()+1) * 0.3)
+			r.SetPhase("merge")
+			for round := 0; round < 2; round++ { // twice: the publish slot is reused
+				sum, err := gather(r)
+				if err != nil {
+					return err
+				}
+				if sum != 280 {
+					return fmt.Errorf("rank %d round %d: sum %d, want 280", r.ID(), round, sum)
+				}
+			}
+			r.SetPhase("dock")
+			r.Charge(float64(p-r.ID()) * 0.7) // work after the gather sees the same clocks
+			return r.Barrier()
+		}
+	}
+	var builds atomic.Int64
+	want, err := Run(testTopo(2, 2), DefaultNet(), 1, body(func(r *Rank) (int, error) {
+		parts, err := AllGatherSized(r, part(r), elems)
+		if err != nil {
+			return 0, err
+		}
+		return build(r, parts), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(testTopo(2, 2), DefaultNet(), 1, body(func(r *Rank) (int, error) {
+		return GatherRoot(r, 0, part(r), elems, func(parts [][]int) (int, error) {
+			builds.Add(1)
+			if r.ID() != 0 {
+				return 0, fmt.Errorf("build ran on rank %d", r.ID())
+			}
+			before := r.Now()
+			sum := build(r, parts)
+			if r.Now() <= before {
+				return 0, errors.New("Now() stood still while build charged")
+			}
+			return sum, nil
+		})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds.Load() != 2 {
+		t.Fatalf("build ran %d times over 2 gathers, want 2", builds.Load())
+	}
+	if got.Makespan != want.Makespan || got.Comm != want.Comm {
+		t.Fatalf("makespan/comm: got %v %+v, want %v %+v", got.Makespan, got.Comm, want.Makespan, want.Comm)
+	}
+	for name, w := range want.Phases {
+		if got.Phases[name] != w || got.PhaseSum[name] != want.PhaseSum[name] {
+			t.Fatalf("phase %s: got max %v sum %v, want max %v sum %v",
+				name, got.Phases[name], got.PhaseSum[name], w, want.PhaseSum[name])
+		}
+	}
+	if len(got.Phases) != len(want.Phases) {
+		t.Fatalf("phases: got %v, want %v", got.Phases, want.Phases)
+	}
+}
+
+// TestGatherRootSharesOneResult: every rank gets the root's result
+// itself, not a copy, and a failing build aborts the world instead of
+// leaving ranks parked on the closing barrier.
+func TestGatherRootSharesOneResult(t *testing.T) {
+	type box struct{ parts []int }
+	got := make([]*box, 4)
+	_, err := Run(testTopo(1, 4), DefaultNet(), 1, func(r *Rank) error {
+		b, err := GatherRoot(r, 0, r.ID(), func(int) int { return 1 }, func(parts []int) (*box, error) {
+			return &box{parts}, nil
+		})
+		got[r.ID()] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		if b == nil || b != got[0] || len(b.parts) != 4 || b.parts[i] != i {
+			t.Fatalf("rank %d got %+v, want rank 0's %+v", i, b, got[0])
+		}
+	}
+	boom := errors.New("boom")
+	_, err = Run(testTopo(1, 4), DefaultNet(), 1, func(r *Rank) error {
+		_, err := GatherRoot(r, 0, r.ID(), func(int) int { return 1 }, func([]int) (*box, error) {
+			return nil, boom
+		})
+		return err
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("world error = %v, want the build's", err)
+	}
+}
+
+// TestLazyRNGKeepsSeedDerivation: building the source on first use must
+// not change a single draw.
+func TestLazyRNGKeepsSeedDerivation(t *testing.T) {
+	const seed = 42
+	_, err := Run(testTopo(1, 4), DefaultNet(), seed, func(r *Rank) error {
+		want := rand.New(rand.NewSource(seed ^ int64(uint64(r.ID()+1)*0x9e3779b97f4a7c15>>1)))
+		for i := 0; i < 8; i++ {
+			if g, w := r.RNG().Int63(), want.Int63(); g != w {
+				return fmt.Errorf("rank %d draw %d: %d, want %d", r.ID(), i, g, w)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -15,9 +15,11 @@ import (
 //
 // Collection is lock-free during execution: every rank appends
 // OpSamples to its own RankRecorder (rank goroutines never share
-// one), and because all ranks execute the identical plan the i-th
-// sample on every rank describes the same operator; BuildTrace zips
-// them into per-operator aggregates afterwards.
+// one), and because all ranks execute the identical plan up to the
+// gather the i-th sample on every rank describes the same operator;
+// the operators after the gather run on the gather root alone and
+// extend only its recorder. BuildTrace zips them into per-operator
+// aggregates afterwards.
 
 // traceSeq numbers traces within the process.
 var traceSeq atomic.Int64
@@ -176,20 +178,28 @@ func BuildTrace(id, query string, start time.Time, recs []*RankRecorder, perRank
 	if len(recs) == 0 {
 		return tr
 	}
-	// All ranks run the identical plan, so sample counts match; guard
-	// against short recorders anyway (a rank that errored mid-plan).
-	n := len(recs[0].Samples)
-	for _, rr := range recs[1:] {
-		if len(rr.Samples) < n {
+	// All ranks run the identical plan up to the gather, so their first
+	// samples zip; what follows the gather (bind, post-filter, aggregate)
+	// runs on the gather root alone, whose recorder is therefore longer.
+	// Operator i aggregates over the recorders that have a sample i.
+	n := 0
+	for _, rr := range recs {
+		if len(rr.Samples) > n {
 			n = len(rr.Samples)
 		}
 	}
 	for i := 0; i < n; i++ {
-		ref := recs[0].Samples[i]
-		op := OpTrace{Depth: ref.Depth, Op: ref.Op, Label: ref.Label, Note: ref.Note, VTMin: ref.VT}
-		sum := 0.0
+		var op OpTrace
+		sum, ranks := 0.0, 0
 		for _, rr := range recs {
+			if i >= len(rr.Samples) {
+				continue
+			}
 			s := rr.Samples[i]
+			if ranks == 0 {
+				op = OpTrace{Depth: s.Depth, Op: s.Op, Label: s.Label, Note: s.Note, VTMin: s.VT}
+			}
+			ranks++
 			op.RowsIn += s.RowsIn
 			op.RowsOut += s.RowsOut
 			op.CPUSeconds += s.Wall
@@ -213,7 +223,7 @@ func BuildTrace(id, query string, start time.Time, recs []*RankRecorder, perRank
 				})
 			}
 		}
-		op.VTMean = sum / float64(len(recs))
+		op.VTMean = sum / float64(ranks)
 		if op.VTMean > 0 {
 			op.Skew = op.VTMax / op.VTMean
 		}

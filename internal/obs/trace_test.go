@@ -34,15 +34,32 @@ func TestBuildTraceZipsRanks(t *testing.T) {
 	}
 }
 
-func TestBuildTraceShortRecorder(t *testing.T) {
+// TestBuildTraceRootOnlyOps pins the post-gather contract: the gather
+// root's recorder carries the bind/aggregate samples no other rank has,
+// and they reach the trace counted once, not dropped with the common
+// prefix and not multiplied by the rank count.
+func TestBuildTraceRootOnlyOps(t *testing.T) {
 	r0 := NewRankRecorder(0)
 	r1 := NewRankRecorder(1)
-	r0.Record(OpSample{Op: "scan"})
-	r0.Record(OpSample{Op: "filter"})
-	r1.Record(OpSample{Op: "scan"}) // rank 1 errored before the filter
-	tr := BuildTrace("q2", "", time.Now(), []*RankRecorder{r0, r1}, false)
-	if len(tr.Ops) != 1 {
-		t.Fatalf("ops = %d, want only the common prefix (1)", len(tr.Ops))
+	r0.Record(OpSample{Op: "gather", RowsIn: 3, RowsOut: 7, VT: 1.0})
+	r1.Record(OpSample{Op: "gather", RowsIn: 4, VT: 3.0})
+	r0.Record(OpSample{Op: "aggregate", RowsIn: 7, RowsOut: 2, VT: 0.5, AllocBytes: 64, Mallocs: 3})
+	tr := BuildTrace("q2", "", time.Now(), []*RankRecorder{r0, r1}, true)
+	if len(tr.Ops) != 2 {
+		t.Fatalf("ops = %d, want gather and aggregate", len(tr.Ops))
+	}
+	if g := tr.Ops[0]; g.RowsIn != 7 || g.RowsOut != 7 || g.VTMean != 2.0 {
+		t.Fatalf("gather aggregate wrong: %+v", g)
+	}
+	agg := tr.Ops[1]
+	if agg.Op != "aggregate" || agg.RowsIn != 7 || agg.RowsOut != 2 || agg.AllocBytes != 64 || agg.Mallocs != 3 {
+		t.Fatalf("root-only aggregate wrong: %+v", agg)
+	}
+	if agg.VTMax != 0.5 || agg.VTMin != 0.5 || agg.VTMean != 0.5 || agg.Skew != 1 {
+		t.Fatalf("root-only aggregate clock stats wrong: %+v", agg)
+	}
+	if len(agg.Ranks) != 1 || agg.Ranks[0].Rank != 0 {
+		t.Fatalf("root-only aggregate ranks = %+v, want rank 0 alone", agg.Ranks)
 	}
 }
 

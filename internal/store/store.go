@@ -115,11 +115,7 @@ func (s *Store) Put(name string, data []byte) (string, float64, error) {
 	hash := Hash(data)
 	path := filepath.Join(s.dir, "objects", hash)
 	if _, err := s.fs.Stat(path); errors.Is(err, os.ErrNotExist) {
-		tmp := path + ".tmp"
-		if err := s.fs.WriteFile(tmp, data, 0o644); err != nil {
-			return "", 0, fmt.Errorf("store: %w", err)
-		}
-		if err := s.fs.Rename(tmp, path); err != nil {
+		if err := s.writeObject(path, data); err != nil {
 			return "", 0, fmt.Errorf("store: %w", err)
 		}
 	} else if err != nil {
@@ -133,6 +129,35 @@ func (s *Store) Put(name string, data []byte) (string, float64, error) {
 		return "", 0, fmt.Errorf("store: %w", err)
 	}
 	return hash, s.cost.Cost(len(data)), nil
+}
+
+// writeObject places data at the content-addressed path through a
+// temporary file of its own: Put runs outside the store lock, so two
+// Puts of identical content race here, and a shared temporary name let
+// the loser's rename find its source already renamed away.
+func (s *Store) writeObject(path string, data []byte) error {
+	f, err := s.fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Rename(tmp, path)
+	}
+	if err == nil {
+		return nil
+	}
+	_ = s.fs.Remove(tmp) // best effort: the error being returned is the one that matters
+	if _, serr := s.fs.Stat(path); serr == nil {
+		// An identical Put got there first (where rename does not replace):
+		// the path is the content's hash, so what it holds is data.
+		return nil
+	}
+	return err
 }
 
 // Get returns the object stored under name and the modeled read cost.
