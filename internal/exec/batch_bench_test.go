@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"ids/internal/dict"
@@ -123,6 +124,75 @@ func BenchmarkFilterBatch(b *testing.B) {
 	}
 }
 
+// benchUDFFilter builds the warm UDF-FILTER fixture: n entities each
+// carrying a distinct 240-character sequence literal (the NCNPR shape),
+// scanned into a batch, and FILTER(seq.score(?q) >= 0.5) over a pure,
+// declared-cost UDF whose memo holds every row after the first pass.
+func benchUDFFilter(tb testing.TB, n int) (*Batch, expr.Expr, *udf.Registry, expr.Resolver) {
+	tb.Helper()
+	g := kg.New(1)
+	for i := 0; i < n; i++ {
+		seq := []byte(fmt.Sprintf("%08d", i))
+		for len(seq) < 240 {
+			seq = append(seq, "ACDEFGHIKLMNPQRSTVWY"[(i+len(seq))%20])
+		}
+		g.Add(dict.Term{Kind: dict.IRI, Value: fmt.Sprintf("http://x/protein%d", i)},
+			dict.Term{Kind: dict.IRI, Value: "http://x/seq"},
+			dict.Term{Kind: dict.Literal, Value: string(seq)})
+	}
+	g.Seal()
+	reg := udf.NewRegistry()
+	if err := reg.RegisterWithCost("seq.score", func(args []expr.Value) (expr.Value, error) {
+		if len(args) != 1 || args[0].Kind != expr.KindString {
+			return expr.Null, fmt.Errorf("seq.score(sequence), got %v", args)
+		}
+		return expr.Float(float64(args[0].Str[7]-'0') / 10), nil
+	}, func([]expr.Value) float64 { return 1e-3 }); err != nil {
+		tb.Fatal(err)
+	}
+	if err := reg.MarkPure("seq.score"); err != nil {
+		tb.Fatal(err)
+	}
+	var in *Batch
+	if _, err := mpp.Run(topo(1), mpp.DefaultNet(), 1, func(r *mpp.Rank) error {
+		var err error
+		in, err = ScanBatch(r, g.Shard(0), g.Dict, pat("?p", "http://x/seq", "?q"), NewArena())
+		return err
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	e := &expr.Cmp{Op: expr.GE,
+		L: &expr.Call{Name: "seq.score", Args: []expr.Expr{&expr.Var{Name: "q"}}},
+		R: &expr.Const{Val: expr.Float(0.5)}}
+	return in, e, reg, expr.NewCachedResolver(expr.DictResolver{Dict: g.Dict})
+}
+
+// BenchmarkFilterBatchUDFWarm is the per-row cost of a FILTER whose UDF
+// conjunct is answered from the memo on every row — the steady state of
+// a threshold sweep — without the serving stack around it.
+func BenchmarkFilterBatchUDFWarm(b *testing.B) {
+	in, e, reg, res := benchUDFFilter(b, benchEntities)
+	prof := udf.NewProfiler()
+	a := NewArena()
+	run := func() {
+		a.Reset()
+		benchWorld(b, func(r *mpp.Rank) error {
+			_, st, err := FilterBatch(r, in, e, reg, prof, res, FilterOpts{}, a)
+			if err == nil && (st.Errors != 0 || st.Passed == 0) {
+				err = fmt.Errorf("filter stats %+v", st)
+			}
+			return err
+		})
+	}
+	run() // fill the memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchEntities, "ns/row")
+}
+
 func BenchmarkHashJoinBatch(b *testing.B) {
 	g := benchGraph(benchEntities, 1)
 	ain, a := NewArena(), NewArena()
@@ -176,8 +246,10 @@ func BenchmarkAggregateRows(b *testing.B) {
 // operators sit at ~26 (scan), ~33 (filter) and ~48 (join) allocs per
 // run — almost all of it the fixed mpp world setup — so the ceilings
 // below carry ~2× headroom. A regression that reintroduces per-row or
-// per-batch heap traffic (thousands of allocs) fails loudly. Run in CI
-// as the alloc-ceiling smoke step.
+// per-batch heap traffic (thousands of allocs) fails loudly. The warm
+// UDF filter answers 4096 memo hits over 240-character literals inside
+// the same fixed budget as the plain filter: zero allocations per row.
+// Run in CI as the alloc-ceiling smoke step.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc ceilings are a bench-mode gate")
@@ -203,26 +275,43 @@ func TestAllocCeilings(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	uin, ue, ureg, ures := benchUDFFilter(t, benchEntities)
 	cases := []struct {
 		name    string
 		ceiling float64
+		pooled  bool // the path keeps a scratch buffer in a sync.Pool
 		run     func(r *mpp.Rank, a *Arena) error
 	}{
-		{"scan", 60, func(r *mpp.Rank, a *Arena) error {
+		{"scan", 60, false, func(r *mpp.Rank, a *Arena) error {
 			_, err := ScanBatch(r, g.Shard(0), g.Dict, tp, a)
 			return err
 		}},
-		{"filter", 80, func(r *mpp.Rank, a *Arena) error {
+		{"filter", 80, false, func(r *mpp.Rank, a *Arena) error {
 			_, _, err := FilterBatch(r, in, e, reg, prof, res, FilterOpts{}, a)
 			return err
 		}},
-		{"join", 110, func(r *mpp.Rank, a *Arena) error {
+		{"filter_udf_warm", 80, true, func(r *mpp.Rank, a *Arena) error {
+			_, _, err := FilterBatch(r, uin, ue, ureg, prof, ures, FilterOpts{}, a)
+			return err
+		}},
+		{"join", 110, false, func(r *mpp.Rank, a *Arena) error {
 			_, err := HashJoinBatch(r, l, rt, a)
 			return err
 		}},
 	}
+	// The race detector makes sync.Pool drop a quarter of what it is
+	// given, so there a pooled buffer is not an allocation-free one.
+	probe := sync.Pool{New: func() any { return new([]byte) }}
+	poolsLeak := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 64; i++ {
+			probe.Put(probe.Get())
+		}
+	}) > 0
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.pooled && poolsLeak {
+				t.Skip("sync.Pool drops buffers here (race detector): the pooled memo key is not free")
+			}
 			a := NewArena()
 			warm := func() {
 				if _, err := mpp.Run(topo(1), mpp.DefaultNet(), 1, func(r *mpp.Rank) error {

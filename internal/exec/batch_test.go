@@ -317,3 +317,108 @@ func TestGatherToFinishesOnRootOnly(t *testing.T) {
 		t.Fatalf("gathered %d rows (batch %d), want 20", tabs[0].Len(), batches[0].Len())
 	}
 }
+
+// TestFilterBatchUDFMemoKeys drives the three argument shapes of a pure
+// UDF through FilterBatch and the row oracle over the same registry:
+// a bare variable memoizes on the dictionary ID ("3" and "3.0" are two
+// IDs, two executions), a nested call or an arithmetic argument on the
+// computed value (one execution for both rows), the body never sees an
+// ID, and a warm pass replays every stored cost — same profile, same
+// clock charge — without running the function again.
+func TestFilterBatchUDFMemoKeys(t *testing.T) {
+	d := dict.New()
+	in := NewBatch("x")
+	for _, lit := range []string{"3", "3.0", "4", "3"} {
+		in.Cols[0] = append(in.Cols[0], d.EncodeLiteral(lit))
+		in.NRows++
+	}
+	res := expr.NewCachedResolver(expr.DictResolver{Dict: d})
+
+	execs := map[string]*int{"f": new(int), "g": new(int)}
+	reg := udf.NewRegistry()
+	for name, n := range execs {
+		if err := reg.RegisterWithCost(name, func(args []expr.Value) (expr.Value, error) {
+			*n++
+			if len(args) != 1 || args[0].Kind != expr.KindFloat {
+				return expr.Null, fmt.Errorf("%s(number), got %v", name, args)
+			}
+			return expr.Float(args[0].Num + 1), nil
+		}, func(args []expr.Value) float64 { return args[0].Num / 100 }); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.MarkPure(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := &expr.Var{Name: "x"}
+	call := func(name string, arg expr.Expr) expr.Expr {
+		return &expr.Call{Name: name, Args: []expr.Expr{arg}}
+	}
+	cases := []struct {
+		name   string
+		arg    expr.Expr // f's argument
+		min    float64   // FILTER(f(arg) >= min) keeps the "4" row only
+		fExecs int       // distinct memo keys f is called with
+		gExecs int
+	}{
+		{"f(?x)", x, 4.5, 3, 0}, // the IDs of "3", "3.0" and "4"
+		{"f(g(?x))", call("g", x), 5.5, 2, 3},
+		{"f(?x * 2)", &expr.Arith{Op: expr.Mul, L: x, R: &expr.Const{Val: expr.Float(2)}}, 8, 2, 0},
+	}
+	for _, tc := range cases {
+		e := &expr.Cmp{Op: expr.GE, L: call("f", tc.arg), R: &expr.Const{Val: expr.Float(tc.min)}}
+		*execs["f"], *execs["g"] = 0, 0
+		var cold, warm, oracle FilterStats
+		var coldProf, warmProf, oracleProf *udf.Profiler
+		var passed []string
+		run := func(stats *FilterStats, prof **udf.Profiler, rows bool) *mpp.Report {
+			return runWorld(t, 1, func(r *mpp.Rank) error {
+				*prof = udf.NewProfiler()
+				if rows {
+					_, st, err := Filter(r, in.Materialize(), e, reg, *prof, res, FilterOpts{})
+					*stats = st
+					return err
+				}
+				out, st, err := FilterBatch(r, in, e, reg, *prof, res, FilterOpts{}, NewArena())
+				*stats = st
+				passed = batchRows(out)
+				return err
+			})
+		}
+		coldRep := run(&cold, &coldProf, false)
+		if got := *execs["f"]; got != tc.fExecs {
+			t.Errorf("%s: f ran %d times cold, want %d", tc.name, got, tc.fExecs)
+		}
+		if got := *execs["g"]; got != tc.gExecs {
+			t.Errorf("%s: g ran %d times cold, want %d", tc.name, got, tc.gExecs)
+		}
+		if cold.Errors != 0 || cold.Evaluated != 4 {
+			t.Errorf("%s: cold stats %+v", tc.name, cold)
+		}
+		*execs["f"], *execs["g"] = 0, 0
+		warmRep := run(&warm, &warmProf, false)
+		oracleRep := run(&oracle, &oracleProf, true)
+		if *execs["f"] != 0 || *execs["g"] != 0 {
+			t.Errorf("%s: warm passes ran f %d and g %d times, want 0", tc.name, *execs["f"], *execs["g"])
+		}
+		if len(passed) != 1 || warm.Passed != 1 {
+			t.Errorf("%s: rows out %v, stats %+v; want the one \"4\" row", tc.name, passed, warm)
+		}
+		for _, other := range []struct {
+			what  string
+			stats FilterStats
+			prof  *udf.Profiler
+			rep   *mpp.Report
+		}{{"warm batch", warm, warmProf, warmRep}, {"warm row oracle", oracle, oracleProf, oracleRep}} {
+			if other.stats.Passed != cold.Passed || other.stats.Errors != 0 || other.stats.UDFCost != cold.UDFCost {
+				t.Errorf("%s: %s stats %+v differ from cold %+v", tc.name, other.what, other.stats, cold)
+			}
+			if fmt.Sprint(other.prof.Snapshot()) != fmt.Sprint(coldProf.Snapshot()) {
+				t.Errorf("%s: %s profile %v differs from cold %v", tc.name, other.what, other.prof.Snapshot(), coldProf.Snapshot())
+			}
+			if other.rep.Makespan != coldRep.Makespan {
+				t.Errorf("%s: %s makespan %g differs from cold %g", tc.name, other.what, other.rep.Makespan, coldRep.Makespan)
+			}
+		}
+	}
+}

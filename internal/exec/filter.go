@@ -64,7 +64,8 @@ type FilterStats struct {
 
 // callRecorder wraps a FuncResolver, capturing each UDF call's name
 // and cost so the FILTER loop can attribute profile records and
-// rejections per conjunct.
+// rejections per conjunct. Arguments pass through as they came,
+// unresolved IDs included: the recorder needs only name and cost.
 type callRecorder struct {
 	inner expr.FuncResolver
 	calls []callRec
@@ -75,8 +76,8 @@ type callRec struct {
 	cost float64
 }
 
-func (cr *callRecorder) CallUDF(name string, args []expr.Value) (expr.Value, float64, error) {
-	v, cost, err := cr.inner.CallUDF(name, args)
+func (cr *callRecorder) CallLazy(name string, args []expr.Value, terms expr.Resolver) (expr.Value, float64, error) {
+	v, cost, err := cr.inner.CallLazy(name, args, terms)
 	cr.calls = append(cr.calls, callRec{name, cost})
 	return v, cost, err
 }

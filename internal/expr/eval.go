@@ -23,8 +23,16 @@ func (m MapEnv) Lookup(name string) (Value, bool) {
 // FuncResolver dispatches UDF calls. The returned cost is the virtual
 // execution time in seconds the caller should charge and record in the
 // per-rank profile.
+//
+// Arguments may still be KindID: Eval hands dictionary references over
+// unresolved, together with the Resolver that concretizes them, so an
+// implementation that recognises a call by its IDs never touches the
+// terms. The implementation resolves before it runs the function — a
+// UDF body only ever sees concrete values — and may do so in place:
+// args is the caller's scratch frame and must not be retained. With a
+// nil terms, IDs are passed to the function as they are.
 type FuncResolver interface {
-	CallUDF(name string, args []Value) (result Value, cost float64, err error)
+	CallLazy(name string, args []Value, terms Resolver) (result Value, cost float64, err error)
 }
 
 // Ctx carries everything evaluation needs.
@@ -38,8 +46,8 @@ type Ctx struct {
 	// argbuf is a reusable argument-frame stack for Call nodes. A Ctx
 	// lives for a whole operator (thousands of rows), so growing it
 	// once amortizes the per-call slice that used to be allocated for
-	// every UDF invocation. Callees must not retain the args slice;
-	// the registry copies what it memoizes.
+	// every UDF invocation. Callees may resolve the frame in place but
+	// must not retain it; the registry copies what it memoizes.
 	argbuf []Value
 }
 
@@ -166,11 +174,12 @@ func Eval(e Expr, ctx *Ctx) (Value, error) {
 				ctx.argbuf = ctx.argbuf[:base]
 				return Null, err
 			}
-			// UDFs receive concrete values, never raw IDs.
-			ctx.argbuf = append(ctx.argbuf, resolve(v, ctx.Terms))
+			// IDs travel unresolved; the resolver concretizes them
+			// before the UDF body runs (see FuncResolver).
+			ctx.argbuf = append(ctx.argbuf, v)
 		}
 		args := ctx.argbuf[base:len(ctx.argbuf):len(ctx.argbuf)]
-		out, cost, err := ctx.Funcs.CallUDF(n.Name, args)
+		out, cost, err := ctx.Funcs.CallLazy(n.Name, args, ctx.Terms)
 		ctx.argbuf = ctx.argbuf[:base]
 		ctx.Cost += cost
 		if err != nil {

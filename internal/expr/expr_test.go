@@ -90,11 +90,12 @@ func TestCompareResolvesIDs(t *testing.T) {
 
 type fakeFuncs map[string]func(args []Value) (Value, error)
 
-func (f fakeFuncs) CallUDF(name string, args []Value) (Value, float64, error) {
+func (f fakeFuncs) CallLazy(name string, args []Value, terms Resolver) (Value, float64, error) {
 	fn, ok := f[name]
 	if !ok {
 		return Null, 0, errors.New("unknown UDF " + name)
 	}
+	ResolveArgs(args, terms)
 	v, err := fn(args)
 	return v, 0.25, err
 }
@@ -235,6 +236,60 @@ func TestEvalUDFCall(t *testing.T) {
 	noCtx := &Ctx{Env: MapEnv{}}
 	if _, err := Eval(&Call{Name: "double"}, noCtx); !errors.Is(err, ErrNoResolver) {
 		t.Fatalf("no resolver err = %v", err)
+	}
+}
+
+// argSpy is a FuncResolver that records the argument frame as Eval
+// handed it over, then behaves like fakeFuncs.
+type argSpy struct {
+	fakeFuncs
+	got map[string][]Value
+}
+
+func (s *argSpy) CallLazy(name string, args []Value, terms Resolver) (Value, float64, error) {
+	s.got[name] = append([]Value(nil), args...)
+	return s.fakeFuncs.CallLazy(name, args, terms)
+}
+
+// TestEvalPassesIDsToUDFs pins the FuncResolver contract: a variable
+// bound to a dictionary ID reaches the resolver as that ID, computed
+// arguments (nested calls, arithmetic) reach it as concrete values, and
+// the UDF body never sees an ID either way.
+func TestEvalPassesIDsToUDFs(t *testing.T) {
+	d := dict.New()
+	id := d.EncodeLiteral("21")
+	concrete := func(args []Value) (Value, error) {
+		for _, a := range args {
+			if a.Kind == KindID {
+				return Null, errors.New("UDF body received an unresolved ID")
+			}
+		}
+		return Float(args[0].Num * 2), nil
+	}
+	x := &Var{Name: "x"}
+	cases := []struct {
+		name string
+		e    Expr
+		fArg Value // what f's resolver call must receive
+		want float64
+	}{
+		{"f(?x)", &Call{Name: "f", Args: []Expr{x}}, IDVal(id), 42},
+		{"f(g(?x))", &Call{Name: "f", Args: []Expr{&Call{Name: "g", Args: []Expr{x}}}}, Float(42), 84},
+		{"f(?x * 2)", &Call{Name: "f", Args: []Expr{&Arith{Op: Mul, L: x, R: &Const{Val: Float(2)}}}}, Float(42), 84},
+	}
+	for _, c := range cases {
+		spy := &argSpy{fakeFuncs: fakeFuncs{"f": concrete, "g": concrete}, got: map[string][]Value{}}
+		ctx := &Ctx{Env: MapEnv{"x": IDVal(id)}, Funcs: spy, Terms: DictResolver{Dict: d}}
+		v, err := Eval(c.e, ctx)
+		if err != nil || v != Float(c.want) {
+			t.Fatalf("%s = %s, %v; want %g", c.name, v, err, c.want)
+		}
+		if got := spy.got["f"]; len(got) != 1 || got[0] != c.fArg {
+			t.Fatalf("%s: resolver received %v for f, want [%s]", c.name, got, c.fArg)
+		}
+		if got, nested := spy.got["g"]; nested && (len(got) != 1 || got[0] != IDVal(id)) {
+			t.Fatalf("%s: resolver received %v for g, want [%s]", c.name, got, IDVal(id))
+		}
 	}
 }
 

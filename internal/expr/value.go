@@ -118,6 +118,26 @@ func resolve(v Value, r Resolver) Value {
 	return v
 }
 
+// ResolveArgs concretizes the KindID elements of a UDF argument frame
+// in place — the step a FuncResolver performs before the function body
+// runs. It reports whether every ID was known: an ID that resolves to
+// Null now may be assigned by a later update, so a result computed from
+// it must not be remembered under that ID. A nil resolver leaves IDs
+// as they are.
+func ResolveArgs(args []Value, r Resolver) (known bool) {
+	known = true
+	if r == nil {
+		return known
+	}
+	for i, a := range args {
+		if a.Kind == KindID {
+			args[i] = r.ResolveID(a.ID)
+			known = known && !args[i].IsNull()
+		}
+	}
+	return known
+}
+
 // Compare returns -1, 0, +1 comparing a and b after resolution, and
 // false when the kinds are incomparable.
 func Compare(a, b Value, r Resolver) (int, bool) {

@@ -11,10 +11,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ids/internal/expr"
@@ -29,6 +31,8 @@ type Func func(args []expr.Value) (expr.Value, error)
 // charged measured wall time.
 type CostFn func(args []expr.Value) float64
 
+// entry is one registered UDF. Entries are immutable once published
+// (MarkPure publishes a copy), so readers use them without a lock.
 type entry struct {
 	fn      Func
 	cost    CostFn
@@ -43,8 +47,34 @@ type entry struct {
 	pure bool
 }
 
-// keyBufPool recycles memo-key scratch buffers across CallUDF calls
-// (pooled as *[]byte so Get/Put themselves do not allocate).
+// run executes the UDF on concrete arguments and returns its result
+// plus the cost to charge: the declared virtual cost when there is a
+// cost model, otherwise the measured wall time.
+func (e *entry) run(args []expr.Value) (expr.Value, float64, error) {
+	start := time.Now()
+	out, err := e.fn(args)
+	cost := time.Since(start).Seconds()
+	if e.cost != nil {
+		cost = e.cost(args)
+	}
+	return out, cost, err
+}
+
+// table is one immutable publication of the registry's functions.
+// Calls read it through an atomic pointer and take no registry-wide
+// lock; registration, MarkPure, reload and unload are rare and each
+// publishes a fresh copy.
+type table struct {
+	entries map[string]*entry
+	// gen counts memo invalidations (reload, unload). A miss remembers
+	// the generation it started under and its store is dropped if the
+	// table has moved on, so a slow call of a replaced implementation
+	// cannot plant its result behind the invalidation.
+	gen uint64
+}
+
+// keyBufPool recycles memo-key scratch buffers across calls (pooled as
+// *[]byte so Get/Put themselves do not allocate).
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // memoVal is one memoized pure-UDF result.
@@ -55,29 +85,49 @@ type memoVal struct {
 
 // memoMaxEntries bounds the memo table; inserts stop (lookups keep
 // working) once the table is full, so a pathological argument stream
-// cannot grow memory without bound.
-const memoMaxEntries = 1 << 18
+// cannot grow memory without bound. The bound is split evenly over the
+// shards.
+const (
+	memoMaxEntries = 1 << 18
+	memoShards     = 64
+)
+
+// memoShard is one slice of the memo table under its own lock, padded
+// to a cache line so ranks probing different shards share nothing.
+type memoShard struct {
+	mu sync.RWMutex
+	m  map[string]memoVal
+	_  [32]byte
+}
 
 // Registry holds the available UDFs. Statically registered functions
 // cannot be replaced (they model CGE's load-time shared objects);
 // dynamic functions belong to a module and can be reloaded, modelling
 // the paper's dynamically imported Python modules.
+//
+// A registry serves one dictionary: memo keys embed dictionary IDs, so
+// it must not be shared by engines over different dictionaries.
 type Registry struct {
-	mu      sync.RWMutex
-	entries map[string]*entry
-	// memo caches pure-UDF results (key: name + encoded concrete
-	// arguments). A typed map under its own RWMutex rather than a
-	// sync.Map: indexing a string-keyed map with string(b) compiles to
-	// an allocation-free lookup, so the hot hit path (key built in a
-	// caller stack buffer) performs zero heap allocations, where
-	// sync.Map's any-keyed Load forced two per call.
-	memoMu sync.RWMutex
-	memo   map[string]memoVal
+	mu  sync.Mutex // serializes publishers of tab
+	tab atomic.Pointer[table]
+	// memo caches pure-UDF results, keyed by name + encoded arguments
+	// (see appendMemoKey) and sharded by a hash of the key. Typed maps
+	// rather than a sync.Map: indexing a string-keyed map with
+	// string(b) compiles to an allocation-free lookup, so a hit
+	// performs zero heap allocations.
+	memo     [memoShards]memoShard
+	seed     maphash.Seed
+	shardCap int // entries per shard; memoMaxEntries/memoShards outside tests
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{entries: map[string]*entry{}, memo: map[string]memoVal{}}
+	r := &Registry{seed: maphash.MakeSeed(), shardCap: memoMaxEntries / memoShards}
+	r.tab.Store(&table{entries: map[string]*entry{}})
+	for i := range r.memo {
+		r.memo[i].m = map[string]memoVal{}
+	}
+	return r
 }
 
 // Registration errors.
@@ -87,6 +137,34 @@ var (
 	ErrStatic    = errors.New("udf: cannot replace static function")
 )
 
+// publish applies edit to a copy of the current table and makes the
+// copy current. An edit that bumps gen invalidates the memo: the new
+// generation is visible before any shard is emptied, so a store that
+// still passes its generation check lands before the sweep reaches its
+// shard.
+func (r *Registry) publish(edit func(t *table) error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.tab.Load()
+	next := &table{entries: make(map[string]*entry, len(old.entries)+1), gen: old.gen}
+	for name, e := range old.entries {
+		next.entries[name] = e
+	}
+	if err := edit(next); err != nil {
+		return err
+	}
+	r.tab.Store(next)
+	if next.gen != old.gen {
+		for i := range r.memo {
+			sh := &r.memo[i]
+			sh.mu.Lock()
+			sh.m = map[string]memoVal{}
+			sh.mu.Unlock()
+		}
+	}
+	return nil
+}
+
 // Register adds a static UDF. It fails if the name is taken.
 func (r *Registry) Register(name string, fn Func) error {
 	return r.RegisterWithCost(name, fn, nil)
@@ -94,30 +172,30 @@ func (r *Registry) Register(name string, fn Func) error {
 
 // RegisterWithCost adds a static UDF with a declared cost model.
 func (r *Registry) RegisterWithCost(name string, fn Func, cost CostFn) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[name]; ok {
-		return fmt.Errorf("%w: %s", ErrDuplicate, name)
-	}
-	r.entries[name] = &entry{fn: fn, cost: cost}
-	return nil
+	return r.publish(func(t *table) error {
+		if _, ok := t.entries[name]; ok {
+			return fmt.Errorf("%w: %s", ErrDuplicate, name)
+		}
+		t.entries[name] = &entry{fn: fn, cost: cost}
+		return nil
+	})
 }
 
 // RegisterDynamic adds or replaces a dynamic UDF belonging to module.
 // The callable name is "module.method". Replacing a static name fails.
 func (r *Registry) RegisterDynamic(module, method string, fn Func, cost CostFn) error {
 	name := module + "." + method
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok {
-		if !e.dynamic {
-			return fmt.Errorf("%w: %s", ErrStatic, name)
+	return r.publish(func(t *table) error {
+		if e, ok := t.entries[name]; ok {
+			if !e.dynamic {
+				return fmt.Errorf("%w: %s", ErrStatic, name)
+			}
+			// Replacing an implementation invalidates memoized results.
+			t.gen++
 		}
-		// Replacing an implementation invalidates memoized results.
-		r.clearMemo()
-	}
-	r.entries[name] = &entry{fn: fn, cost: cost, dynamic: true, module: module}
-	return nil
+		t.entries[name] = &entry{fn: fn, cost: cost, dynamic: true, module: module}
+		return nil
+	})
 }
 
 // UnloadModule removes every dynamic UDF belonging to module and
@@ -125,18 +203,19 @@ func (r *Registry) RegisterDynamic(module, method string, fn Func, cost CostFn) 
 // whole memo is dropped: a reloaded implementation may compute
 // different results for the same arguments.
 func (r *Registry) UnloadModule(module string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := 0
-	for name, e := range r.entries {
-		if e.dynamic && e.module == module {
-			delete(r.entries, name)
-			n++
+	_ = r.publish(func(t *table) error { // the edit cannot fail
+		for name, e := range t.entries {
+			if e.dynamic && e.module == module {
+				delete(t.entries, name)
+				n++
+			}
 		}
-	}
-	if n > 0 {
-		r.clearMemo()
-	}
+		if n > 0 {
+			t.gen++
+		}
+		return nil
+	})
 	return n
 }
 
@@ -145,29 +224,27 @@ func (r *Registry) UnloadModule(module string) int {
 // also be a pure function of the arguments, since a memo hit replays
 // the stored cost. Returns ErrUnknown for unregistered names.
 func (r *Registry) MarkPure(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknown, name)
-	}
-	e.pure = true
-	return nil
+	return r.publish(func(t *table) error {
+		e, ok := t.entries[name]
+		if !ok {
+			return fmt.Errorf("%w: %s", ErrUnknown, name)
+		}
+		pure := *e
+		pure.pure = true
+		t.entries[name] = &pure
+		return nil
+	})
 }
 
-// clearMemo drops all memoized results; callers hold r.mu.
-func (r *Registry) clearMemo() {
-	r.memoMu.Lock()
-	r.memo = map[string]memoVal{}
-	r.memoMu.Unlock()
-}
-
-// appendMemoKey encodes a pure-UDF invocation — name plus the concrete
-// argument values (UDFs only ever see resolved values, so the key is
-// stable across dictionary growth) — into dst, which callers pass as a
-// stack buffer so a memo hit allocates nothing. The bool is false when
-// the arguments are not memoizable.
-func appendMemoKey(dst []byte, name string, args []expr.Value) ([]byte, bool) {
+// appendMemoKey encodes a pure-UDF invocation — name plus one tagged
+// field per argument — into dst. Concrete values are encoded by value.
+// A dictionary ID is encoded as the ID itself when byID is set (the
+// caller holds a resolver): the dictionary is append-only, so an ID
+// names the same term for the life of the registry and the call is
+// recognised without decoding it. Without a resolver the function
+// would be handed the raw ID, which says nothing about the term; the
+// bool is then false and the call is not memoized.
+func appendMemoKey(dst []byte, name string, args []expr.Value, byID bool) ([]byte, bool) {
 	b := append(dst, name...)
 	for _, a := range args {
 		b = append(b, 0, byte(a.Kind))
@@ -183,9 +260,10 @@ func appendMemoKey(dst []byte, name string, args []expr.Value) ([]byte, bool) {
 				b = append(b, 1)
 			}
 		case expr.KindID:
-			// IDs should never reach a UDF (callers resolve first);
-			// don't memoize if one slips through.
-			return nil, false
+			if !byID {
+				return b, false
+			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(a.ID))
 		}
 	}
 	return b, true
@@ -193,10 +271,9 @@ func appendMemoKey(dst []byte, name string, args []expr.Value) ([]byte, bool) {
 
 // Names returns the sorted registered function names.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for name := range r.entries {
+	entries := r.tab.Load().entries
+	out := make([]string, 0, len(entries))
+	for name := range entries {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -205,68 +282,69 @@ func (r *Registry) Names() []string {
 
 // Has reports whether name is registered.
 func (r *Registry) Has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.entries[name]
+	_, ok := r.tab.Load().entries[name]
 	return ok
 }
 
 // IsDynamic reports whether name is a dynamically loaded UDF.
 func (r *Registry) IsDynamic(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
+	e, ok := r.tab.Load().entries[name]
 	return ok && e.dynamic
 }
 
-// CallUDF implements expr.FuncResolver: it invokes the named UDF and
-// returns its result plus the cost to charge — the declared virtual
-// cost when the UDF has a cost model, otherwise the measured wall
-// time.
+// CallUDF invokes the named UDF on concrete arguments: CallLazy for
+// callers that hold no dictionary IDs.
 func (r *Registry) CallUDF(name string, args []expr.Value) (expr.Value, float64, error) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	pure := ok && e.pure
-	r.mu.RUnlock()
+	return r.CallLazy(name, args, nil)
+}
+
+// CallLazy implements expr.FuncResolver: it invokes the named UDF and
+// returns its result plus the cost to charge. Arguments may be
+// dictionary IDs; terms resolves them, in place, immediately before
+// the function runs — which for a pure UDF is only on a memo miss. A
+// hit is answered from the IDs alone.
+func (r *Registry) CallLazy(name string, args []expr.Value, terms expr.Resolver) (expr.Value, float64, error) {
+	t := r.tab.Load()
+	e, ok := t.entries[name]
 	if !ok {
 		return expr.Null, 0, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
-	var key string
-	if pure {
-		// The key is built in a pooled buffer (string arguments such as
-		// protein sequences outgrow any stack array) and looked up via
-		// the non-allocating map-index string conversion: a memo hit
-		// costs zero steady-state heap allocations. The string is
-		// materialized only on a miss, when the result is stored.
-		bp := keyBufPool.Get().(*[]byte)
-		b, keyOK := appendMemoKey((*bp)[:0], name, args)
-		*bp = b
-		if keyOK {
-			r.memoMu.RLock()
-			mv, hit := r.memo[string(b)]
-			r.memoMu.RUnlock()
-			if hit {
-				keyBufPool.Put(bp)
-				return mv.v, mv.cost, nil
-			}
-			key = string(b)
-		} else {
-			pure = false
-		}
+	if !e.pure {
+		expr.ResolveArgs(args, terms)
+		return e.run(args)
+	}
+	// The key is built in a pooled buffer (string arguments such as
+	// protein sequences outgrow any stack array) and looked up via the
+	// non-allocating map-index string conversion: a memo hit costs zero
+	// steady-state heap allocations. The string is materialized only on
+	// a miss, when the result is stored.
+	bp := keyBufPool.Get().(*[]byte)
+	b, keyed := appendMemoKey((*bp)[:0], name, args, terms != nil)
+	*bp = b
+	if !keyed {
 		keyBufPool.Put(bp)
+		return e.run(args)
 	}
-	start := time.Now()
-	out, err := e.fn(args)
-	cost := time.Since(start).Seconds()
-	if e.cost != nil {
-		cost = e.cost(args)
+	sh := &r.memo[maphash.Bytes(r.seed, b)%memoShards]
+	sh.mu.RLock()
+	mv, hit := sh.m[string(b)]
+	sh.mu.RUnlock()
+	if hit {
+		keyBufPool.Put(bp)
+		return mv.v, mv.cost, nil
 	}
-	if pure && err == nil {
-		r.memoMu.Lock()
-		if len(r.memo) < memoMaxEntries {
-			r.memo[key] = memoVal{v: out, cost: cost}
+	key := string(b)
+	keyBufPool.Put(bp)
+	// An ID that resolves to Null may be assigned by a later update
+	// (the CachedResolver rule): run on it, remember nothing under it.
+	known := expr.ResolveArgs(args, terms)
+	out, cost, err := e.run(args)
+	if known && err == nil {
+		sh.mu.Lock()
+		if len(sh.m) < r.shardCap && r.tab.Load().gen == t.gen {
+			sh.m[key] = memoVal{v: out, cost: cost}
 		}
-		r.memoMu.Unlock()
+		sh.mu.Unlock()
 	}
 	return out, cost, err
 }
