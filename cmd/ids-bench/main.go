@@ -13,8 +13,9 @@
 //	          [-conformance-compare CONFORMANCE.md]
 //
 // -conformance runs the SPARQL conformance sweep: a seeded corpus of
-// generated queries executes on both engines (row oracle vs columnar
-// default) and every outcome lands in a taxonomy bucket. The markdown
+// generated queries executes on the engine, every answer is checked
+// against the reference evaluator (internal/conformance/ref), and every
+// outcome lands in a taxonomy bucket. The markdown
 // report regenerates CONFORMANCE.md; -conformance-compare gates a run
 // against the committed copy and exits 1 when any per-category
 // success rate regresses or any P0 (crash/wrong-answer) appears.

@@ -3,10 +3,7 @@ package conformance
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
-	"ids/internal/ids"
 	"ids/internal/mpp"
 	"ids/internal/sparql"
 )
@@ -51,8 +48,9 @@ func priorityFor(expect, bucket string) string {
 	}
 }
 
-// Run executes one query through parse → plan → execute on both
-// engines and buckets the outcome. A panic anywhere in the pipeline —
+// Run executes one query through parse → plan → execute on the engine,
+// checks the answer against the reference evaluator's, and buckets the
+// outcome. A panic anywhere in the pipeline —
 // including one recovered into an mpp rank error — is a crash, never
 // a test failure, so the sweep keeps going and reports totals.
 func (w *World) Run(q Query) (o Outcome) {
@@ -65,7 +63,8 @@ func (w *World) Run(q Query) (o Outcome) {
 		o.Priority = priorityFor(q.Expect, o.Bucket)
 	}()
 
-	if _, err := sparql.Parse(q.Text); err != nil {
+	parsed, err := sparql.Parse(q.Text)
+	if err != nil {
 		var se *sparql.Error
 		if errors.As(err, &se) && se.Code == sparql.ErrUnsupported {
 			o.Bucket = unsupportedPrefix + se.Feature
@@ -76,62 +75,33 @@ func (w *World) Run(q Query) (o Outcome) {
 		return o
 	}
 
-	rres, rerr := w.Row.Query(q.Text)
-	cres, cerr := w.Col.Query(q.Text)
-	if errors.Is(rerr, mpp.ErrPanic) || errors.Is(cerr, mpp.ErrPanic) {
+	res, err := w.Engine.Query(q.Text)
+	if errors.Is(err, mpp.ErrPanic) {
 		o.Bucket = BucketCrash
-		o.Detail = fmt.Sprintf("row: %v; col: %v", rerr, cerr)
+		o.Detail = err.Error()
 		return o
 	}
-	if (rerr == nil) != (cerr == nil) {
-		o.Bucket = BucketWrongAnswer
-		o.Detail = fmt.Sprintf("error divergence — row: %v; col: %v", rerr, cerr)
-		return o
-	}
-	if rerr != nil {
+	if err != nil {
 		// Parsed, but rejected downstream of the front end (planner
 		// validation, KNN space checks, ...): the plan-error bucket.
+		// What the engine refuses, the reference is not asked about.
 		o.Bucket = BucketPlanError
-		o.Detail = rerr.Error()
+		o.Detail = err.Error()
 		return o
 	}
-
-	if diff := diffResults(w.Row, rres, w.Col, cres); diff != "" {
+	want, err := w.Ref.Eval(parsed)
+	if err != nil {
+		o.Bucket = BucketWrongAnswer
+		o.Detail = fmt.Sprintf("the engine answered what the reference rejects: %v", err)
+		return o
+	}
+	if diff := want.Diff(res.Vars, w.Engine.Strings(res)); diff != "" {
 		o.Bucket = BucketWrongAnswer
 		o.Detail = diff
 		return o
 	}
 	o.Bucket = BucketOK
 	return o
-}
-
-// diffResults compares the two engines' results as sorted row sets
-// (SPARQL imposes no order beyond ORDER BY, and the generator makes
-// every LIMIT window total-ordered). Empty string means identical.
-func diffResults(rowE *ids.Engine, rres *ids.Result, colE *ids.Engine, cres *ids.Result) string {
-	if strings.Join(rres.Vars, ",") != strings.Join(cres.Vars, ",") {
-		return fmt.Sprintf("header divergence — row %v, col %v", rres.Vars, cres.Vars)
-	}
-	rs, cs := renderSorted(rowE, rres), renderSorted(colE, cres)
-	if len(rs) != len(cs) {
-		return fmt.Sprintf("row-count divergence — row %d, col %d", len(rs), len(cs))
-	}
-	for i := range rs {
-		if rs[i] != cs[i] {
-			return fmt.Sprintf("row divergence at sorted index %d — row %q, col %q", i, rs[i], cs[i])
-		}
-	}
-	return ""
-}
-
-func renderSorted(e *ids.Engine, res *ids.Result) []string {
-	rows := e.Strings(res)
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = strings.Join(r, "\x1f")
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RunAll sweeps the corpus and folds the outcomes into a report. The

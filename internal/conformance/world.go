@@ -1,8 +1,9 @@
 // Package conformance is the SPARQL conformance sweep: a seeded
 // generator emits thousands of W3C-style queries over a deterministic
 // synthetic knowledge graph, every query runs through parse → plan →
-// execute on BOTH engines (row oracle and columnar default), and each
-// outcome lands in a stable taxonomy bucket with a priority. The
+// execute on the engine and through the independent reference
+// evaluator (internal/conformance/ref), and each outcome lands in a
+// stable taxonomy bucket with a priority. The
 // harness is the repo's answer to "which SPARQL do we actually speak,
 // and how do we fail on the rest": CONFORMANCE.md is regenerated from
 // it by `ids-bench -conformance`, and CI gates on the per-category
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"ids/internal/conformance/ref"
 	"ids/internal/dict"
 	"ids/internal/ids"
 	"ids/internal/kg"
@@ -23,13 +25,13 @@ import (
 
 // World vocabulary. The generator only draws terms from this closed
 // vocabulary, so every supported-feature query is answerable and every
-// divergence between the engines is a real defect, not a data race
+// divergence from the reference is a real defect, not a data race
 // with the generator.
 const (
 	// WorldEntities is the entity count; scores i*13 mod 101 are
 	// pairwise distinct (101 is prime), which keeps ORDER BY ?score a
-	// total order — LIMIT windows are then well-defined on both
-	// engines regardless of hash-join emission order.
+	// total order — LIMIT windows are then well-defined regardless of
+	// hash-join emission order.
 	WorldEntities = 48
 	// WorldTags is the tag-literal alphabet size.
 	WorldTags = 7
@@ -75,27 +77,20 @@ func WorldGraph(shards int) *kg.Graph {
 	return g
 }
 
-// World is a differential execution harness: the same graph and the
-// same vector store behind a row engine (the oracle) and a columnar
-// engine (the default production path).
+// World is a differential execution harness: the engine under test and
+// the reference evaluator over the same graph and the same vector store.
 type World struct {
-	Ranks int
-	Row   *ids.Engine
-	Col   *ids.Engine
+	Ranks  int
+	Engine *ids.Engine
+	Ref    *ref.World
 }
 
-// NewWorld builds the engine pair over a ranks-shard world. The HNSW
-// index is seeded, so SIMILAR answers are identical run to run and
-// engine to engine (both engines share one store instance).
+// NewWorld builds the pair over a ranks-shard world. The HNSW index is
+// seeded, so SIMILAR answers are identical run to run, and the engine
+// and the reference read one store instance.
 func NewWorld(ranks int) (*World, error) {
 	g := WorldGraph(ranks)
-	topo := mpp.Topology{Nodes: 1, RanksPerNode: ranks}
-	row, err := ids.NewEngine(g, topo)
-	if err != nil {
-		return nil, err
-	}
-	row.Opts.Columnar = false
-	col, err := ids.NewEngine(g, topo)
+	e, err := ids.NewEngine(g, mpp.Topology{Nodes: 1, RanksPerNode: ranks})
 	if err != nil {
 		return nil, err
 	}
@@ -111,11 +106,13 @@ func NewWorld(ranks int) (*World, error) {
 	if err := vs.EnableHNSW(hnsw.Config{M: 4, EfConstruction: 32, Seed: 1}); err != nil {
 		return nil, err
 	}
-	if err := row.AttachVectors(VecSpace, vs); err != nil {
+	if err := e.AttachVectors(VecSpace, vs); err != nil {
 		return nil, err
 	}
-	if err := col.AttachVectors(VecSpace, vs); err != nil {
-		return nil, err
-	}
-	return &World{Ranks: ranks, Row: row, Col: col}, nil
+	w := &ref.World{UDFs: e.Reg, Vectors: map[string]*vecstore.Store{VecSpace: vs}}
+	g.Triples(func(s, p, o dict.Term) bool {
+		w.Triples = append(w.Triples, ref.Triple{S: s, P: p, O: o})
+		return true
+	})
+	return &World{Ranks: ranks, Engine: e, Ref: w}, nil
 }

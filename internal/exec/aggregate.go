@@ -72,16 +72,17 @@ func Aggregate(t *Table, groupBy []string, aggs []AggSpec, res expr.Resolver) (*
 
 	groups := map[string]*accum{}
 	var order []*accum
+	key := make([]expr.Value, len(gIdx))
+	var kbuf []byte
 	for _, row := range t.Rows {
-		key := make([]expr.Value, len(gIdx))
 		for i, c := range gIdx {
 			key[i] = row[c]
 		}
-		k := rowKey(key)
-		acc, ok := groups[k]
+		kbuf = appendRowKey(kbuf[:0], key)
+		acc, ok := groups[string(kbuf)]
 		if !ok {
-			acc = newAccum(key)
-			groups[k] = acc
+			acc = newAccum(append([]expr.Value(nil), key...))
+			groups[string(kbuf)] = acc
 			order = append(order, acc)
 		}
 		for i, a := range aggs {
@@ -151,11 +152,11 @@ func Aggregate(t *Table, groupBy []string, aggs []AggSpec, res expr.Resolver) (*
 		out.Rows = append(out.Rows, row)
 	}
 	// An aggregate over an empty, ungrouped input still yields one row
-	// (COUNT(*) = 0), per SQL/SPARQL convention.
+	// (COUNT and SUM of nothing are 0), per SQL/SPARQL convention.
 	if len(out.Rows) == 0 && len(groupBy) == 0 {
 		row := make([]expr.Value, 0, len(aggs))
 		for _, a := range aggs {
-			if a.Func == "count" {
+			if a.Func == "count" || a.Func == "sum" {
 				row = append(row, expr.Float(0))
 			} else {
 				row = append(row, expr.Null)

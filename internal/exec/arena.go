@@ -202,31 +202,47 @@ func (a *Arena) saveSelB(s []int32) {
 	}
 }
 
-// hashBuild is the reusable build side of a batch hash join: open
-// chaining over row indexes (heads maps a 64-bit key hash to the first
-// build row, next links the rest). The map and chain array are reused
-// across joins and across queries; only genuine growth is fresh heap.
+// hashBuild is the reusable build side of a batch hash join: bucket
+// chaining over row indexes (heads holds each bucket's first build
+// row, -1 when empty; next links the rest). Rows that share a bucket
+// need not share a key — every user confirms a hit by comparing cells.
+// Both arrays are reused across joins and queries and readied in time
+// proportional to the build at hand, so what a join costs does not
+// depend on what the arena served before it.
 type hashBuild struct {
-	heads map[uint64]int32
+	heads []int32 // len is a power of two, at least twice the build rows
 	next  []int32
+}
+
+// bucket returns the heads slot a 64-bit key hash falls in. The high
+// half is folded in because the low bits alone are poor here: a rank
+// holds only rows with one value of h % p, and FNV-1a's low bits depend
+// only on its input's low bits.
+func (hb *hashBuild) bucket(h uint64) *int32 {
+	return &hb.heads[(h^h>>32)&uint64(len(hb.heads)-1)]
 }
 
 // buildFor readies the arena's hash-build structure for n build rows.
 func (a *Arena) buildFor(n int) *hashBuild {
 	if a.build == nil {
-		a.build = &hashBuild{heads: make(map[uint64]int32, n)}
-		// Map internals are deliberately not fresh-counted: footprint
-		// estimates must under-estimate, never over-estimate.
-	} else {
-		clear(a.build.heads)
+		a.build = &hashBuild{}
 	}
-	if cap(a.build.next) < n {
-		a.build.next = make([]int32, n)
-		a.freshBytes += int64(n) * 4
+	hb := a.build
+	m := 16
+	for m < 2*n {
+		m *= 2
+	}
+	if cap(hb.heads) < m {
+		buf := make([]int32, m+m/2) // m/2 >= n chain links behind the buckets
+		hb.heads, hb.next = buf[:m:m], buf[m:]
+		a.freshBytes += int64(len(buf)) * 4
 		a.freshMallocs++
 	}
-	a.build.next = a.build.next[:n]
-	return a.build
+	hb.heads, hb.next = hb.heads[:m], hb.next[:n]
+	for i := range hb.heads {
+		hb.heads[i] = -1
+	}
+	return hb
 }
 
 // ArenaPool hands out per-rank arena sets keyed by admission slot.

@@ -12,8 +12,8 @@ import (
 // Everything before the gather boundary is dictionary-encoded — scans
 // bind raw IDs, joins compare IDs, and FILTER expressions resolve IDs
 // lazily through the resolver — so the hot path never boxes values.
-// dict.None (never assigned to a term) marks an unbound cell, matching
-// the row engine's expr.Null for OPTIONAL null-extension.
+// dict.None (never assigned to a term) marks an unbound cell (OPTIONAL
+// null-extension, UNDEF); Materialize maps it to expr.Null.
 //
 // NRows is explicit so zero-width batches (patterns with no variables)
 // still carry their multiplicity through joins.
@@ -61,7 +61,7 @@ func (b *Batch) Project(names []string) (*Batch, error) {
 // Materialize converts the batch to a row table at the late-
 // materialization boundary (gather). All cells of all rows share one
 // backing array, so the whole result is three heap objects (cells,
-// row headers, table) instead of the row engine's one-per-row.
+// row headers, table).
 func (b *Batch) Materialize() *Table {
 	t := &Table{Vars: b.Vars}
 	n, w := b.NRows, len(b.Vars)
@@ -82,6 +82,21 @@ func (b *Batch) Materialize() *Table {
 		t.Rows[i] = row
 	}
 	return t
+}
+
+// FNV-1a constants (hash/fnv, inlined so key hashing never allocates).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+func fnvUint64(h, u uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(u>>(8*i)))
+	}
+	return h
 }
 
 // hashBatchRow streams row i's key-column IDs through FNV-1a,

@@ -33,25 +33,12 @@ func benchGraph(n, shards int) *kg.Graph {
 const benchEntities = 4096
 
 // benchWorld runs body on a 1-rank world, failing the benchmark on
-// error. One world per iteration keeps the mpp fixed cost identical
-// between row and batch variants, so alloc deltas isolate the operator.
+// error. One world per iteration keeps the mpp fixed cost the same in
+// every benchmark, so alloc deltas isolate the operator.
 func benchWorld(b *testing.B, body func(r *mpp.Rank) error) {
 	b.Helper()
 	if _, err := mpp.Run(topo(1), mpp.DefaultNet(), 1, body); err != nil {
 		b.Fatal(err)
-	}
-}
-
-func BenchmarkScanRows(b *testing.B) {
-	g := benchGraph(benchEntities, 1)
-	tp := pat("?s", "http://x/age", "?a")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchWorld(b, func(r *mpp.Rank) error {
-			_, err := Scan(r, g.Shard(0), g.Dict, tp)
-			return err
-		})
 	}
 }
 
@@ -72,29 +59,6 @@ func BenchmarkScanBatch(b *testing.B) {
 
 func benchFilterExpr() expr.Expr {
 	return &expr.Cmp{Op: expr.GE, L: &expr.Var{Name: "a"}, R: &expr.Const{Val: expr.Float(40)}}
-}
-
-func BenchmarkFilterRows(b *testing.B) {
-	g := benchGraph(benchEntities, 1)
-	tp := pat("?s", "http://x/age", "?a")
-	e := benchFilterExpr()
-	reg := udf.NewRegistry()
-	prof := udf.NewProfiler()
-	res := expr.DictResolver{Dict: g.Dict}
-	var tab *Table
-	benchWorld(b, func(r *mpp.Rank) error {
-		var err error
-		tab, err = Scan(r, g.Shard(0), g.Dict, tp)
-		return err
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchWorld(b, func(r *mpp.Rank) error {
-			_, _, err := Filter(r, tab, e, reg, prof, res, FilterOpts{})
-			return err
-		})
-	}
 }
 
 func BenchmarkFilterBatch(b *testing.B) {
@@ -219,25 +183,6 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 			}
 			return nil
 		})
-	}
-}
-
-func BenchmarkAggregateRows(b *testing.B) {
-	g := benchGraph(benchEntities, 1)
-	var tab *Table
-	benchWorld(b, func(r *mpp.Rank) error {
-		var err error
-		tab, err = Scan(r, g.Shard(0), g.Dict, pat("?s", "http://x/age", "?a"))
-		return err
-	})
-	res := expr.DictResolver{Dict: g.Dict}
-	aggs := []AggSpec{{Func: "count", Var: "s", As: "n"}, {Func: "min", Var: "a", As: "lo"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Aggregate(tab, []string{"a"}, aggs, res); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -2,14 +2,18 @@ package exec
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"ids/internal/dict"
 	"ids/internal/expr"
+	"ids/internal/kg"
 	"ids/internal/mpp"
+	"ids/internal/sparql"
+	"ids/internal/triple"
 	"ids/internal/udf"
 )
 
@@ -46,90 +50,119 @@ func tableRowsAsIDs(t *Table) []string {
 	return out
 }
 
-func TestScanBatchMatchesScan(t *testing.T) {
-	g := buildGraph(2)
-	runWorld(t, 2, func(r *mpp.Rank) error {
-		a := NewArena()
-		for _, p := range []struct{ s, p, o string }{
-			{"?s", "http://x/age", "?a"},
-			{"?s", "?p", "?o"},
-			{"http://x/person3", "http://x/age", "?a"},
-			{"?s", "http://x/nosuch", "?o"},
-			{"?s", "http://x/knows", "?s"}, // repeated var: no self-loops
-		} {
-			tp := pat(p.s, p.p, p.o)
-			rows, err := Scan(r, g.Shard(r.ID()), g.Dict, tp)
-			if err != nil {
-				return err
-			}
-			batch, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, tp, a)
-			if err != nil {
-				return err
-			}
-			if got, want := batch.Len(), rows.Len(); got != want {
-				return fmt.Errorf("pattern %v: batch %d rows, row engine %d", tp, got, want)
-			}
-			bt := batch.Materialize()
-			br, rr := tableRowsAsIDs(bt), tableRowsAsIDs(rows)
-			for i := range br {
-				if br[i] != rr[i] {
-					return fmt.Errorf("pattern %v row %d: %q vs %q", tp, i, br[i], rr[i])
+// scanByHand is the in-test reference scan: every triple of every
+// shard, matched against the pattern position by position, rendered
+// like batchRows.
+func scanByHand(g *kg.Graph, tp sparql.TriplePattern) (vars []string, rows []string) {
+	pos := []sparql.TermOrVar{tp.S, tp.P, tp.O}
+	for _, p := range pos {
+		if p.IsVar && !slices.Contains(vars, p.Var) {
+			vars = append(vars, p.Var)
+		}
+	}
+	for i := 0; i < g.NumShards(); i++ {
+		g.Shard(i).Match(triple.Pattern{}, func(t triple.Triple) bool {
+			bound := map[string]dict.ID{}
+			for k, have := range []dict.ID{t.S, t.P, t.O} {
+				want, isConst := bound[pos[k].Var]
+				if !pos[k].IsVar {
+					want, isConst = g.Dict.Lookup(pos[k].Term)
+					if !isConst {
+						return true // a term the graph never saw matches nothing
+					}
+				}
+				if isConst && want != have {
+					return true
+				}
+				if pos[k].IsVar {
+					bound[pos[k].Var] = have
 				}
 			}
-		}
-		return nil
-	})
+			s := ""
+			for _, v := range vars {
+				s += fmt.Sprintf("%d,", bound[v])
+			}
+			rows = append(rows, s)
+			return true
+		})
+	}
+	sort.Strings(rows)
+	return vars, rows
 }
 
-func TestHashJoinBatchMatchesHashJoin(t *testing.T) {
-	g := buildGraph(2)
-	runWorld(t, 2, func(r *mpp.Rank) error {
+// gathered runs body on every rank of a 2-rank world and returns the
+// root's gathered result.
+func gathered(t *testing.T, g *kg.Graph, body func(r *mpp.Rank, a *Arena) (*Batch, error)) *Batch {
+	t.Helper()
+	var out *Batch
+	runWorld(t, g.NumShards(), func(r *mpp.Rank) error {
 		a := NewArena()
-		l, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/knows", "?t"), a)
+		b, err := body(r, a)
 		if err != nil {
 			return err
 		}
-		rt, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, pat("?t", "http://x/age", "?a"), a)
+		all, err := GatherBatch(r, b, a)
+		if r.ID() == RootRank {
+			out = all
+		}
+		return err
+	})
+	return out
+}
+
+func TestScanBatchMatchesNestedLoop(t *testing.T) {
+	g := buildGraph(2)
+	for _, p := range []struct{ s, p, o string }{
+		{"?s", "http://x/age", "?a"},
+		{"?s", "?p", "?o"},
+		{"http://x/person3", "http://x/age", "?a"},
+		{"?s", "http://x/nosuch", "?o"},
+		{"?s", "http://x/knows", "?s"}, // repeated var: no self-loops
+		{"?s", "?p", "?s"},
+	} {
+		tp := pat(p.s, p.p, p.o)
+		got := gathered(t, g, func(r *mpp.Rank, a *Arena) (*Batch, error) {
+			return ScanBatch(r, g.Shard(r.ID()), g.Dict, tp, a)
+		})
+		vars, want := scanByHand(g, tp)
+		if !slices.Equal(got.Vars, vars) || !slices.Equal(batchRows(got), want) {
+			t.Errorf("pattern %v:\n batch %v %v\n by hand %v %v", tp, got.Vars, batchRows(got), vars, want)
+		}
+	}
+}
+
+func TestHashJoinBatchMatchesNestedLoop(t *testing.T) {
+	g := buildGraph(2)
+	left, right := pat("?s", "http://x/knows", "?t"), pat("?t", "http://x/age", "?a")
+	got := gathered(t, g, func(r *mpp.Rank, a *Arena) (*Batch, error) {
+		l, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, left, a)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		joined, err := HashJoinBatch(r, l, rt, a)
+		rt, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, right, a)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		// The engines partition by different hash functions, so per-rank
-		// counts may differ; the gathered (global) row set must not.
-		got, err := GatherBatch(r, joined, a)
-		if err != nil {
-			return err
-		}
-		lr, err := Scan(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/knows", "?t"))
-		if err != nil {
-			return err
-		}
-		rr, err := Scan(r, g.Shard(r.ID()), g.Dict, pat("?t", "http://x/age", "?a"))
-		if err != nil {
-			return err
-		}
-		wj, err := HashJoin(r, lr, rr)
-		if err != nil {
-			return err
-		}
-		want, err := Gather(r, wj)
-		if err != nil {
-			return err
-		}
-		if got.Len() != want.Len() {
-			return fmt.Errorf("join rows: batch %d, row %d", got.Len(), want.Len())
-		}
-		gm, wm := tableRowsAsIDs(got.Materialize()), tableRowsAsIDs(want)
-		for i := range gm {
-			if gm[i] != wm[i] {
-				return fmt.Errorf("join row %d: %q vs %q", i, gm[i], wm[i])
+		return HashJoinBatch(r, l, rt, a)
+	})
+	// Nested loop over the two hand scans: "s,t," joins "t,a," on t.
+	_, ls := scanByHand(g, left)
+	_, rs := scanByHand(g, right)
+	var want []string
+	for _, l := range ls {
+		for _, r := range rs {
+			if lt, rt := strings.Split(l, ","), strings.Split(r, ","); lt[1] == rt[0] {
+				want = append(want, l+rt[1]+",")
 			}
 		}
-		return nil
-	})
+	}
+	sort.Strings(want)
+	if len(want) != 19 { // buildGraph: persons 1..19 each know an aged person
+		t.Fatalf("hand join produced %d rows, want 19", len(want))
+	}
+	if !slices.Equal(got.Vars, []string{"s", "t", "a"}) || !slices.Equal(batchRows(got), want) {
+		t.Fatalf("join:\n batch %v %v\n by hand %v", got.Vars, batchRows(got), want)
+	}
 }
 
 func TestLeftJoinBatchNullExtension(t *testing.T) {
@@ -161,7 +194,7 @@ func TestLeftJoinBatchNullExtension(t *testing.T) {
 				return fmt.Errorf("row %d: unmatched right column bound to %d", i, out.Cols[di][i])
 			}
 		}
-		// Materialized nulls must be expr.Null, as in the row engine.
+		// Materialized nulls must be expr.Null.
 		tab := out.Materialize()
 		for _, row := range tab.Rows {
 			if !row[di].IsNull() {
@@ -241,6 +274,54 @@ func TestArenaWarmReuse(t *testing.T) {
 	}
 }
 
+// TestHashBuildSizedToTheBuild: the build structure an arena hands out
+// is sized and readied for the join at hand, whatever the arena built
+// before (a Go map cleared per join cost as much as its largest build
+// ever), and rows that collide in a bucket without sharing a key do not
+// join.
+func TestHashBuildSizedToTheBuild(t *testing.T) {
+	a := NewArena()
+	a.buildFor(10000)
+	b0, m0 := a.Fresh()
+	hb := a.buildFor(3)
+	if len(hb.heads) != 16 || len(hb.next) != 3 {
+		t.Fatalf("after a 10000-row build, buildFor(3) readied %d buckets, %d links", len(hb.heads), len(hb.next))
+	}
+	for i, h := range hb.heads {
+		if h != -1 {
+			t.Fatalf("bucket %d not empty: %d", i, h)
+		}
+	}
+	if b1, m1 := a.Fresh(); b1 != b0 || m1 != m0 {
+		t.Fatalf("a smaller build grew the arena: %d/%d -> %d/%d", b0, m0, b1, m1)
+	}
+
+	// 40 distinct keys in at most 128 buckets on each side: collisions
+	// are certain across the run, matches must still be exact.
+	left := &Batch{Vars: []string{"k"}, Cols: [][]dict.ID{make([]dict.ID, 40)}, NRows: 40}
+	right := &Batch{Vars: []string{"k", "v"}, Cols: [][]dict.ID{make([]dict.ID, 40), make([]dict.ID, 40)}, NRows: 40}
+	for i := 0; i < 40; i++ {
+		left.Cols[0][i] = dict.ID(2*i + 1) // odd keys 1..79
+		right.Cols[0][i] = dict.ID(i + 1)  // keys 1..40
+		right.Cols[1][i] = dict.ID(1000 + i)
+	}
+	runWorld(t, 1, func(r *mpp.Rank) error {
+		out, err := HashJoinBatch(r, left, right, a)
+		if err != nil {
+			return err
+		}
+		if out.NRows != 20 {
+			t.Errorf("join rows = %d, want 20 (odd keys up to 39)", out.NRows)
+		}
+		for i := 0; i < out.NRows; i++ {
+			if k, v := out.Cols[0][i], out.Cols[1][i]; k%2 != 1 || v != 1000+k-1 {
+				t.Errorf("row %d: k=%d v=%d", i, k, v)
+			}
+		}
+		return nil
+	})
+}
+
 func TestArenaPoolSlots(t *testing.T) {
 	p := NewArenaPool()
 	s1 := p.Get(3, 2)
@@ -264,9 +345,9 @@ func TestArenaPoolSlots(t *testing.T) {
 	}
 }
 
-// TestGatherToFinishesOnRootOnly: both gathers run what follows them
-// once, on the root, over every rank's rows, and hand each rank that
-// one result.
+// TestGatherToFinishesOnRootOnly: the gather runs what follows it once,
+// on the root, over every rank's rows, and hands each rank that one
+// result.
 func TestGatherToFinishesOnRootOnly(t *testing.T) {
 	g := buildGraph(4)
 	var finishes atomic.Int64
@@ -278,35 +359,21 @@ func TestGatherToFinishesOnRootOnly(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		local := b.Materialize()
 		tabs[r.ID()], err = GatherBatchTo(r, b, a, func(all *Batch) (*Table, error) {
 			finishes.Add(1)
 			if r.ID() != RootRank {
-				return nil, fmt.Errorf("batch finish ran on rank %d", r.ID())
+				return nil, fmt.Errorf("finish ran on rank %d", r.ID())
 			}
 			return all.Materialize(), nil
 		})
 		if err != nil {
 			return err
 		}
-		rowTab, err := GatherTo(r, local, func(all *Table) (*Table, error) {
-			finishes.Add(1)
-			if r.ID() != RootRank {
-				return nil, fmt.Errorf("row finish ran on rank %d", r.ID())
-			}
-			return all, nil
-		})
-		if err != nil {
-			return err
-		}
-		if got, want := tableRowsAsIDs(rowTab), tableRowsAsIDs(tabs[r.ID()]); !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("rank %d: row gather %v, batch gather %v", r.ID(), got, want)
-		}
 		batches[r.ID()], err = GatherBatch(r, b, a)
 		return err
 	})
-	if finishes.Load() != 2 {
-		t.Fatalf("finish ran %d times over 2 gathers, want 2", finishes.Load())
+	if finishes.Load() != 1 {
+		t.Fatalf("finish ran %d times, want 1", finishes.Load())
 	}
 	for i := range tabs {
 		if tabs[i] != tabs[0] || batches[i] != batches[0] {
@@ -316,10 +383,14 @@ func TestGatherToFinishesOnRootOnly(t *testing.T) {
 	if tabs[0].Len() != 20 || batches[0].Len() != 20 { // buildGraph: 20 people with an age
 		t.Fatalf("gathered %d rows (batch %d), want 20", tabs[0].Len(), batches[0].Len())
 	}
+	_, want := scanByHand(g, pat("?s", "http://x/age", "?a"))
+	if got := tableRowsAsIDs(tabs[0]); !slices.Equal(got, want) {
+		t.Fatalf("gathered rows %v, want %v", got, want)
+	}
 }
 
 // TestFilterBatchUDFMemoKeys drives the three argument shapes of a pure
-// UDF through FilterBatch and the row oracle over the same registry:
+// UDF through FilterBatch:
 // a bare variable memoizes on the dictionary ID ("3" and "3.0" are two
 // IDs, two executions), a nested call or an arithmetic argument on the
 // computed value (one execution for both rows), the body never sees an
@@ -368,24 +439,19 @@ func TestFilterBatchUDFMemoKeys(t *testing.T) {
 	for _, tc := range cases {
 		e := &expr.Cmp{Op: expr.GE, L: call("f", tc.arg), R: &expr.Const{Val: expr.Float(tc.min)}}
 		*execs["f"], *execs["g"] = 0, 0
-		var cold, warm, oracle FilterStats
-		var coldProf, warmProf, oracleProf *udf.Profiler
+		var cold, warm FilterStats
+		var coldProf, warmProf *udf.Profiler
 		var passed []string
-		run := func(stats *FilterStats, prof **udf.Profiler, rows bool) *mpp.Report {
+		run := func(stats *FilterStats, prof **udf.Profiler) *mpp.Report {
 			return runWorld(t, 1, func(r *mpp.Rank) error {
 				*prof = udf.NewProfiler()
-				if rows {
-					_, st, err := Filter(r, in.Materialize(), e, reg, *prof, res, FilterOpts{})
-					*stats = st
-					return err
-				}
 				out, st, err := FilterBatch(r, in, e, reg, *prof, res, FilterOpts{}, NewArena())
 				*stats = st
 				passed = batchRows(out)
 				return err
 			})
 		}
-		coldRep := run(&cold, &coldProf, false)
+		coldRep := run(&cold, &coldProf)
 		if got := *execs["f"]; got != tc.fExecs {
 			t.Errorf("%s: f ran %d times cold, want %d", tc.name, got, tc.fExecs)
 		}
@@ -396,29 +462,21 @@ func TestFilterBatchUDFMemoKeys(t *testing.T) {
 			t.Errorf("%s: cold stats %+v", tc.name, cold)
 		}
 		*execs["f"], *execs["g"] = 0, 0
-		warmRep := run(&warm, &warmProf, false)
-		oracleRep := run(&oracle, &oracleProf, true)
+		warmRep := run(&warm, &warmProf)
 		if *execs["f"] != 0 || *execs["g"] != 0 {
 			t.Errorf("%s: warm passes ran f %d and g %d times, want 0", tc.name, *execs["f"], *execs["g"])
 		}
 		if len(passed) != 1 || warm.Passed != 1 {
 			t.Errorf("%s: rows out %v, stats %+v; want the one \"4\" row", tc.name, passed, warm)
 		}
-		for _, other := range []struct {
-			what  string
-			stats FilterStats
-			prof  *udf.Profiler
-			rep   *mpp.Report
-		}{{"warm batch", warm, warmProf, warmRep}, {"warm row oracle", oracle, oracleProf, oracleRep}} {
-			if other.stats.Passed != cold.Passed || other.stats.Errors != 0 || other.stats.UDFCost != cold.UDFCost {
-				t.Errorf("%s: %s stats %+v differ from cold %+v", tc.name, other.what, other.stats, cold)
-			}
-			if fmt.Sprint(other.prof.Snapshot()) != fmt.Sprint(coldProf.Snapshot()) {
-				t.Errorf("%s: %s profile %v differs from cold %v", tc.name, other.what, other.prof.Snapshot(), coldProf.Snapshot())
-			}
-			if other.rep.Makespan != coldRep.Makespan {
-				t.Errorf("%s: %s makespan %g differs from cold %g", tc.name, other.what, other.rep.Makespan, coldRep.Makespan)
-			}
+		if warm.Passed != cold.Passed || warm.Errors != 0 || warm.UDFCost != cold.UDFCost {
+			t.Errorf("%s: warm stats %+v differ from cold %+v", tc.name, warm, cold)
+		}
+		if fmt.Sprint(warmProf.Snapshot()) != fmt.Sprint(coldProf.Snapshot()) {
+			t.Errorf("%s: warm profile %v differs from cold %v", tc.name, warmProf.Snapshot(), coldProf.Snapshot())
+		}
+		if warmRep.Makespan != coldRep.Makespan {
+			t.Errorf("%s: warm makespan %g differs from cold %g", tc.name, warmRep.Makespan, coldRep.Makespan)
 		}
 	}
 }

@@ -12,11 +12,18 @@ import (
 	"ids/internal/udf"
 )
 
-// Columnar physical operators. Each one mirrors its row-engine
-// counterpart exactly — same virtual-cost charging, same collective
-// sequence (so the modeled communication accounting is identical),
-// same SPARQL semantics — but flows dict.ID column vectors through an
-// arena instead of boxed per-row value slices.
+// Columnar physical operators: the pre-gather pipeline flows dict.ID
+// column vectors through an arena. Each operator charges its modeled
+// cost to the rank's virtual clock and its exchanges to the network
+// model (AllToAllSized/AllGatherSized charge batch row counts).
+
+// scanCostPerTriple is the modeled in-memory scan cost per matched
+// triple (tens of nanoseconds, CGE-like); charged to the rank clock so
+// scans show up in the phase breakdown with realistic scaling.
+const scanCostPerTriple = 5e-8
+
+// joinCostPerRow is the modeled hash-join cost per probed row.
+const joinCostPerRow = 1e-7
 
 // ScanBatch matches a triple pattern against the rank's shard and
 // returns the local bindings as ID column vectors. Repeated variables
@@ -156,13 +163,8 @@ func partitionBatch(a *Arena, b *Batch, keyIdx []int, p int) []batchChunk {
 func buildBatch(a *Arena, b *Batch, keyIdx []int) *hashBuild {
 	hb := a.buildFor(b.NRows)
 	for i := 0; i < b.NRows; i++ {
-		h := hashBatchRow(b.Cols, keyIdx, i)
-		if head, ok := hb.heads[h]; ok {
-			hb.next[i] = head
-		} else {
-			hb.next[i] = -1
-		}
-		hb.heads[h] = int32(i)
+		head := hb.bucket(hashBatchRow(b.Cols, keyIdx, i))
+		hb.next[i], *head = *head, int32(i)
 	}
 	return hb
 }
@@ -303,13 +305,11 @@ func hashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*B
 	for i := 0; i < lb.NRows; i++ {
 		probes++
 		matched := false
-		if head, ok := hb.heads[hashBatchRow(lb.Cols, lIdx, i)]; ok {
-			for j := head; j >= 0; j = hb.next[j] {
-				if batchKeyEqual(lb.Cols, lIdx, i, rb.Cols, rIdx, int(j)) {
-					matched = true
-					lsel = append(lsel, int32(i))
-					rsel = append(rsel, int32(j))
-				}
+		for j := *hb.bucket(hashBatchRow(lb.Cols, lIdx, i)); j >= 0; j = hb.next[j] {
+			if batchKeyEqual(lb.Cols, lIdx, i, rb.Cols, rIdx, int(j)) {
+				matched = true
+				lsel = append(lsel, int32(i))
+				rsel = append(rsel, int32(j))
 			}
 		}
 		if !matched && leftJoin {
@@ -353,26 +353,15 @@ func DistinctLocalBatch(b *Batch, a *Arena) *Batch {
 	hb := a.buildFor(b.NRows)
 	keep := a.selSlice(b.NRows)
 	for i := 0; i < b.NRows; i++ {
-		h := hashBatchRow(b.Cols, allIdx, i)
+		head := hb.bucket(hashBatchRow(b.Cols, allIdx, i))
 		dup := false
-		head, ok := hb.heads[h]
-		if ok {
-			for j := head; j >= 0; j = hb.next[j] {
-				if batchKeyEqual(b.Cols, allIdx, i, b.Cols, allIdx, int(j)) {
-					dup = true
-					break
-				}
-			}
+		for j := *head; j >= 0 && !dup; j = hb.next[j] {
+			dup = batchKeyEqual(b.Cols, allIdx, i, b.Cols, allIdx, int(j))
 		}
 		if dup {
 			continue
 		}
-		if ok {
-			hb.next[i] = head
-		} else {
-			hb.next[i] = -1
-		}
-		hb.heads[h] = int32(i)
+		hb.next[i], *head = *head, int32(i)
 		keep = append(keep, int32(i))
 	}
 	out := gatherBatch(a, b, keep)
@@ -424,9 +413,11 @@ func (e *batchEnv) Lookup(name string) (expr.Value, bool) {
 }
 
 // FilterBatch evaluates e against every row of the batch, keeping rows
-// whose effective boolean value is true — semantics, profiling,
-// virtual-cost charging and re-balancing all identical to the row
-// engine's Filter.
+// whose effective boolean value is true. UDF calls are profiled per
+// rank (execution count, total time, rejections) and their virtual cost
+// is charged to the rank clock. Rows whose evaluation errors are
+// dropped, following SPARQL semantics. Ranks reorder and re-balance
+// independently; the caller synchronizes afterwards.
 func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 	prof *udf.Profiler, res expr.Resolver, opts FilterOpts, a *Arena) (*Batch, FilterStats, error) {
 
@@ -446,13 +437,16 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 			"rank", r.ID(), "reordered", opts.Reorder, "order", strings.Join(order, " AND "))
 	}
 
+	// Cost-aware re-balancing needs this rank's throughput estimate:
+	// seconds per solution across the (reordered) chain, from the
+	// profile.
 	stats := FilterStats{RowsBefore: b.Len()}
 	if opts.Rebalance != RebalanceNone {
 		secPerSol := 0.0
 		for _, c := range chain {
 			secPerSol += expr.EstimateConjunct(c, prof).Cost
 		}
-		rate := 1e9
+		rate := 1e9 // effectively free when nothing is profiled
 		if secPerSol > 0 {
 			rate = 1 / secPerSol
 		}
@@ -519,9 +513,11 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 }
 
 // RebalanceBatchCounted redistributes the distributed batch so each
-// rank's row count matches the selected policy's target, mirroring
-// RebalanceCounted: identical collective sequence, identical targets,
-// tail rows shipped zero-copy as column sub-slices.
+// rank's row count matches the selected policy's target, and reports
+// this rank's migration for the tracer. solPerSec is this rank's
+// estimated UDF throughput (ignored for count-based balancing). Tail
+// rows ship zero-copy as column sub-slices; the AllToAll charges them
+// to the network model.
 func RebalanceBatchCounted(r *mpp.Rank, b *Batch, mode RebalanceMode, solPerSec float64, a *Arena) (*Batch, RebalanceInfo, error) {
 	var info RebalanceInfo
 	if mode == RebalanceNone {
@@ -552,7 +548,7 @@ func RebalanceBatchCounted(r *mpp.Rank, b *Batch, mode RebalanceMode, solPerSec 
 			}
 		}
 		if minR > 0 && maxR/minR <= speedSimilarityBand {
-			targets = CountTargets(total, p)
+			targets = CountTargets(total, p) // similar speeds: plain balancing
 		} else {
 			targets = CostTargets(total, rates)
 		}

@@ -9,8 +9,7 @@ import (
 // values (floats, strings, booleans) cannot ride in the dictionary-ID
 // columnar stream, and per-rank interning would break cross-rank
 // exchange determinism. Inside the gather the root holds the full
-// solution table (GatherTo), so both engines share these row operators
-// verbatim, run them once, and agree byte-for-byte.
+// solution table (GatherBatchTo), so these row operators run once.
 
 // BindSpec is one BIND(expr AS ?var) computed column.
 type BindSpec struct {

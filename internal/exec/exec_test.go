@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -13,7 +14,6 @@ import (
 	"ids/internal/kg"
 	"ids/internal/mpp"
 	"ids/internal/sparql"
-	"ids/internal/triple"
 	"ids/internal/udf"
 )
 
@@ -58,20 +58,20 @@ func runWorld(t *testing.T, n int, body func(r *mpp.Rank) error) *mpp.Report {
 	return rep
 }
 
-func TestScanDistributed(t *testing.T) {
+func TestScanBatchDistributed(t *testing.T) {
 	g := buildGraph(4)
 	var mu sync.Mutex
 	total := 0
 	runWorld(t, 4, func(r *mpp.Rank) error {
-		tab, err := Scan(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/age", "?a"))
+		b, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/age", "?a"), NewArena())
 		if err != nil {
 			return err
 		}
-		if len(tab.Vars) != 2 || tab.Vars[0] != "s" || tab.Vars[1] != "a" {
-			return fmt.Errorf("vars = %v", tab.Vars)
+		if len(b.Vars) != 2 || b.Vars[0] != "s" || b.Vars[1] != "a" {
+			return fmt.Errorf("vars = %v", b.Vars)
 		}
 		mu.Lock()
-		total += tab.Len()
+		total += b.Len()
 		mu.Unlock()
 		return nil
 	})
@@ -80,112 +80,67 @@ func TestScanDistributed(t *testing.T) {
 	}
 }
 
-func TestScanUnknownTermEmpty(t *testing.T) {
+func TestScanBatchUnknownTermEmpty(t *testing.T) {
 	g := buildGraph(2)
 	runWorld(t, 2, func(r *mpp.Rank) error {
-		tab, err := Scan(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/doesnotexist", "?o"))
+		b, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/doesnotexist", "?o"), NewArena())
 		if err != nil {
 			return err
 		}
-		if tab.Len() != 0 {
-			return fmt.Errorf("unknown predicate matched %d", tab.Len())
+		if b.Len() != 0 {
+			return fmt.Errorf("unknown predicate matched %d", b.Len())
 		}
 		return nil
 	})
 }
 
-func TestScanRepeatedVariable(t *testing.T) {
+func TestScanBatchRepeatedVariable(t *testing.T) {
 	g := kg.New(1)
 	iri := func(s string) dict.Term { return dict.Term{Kind: dict.IRI, Value: s} }
 	g.Add(iri("http://x/a"), iri("http://x/self"), iri("http://x/a"))
 	g.Add(iri("http://x/a"), iri("http://x/self"), iri("http://x/b"))
 	g.Seal()
 	runWorld(t, 1, func(r *mpp.Rank) error {
-		tab, err := Scan(r, g.Shard(0), g.Dict, pat("?x", "http://x/self", "?x"))
+		b, err := ScanBatch(r, g.Shard(0), g.Dict, pat("?x", "http://x/self", "?x"), NewArena())
 		if err != nil {
 			return err
 		}
-		if tab.Len() != 1 {
-			return fmt.Errorf("repeated var matched %d rows, want 1", tab.Len())
+		if b.Len() != 1 || len(b.Vars) != 1 {
+			return fmt.Errorf("repeated var matched %d rows over %v, want 1 row of ?x", b.Len(), b.Vars)
 		}
 		return nil
 	})
 }
 
-func TestHashJoinMatchesReference(t *testing.T) {
-	g := buildGraph(4)
-	// Reference: join age and knows on ?s serially.
-	type pair struct{ s, a, k dict.ID }
-	want := map[pair]bool{}
-	ageP, _ := g.Dict.LookupIRI("http://x/age")
-	knowsP, _ := g.Dict.LookupIRI("http://x/knows")
-	// Build reference from graph contents.
-	ages := map[dict.ID]dict.ID{}
-	knows := map[dict.ID][]dict.ID{}
-	for i := 0; i < g.NumShards(); i++ {
-		g.Shard(i).Match(triple.Pattern{P: ageP}, func(tr triple.Triple) bool {
-			ages[tr.S] = tr.O
-			return true
-		})
-		g.Shard(i).Match(triple.Pattern{P: knowsP}, func(tr triple.Triple) bool {
-			knows[tr.S] = append(knows[tr.S], tr.O)
-			return true
-		})
+// idBatch builds a batch whose cells are the dictionary IDs of the given
+// literals, one row per element of rows.
+func idBatch(d *dict.Dict, vars []string, rows ...[]string) *Batch {
+	b := NewBatch(vars...)
+	for _, row := range rows {
+		for c, lit := range row {
+			b.Cols[c] = append(b.Cols[c], d.EncodeLiteral(lit))
+		}
+		b.NRows++
 	}
-	for s, a := range ages {
-		for _, k := range knows[s] {
-			want[pair{s, a, k}] = true
-		}
-	}
-	var mu sync.Mutex
-	got := map[pair]bool{}
-	runWorld(t, 4, func(r *mpp.Rank) error {
-		left, err := Scan(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/age", "?a"))
-		if err != nil {
-			return err
-		}
-		right, err := Scan(r, g.Shard(r.ID()), g.Dict, pat("?s", "http://x/knows", "?k"))
-		if err != nil {
-			return err
-		}
-		joined, err := HashJoin(r, left, right)
-		if err != nil {
-			return err
-		}
-		si, ai, ki := joined.Col("s"), joined.Col("a"), joined.Col("k")
-		mu.Lock()
-		for _, row := range joined.Rows {
-			got[pair{row[si].ID, row[ai].ID, row[ki].ID}] = true
-		}
-		mu.Unlock()
-		return nil
-	})
-	if len(got) != len(want) {
-		t.Fatalf("join produced %d pairs, want %d", len(got), len(want))
-	}
-	for p := range want {
-		if !got[p] {
-			t.Fatalf("missing pair %+v", p)
-		}
-	}
+	return b
 }
 
-func TestHashJoinCrossProduct(t *testing.T) {
+func TestHashJoinBatchCrossProduct(t *testing.T) {
+	d := dict.New()
 	var totalRows int
 	var mu sync.Mutex
 	runWorld(t, 2, func(r *mpp.Rank) error {
-		left := NewTable("a")
-		right := NewTable("b")
+		left, right := idBatch(d, []string{"a"}), idBatch(d, []string{"b"}, []string{"y"})
 		if r.ID() == 0 {
-			left.Append(row(expr.Float(1)))
-			left.Append(row(expr.Float(2)))
-			right.Append(row(expr.String("x")))
-		} else {
-			right.Append(row(expr.String("y")))
+			left = idBatch(d, []string{"a"}, []string{"1"}, []string{"2"})
+			right = idBatch(d, []string{"b"}, []string{"x"})
 		}
-		out, err := HashJoin(r, left, right)
+		out, err := HashJoinBatch(r, left, right, NewArena())
 		if err != nil {
 			return err
+		}
+		if len(out.Vars) != 2 || out.Vars[0] != "a" || out.Vars[1] != "b" {
+			return fmt.Errorf("vars = %v", out.Vars)
 		}
 		mu.Lock()
 		totalRows += out.Len()
@@ -198,17 +153,16 @@ func TestHashJoinCrossProduct(t *testing.T) {
 	}
 }
 
-func TestGatherAndDistinctGlobal(t *testing.T) {
+func TestDistinctGlobalBatchAcrossRanks(t *testing.T) {
+	d := dict.New()
 	runWorld(t, 4, func(r *mpp.Rank) error {
-		tab := NewTable("v")
+		a := NewArena()
 		// Every rank holds the same two rows -> global distinct = 2.
-		tab.Append(row(expr.Float(1)))
-		tab.Append(row(expr.Float(2)))
-		dedup, err := DistinctGlobal(r, tab)
+		dedup, err := DistinctGlobalBatch(r, idBatch(d, []string{"v"}, []string{"1"}, []string{"2"}), a)
 		if err != nil {
 			return err
 		}
-		gathered, err := Gather(r, dedup)
+		gathered, err := GatherBatch(r, dedup, a)
 		if err != nil {
 			return err
 		}
@@ -329,23 +283,42 @@ func TestSendRowMatchesTransferPlan(t *testing.T) {
 	}
 }
 
-func TestRebalanceCountEndToEnd(t *testing.T) {
+// rawBatch is a one-column batch ?v of the IDs lo+1 .. lo+n: re-balancing
+// moves cells without decoding them, so the IDs need no dictionary.
+func rawBatch(lo, n int) *Batch {
+	b := NewBatch("v")
+	for i := 1; i <= n; i++ {
+		b.Cols[0] = append(b.Cols[0], dict.ID(lo+i))
+	}
+	b.NRows = n
+	return b
+}
+
+// rebalanceCounts re-balances a world in which rank 0 holds total rows
+// and reports every rank's row count afterwards.
+func rebalanceCounts(t *testing.T, total int, mode RebalanceMode, rate func(rank int) float64) []int {
+	t.Helper()
 	counts := make([]int, 4)
 	runWorld(t, 4, func(r *mpp.Rank) error {
-		tab := NewTable("v")
-		// Rank 0 holds everything.
+		in := rawBatch(0, 0)
 		if r.ID() == 0 {
-			for i := 0; i < 100; i++ {
-				tab.Append(row(expr.Float(float64(i))))
-			}
+			in = rawBatch(0, total)
 		}
-		out, err := Rebalance(r, tab, RebalanceCount, 1)
+		out, info, err := RebalanceBatchCounted(r, in, mode, rate(r.ID()), NewArena())
 		if err != nil {
 			return err
+		}
+		if want := out.Len() - in.Len(); info.Received-info.Sent != want {
+			return fmt.Errorf("rank %d: sent %d, received %d, but grew by %d", r.ID(), info.Sent, info.Received, want)
 		}
 		counts[r.ID()] = out.Len()
 		return nil
 	})
+	return counts
+}
+
+func TestRebalanceBatchCountEndToEnd(t *testing.T) {
+	counts := rebalanceCounts(t, 100, RebalanceCount, func(int) float64 { return 1 })
 	for i, c := range counts {
 		if c != 25 {
 			t.Fatalf("rank %d has %d rows after count rebalance: %v", i, c, counts)
@@ -353,26 +326,13 @@ func TestRebalanceCountEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRebalanceCostProportional(t *testing.T) {
-	counts := make([]int, 4)
-	runWorld(t, 4, func(r *mpp.Rank) error {
-		tab := NewTable("v")
-		if r.ID() == 0 {
-			for i := 0; i < 120; i++ {
-				tab.Append(row(expr.Float(float64(i))))
-			}
+func TestRebalanceBatchCostProportional(t *testing.T) {
+	// Rank rates 1,1,2,2 -> targets 20,20,40,40.
+	counts := rebalanceCounts(t, 120, RebalanceCost, func(rank int) float64 {
+		if rank >= 2 {
+			return 2
 		}
-		// Rank rates 1,1,2,2 -> targets 20,20,40,40.
-		rate := 1.0
-		if r.ID() >= 2 {
-			rate = 2.0
-		}
-		out, err := Rebalance(r, tab, RebalanceCost, rate)
-		if err != nil {
-			return err
-		}
-		counts[r.ID()] = out.Len()
-		return nil
+		return 1
 	})
 	want := []int{20, 20, 40, 40}
 	for i := range want {
@@ -382,24 +342,9 @@ func TestRebalanceCostProportional(t *testing.T) {
 	}
 }
 
-func TestRebalanceCostSimilarSpeedsFallsBack(t *testing.T) {
-	counts := make([]int, 4)
-	runWorld(t, 4, func(r *mpp.Rank) error {
-		tab := NewTable("v")
-		if r.ID() == 0 {
-			for i := 0; i < 100; i++ {
-				tab.Append(row(expr.Float(float64(i))))
-			}
-		}
-		// Within 20% of each other: must fall back to count-based.
-		rate := 1.0 + 0.05*float64(r.ID())
-		out, err := Rebalance(r, tab, RebalanceCost, rate)
-		if err != nil {
-			return err
-		}
-		counts[r.ID()] = out.Len()
-		return nil
-	})
+func TestRebalanceBatchCostSimilarSpeedsFallsBack(t *testing.T) {
+	// Within 20% of each other: must fall back to count-based.
+	counts := rebalanceCounts(t, 100, RebalanceCost, func(rank int) float64 { return 1.0 + 0.05*float64(rank) })
 	for i, c := range counts {
 		if c != 25 {
 			t.Fatalf("rank %d: %d rows; similar speeds should equalize: %v", i, c, counts)
@@ -407,46 +352,42 @@ func TestRebalanceCostSimilarSpeedsFallsBack(t *testing.T) {
 	}
 }
 
-func TestRebalancePreservesRows(t *testing.T) {
+func TestRebalanceBatchPreservesRows(t *testing.T) {
 	var mu sync.Mutex
-	var all []float64
+	var all []int
 	runWorld(t, 3, func(r *mpp.Rank) error {
-		tab := NewTable("v")
-		for i := 0; i < (r.ID()+1)*10; i++ {
-			tab.Append(row(expr.Float(float64(r.ID()*1000 + i))))
-		}
-		out, err := Rebalance(r, tab, RebalanceCount, 1)
+		out, _, err := RebalanceBatchCounted(r, rawBatch(r.ID()*1000, (r.ID()+1)*10), RebalanceCount, 1, NewArena())
 		if err != nil {
 			return err
 		}
 		mu.Lock()
-		for _, rw := range out.Rows {
-			all = append(all, rw[0].Num)
+		for _, id := range out.Cols[0] {
+			all = append(all, int(id))
 		}
 		mu.Unlock()
 		return nil
 	})
-	if len(all) != 60 {
-		t.Fatalf("total rows = %d, want 60", len(all))
-	}
-	sort.Float64s(all)
-	for i := 1; i < len(all); i++ {
-		if all[i] == all[i-1] {
-			t.Fatalf("row duplicated during rebalance: %f", all[i])
+	sort.Ints(all)
+	var want []int
+	for rank := 0; rank < 3; rank++ {
+		for i := 1; i <= (rank+1)*10; i++ {
+			want = append(want, rank*1000+i)
 		}
+	}
+	if fmt.Sprint(all) != fmt.Sprint(want) {
+		t.Fatalf("row multiset changed during rebalance:\n got  %v\n want %v", all, want)
 	}
 }
 
-func TestRebalanceNoneIsIdentity(t *testing.T) {
+func TestRebalanceBatchNoneIsIdentity(t *testing.T) {
 	runWorld(t, 2, func(r *mpp.Rank) error {
-		tab := NewTable("v")
-		tab.Append(row(expr.Float(float64(r.ID()))))
-		out, err := Rebalance(r, tab, RebalanceNone, 1)
+		in := rawBatch(r.ID(), 1)
+		out, info, err := RebalanceBatchCounted(r, in, RebalanceNone, 1, NewArena())
 		if err != nil {
 			return err
 		}
-		if out != tab {
-			return errors.New("RebalanceNone should return the same table")
+		if out != in || info != (RebalanceInfo{}) {
+			return errors.New("RebalanceNone should return the same batch and move nothing")
 		}
 		return nil
 	})
@@ -472,20 +413,27 @@ func newTestRegistry(t *testing.T) *udf.Registry {
 	return reg
 }
 
-func filterTable(n int) *Table {
-	tab := NewTable("v")
-	for i := 0; i < n; i++ {
-		tab.Append(row(expr.Float(float64(i))))
+// numBatch returns a one-column batch ?v holding the literals lo ..
+// lo+n-1 and the resolver that decodes them to numbers.
+func numBatch(lo, n int) (*Batch, expr.Resolver) {
+	d := dict.New()
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{strconv.Itoa(lo + i)}
 	}
-	return tab
+	return idBatch(d, []string{"v"}, rows...), expr.DictResolver{Dict: d}
 }
 
-func TestFilterBasic(t *testing.T) {
+func call(name string) expr.Expr {
+	return &expr.Call{Name: name, Args: []expr.Expr{&expr.Var{Name: "v"}}}
+}
+
+func TestFilterBatchBasic(t *testing.T) {
 	reg := newTestRegistry(t)
 	runWorld(t, 1, func(r *mpp.Rank) error {
 		prof := udf.NewProfiler()
-		e := &expr.Call{Name: "gt10", Args: []expr.Expr{&expr.Var{Name: "v"}}}
-		out, stats, err := Filter(r, filterTable(20), e, reg, prof, nil, FilterOpts{})
+		in, res := numBatch(0, 20)
+		out, stats, err := FilterBatch(r, in, call("gt10"), reg, prof, res, FilterOpts{}, NewArena())
 		if err != nil {
 			return err
 		}
@@ -506,12 +454,11 @@ func TestFilterBasic(t *testing.T) {
 	})
 }
 
-func TestFilterChargesClock(t *testing.T) {
+func TestFilterBatchChargesClock(t *testing.T) {
 	reg := newTestRegistry(t)
 	rep := runWorld(t, 1, func(r *mpp.Rank) error {
-		prof := udf.NewProfiler()
-		e := &expr.Call{Name: "expensiveTrue", Args: []expr.Expr{&expr.Var{Name: "v"}}}
-		_, _, err := Filter(r, filterTable(5), e, reg, prof, nil, FilterOpts{})
+		in, res := numBatch(0, 5)
+		_, _, err := FilterBatch(r, in, call("expensiveTrue"), reg, udf.NewProfiler(), res, FilterOpts{}, NewArena())
 		return err
 	})
 	if math.Abs(rep.Makespan-5.0) > 0.1 {
@@ -519,17 +466,20 @@ func TestFilterChargesClock(t *testing.T) {
 	}
 }
 
-func TestFilterSpeedFactor(t *testing.T) {
+func TestFilterBatchSpeedFactor(t *testing.T) {
 	reg := newTestRegistry(t)
 	rep := runWorld(t, 1, func(r *mpp.Rank) error {
 		prof := udf.NewProfiler()
-		e := &expr.Call{Name: "expensiveTrue", Args: []expr.Expr{&expr.Var{Name: "v"}}}
-		_, _, err := Filter(r, filterTable(5), e, reg, prof, nil, FilterOpts{SpeedFactor: 2})
+		in, res := numBatch(0, 5)
+		_, stats, err := FilterBatch(r, in, call("expensiveTrue"), reg, prof, res, FilterOpts{SpeedFactor: 2}, NewArena())
 		if err != nil {
 			return err
 		}
 		if got, _ := prof.EstimateCost("expensiveTrue"); math.Abs(got-2.0) > 1e-9 {
 			return fmt.Errorf("profiled mean = %f, want 2 (speed factor applied)", got)
+		}
+		if math.Abs(stats.UDFCost-10) > 1e-9 {
+			return fmt.Errorf("UDFCost = %f, want 10", stats.UDFCost)
 		}
 		return nil
 	})
@@ -538,28 +488,29 @@ func TestFilterSpeedFactor(t *testing.T) {
 	}
 }
 
-func TestFilterShortCircuitSavesCost(t *testing.T) {
+func TestFilterBatchShortCircuitSavesCost(t *testing.T) {
 	reg := newTestRegistry(t)
 	runWorld(t, 1, func(r *mpp.Rank) error {
 		prof := udf.NewProfiler()
 		// gt10 rejects 0..10, so expensiveTrue must only run for the
 		// 9 surviving rows when ordered cheap-first.
-		e := &expr.And{Children: []expr.Expr{
-			&expr.Call{Name: "gt10", Args: []expr.Expr{&expr.Var{Name: "v"}}},
-			&expr.Call{Name: "expensiveTrue", Args: []expr.Expr{&expr.Var{Name: "v"}}},
-		}}
-		_, _, err := Filter(r, filterTable(20), e, reg, prof, nil, FilterOpts{})
+		e := &expr.And{Children: []expr.Expr{call("gt10"), call("expensiveTrue")}}
+		in, res := numBatch(0, 20)
+		_, stats, err := FilterBatch(r, in, e, reg, prof, res, FilterOpts{}, NewArena())
 		if err != nil {
 			return err
 		}
 		if got := prof.Get("expensiveTrue").Execs; got != 9 {
 			return fmt.Errorf("expensive UDF ran %d times, want 9", got)
 		}
+		if want := 20*0.01 + 9*1.0; math.Abs(stats.UDFCost-want) > 1e-9 {
+			return fmt.Errorf("UDFCost = %f, want %f", stats.UDFCost, want)
+		}
 		return nil
 	})
 }
 
-func TestFilterReorderingMovesCheapFirst(t *testing.T) {
+func TestFilterBatchReorderingMovesCheapFirst(t *testing.T) {
 	reg := newTestRegistry(t)
 	runWorld(t, 1, func(r *mpp.Rank) error {
 		prof := udf.NewProfiler()
@@ -567,11 +518,9 @@ func TestFilterReorderingMovesCheapFirst(t *testing.T) {
 		prof.Record("gt10", 0.01, true)
 		prof.Record("expensiveTrue", 1.0, false)
 		// Expensive first in the written query.
-		e := &expr.And{Children: []expr.Expr{
-			&expr.Call{Name: "expensiveTrue", Args: []expr.Expr{&expr.Var{Name: "v"}}},
-			&expr.Call{Name: "gt10", Args: []expr.Expr{&expr.Var{Name: "v"}}},
-		}}
-		_, stats, err := Filter(r, filterTable(20), e, reg, prof, nil, FilterOpts{Reorder: true})
+		e := &expr.And{Children: []expr.Expr{call("expensiveTrue"), call("gt10")}}
+		in, res := numBatch(0, 20)
+		_, stats, err := FilterBatch(r, in, e, reg, prof, res, FilterOpts{Reorder: true}, NewArena())
 		if err != nil {
 			return err
 		}
@@ -587,7 +536,7 @@ func TestFilterReorderingMovesCheapFirst(t *testing.T) {
 	})
 }
 
-func TestFilterErrorRowsDropped(t *testing.T) {
+func TestFilterBatchErrorRowsDropped(t *testing.T) {
 	reg := udf.NewRegistry()
 	_ = reg.Register("failOdd", func(args []expr.Value) (expr.Value, error) {
 		if int(args[0].Num)%2 == 1 {
@@ -597,8 +546,8 @@ func TestFilterErrorRowsDropped(t *testing.T) {
 	})
 	runWorld(t, 1, func(r *mpp.Rank) error {
 		prof := udf.NewProfiler()
-		e := &expr.Call{Name: "failOdd", Args: []expr.Expr{&expr.Var{Name: "v"}}}
-		out, stats, err := Filter(r, filterTable(10), e, reg, prof, nil, FilterOpts{})
+		in, res := numBatch(0, 10)
+		out, stats, err := FilterBatch(r, in, call("failOdd"), reg, prof, res, FilterOpts{}, NewArena())
 		if err != nil {
 			return err
 		}
@@ -613,24 +562,23 @@ func TestFilterErrorRowsDropped(t *testing.T) {
 	})
 }
 
-func TestFilterWithRebalance(t *testing.T) {
+func TestFilterBatchWithRebalance(t *testing.T) {
 	reg := newTestRegistry(t)
 	counts := make([]int, 4)
+	in, res := numBatch(100, 80) // one dictionary: the rows migrate as its IDs
 	runWorld(t, 4, func(r *mpp.Rank) error {
-		prof := udf.NewProfiler()
-		tab := NewTable("v")
-		if r.ID() == 0 {
-			for i := 0; i < 80; i++ {
-				tab.Append(row(expr.Float(float64(i + 100))))
-			}
+		mine := in
+		if r.ID() != 0 {
+			mine = NewBatch("v")
 		}
-		e := &expr.Call{Name: "gt10", Args: []expr.Expr{&expr.Var{Name: "v"}}}
-		out, stats, err := Filter(r, tab, e, reg, prof, nil, FilterOpts{Rebalance: RebalanceCount})
+		_, stats, err := FilterBatch(r, mine, call("gt10"), reg, udf.NewProfiler(), res, FilterOpts{Rebalance: RebalanceCount}, NewArena())
 		if err != nil {
 			return err
 		}
+		if stats.Errors != 0 || stats.Passed != stats.Evaluated {
+			return fmt.Errorf("rank %d: stats %+v; every migrated row is > 10", r.ID(), stats)
+		}
 		counts[r.ID()] = stats.Evaluated
-		_ = out
 		return nil
 	})
 	for i, c := range counts {

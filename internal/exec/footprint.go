@@ -24,16 +24,9 @@ const valueSize = int64(unsafe.Sizeof(expr.Value{}))
 // for Rows itself).
 const sliceHeaderSize = int64(unsafe.Sizeof([]expr.Value{}))
 
-// hashBuildBytesPerRow approximates the per-row overhead of a join's
-// hash build side: a map bucket slot plus the key string header. An
-// under-estimate by design (map load factor, key bytes, and collision
-// chains are skipped).
-const hashBuildBytesPerRow = 40
-
 // Footprint returns the accounted heap footprint of a freshly
 // materialized table: Rows' backing array plus one cell array per row.
-// Use this for operators that build new rows (scan, join, optional,
-// aggregate).
+// Use this for operators that build new rows (bind, aggregate).
 func (t *Table) Footprint() (bytes, mallocs int64) {
 	if t == nil {
 		return 0, 0
@@ -44,25 +37,6 @@ func (t *Table) Footprint() (bytes, mallocs int64) {
 	bytes += n * w * valueSize  // one cell array per row
 	mallocs = n + 1
 	return bytes, mallocs
-}
-
-// FootprintShallow returns the accounted footprint of a table that
-// reuses existing row slices (filter, union, gather, distinct,
-// rebalance): only the new Rows backing array of row headers counts.
-func (t *Table) FootprintShallow() (bytes, mallocs int64) {
-	if t == nil {
-		return 0, 0
-	}
-	return sliceHeaderSize * int64(len(t.Rows)), 1
-}
-
-// HashBuildFootprint returns the accounted footprint of a hash join's
-// build structure over n rows.
-func HashBuildFootprint(n int) (bytes, mallocs int64) {
-	if n <= 0 {
-		return 0, 0
-	}
-	return int64(n) * hashBuildBytesPerRow, int64(n)
 }
 
 // MaterializeFootprint returns the accounted footprint of Batch.

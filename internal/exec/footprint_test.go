@@ -34,45 +34,13 @@ func TestFootprintScalesWithRowsAndWidth(t *testing.T) {
 	}
 }
 
-func TestFootprintShallowIgnoresWidth(t *testing.T) {
-	narrow, m1 := footprintTable(50, 1).FootprintShallow()
-	wide, m2 := footprintTable(50, 8).FootprintShallow()
-	if narrow != wide {
-		t.Errorf("shallow footprint should not depend on width: %d vs %d", narrow, wide)
-	}
-	if m1 != 1 || m2 != 1 {
-		t.Errorf("shallow mallocs = %d, %d; want 1 (Rows backing array only)", m1, m2)
-	}
-	deep, _ := footprintTable(50, 8).Footprint()
-	if wide >= deep {
-		t.Errorf("shallow (%d) should undercut full footprint (%d)", wide, deep)
-	}
-}
-
 func TestFootprintNilAndEmpty(t *testing.T) {
 	var nilT *Table
 	if b, m := nilT.Footprint(); b != 0 || m != 0 {
 		t.Errorf("nil Footprint = (%d, %d)", b, m)
 	}
-	if b, m := nilT.FootprintShallow(); b != 0 || m != 0 {
-		t.Errorf("nil FootprintShallow = (%d, %d)", b, m)
-	}
 	empty := NewTable("a")
 	if b, m := empty.Footprint(); b != 0 || m != 1 {
 		t.Errorf("empty Footprint = (%d, %d), want (0, 1)", b, m)
-	}
-}
-
-func TestHashBuildFootprint(t *testing.T) {
-	if b, m := HashBuildFootprint(0); b != 0 || m != 0 {
-		t.Errorf("0 rows = (%d, %d)", b, m)
-	}
-	if b, m := HashBuildFootprint(-5); b != 0 || m != 0 {
-		t.Errorf("negative rows = (%d, %d)", b, m)
-	}
-	b1, m1 := HashBuildFootprint(100)
-	b2, m2 := HashBuildFootprint(200)
-	if b1 <= 0 || m1 != 100 || b2 != 2*b1 || m2 != 200 {
-		t.Errorf("hash build not linear: (%d,%d) vs (%d,%d)", b1, m1, b2, m2)
 	}
 }

@@ -2,14 +2,13 @@ package exec
 
 import (
 	"ids/internal/dict"
-	"ids/internal/expr"
 	"ids/internal/mpp"
 )
 
 // kNN access-path operators. The engine runs the vector-store search
 // itself (every rank computes the identical deterministic hit list);
-// these operators turn the hit IDs into solution tables and apply the
-// semi-join membership filter, in both row and columnar form.
+// these operators turn the hit IDs into a solution batch and apply the
+// semi-join membership filter.
 
 // knnCostPerVisit is the modeled cost of one distance evaluation
 // during graph traversal (a dot product over a few dozen floats plus a
@@ -22,38 +21,17 @@ func ChargeKNN(r *mpp.Rank, visited int) {
 	r.Charge(float64(visited) * knnCostPerVisit)
 }
 
-// KNNTable builds the row-engine access-path table: one column named
-// varName holding this rank's partition of the hit IDs.
-func KNNTable(varName string, ids []dict.ID) *Table {
-	t := NewTable(varName)
-	for _, id := range ids {
-		t.Append([]expr.Value{expr.IDVal(id)})
-	}
-	return t
-}
-
-// KNNBatch is KNNTable's columnar twin: a single arena-backed ID
-// column.
+// KNNBatch builds the access-path batch: one arena-backed column
+// named varName holding this rank's partition of the hit IDs.
 func KNNBatch(a *Arena, varName string, ids []dict.ID) *Batch {
 	col := a.AllocIDs(len(ids))
 	copy(col, ids)
 	return &Batch{Vars: []string{varName}, Cols: [][]dict.ID{col}, NRows: len(ids)}
 }
 
-// SemiFilterTable keeps the rows whose col cell is an ID contained in
-// keep (the global top-k set). Unbound or non-ID cells are dropped —
-// they cannot be vector-store keys.
-func SemiFilterTable(t *Table, col int, keep map[dict.ID]bool) *Table {
-	out := &Table{Vars: t.Vars, Rows: t.Rows[:0:0]}
-	for _, row := range t.Rows {
-		if v := row[col]; v.Kind == expr.KindID && keep[v.ID] {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
-}
-
-// SemiFilterBatch is SemiFilterTable's columnar twin.
+// SemiFilterBatch keeps the rows whose col cell is contained in keep
+// (the global top-k set). Unbound cells are dropped — they cannot be
+// vector-store keys.
 func SemiFilterBatch(a *Arena, b *Batch, col int, keep map[dict.ID]bool) *Batch {
 	sel := a.selSlice(b.NRows)
 	c := b.Cols[col]

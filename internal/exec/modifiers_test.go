@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
+	"ids/internal/dict"
 	"ids/internal/expr"
 )
 
@@ -126,5 +128,45 @@ func TestSortThenSliceWindowDeterministic(t *testing.T) {
 				t.Fatalf("run %d page diverged: %v vs %v", run, first, got)
 			}
 		}
+	}
+}
+
+// TestSortByTotalOrder pins the ORDER BY total order over cells that
+// are dictionary IDs assigned out of value order — the order the IDs
+// were handed out in must not show: unbound first, then numbers by
+// value, then text, then booleans; DESC is the exact reverse.
+func TestSortByTotalOrder(t *testing.T) {
+	d := dict.New()
+	var ids []expr.Value
+	for _, lit := range []string{"93", "5", "tagB", "13", "0.5", "tagA"} {
+		ids = append(ids, expr.IDVal(d.EncodeLiteral(lit)))
+	}
+	iri := expr.IDVal(d.EncodeIRI("http://x/e1"))
+	cells := append(ids, iri, expr.Null, expr.Bool(true), expr.Float(7), expr.Bool(false), expr.Null)
+	tab := NewTable("k")
+	for _, c := range cells {
+		tab.Append([]expr.Value{c})
+	}
+	res := expr.DictResolver{Dict: d}
+	show := func() []string {
+		out := make([]string, len(tab.Rows))
+		for i, r := range tab.Rows {
+			v := r[0]
+			if v.Kind == expr.KindID {
+				v = res.ResolveID(v.ID)
+			}
+			out[i] = v.String()
+		}
+		return out
+	}
+	want := []string{"null", "null", "0.5", "5", "7", "13", "93", `"http://x/e1"`, `"tagA"`, `"tagB"`, "false", "true"}
+	tab.SortBy([]SortKey{{Var: "k"}}, res)
+	if got := show(); !slices.Equal(got, want) {
+		t.Fatalf("ascending:\n got  %v\n want %v", got, want)
+	}
+	slices.Reverse(want)
+	tab.SortBy([]SortKey{{Var: "k", Desc: true}}, res)
+	if got := show(); !slices.Equal(got, want) {
+		t.Fatalf("descending:\n got  %v\n want %v", got, want)
 	}
 }

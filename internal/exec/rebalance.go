@@ -1,11 +1,6 @@
 package exec
 
-import (
-	"sort"
-
-	"ids/internal/expr"
-	"ids/internal/mpp"
-)
+import "sort"
 
 // This file implements solution re-balancing (paper §2.4.2). IDS
 // re-balances intermediate solutions across ranks between operators.
@@ -184,86 +179,4 @@ func EstimatedMakespan(counts []int, rates []float64) float64 {
 type RebalanceInfo struct {
 	Sent     int
 	Received int
-}
-
-// Rebalance redistributes the distributed table t so each rank's row
-// count matches the selected policy's target. solPerSec is this rank's
-// estimated UDF throughput (ignored for count-based balancing). The
-// exchanged rows are charged to the network model by the AllToAll.
-func Rebalance(r *mpp.Rank, t *Table, mode RebalanceMode, solPerSec float64) (*Table, error) {
-	out, _, err := RebalanceCounted(r, t, mode, solPerSec)
-	return out, err
-}
-
-// RebalanceCounted is Rebalance plus per-rank migration accounting for
-// the tracer.
-func RebalanceCounted(r *mpp.Rank, t *Table, mode RebalanceMode, solPerSec float64) (*Table, RebalanceInfo, error) {
-	var info RebalanceInfo
-	if mode == RebalanceNone {
-		return t, info, nil
-	}
-	p := r.Size()
-	counts, err := mpp.AllGather(r, t.Len())
-	if err != nil {
-		return nil, info, err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	var targets []int
-	if mode == RebalanceCost {
-		rates, err := mpp.AllGather(r, solPerSec)
-		if err != nil {
-			return nil, info, err
-		}
-		minR, maxR := rates[0], rates[0]
-		for _, x := range rates {
-			if x < minR {
-				minR = x
-			}
-			if x > maxR {
-				maxR = x
-			}
-		}
-		if minR > 0 && maxR/minR <= speedSimilarityBand {
-			targets = CountTargets(total, p) // similar speeds: plain balancing
-		} else {
-			targets = CostTargets(total, rates)
-		}
-	} else {
-		targets = CountTargets(total, p)
-	}
-	myRow := SendRow(append([]int{}, counts...), targets, r.ID())
-	for _, n := range myRow {
-		info.Sent += n
-	}
-
-	// Build send buffers from the tail of the local partition.
-	send := make([][][]expr.Value, p)
-	cursor := len(t.Rows)
-	for dst := 0; dst < p; dst++ {
-		n := myRow[dst]
-		if n == 0 {
-			send[dst] = nil
-			continue
-		}
-		send[dst] = t.Rows[cursor-n : cursor]
-		cursor -= n
-	}
-	kept := t.Rows[:cursor]
-	recv, err := mpp.AllToAll(r, send)
-	if err != nil {
-		return nil, info, err
-	}
-	out := NewTable(t.Vars...)
-	out.Rows = append(out.Rows, kept...)
-	for src, part := range recv {
-		if src == r.ID() {
-			continue
-		}
-		info.Received += len(part)
-		out.Rows = append(out.Rows, part...)
-	}
-	return out, info, nil
 }

@@ -8,7 +8,11 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"ids/internal/expr"
 )
@@ -106,20 +110,19 @@ func (t *Table) Project(names []string) (*Table, error) {
 	return out, nil
 }
 
-// rowKey serializes a row for hashing/dedup.
-func rowKey(row []expr.Value) string {
-	// Values are small; fmt-based keys are adequate for the engine's
-	// dedup and join paths and keep the code simple.
-	key := make([]byte, 0, len(row)*12)
+// appendRowKey appends a row's dedup/grouping key to key. Callers look
+// rows up with m[string(key)], which does not allocate; only storing a
+// new key does.
+func appendRowKey(key []byte, row []expr.Value) []byte {
 	for _, v := range row {
 		key = append(key, byte(v.Kind))
 		switch v.Kind {
 		case expr.KindID:
 			key = appendUint(key, uint64(v.ID))
 		case expr.KindFloat:
-			key = append(key, []byte(fmt.Sprintf("%g", v.Num))...)
+			key = strconv.AppendFloat(key, v.Num, 'g', -1, 64)
 		case expr.KindString:
-			key = append(key, []byte(v.Str)...)
+			key = append(key, v.Str...)
 		case expr.KindBool:
 			if v.Bool {
 				key = append(key, 1)
@@ -129,7 +132,7 @@ func rowKey(row []expr.Value) string {
 		}
 		key = append(key, 0xff)
 	}
-	return string(key)
+	return key
 }
 
 func appendUint(b []byte, u uint64) []byte {
@@ -137,24 +140,95 @@ func appendUint(b []byte, u uint64) []byte {
 		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
-// DistinctLocal removes duplicate rows within this rank's partition,
-// preserving first-seen order.
-func (t *Table) DistinctLocal() *Table {
-	seen := make(map[string]bool, len(t.Rows))
-	out := NewTable(t.Vars...)
+// Distinct removes duplicate rows in place, keeping each row's first
+// occurrence. Like DistinctLocalBatch it chains rows under a hash of
+// their key in the arena's reusable build structure and confirms a hit
+// by comparing cells, so a warm query de-duplicates its answer without
+// allocating: this runs over every DISTINCT result on the serving path.
+func (t *Table) Distinct(a *Arena) {
+	hb := a.buildFor(len(t.Rows))
+	kept := t.Rows[:0]
+	var key []byte
+rows:
 	for _, row := range t.Rows {
-		k := rowKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, row)
+		key = appendRowKey(key[:0], row)
+		h := uint64(fnvOffset64)
+		for _, b := range key {
+			h = fnvByte(h, b)
 		}
+		head := hb.bucket(h)
+		for j := *head; j >= 0; j = hb.next[j] {
+			if slices.Equal(kept[j], row) {
+				continue rows
+			}
+		}
+		hb.next[len(kept)], *head = *head, int32(len(kept))
+		kept = append(kept, row)
 	}
-	return out
+	t.Rows = kept
 }
 
-// SortBy sorts rows by the given keys (variable name + direction).
-// Values compare with expr.Compare under the resolver; incomparable
-// pairs keep their relative order.
+// orderClass ranks the kinds of the ORDER BY total order (DESIGN.md
+// §11): unbound first, then numbers, then text, then booleans.
+func orderClass(v expr.Value) int {
+	switch v.Kind {
+	case expr.KindFloat:
+		return 1
+	case expr.KindString:
+		return 2
+	case expr.KindBool:
+		return 3
+	}
+	return 0
+}
+
+// orderCompare is the ORDER BY total order over two cells: by class,
+// then numbers by value (NaN before every other number), text by
+// lexical value (an IRI's address, a literal's body), false before
+// true. Terms compare by what they decode to, never by ID; a term the
+// resolver does not know sorts as unbound.
+func orderCompare(a, b expr.Value, res expr.Resolver) int {
+	if a.Kind == expr.KindID && b.Kind == expr.KindID && a.ID == b.ID {
+		return 0
+	}
+	if a.Kind == expr.KindID && res != nil {
+		a = res.ResolveID(a.ID)
+	}
+	if b.Kind == expr.KindID && res != nil {
+		b = res.ResolveID(b.ID)
+	}
+	if ca, cb := orderClass(a), orderClass(b); ca != cb {
+		return ca - cb
+	}
+	switch a.Kind {
+	case expr.KindFloat:
+		an, bn := math.IsNaN(a.Num), math.IsNaN(b.Num)
+		switch {
+		case an || bn:
+			return boolToInt(bn) - boolToInt(an)
+		case a.Num < b.Num:
+			return -1
+		case a.Num > b.Num:
+			return 1
+		}
+	case expr.KindString:
+		return strings.Compare(a.Str, b.Str)
+	case expr.KindBool:
+		return boolToInt(a.Bool) - boolToInt(b.Bool)
+	}
+	return 0
+}
+
+func boolToInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// SortBy stably sorts rows by the given keys (variable name +
+// direction) under orderCompare; rows equal on every key keep their
+// relative order.
 func (t *Table) SortBy(keys []SortKey, res expr.Resolver) {
 	if len(keys) == 0 {
 		return
@@ -169,14 +243,14 @@ func (t *Table) SortBy(keys []SortKey, res expr.Resolver) {
 			if c < 0 {
 				continue
 			}
-			cmp, ok := expr.Compare(t.Rows[a][c], t.Rows[b][c], res)
-			if !ok || cmp == 0 {
+			d := orderCompare(t.Rows[a][c], t.Rows[b][c], res)
+			if d == 0 {
 				continue
 			}
 			if k.Desc {
-				return cmp > 0
+				return d > 0
 			}
-			return cmp < 0
+			return d < 0
 		}
 		return false
 	})

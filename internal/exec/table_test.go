@@ -48,13 +48,14 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestDistinctLocal(t *testing.T) {
+func TestDistinct(t *testing.T) {
 	tab := NewTable("a")
 	tab.Append(row(expr.Float(1)))
 	tab.Append(row(expr.Float(2)))
 	tab.Append(row(expr.Float(1)))
 	tab.Append(row(expr.String("1"))) // different kind, not a dup
-	out := tab.DistinctLocal()
+	out := tab
+	tab.Distinct(NewArena())
 	if out.Len() != 3 {
 		t.Fatalf("distinct = %d rows, want 3", out.Len())
 	}
@@ -108,11 +109,9 @@ func TestSlice(t *testing.T) {
 }
 
 func TestRowKeyDistinguishesKinds(t *testing.T) {
-	a := rowKey(row(expr.Float(1)))
-	b := rowKey(row(expr.String("1")))
-	c := rowKey(row(expr.IDVal(1)))
-	d := rowKey(row(expr.Bool(true)))
-	keys := map[string]bool{a: true, b: true, c: true, d: true}
+	key := func(v expr.Value) string { return string(appendRowKey(nil, row(v))) }
+	keys := map[string]bool{key(expr.Float(1)): true, key(expr.String("1")): true,
+		key(expr.IDVal(1)): true, key(expr.Bool(true)): true}
 	if len(keys) != 4 {
 		t.Fatal("rowKey collides across kinds")
 	}

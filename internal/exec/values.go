@@ -2,7 +2,6 @@ package exec
 
 import (
 	"ids/internal/dict"
-	"ids/internal/expr"
 	"ids/internal/mpp"
 	"ids/internal/sparql"
 )
@@ -17,8 +16,7 @@ import (
 // Rows containing a term absent from the dictionary are dropped — an
 // unknown term can never match a graph binding, and keeping it would
 // force materialized strings into the ID-typed columnar stream. This
-// is a documented subset restriction applied identically by both
-// engines (the row oracle and the columnar path see the same rows).
+// is a documented subset restriction (DESIGN.md §14).
 func ResolveValues(vp sparql.ValuesPattern, d *dict.Dict) [][]dict.ID {
 	rows := make([][]dict.ID, 0, len(vp.Rows))
 	for _, src := range vp.Rows {
@@ -43,32 +41,9 @@ func ResolveValues(vp sparql.ValuesPattern, d *dict.Dict) [][]dict.ID {
 	return rows
 }
 
-// ValuesTable builds this rank's partition of a resolved VALUES block
-// for the row engine: row i of the block goes to rank i % size.
-// dict.None cells (UNDEF) bind null.
-func ValuesTable(r *mpp.Rank, vars []string, rows [][]dict.ID) *Table {
-	t := NewTable(vars...)
-	rank, size := r.ID(), r.Size()
-	for i, row := range rows {
-		if i%size != rank {
-			continue
-		}
-		vr := make([]expr.Value, len(row))
-		for j, id := range row {
-			if id == dict.None {
-				vr[j] = expr.Null
-			} else {
-				vr[j] = expr.IDVal(id)
-			}
-		}
-		t.Rows = append(t.Rows, vr)
-	}
-	r.Charge(float64(t.Len()) * scanCostPerTriple)
-	return t
-}
-
-// ValuesBatch is ValuesTable's columnar twin: arena-backed ID columns
-// holding this rank's round-robin partition of the block.
+// ValuesBatch builds this rank's partition of a resolved VALUES block
+// as arena-backed ID columns: row i of the block goes to rank
+// i % size, and dict.None cells (UNDEF) stay unbound.
 func ValuesBatch(r *mpp.Rank, a *Arena, vars []string, rows [][]dict.ID) *Batch {
 	rank, size := r.ID(), r.Size()
 	n := 0

@@ -10,8 +10,8 @@ import (
 // Dictionary IDs are immutable once assigned (the dictionary is
 // append-only), so the cache never invalidates; its size is bounded by
 // the dictionary size. This removes the per-row Decode + ParseFloat
-// from the FILTER and aggregate hot paths — the row engine resolved
-// the same handful of literals millions of times per query.
+// from the FILTER, ORDER BY and aggregate hot paths, which resolve the
+// same handful of literals millions of times per query.
 type CachedResolver struct {
 	inner Resolver
 	m     sync.Map // dict.ID -> Value

@@ -66,8 +66,10 @@ func Eval(e Expr, ctx *Ctx) (Value, error) {
 	case *Const:
 		return n.Val, nil
 	case *Var:
+		// In scope but unbound (an unmatched OPTIONAL, UNDEF, a BIND
+		// that erred) is as much an error as out of scope.
 		v, ok := ctx.Env.Lookup(n.Name)
-		if !ok {
+		if !ok || v.IsNull() {
 			return Null, fmt.Errorf("%w: ?%s", ErrUnboundVar, n.Name)
 		}
 		return v, nil

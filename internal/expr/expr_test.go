@@ -88,6 +88,41 @@ func TestCompareResolvesIDs(t *testing.T) {
 	}
 }
 
+// TestCompareTwoIDsByValue: IDs follow insertion order, which must not
+// show in a comparison of two graph terms. One ID is equal to itself
+// without a resolver; two IDs nobody can decode are incomparable.
+func TestCompareTwoIDsByValue(t *testing.T) {
+	d := dict.New()
+	big, small, text := d.EncodeLiteral("93"), d.EncodeLiteral("5"), d.EncodeLiteral("tag")
+	r := DictResolver{Dict: d}
+	if c, ok := Compare(IDVal(big), IDVal(small), r); !ok || c != 1 {
+		t.Fatalf(`"93" vs "5" (IDs %d, %d) = %d %v, want 1`, big, small, c, ok)
+	}
+	if c, ok := Compare(IDVal(small), IDVal(big), r); !ok || c != -1 {
+		t.Fatalf(`"5" vs "93" = %d %v, want -1`, c, ok)
+	}
+	if _, ok := Compare(IDVal(big), IDVal(text), r); ok {
+		t.Fatal("a number and a text term compared")
+	}
+	if c, ok := Compare(IDVal(big), IDVal(big), nil); !ok || c != 0 {
+		t.Fatalf("one ID vs itself = %d %v", c, ok)
+	}
+	if _, ok := Compare(IDVal(big), IDVal(small), nil); ok {
+		t.Fatal("two IDs ordered without a resolver")
+	}
+}
+
+// TestEvalUnboundVariableIsAnError: in scope but unbound (an unmatched
+// OPTIONAL) errors like out of scope, so !(?d) cannot turn it into true.
+func TestEvalUnboundVariableIsAnError(t *testing.T) {
+	ctx := &Ctx{Env: MapEnv{"d": Null}}
+	for _, e := range []Expr{&Var{Name: "d"}, &Not{Child: &Var{Name: "d"}}, &Var{Name: "nosuch"}} {
+		if _, err := Eval(e, ctx); !errors.Is(err, ErrUnboundVar) {
+			t.Errorf("%s: err = %v, want ErrUnboundVar", e, err)
+		}
+	}
+}
+
 type fakeFuncs map[string]func(args []Value) (Value, error)
 
 func (f fakeFuncs) CallLazy(name string, args []Value, terms Resolver) (Value, float64, error) {

@@ -141,16 +141,10 @@ func ResolveArgs(args []Value, r Resolver) (known bool) {
 // Compare returns -1, 0, +1 comparing a and b after resolution, and
 // false when the kinds are incomparable.
 func Compare(a, b Value, r Resolver) (int, bool) {
-	// Two unresolved IDs compare by identity.
-	if a.Kind == KindID && b.Kind == KindID {
-		switch {
-		case a.ID == b.ID:
-			return 0, true
-		case a.ID < b.ID:
-			return -1, true
-		default:
-			return 1, true
-		}
+	// One term is equal to itself without decoding it. Two different
+	// terms compare by value, never by ID: IDs follow insertion order.
+	if a.Kind == KindID && b.Kind == KindID && a.ID == b.ID {
+		return 0, true
 	}
 	a = resolve(a, r)
 	b = resolve(b, r)

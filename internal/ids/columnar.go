@@ -15,19 +15,18 @@ import (
 	"ids/internal/udf"
 )
 
-// Columnar plan execution: the batch/vector twin of runPlanRec and
-// runSteps in engine.go. The pre-gather pipeline carries column batches
-// of dict IDs through arena-backed buffers; rows are materialized once,
-// on the gather root, and the post-gather stages are Engine.finalize,
-// shared with the row engine.
+// Plan execution. The pre-gather pipeline carries column batches of
+// dict IDs through arena-backed buffers; rows are materialized once, on
+// the gather root, and the post-gather stages are Engine.finalize.
 //
 // Accounting discipline: arena-backed scratch is recycled across
 // operators and queries, so an operator may allocate nothing. Each op
 // therefore reports the arena's *fresh-heap delta* (new slabs, grown
-// scratch) across its execution — real allocations only — plus, at
-// gather, the materialized result table. That keeps PR 6's two-ledger
-// invariant intact: op-accounted bytes stay a strictly positive
-// under-estimate of the physical runtime/metrics delta.
+// scratch) across its execution — real allocations only; startOp and
+// record take it — plus, at gather, the materialized result table. That
+// keeps PR 6's two-ledger invariant intact: op-accounted bytes stay a
+// strictly positive under-estimate of the physical runtime/metrics
+// delta.
 
 // slotKey carries the server's admission-slot index through the
 // request context into the engine, keying arena reuse.
@@ -47,72 +46,72 @@ func slotFrom(ctx context.Context) int {
 	return -1
 }
 
-// freshSince returns the arena's fresh-heap growth since (b0, m0).
-func freshSince(a *exec.Arena, b0, m0 int64) (bytes, mallocs int64) {
-	b1, m1 := a.Fresh()
-	return b1 - b0, m1 - m0
-}
-
-// runPlanBatch executes the plan on one rank through the columnar
-// operators, returning the final (gathered, materialized, ordered,
-// projected) table — the gather root's, on every rank, and identical
-// row sets to the row engine's runPlanRec.
-func (e *Engine) runPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena) (*exec.Table, error) {
-	b, err := e.runStepsBatch(ctx, r, pl.Steps, nil, rec, profs, a, 0)
+// runPlanRec is RunPlan with an optional per-rank trace recorder, an
+// explicit profiler set (per-query overlays on the engine's query
+// path, the persistent profiles for embedded RunPlan callers), and the
+// world's arenas (nil = allocate a private arena per rank, as embedded
+// RunPlan callers run inside a foreign mpp.Run).
+func (e *Engine) runPlanRec(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, arenas []*exec.Arena) (*exec.Table, error) {
+	var a *exec.Arena
+	if arenas != nil {
+		a = arenas[r.ID()]
+	} else {
+		a = exec.NewArena()
+	}
+	b, err := e.runSteps(ctx, r, pl.Steps, nil, rec, profs, a, 0)
 	if err != nil {
 		return nil, err
 	}
 
 	r.SetPhase("merge")
-	if pl.Distinct {
-		ot := startOp(rec, r)
-		fb0, fm0 := a.Fresh()
+	// De-duplicating full solutions before the gather only shrinks what
+	// is shipped — finalize applies DISTINCT to the projected rows —
+	// and must not run ahead of an aggregate, whose input is a bag.
+	if pl.Distinct && len(pl.Aggregates) == 0 {
+		ot := startOp(rec, r, a)
 		in := b.Len()
 		b, err = exec.DistinctGlobalBatch(r, b, a)
 		if err != nil {
 			return nil, err
 		}
-		db, dm := freshSince(a, fb0, fm0)
-		ot.record(rec, r, obs.OpSample{Op: "distinct", RowsIn: in, RowsOut: b.Len(),
-			AllocBytes: db, Mallocs: dm})
+		ot.record(rec, r, obs.OpSample{Op: "distinct", RowsIn: in, RowsOut: b.Len()})
 	}
-	ot := startOp(rec, r)
-	fb0, fm0 := a.Fresh()
+	ot := startOp(rec, r, a)
 	in := b.Len()
 	out, err := exec.GatherBatchTo(r, b, a, func(all *exec.Batch) (*exec.Table, error) {
 		tab := all.Materialize()
 		gb, gm := all.MaterializeFootprint()
-		db, dm := freshSince(a, fb0, fm0)
 		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: tab.Len(),
-			AllocBytes: gb + db, Mallocs: gm + dm})
-		return e.finalize(r, pl, tab, rec)
+			AllocBytes: gb, Mallocs: gm})
+		return e.finalize(r, pl, tab, rec, a)
 	})
 	if err == nil && r.ID() != exec.RootRank {
-		db, dm := freshSince(a, fb0, fm0)
-		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, AllocBytes: db, Mallocs: dm})
+		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in})
 	}
 	return out, err
 }
 
-// runStepsBatch is the columnar runSteps: identical step dispatch,
-// phase names, barrier placement, profiling, virtual-cost charging and
-// OpSample sequence, so traces, /metrics and the simulated clock cannot
-// tell the engines apart.
-func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.Step, b *exec.Batch, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena, depth int) (*exec.Batch, error) {
+// runSteps executes a step list against the rank's shard, starting
+// from b (nil = the first access path seeds the stream). UNION branches
+// and OPTIONAL bodies recurse with a fresh stream. When rec is non-nil
+// every operator appends one OpSample; all ranks run the identical
+// plan so sample sequences zip across ranks.
+func (e *Engine) runSteps(ctx context.Context, r *mpp.Rank, steps []plan.Step, b *exec.Batch, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena, depth int) (*exec.Batch, error) {
 	shard := e.Graph.Shard(r.ID())
 	prof := profs[r.ID()]
 	speed := 1.0
 	if e.Opts.SpeedFactor != nil {
 		speed = e.Opts.SpeedFactor(r.ID())
 	}
+	// Rank 0 narrates planner decisions (conjunct order, re-balance
+	// traffic) at Debug; one rank is enough — all ranks share the plan.
 	var flog *slog.Logger
 	if r.ID() == 0 {
 		flog = e.Logger()
 	}
 	join := func(right *exec.Batch, op string, leftJoin bool) error {
 		r.SetPhase("join")
-		jt := startOp(rec, r)
-		fb0, fm0 := a.Fresh()
+		jt := startOp(rec, r, a)
 		in := b.Len() + right.Len()
 		var err error
 		if leftJoin {
@@ -123,41 +122,42 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 		if err != nil {
 			return err
 		}
-		jb, jm := freshSince(a, fb0, fm0)
-		jt.record(rec, r, obs.OpSample{Depth: depth, Op: op, RowsIn: in, RowsOut: b.Len(),
-			AllocBytes: jb, Mallocs: jm})
+		jt.record(rec, r, obs.OpSample{Depth: depth, Op: op, RowsIn: in, RowsOut: b.Len()})
 		return nil
+	}
+	// joinIn seeds the stream with an access path's batch or hash-joins
+	// it into the running stream.
+	joinIn := func(t *exec.Batch) error {
+		if b == nil {
+			b = t
+			return nil
+		}
+		return join(t, "join", false)
 	}
 	for _, step := range steps {
 		switch s := step.(type) {
 		case plan.ScanStep, plan.JoinStep:
-			var pat = patternOf(step)
+			pat := patternOf(step)
 			r.SetPhase("scan")
-			ot := startOp(rec, r)
-			fb0, fm0 := a.Fresh()
+			ot := startOp(rec, r, a)
 			t, err := exec.ScanBatch(r, shard, e.Graph.Dict, pat, a)
 			if err != nil {
 				return nil, err
 			}
-			sb, sm := freshSince(a, fb0, fm0)
-			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "scan", Label: pat.String(), RowsOut: t.Len(),
-				AllocBytes: sb, Mallocs: sm})
-			if b == nil {
-				b = t
-			} else if err := join(t, "join", false); err != nil {
+			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "scan", Label: pat.String(), RowsOut: t.Len()})
+			if err := joinIn(t); err != nil {
 				return nil, err
 			}
 		case plan.FilterStep:
 			r.SetPhase("filter")
-			ft := startOp(rec, r)
-			fb0, fm0 := a.Fresh()
+			ft := startOp(rec, r, a)
 			nb, fstats, err := exec.FilterBatch(r, b, s.Expr, e.Reg, prof, e.res(), exec.FilterOpts{
 				Reorder:     e.Opts.Reorder,
 				Rebalance:   e.Opts.Rebalance,
 				SpeedFactor: speed,
 				Logger:      flog,
-				// Request context: the obs handler stamps qid and
-				// traceparent onto operator lines.
+				// The request context rides along so the obs handler
+				// stamps qid and traceparent onto operator lines.
 				Ctx: ctx,
 			}, a)
 			if err != nil {
@@ -176,23 +176,23 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 						Note: fmt.Sprintf("sent=%d recv=%d", fstats.Rebalance.Sent, fstats.Rebalance.Received),
 					})
 				}
-				ft.vt0 += fstats.RebalanceSeconds
-				db, dm := freshSince(a, fb0, fm0)
+				ft.vt0 += fstats.RebalanceSeconds // attribute re-balancing VT to its own span
 				ft.record(rec, r, obs.OpSample{
 					Depth: depth, Op: "filter",
 					RowsIn: fstats.Evaluated, RowsOut: fstats.Passed,
-					AllocBytes: db, Mallocs: dm,
 					Note: "order: " + strings.Join(fstats.Order, " AND "),
 				})
 			}
+			// Global sync after independent per-rank evaluation
+			// (paper: ranks sync solutions only once evaluation
+			// completes).
 			if err := r.Barrier(); err != nil {
 				return nil, err
 			}
 		case plan.UnionStep:
-			fb0, fm0 := a.Fresh()
 			parts := make([]*exec.Batch, 0, len(s.Branches))
 			for _, branch := range s.Branches {
-				bt, err := e.runStepsBatch(ctx, r, branch, nil, rec, profs, a, depth+1)
+				bt, err := e.runSteps(ctx, r, branch, nil, rec, profs, a, depth+1)
 				if err != nil {
 					return nil, err
 				}
@@ -202,17 +202,13 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 				}
 				parts = append(parts, bt)
 			}
+			// The branches' operators recorded themselves; the union's
+			// own span is the concatenation.
+			ut := startOp(rec, r, a)
 			unionB := exec.ConcatBatches(a, s.Vars, parts)
-			ub, um := freshSince(a, fb0, fm0)
-			if rec != nil {
-				r.Account(ub, um, int64(unionB.Len()), 0)
-			}
-			rec.Record(obs.OpSample{Depth: depth, Op: "union", RowsOut: unionB.Len(),
-				Label:      fmt.Sprintf("%d branches", len(s.Branches)),
-				AllocBytes: ub, Mallocs: um})
-			if b == nil {
-				b = unionB
-			} else if err := join(unionB, "join", false); err != nil {
+			ut.record(rec, r, obs.OpSample{Depth: depth, Op: "union", RowsOut: unionB.Len(),
+				Label: fmt.Sprintf("%d branches", len(s.Branches))})
+			if err := joinIn(unionB); err != nil {
 				return nil, err
 			}
 		case plan.SimilarStep:
@@ -221,8 +217,7 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 			} else {
 				r.SetPhase("scan")
 			}
-			ot := startOp(rec, r)
-			fb0, fm0 := a.Fresh()
+			ot := startOp(rec, r, a)
 			ids, info, err := e.knnHits(s.Sim, r.ID() == 0)
 			if err != nil {
 				return nil, err
@@ -235,41 +230,34 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 				}
 				in := b.Len()
 				b = exec.SemiFilterBatch(a, b, col, knnKeepSet(ids))
-				db, dm := freshSince(a, fb0, fm0)
 				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
-					RowsIn: in, RowsOut: b.Len(), AllocBytes: db, Mallocs: dm,
-					Note: knnNote(info, true)})
-			} else {
-				t := exec.KNNBatch(a, s.Sim.Var, knnPartition(ids, r.ID(), e.Topo.Size()))
-				db, dm := freshSince(a, fb0, fm0)
-				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
-					RowsOut: t.Len(), AllocBytes: db, Mallocs: dm, Note: knnNote(info, false)})
-				if b == nil {
-					b = t
-				} else if err := join(t, "join", false); err != nil {
-					return nil, err
-				}
+					RowsIn: in, RowsOut: b.Len(), Note: knnNote(info, true)})
+				continue
+			}
+			t := exec.KNNBatch(a, s.Sim.Var, knnPartition(ids, r.ID(), e.Topo.Size()))
+			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
+				RowsOut: t.Len(), Note: knnNote(info, false)})
+			if err := joinIn(t); err != nil {
+				return nil, err
 			}
 		case plan.ValuesStep:
 			r.SetPhase("scan")
-			ot := startOp(rec, r)
-			fb0, fm0 := a.Fresh()
+			ot := startOp(rec, r, a)
 			rows := exec.ResolveValues(s.Values, e.Graph.Dict)
 			t := exec.ValuesBatch(r, a, s.Values.Vars, rows)
-			db, dm := freshSince(a, fb0, fm0)
 			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "values", Label: s.Values.String(),
-				RowsOut: t.Len(), AllocBytes: db, Mallocs: dm})
-			if b == nil {
-				b = t
-			} else if err := join(t, "join", false); err != nil {
+				RowsOut: t.Len()})
+			if err := joinIn(t); err != nil {
 				return nil, err
 			}
 		case plan.OptionalStep:
-			bt, err := e.runStepsBatch(ctx, r, s.Body, nil, rec, profs, a, depth+1)
+			bt, err := e.runSteps(ctx, r, s.Body, nil, rec, profs, a, depth+1)
 			if err != nil {
 				return nil, err
 			}
 			if b == nil {
+				// A leading OPTIONAL is just its body (nothing on the
+				// left to preserve).
 				b = bt
 				continue
 			}

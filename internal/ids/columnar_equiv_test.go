@@ -4,22 +4,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"ids/internal/conformance/ref"
 	"ids/internal/dict"
 	"ids/internal/kg"
 	"ids/internal/mpp"
 	"ids/internal/sparql"
 )
 
-// Row/columnar equivalence: the batch engine must produce the exact
-// same result SET as the row engine for every query both can parse and
-// plan. Rows compare as sorted decoded renderings — hash-join chain
-// order differs between the engines (set semantics; SPARQL imposes no
-// order beyond ORDER BY, and ties under ORDER BY are unspecified).
+// Engine/reference equivalence: for every query the engine can parse,
+// plan and execute, its answer must be one the reference evaluator
+// (internal/conformance/ref, which shares none of the engine's code
+// behind the parser) admits — the same rows, in ORDER BY order up to
+// ties (ref.Result.Diff).
 
 // equivGraph is a multi-shard graph rich enough to drive every
 // operator: typed entities, literal attributes, sparse optional edges,
@@ -83,7 +83,7 @@ var equivQueries = []string{
 	`SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://x/desc> ?d . }`,
 	`SELECT ?t (COUNT(?s) AS ?n) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) WHERE { ?s <http://x/tag> ?t . ?s <http://x/score> ?v . } GROUP BY ?t ORDER BY ?t`,
 	`SELECT ?t (AVG(?v) AS ?m) WHERE { ?s <http://x/tag> ?t . ?s <http://x/score> ?v . FILTER(?v > 10) } GROUP BY ?t ORDER BY ?t`,
-	// BIND computed columns (post-gather, shared by both engines).
+	// BIND computed columns (post-gather).
 	`SELECT ?s ?v2 WHERE { ?s <http://x/score> ?v . BIND(?v * 2 AS ?v2) } ORDER BY ?s`,
 	`SELECT ?s ?d WHERE { ?s <http://x/score> ?v . BIND(?v - 50 AS ?d) FILTER(?d > 0) }`,
 	`SELECT ?t ?flag WHERE { ?s <http://x/tag> ?t . BIND(?t = "tag1" AS ?flag) } LIMIT 300`,
@@ -100,98 +100,77 @@ var equivQueries = []string{
 	`SELECT ?s ?v2 WHERE { VALUES ?s { <http://x/e1> <http://x/e5> } ?s <http://x/score> ?v . BIND(?v * 10 AS ?v2) } ORDER BY ?v2`,
 }
 
-// sortedRows renders a result as a sorted slice of row strings.
-func sortedRows(e *Engine, res *Result) []string {
-	rows := e.Strings(res)
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = strings.Join(r, "\x1f")
-	}
-	sort.Strings(out)
-	return out
-}
-
-// runEquiv executes q on both engines and compares result sets.
-func runEquiv(t *testing.T, rowE, colE *Engine, q string) {
+// runEquiv executes q on the engine and checks the answer against the
+// reference evaluator's. What the engine rejects, the reference is not
+// asked about.
+func runEquiv(t *testing.T, e *Engine, w *ref.World, q string) {
 	t.Helper()
-	rr, rerr := rowE.Query(q)
-	cr, cerr := colE.Query(q)
-	if (rerr == nil) != (cerr == nil) {
-		t.Fatalf("error divergence for %q:\n row: %v\n col: %v", q, rerr, cerr)
-	}
-	if rerr != nil {
+	parsed, err := sparql.Parse(q)
+	if err != nil {
 		return
 	}
-	if !equalStringSlices(rr.Vars, cr.Vars) {
-		t.Fatalf("header divergence for %q: row %v col %v", q, rr.Vars, cr.Vars)
+	res, err := e.Query(q)
+	if err != nil {
+		return
 	}
-	rs, cs := sortedRows(rowE, rr), sortedRows(colE, cr)
-	if len(rs) != len(cs) {
-		t.Fatalf("row-count divergence for %q: row %d col %d", q, len(rs), len(cs))
+	want, err := w.Eval(parsed)
+	if err != nil {
+		t.Fatalf("the engine answered %q, the reference rejects it: %v", q, err)
 	}
-	for i := range rs {
-		if rs[i] != cs[i] {
-			t.Fatalf("result divergence for %q at sorted row %d:\n row: %q\n col: %q", q, i, rs[i], cs[i])
-		}
+	if diff := want.Diff(res.Vars, e.Strings(res)); diff != "" {
+		t.Fatalf("%q: %s", q, diff)
 	}
 }
 
-func equalStringSlices(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// enginePair builds row and columnar engines over the same graph.
-func enginePair(t *testing.T, ranks int) (rowE, colE *Engine) {
+// equivEngine builds an engine over the equivalence graph.
+func equivEngine(t *testing.T, ranks int) *Engine {
 	t.Helper()
-	g := equivGraph(ranks)
-	topo := mpp.Topology{Nodes: 1, RanksPerNode: ranks}
-	var err error
-	rowE, err = NewEngine(g, topo)
+	e, err := NewEngine(equivGraph(ranks), mpp.Topology{Nodes: 1, RanksPerNode: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowE.Opts.Columnar = false
-	colE, err = NewEngine(g, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !colE.Opts.Columnar {
-		t.Fatal("columnar execution should be the default")
-	}
-	return rowE, colE
+	return e
 }
 
-// TestColumnarRowEquivalence sweeps the committed query corpus over
-// 1-, 2- and 4-rank worlds.
-func TestColumnarRowEquivalence(t *testing.T) {
+// refWorld is the reference evaluator's view of an engine: its decoded
+// triples, its UDF registry, its vector stores.
+func refWorld(e *Engine) *ref.World {
+	w := &ref.World{UDFs: e.Reg, Vectors: e.vectors}
+	e.Graph.Triples(func(s, p, o dict.Term) bool {
+		w.Triples = append(w.Triples, ref.Triple{S: s, P: p, O: o})
+		return true
+	})
+	return w
+}
+
+// TestEquivCorpus sweeps the committed query corpus over 1-, 2- and
+// 4-rank worlds.
+func TestEquivCorpus(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
-			rowE, colE := enginePair(t, ranks)
+			e := equivEngine(t, ranks)
+			w := refWorld(e)
 			for _, q := range equivQueries {
-				runEquiv(t, rowE, colE, q)
+				if _, err := e.Query(q); err != nil {
+					t.Fatalf("%q: %v", q, err)
+				}
+				runEquiv(t, e, w, q)
 			}
 		})
 	}
 }
 
-// TestColumnarFuzzCorpusEquivalence replays the committed SPARQL fuzz
-// corpus: every input the parser accepts and the planner can plan must
-// execute identically on both engines.
-func TestColumnarFuzzCorpusEquivalence(t *testing.T) {
+// TestEquivFuzzCorpus replays the committed SPARQL fuzz corpus: every
+// input the parser accepts and the engine executes must get the
+// reference's answer.
+func TestEquivFuzzCorpus(t *testing.T) {
 	dir := filepath.Join("..", "sparql", "testdata", "fuzz", "FuzzSPARQLParse")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Skipf("no fuzz corpus: %v", err)
 	}
-	rowE, colE := enginePair(t, 2)
+	e := equivEngine(t, 2)
+	w := refWorld(e)
 	tried := 0
 	for _, ent := range entries {
 		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
@@ -206,9 +185,9 @@ func TestColumnarFuzzCorpusEquivalence(t *testing.T) {
 			continue // corpus is mostly parser-rejection inputs
 		}
 		tried++
-		runEquiv(t, rowE, colE, q)
+		runEquiv(t, e, w, q)
 	}
-	t.Logf("fuzz corpus: %d parseable inputs executed on both engines", tried)
+	t.Logf("fuzz corpus: %d parseable inputs checked against the reference", tried)
 }
 
 // decodeFuzzString extracts the string argument from a `go test fuzz
@@ -228,12 +207,12 @@ func decodeFuzzString(s string) (string, bool) {
 	return "", false
 }
 
-// TestColumnarTraceInvariant pins the two-ledger invariant on the
-// columnar path explicitly: a traced query reports strictly positive
-// operator-accounted allocation that never exceeds the physical
-// runtime/metrics delta, even with warm (recycled) arenas.
-func TestColumnarTraceInvariant(t *testing.T) {
-	_, colE := enginePair(t, 2)
+// TestTraceLedgerInvariant pins the two-ledger invariant explicitly: a
+// traced query reports strictly positive operator-accounted allocation
+// that never exceeds the physical runtime/metrics delta, even with warm
+// (recycled) arenas.
+func TestTraceLedgerInvariant(t *testing.T) {
+	colE := equivEngine(t, 2)
 	q := `SELECT ?s ?t WHERE { ?s <http://x/tag> ?t . ?s <http://x/score> ?v . FILTER(?v > 10) } ORDER BY ?s LIMIT 10`
 	for warm := 0; warm < 3; warm++ { // repeat: later runs hit recycled arenas
 		res, err := colE.QueryTraced(q)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,17 +43,11 @@ type Options struct {
 	// SpeedFactor models heterogeneous node speeds per rank (nil =
 	// homogeneous).
 	SpeedFactor func(rank int) float64
-	// Columnar selects batch/vector execution of the pre-gather
-	// pipeline (DESIGN.md §11): operators exchange dict-ID column
-	// batches in arena-backed buffers and rows materialize once, at
-	// gather. Result sets are identical to row execution.
-	Columnar bool
 }
 
-// DefaultOptions enables reordering, cost-aware re-balancing, and
-// columnar execution.
+// DefaultOptions enables reordering and cost-aware re-balancing.
 func DefaultOptions() Options {
-	return Options{Reorder: true, Rebalance: exec.RebalanceCost, Columnar: true}
+	return Options{Reorder: true, Rebalance: exec.RebalanceCost}
 }
 
 // Engine is one running IDS backend instance.
@@ -426,17 +419,14 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 		qprofs[i] = udf.NewProfilerOver(e.profilers[i])
 	}
 
-	// Columnar arenas: acquired for the whole world before the rank
-	// goroutines start and returned only after mpp.Run has joined them
-	// all, so a recycled arena can never be reset while a rank still
-	// writes into it. Keyed by the admission slot (when the server path
-	// put one in the context) so a slot's warm working set follows it.
-	var arenas []*exec.Arena
-	if e.Opts.Columnar {
-		slot := slotFrom(ctx)
-		arenas = e.arenas.Get(slot, e.Topo.Size())
-		defer e.arenas.Put(slot, arenas)
-	}
+	// Arenas: acquired for the whole world before the rank goroutines
+	// start and returned only after mpp.Run has joined them all, so a
+	// recycled arena can never be reset while a rank still writes into
+	// it. Keyed by the admission slot (when the server path put one in
+	// the context) so a slot's warm working set follows it.
+	slot := slotFrom(ctx)
+	arenas := e.arenas.Get(slot, e.Topo.Size())
+	defer e.arenas.Put(slot, arenas)
 
 	execStart := time.Now()
 	var answer *exec.Table // every rank gets the same table back; the root keeps it
@@ -553,62 +543,18 @@ func (e *Engine) RunPlan(r *mpp.Rank, pl *plan.Plan) (*exec.Table, error) {
 	return e.runPlanRec(context.Background(), r, pl, nil, e.profilers, nil)
 }
 
-// runPlanRec is RunPlan with an optional per-rank trace recorder, an
-// explicit profiler set (per-query overlays on the engine's query
-// path, the persistent profiles for embedded RunPlan callers), and the
-// world's columnar arenas (nil = allocate a private arena per rank, as
-// embedded RunPlan callers run inside a foreign mpp.Run).
-func (e *Engine) runPlanRec(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, arenas []*exec.Arena) (*exec.Table, error) {
-	if e.Opts.Columnar {
-		var a *exec.Arena
-		if arenas != nil {
-			a = arenas[r.ID()]
-		} else {
-			a = exec.NewArena()
-		}
-		return e.runPlanBatch(ctx, r, pl, rec, profs, a)
-	}
-	tab, err := e.runSteps(ctx, r, pl.Steps, nil, rec, profs, 0)
-	if err != nil {
-		return nil, err
-	}
-
-	r.SetPhase("merge")
-	if pl.Distinct {
-		ot := startOp(rec, r)
-		in := tab.Len()
-		tab, err = exec.DistinctGlobal(r, tab)
-		if err != nil {
-			return nil, err
-		}
-		ab, am := tab.FootprintShallow()
-		ot.record(rec, r, obs.OpSample{Op: "distinct", RowsIn: in, RowsOut: tab.Len(),
-			AllocBytes: ab, Mallocs: am})
-	}
-	ot := startOp(rec, r)
-	in := tab.Len()
-	out, err := exec.GatherTo(r, tab, func(all *exec.Table) (*exec.Table, error) {
-		gb, gm := all.FootprintShallow()
-		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: all.Len(),
-			AllocBytes: gb, Mallocs: gm})
-		return e.finalize(r, pl, all, rec)
-	})
-	if err == nil && r.ID() != exec.RootRank {
-		ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in})
-	}
-	return out, err
-}
-
 // finalize turns the gathered solutions into the answer: BIND columns
 // and the filters that depend on them (exec/bind.go explains why BIND
 // sits post-gather), aggregation, ORDER BY, OFFSET/LIMIT, projection.
+// DISTINCT is over the projected rows, so a DISTINCT plan projects and
+// de-duplicates (first occurrence kept) between the sort and the slice.
 // It runs once per query, on the gather root, inside the gather (see
-// exec.GatherTo), for both engines; the other ranks receive the table
-// it returns and record none of its operators.
-func (e *Engine) finalize(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.RankRecorder) (*exec.Table, error) {
+// exec.GatherBatchTo); the other ranks receive the table it returns and
+// record none of its operators.
+func (e *Engine) finalize(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.RankRecorder, a *exec.Arena) (*exec.Table, error) {
 	res := e.res()
 	if len(pl.Binds) > 0 {
-		ot := startOp(rec, r)
+		ot := startOp(rec, r, a)
 		in := tab.Len()
 		tab = exec.ApplyBinds(r, tab, pl.Binds, e.Reg, res)
 		ab, am := tab.Footprint()
@@ -616,14 +562,14 @@ func (e *Engine) finalize(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.
 			Label: fmt.Sprintf("%d columns", len(pl.Binds)), AllocBytes: ab, Mallocs: am})
 	}
 	if len(pl.PostFilters) > 0 {
-		ot := startOp(rec, r)
+		ot := startOp(rec, r, a)
 		in := tab.Len()
 		tab = exec.ApplyPostFilters(r, tab, pl.PostFilters, e.Reg, res)
 		ot.record(rec, r, obs.OpSample{Op: "filter", RowsIn: in, RowsOut: tab.Len(),
 			Note: "post-bind"})
 	}
 	if len(pl.Aggregates) > 0 {
-		ot := startOp(rec, r)
+		ot := startOp(rec, r, a)
 		in := tab.Len()
 		var err error
 		tab, err = exec.Aggregate(tab, pl.GroupBy, pl.Aggregates, res)
@@ -635,253 +581,17 @@ func (e *Engine) finalize(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.
 			AllocBytes: ab, Mallocs: am})
 	}
 	tab.SortBy(pl.OrderBy, res)
+	if pl.Distinct {
+		var err error
+		if tab, err = tab.Project(pl.Select); err != nil {
+			return nil, err
+		}
+		tab.Distinct(a)
+	}
 	if pl.Limit >= 0 || pl.Offset > 0 {
 		tab = tab.Slice(pl.Offset, pl.Limit)
 	}
-	return tab.Project(pl.Select)
-}
-
-// runSteps executes a step list against the rank's shard, starting
-// from tab (nil = the first scan seeds the table). UNION branches
-// recurse with a fresh table. When rec is non-nil every operator
-// appends one OpSample; all ranks run the identical plan so sample
-// sequences zip across ranks.
-func (e *Engine) runSteps(ctx context.Context, r *mpp.Rank, steps []plan.Step, tab *exec.Table, rec *obs.RankRecorder, profs []*udf.Profiler, depth int) (*exec.Table, error) {
-	shard := e.Graph.Shard(r.ID())
-	prof := profs[r.ID()]
-	res := e.res()
-	speed := 1.0
-	if e.Opts.SpeedFactor != nil {
-		speed = e.Opts.SpeedFactor(r.ID())
-	}
-	// Rank 0 narrates planner decisions (conjunct order, re-balance
-	// traffic) at Debug; one rank is enough — all ranks share the plan.
-	var flog *slog.Logger
-	if r.ID() == 0 {
-		flog = e.Logger()
-	}
-	for _, step := range steps {
-		switch s := step.(type) {
-		case plan.ScanStep:
-			r.SetPhase("scan")
-			ot := startOp(rec, r)
-			t, err := exec.Scan(r, shard, e.Graph.Dict, s.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			sb, sm := t.Footprint()
-			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "scan", Label: s.Pattern.String(), RowsOut: t.Len(),
-				AllocBytes: sb, Mallocs: sm})
-			if tab == nil {
-				tab = t
-			} else {
-				r.SetPhase("join")
-				jt := startOp(rec, r)
-				in := tab.Len() + t.Len()
-				build := t.Len()
-				tab, err = exec.HashJoin(r, tab, t)
-				if err != nil {
-					return nil, err
-				}
-				jb, jm := joinFootprint(tab, build)
-				jt.record(rec, r, obs.OpSample{Depth: depth, Op: "join", RowsIn: in, RowsOut: tab.Len(),
-					AllocBytes: jb, Mallocs: jm})
-			}
-		case plan.JoinStep:
-			r.SetPhase("scan")
-			ot := startOp(rec, r)
-			right, err := exec.Scan(r, shard, e.Graph.Dict, s.Pattern)
-			if err != nil {
-				return nil, err
-			}
-			sb, sm := right.Footprint()
-			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "scan", Label: s.Pattern.String(), RowsOut: right.Len(),
-				AllocBytes: sb, Mallocs: sm})
-			r.SetPhase("join")
-			jt := startOp(rec, r)
-			in := tab.Len() + right.Len()
-			build := right.Len()
-			tab, err = exec.HashJoin(r, tab, right)
-			if err != nil {
-				return nil, err
-			}
-			jb, jm := joinFootprint(tab, build)
-			jt.record(rec, r, obs.OpSample{Depth: depth, Op: "join", RowsIn: in, RowsOut: tab.Len(),
-				AllocBytes: jb, Mallocs: jm})
-		case plan.FilterStep:
-			r.SetPhase("filter")
-			ft := startOp(rec, r)
-			t, fstats, err := exec.Filter(r, tab, s.Expr, e.Reg, prof, res, exec.FilterOpts{
-				Reorder:     e.Opts.Reorder,
-				Rebalance:   e.Opts.Rebalance,
-				SpeedFactor: speed,
-				Logger:      flog,
-				// The request context rides along so the obs handler
-				// stamps qid and traceparent onto operator lines.
-				Ctx: ctx,
-			})
-			if err != nil {
-				return nil, err
-			}
-			tab = t
-			if fstats.Rebalance.Sent > 0 {
-				e.met.rebalanceMoved.Add(float64(fstats.Rebalance.Sent))
-			}
-			if rec != nil {
-				if e.Opts.Rebalance != exec.RebalanceNone {
-					rec.Record(obs.OpSample{
-						Depth: depth, Op: "rebalance",
-						RowsIn: fstats.RowsBefore, RowsOut: fstats.Evaluated,
-						VT:   fstats.RebalanceSeconds,
-						Note: fmt.Sprintf("sent=%d recv=%d", fstats.Rebalance.Sent, fstats.Rebalance.Received),
-					})
-				}
-				ft.vt0 += fstats.RebalanceSeconds // attribute re-balancing VT to its own span
-				fb, fm := tab.FootprintShallow()  // filter keeps row references
-				ft.record(rec, r, obs.OpSample{
-					Depth: depth, Op: "filter",
-					RowsIn: fstats.Evaluated, RowsOut: fstats.Passed,
-					AllocBytes: fb, Mallocs: fm,
-					Note: "order: " + strings.Join(fstats.Order, " AND "),
-				})
-			}
-			// Global sync after independent per-rank evaluation
-			// (paper: ranks sync solutions only once evaluation
-			// completes).
-			if err := r.Barrier(); err != nil {
-				return nil, err
-			}
-		case plan.UnionStep:
-			var unionTab *exec.Table
-			for _, branch := range s.Branches {
-				bt, err := e.runSteps(ctx, r, branch, nil, rec, profs, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				bt, err = bt.Project(s.Vars)
-				if err != nil {
-					return nil, err
-				}
-				if unionTab == nil {
-					unionTab = bt
-				} else {
-					unionTab.Rows = append(unionTab.Rows, bt.Rows...)
-				}
-			}
-			ub, um := unionTab.FootprintShallow() // branch rows are reused by reference
-			if rec != nil {
-				r.Account(ub, um, int64(unionTab.Len()), 0)
-			}
-			rec.Record(obs.OpSample{Depth: depth, Op: "union", RowsOut: unionTab.Len(),
-				Label:      fmt.Sprintf("%d branches", len(s.Branches)),
-				AllocBytes: ub, Mallocs: um})
-			if tab == nil {
-				tab = unionTab
-			} else {
-				r.SetPhase("join")
-				jt := startOp(rec, r)
-				in := tab.Len() + unionTab.Len()
-				build := unionTab.Len()
-				var err error
-				tab, err = exec.HashJoin(r, tab, unionTab)
-				if err != nil {
-					return nil, err
-				}
-				jb, jm := joinFootprint(tab, build)
-				jt.record(rec, r, obs.OpSample{Depth: depth, Op: "join", RowsIn: in, RowsOut: tab.Len(),
-					AllocBytes: jb, Mallocs: jm})
-			}
-		case plan.SimilarStep:
-			if s.Semi {
-				r.SetPhase("filter")
-			} else {
-				r.SetPhase("scan")
-			}
-			ot := startOp(rec, r)
-			ids, info, err := e.knnHits(s.Sim, r.ID() == 0)
-			if err != nil {
-				return nil, err
-			}
-			exec.ChargeKNN(r, info.Visited)
-			if s.Semi {
-				col := tab.Col(s.Sim.Var)
-				if col < 0 {
-					return nil, fmt.Errorf("ids: SIMILAR semi-join variable ?%s not in stream", s.Sim.Var)
-				}
-				in := tab.Len()
-				tab = exec.SemiFilterTable(tab, col, knnKeepSet(ids))
-				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
-					RowsIn: in, RowsOut: tab.Len(), Note: knnNote(info, true)})
-			} else {
-				t := exec.KNNTable(s.Sim.Var, knnPartition(ids, r.ID(), e.Topo.Size()))
-				kb, km := t.Footprint()
-				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
-					RowsOut: t.Len(), AllocBytes: kb, Mallocs: km, Note: knnNote(info, false)})
-				if tab == nil {
-					tab = t
-				} else {
-					r.SetPhase("join")
-					jt := startOp(rec, r)
-					in := tab.Len() + t.Len()
-					build := t.Len()
-					tab, err = exec.HashJoin(r, tab, t)
-					if err != nil {
-						return nil, err
-					}
-					jb, jm := joinFootprint(tab, build)
-					jt.record(rec, r, obs.OpSample{Depth: depth, Op: "join", RowsIn: in, RowsOut: tab.Len(),
-						AllocBytes: jb, Mallocs: jm})
-				}
-			}
-		case plan.ValuesStep:
-			r.SetPhase("scan")
-			ot := startOp(rec, r)
-			rows := exec.ResolveValues(s.Values, e.Graph.Dict)
-			t := exec.ValuesTable(r, s.Values.Vars, rows)
-			vb, vm := t.Footprint()
-			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "values", Label: s.Values.String(),
-				RowsOut: t.Len(), AllocBytes: vb, Mallocs: vm})
-			if tab == nil {
-				tab = t
-			} else {
-				r.SetPhase("join")
-				jt := startOp(rec, r)
-				in := tab.Len() + t.Len()
-				build := t.Len()
-				var err error
-				tab, err = exec.HashJoin(r, tab, t)
-				if err != nil {
-					return nil, err
-				}
-				jb, jm := joinFootprint(tab, build)
-				jt.record(rec, r, obs.OpSample{Depth: depth, Op: "join", RowsIn: in, RowsOut: tab.Len(),
-					AllocBytes: jb, Mallocs: jm})
-			}
-		case plan.OptionalStep:
-			bt, err := e.runSteps(ctx, r, s.Body, nil, rec, profs, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			if tab == nil {
-				// A leading OPTIONAL is just its body (nothing on the
-				// left to preserve).
-				tab = bt
-				continue
-			}
-			r.SetPhase("join")
-			jt := startOp(rec, r)
-			in := tab.Len() + bt.Len()
-			build := bt.Len()
-			tab, err = exec.LeftJoin(r, tab, bt)
-			if err != nil {
-				return nil, err
-			}
-			jb, jm := joinFootprint(tab, build)
-			jt.record(rec, r, obs.OpSample{Depth: depth, Op: "optional", RowsIn: in, RowsOut: tab.Len(),
-				AllocBytes: jb, Mallocs: jm})
-		}
-	}
-	return tab, nil
+	return tab.Project(pl.Select) // the identity for a DISTINCT plan
 }
 
 // LoadModule loads (cached) an IDscript module and registers its

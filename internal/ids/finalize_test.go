@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func opNamed(tr *obs.QueryTrace, name string) []obs.OpTrace {
 // root alone, and EXPLAIN ANALYZE still lists them — with the row
 // counts of the query, not p copies of them.
 func TestFinalizeExplainAnalyze(t *testing.T) {
-	_, e := enginePair(t, 4)
+	e := equivEngine(t, 4)
 	one := func(tr *obs.QueryTrace, name string) obs.OpTrace {
 		t.Helper()
 		ops := opNamed(tr, name)
@@ -96,32 +97,26 @@ func TestFinalizeExplainAnalyze(t *testing.T) {
 // one rank, however many ranks gathered — while the simulated clock
 // still charges every call (TestEquivClockGolden pins the amounts).
 func TestFinalizeRunsOnce(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		rowE, colE := enginePair(t, 4)
-		e := rowE
-		if columnar {
-			e = colE
-		}
-		var calls atomic.Int64
-		err := e.Reg.RegisterWithCost("x.tick",
-			func(args []expr.Value) (expr.Value, error) {
-				calls.Add(1)
-				return args[0], nil
-			},
-			func([]expr.Value) float64 { return 0.25 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Query(`SELECT ?s ?w WHERE { ?s <http://x/score> ?v . BIND(x.tick(?v) AS ?w) }`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 40 || calls.Load() != 40 {
-			t.Fatalf("columnar=%v: %d rows, %d BIND evaluations; want 40 and 40", columnar, len(res.Rows), calls.Load())
-		}
-		if res.Report.Makespan < 40*0.25 {
-			t.Fatalf("columnar=%v: makespan %g does not carry the 40 charged calls", columnar, res.Report.Makespan)
-		}
+	e := equivEngine(t, 4)
+	var calls atomic.Int64
+	err := e.Reg.RegisterWithCost("x.tick",
+		func(args []expr.Value) (expr.Value, error) {
+			calls.Add(1)
+			return args[0], nil
+		},
+		func([]expr.Value) float64 { return 0.25 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Query(`SELECT ?s ?w WHERE { ?s <http://x/score> ?v . BIND(x.tick(?v) AS ?w) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 40 || calls.Load() != 40 {
+		t.Fatalf("%d rows, %d BIND evaluations; want 40 and 40", len(res.Rows), calls.Load())
+	}
+	if res.Report.Makespan < 40*0.25 {
+		t.Fatalf("makespan %g does not carry the 40 charged calls", res.Report.Makespan)
 	}
 }
 
@@ -161,5 +156,35 @@ func TestCachedQueryPlacementFailureIsAMiss(t *testing.T) {
 	}
 	if _, hit, err := e.CachedQuery(q); err != nil || !hit {
 		t.Fatalf("after repair: hit=%v err=%v, want a hit", hit, err)
+	}
+}
+
+// TestFinalizeDistinctIsOverProjectedRows: DISTINCT de-duplicates what
+// SELECT projects, not the solutions behind it (48 distinct (?s ?t)
+// solutions, 5 tags), before OFFSET/LIMIT counts rows; and it leaves the
+// bag an aggregate folds alone (a UNION of one pattern with itself
+// yields every subject twice, and COUNT must see both).
+func TestFinalizeDistinctIsOverProjectedRows(t *testing.T) {
+	for _, ranks := range []int{1, 4} {
+		e := equivEngine(t, ranks)
+		for _, tc := range []struct {
+			query string
+			want  [][]string
+		}{
+			{`SELECT DISTINCT ?t WHERE { ?s <http://x/tag> ?t . } ORDER BY ?t`,
+				[][]string{{`"tag0"`}, {`"tag1"`}, {`"tag2"`}, {`"tag3"`}, {`"tag4"`}}},
+			{`SELECT DISTINCT ?t WHERE { ?s <http://x/tag> ?t . ?s <http://x/score> ?v . } ORDER BY DESC(?t) LIMIT 2 OFFSET 1`,
+				[][]string{{`"tag3"`}, {`"tag2"`}}},
+			{`SELECT DISTINCT (COUNT(?s) AS ?n) WHERE { { ?s <http://x/desc> ?d . } UNION { ?s <http://x/desc> ?d . } }`,
+				[][]string{{"40"}}},
+		} {
+			res, err := e.QueryTraced(tc.query)
+			if err != nil {
+				t.Fatalf("ranks=%d %q: %v", ranks, tc.query, err)
+			}
+			if got := e.Strings(res); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("ranks=%d %q:\n got  %v\n want %v", ranks, tc.query, got, tc.want)
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // on a line in vector space (so nearest neighbours are unambiguous),
 // with an HNSW-indexed store attached under "fp". Keys are the
 // compound IRIs plus one literal-keyed extra.
-func knnEngine(t *testing.T, columnar bool) *Engine {
+func knnEngine(t *testing.T) *Engine {
 	t.Helper()
 	g := kg.New(2)
 	iri := func(s string) dict.Term { return dict.Term{Kind: dict.IRI, Value: s} }
@@ -34,7 +34,6 @@ func knnEngine(t *testing.T, columnar bool) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Opts.Columnar = columnar
 	vs, err := vecstore.New(2, vecstore.L2)
 	if err != nil {
 		t.Fatal(err)
@@ -68,31 +67,29 @@ func sortedStrings(e *Engine, res *Result) []string {
 }
 
 func TestSimilarHybridQuery(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		e := knnEngine(t, columnar)
-		res, err := e.Query(`SELECT ?c ?n WHERE {
-			SIMILAR(?c, [0 0], 3, "fp") .
-			?c <http://x/name> ?n .
-		}`)
-		if err != nil {
-			t.Fatalf("columnar=%v: %v", columnar, err)
-		}
-		got := sortedStrings(e, res)
-		// Top-3 of [0 0] are c0, c1, c2 plus "orphan" — which has no
-		// graph term and is dropped, leaving c0 and c1 (k=3 includes
-		// orphan). Distances: c0=0, orphan=0.1, c1=1.
-		want := []string{
-			`<http://x/c0>|"c0"`,
-			`<http://x/c1>|"c1"`,
-		}
-		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("columnar=%v rows = %v", columnar, got)
-		}
+	e := knnEngine(t)
+	res, err := e.Query(`SELECT ?c ?n WHERE {
+		SIMILAR(?c, [0 0], 3, "fp") .
+		?c <http://x/name> ?n .
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sortedStrings(e, res)
+	// Top-3 of [0 0] are c0, c1, c2 plus "orphan" — which has no
+	// graph term and is dropped, leaving c0 and c1 (k=3 includes
+	// orphan). Distances: c0=0, orphan=0.1, c1=1.
+	want := []string{
+		`<http://x/c0>|"c0"`,
+		`<http://x/c1>|"c1"`,
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("rows = %v", got)
 	}
 }
 
 func TestSimilarKeyAnchor(t *testing.T) {
-	e := knnEngine(t, true)
+	e := knnEngine(t)
 	// Anchor by stored key (IRI form): nearest to c9 are c9, c8, c7.
 	res, err := e.Query(`SELECT ?n WHERE {
 		SIMILAR(?c, <http://x/c9>, 3, "fp") .
@@ -109,43 +106,40 @@ func TestSimilarKeyAnchor(t *testing.T) {
 }
 
 func TestSimilarSemiJoin(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		e := knnEngine(t, columnar)
-		// The rare pattern (2 rows) is cheaper than K=8 candidates, so
-		// the planner scans first and applies SIMILAR as a semi-join.
-		// Top-8 of [9 0] are c9..c3 + c2: excludes c0, c1? No — top-8
-		// by distance from x=9: c9(0) c8(1) .. c2(7), so c0 and c1 are
-		// out; the rare rows are c0, c1 → empty result.
-		qs := `SELECT ?c WHERE {
-			?c <http://x/rare> "r" .
-			SIMILAR(?c, [9 0], 8, "fp")
-		}`
-		res, err := e.QueryTraced(qs)
-		if err != nil {
-			t.Fatalf("columnar=%v: %v", columnar, err)
-		}
-		if len(res.Rows) != 0 {
-			t.Fatalf("columnar=%v rows = %v", columnar, e.Strings(res))
-		}
-		if !strings.Contains(res.Plan.Explain(), "KNN-SEMI") {
-			t.Fatalf("columnar=%v plan:\n%s", columnar, res.Plan.Explain())
-		}
-		// Anchored near c0 instead, both rare compounds survive.
-		res, err = e.Query(`SELECT ?c WHERE {
-			?c <http://x/rare> "r" .
-			SIMILAR(?c, [0 0], 8, "fp")
-		}`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 2 {
-			t.Fatalf("columnar=%v rows = %v", columnar, e.Strings(res))
-		}
+	e := knnEngine(t)
+	// The rare pattern (2 rows) is cheaper than K=8 candidates, so
+	// the planner scans first and applies SIMILAR as a semi-join.
+	// Top-8 of [9 0] by distance from x=9 are c9(0) c8(1) .. c2(7),
+	// so c0 and c1 are out; the rare rows are c0, c1 → empty result.
+	qs := `SELECT ?c WHERE {
+		?c <http://x/rare> "r" .
+		SIMILAR(?c, [9 0], 8, "fp")
+	}`
+	res, err := e.QueryTraced(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("rows = %v", e.Strings(res))
+	}
+	if !strings.Contains(res.Plan.Explain(), "KNN-SEMI") {
+		t.Fatalf("plan:\n%s", res.Plan.Explain())
+	}
+	// Anchored near c0 instead, both rare compounds survive.
+	res, err = e.Query(`SELECT ?c WHERE {
+		?c <http://x/rare> "r" .
+		SIMILAR(?c, [0 0], 8, "fp")
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %v", e.Strings(res))
 	}
 }
 
 func TestSimilarExplainAnalyze(t *testing.T) {
-	e := knnEngine(t, true)
+	e := knnEngine(t)
 	res, err := e.QueryTraced(`SELECT ?n WHERE {
 		SIMILAR(?c, [0 0], 3, "fp") .
 		?c <http://x/name> ?n .
@@ -176,32 +170,27 @@ func TestSimilarExplainAnalyze(t *testing.T) {
 	}
 }
 
-func TestSimilarRowColumnarEquivalence(t *testing.T) {
-	queries := []string{
+// TestEquivSimilar checks the access-path and semi-join forms, and a
+// literal-keyed anchor, against the reference evaluator, which turns
+// the same SearchHNSW hit list into bindings by its own rules.
+func TestEquivSimilar(t *testing.T) {
+	e := knnEngine(t)
+	w := refWorld(e)
+	for _, qs := range []string{
 		`SELECT ?c ?n WHERE { SIMILAR(?c, [4 0], 5, "fp") . ?c <http://x/name> ?n . } ORDER BY ?n`,
 		`SELECT ?c WHERE { ?c <http://x/rare> "r" . SIMILAR(?c, [0 0], 4, "fp") }`,
 		`SELECT ?c WHERE { SIMILAR(?c, "orphan", 4, "fp") }`,
-	}
-	for _, qs := range queries {
-		row := knnEngine(t, false)
-		col := knnEngine(t, true)
-		rr, err := row.Query(qs)
-		if err != nil {
-			t.Fatalf("row %q: %v", qs, err)
+		`SELECT ?c WHERE { SIMILAR(?c, [0 0], 3) }`,
+	} {
+		if _, err := e.Query(qs); err != nil {
+			t.Fatalf("%q: %v", qs, err)
 		}
-		cr, err := col.Query(qs)
-		if err != nil {
-			t.Fatalf("columnar %q: %v", qs, err)
-		}
-		a, b := sortedStrings(row, rr), sortedStrings(col, cr)
-		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("%q diverged:\nrow: %v\ncol: %v", qs, a, b)
-		}
+		runEquiv(t, e, w, qs)
 	}
 }
 
 func TestSimilarErrors(t *testing.T) {
-	e := knnEngine(t, true)
+	e := knnEngine(t)
 	if _, err := e.Query(`SELECT ?c WHERE { SIMILAR(?c, [0 0], 3, "nope") }`); err == nil {
 		t.Fatal("unknown store accepted")
 	}
@@ -218,7 +207,7 @@ func TestSimilarErrors(t *testing.T) {
 }
 
 func TestSimilarMetrics(t *testing.T) {
-	e := knnEngine(t, true)
+	e := knnEngine(t)
 	if _, err := e.Query(`SELECT ?c WHERE { SIMILAR(?c, [0 0], 3, "fp") }`); err != nil {
 		t.Fatal(err)
 	}

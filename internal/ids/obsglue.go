@@ -193,37 +193,38 @@ func (e *Engine) SetBuildInfo(fsyncPolicy string) {
 	})
 }
 
-// joinFootprint accounts a join's materialization on this rank: the
-// freshly built output table plus the hash build structure over the
-// build-side rows.
-func joinFootprint(out *exec.Table, buildRows int) (bytes, mallocs int64) {
-	b, m := out.Footprint()
-	hb, hm := exec.HashBuildFootprint(buildRows)
-	return b + hb, m + hm
-}
-
-// opTimer measures one operator execution on one rank; the zero value
-// (tracing disabled) is inert so the untraced path stays free of
-// time.Now calls.
+// opTimer brackets one operator execution on one rank: the virtual
+// and wall clocks and the arena's fresh-heap counters at its start.
+// The zero value (tracing disabled) is inert, so the untraced path
+// stays free of time.Now calls and allocates nothing.
 type opTimer struct {
-	vt0 float64
-	w0  time.Time
-	on  bool
+	a        *exec.Arena
+	vt0      float64
+	w0       time.Time
+	fb0, fm0 int64
+	on       bool
 }
 
-func startOp(rec *obs.RankRecorder, r *mpp.Rank) opTimer {
+func startOp(rec *obs.RankRecorder, r *mpp.Rank, a *exec.Arena) opTimer {
 	if rec == nil {
 		return opTimer{}
 	}
-	return opTimer{vt0: r.Now(), w0: time.Now(), on: true}
+	fb0, fm0 := a.Fresh()
+	return opTimer{a: a, vt0: r.Now(), w0: time.Now(), fb0: fb0, fm0: fm0, on: true}
 }
 
-// record fills the sample's VT/Wall from the timer, appends it, and
-// folds the operator's footprint into the rank's resource tally.
+// record fills the sample's VT/Wall from the timer, adds the heap the
+// arena genuinely grew by since startOp to whatever the caller already
+// put in AllocBytes/Mallocs (what the operator materialized outside the
+// arena), folds the total into the rank's resource tally and appends
+// the sample. It is the only place operator telemetry is assembled.
 func (ot opTimer) record(rec *obs.RankRecorder, r *mpp.Rank, s obs.OpSample) {
 	if !ot.on {
 		return
 	}
+	fb, fm := ot.a.Fresh()
+	s.AllocBytes += fb - ot.fb0
+	s.Mallocs += fm - ot.fm0
 	s.VT = r.Now() - ot.vt0
 	s.Wall = time.Since(ot.w0).Seconds()
 	r.Account(s.AllocBytes, s.Mallocs, int64(s.RowsOut), s.Wall)

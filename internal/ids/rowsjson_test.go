@@ -73,15 +73,14 @@ func decodeQueryResponse(t *testing.T, e *Engine, resp *QueryResponse, res *Resu
 }
 
 // TestRowsJSONMatchesStrings is the wire contract: for every corpus
-// query, on both engines, the rows a client decodes are Engine.Strings
-// of the same result, string for string and in order.
+// query the rows a client decodes are Engine.Strings of the same
+// result, string for string and in order.
 func TestRowsJSONMatchesStrings(t *testing.T) {
-	rowE, colE := enginePair(t, 4)
 	awk, err := NewEngine(awkwardGraph(2), mpp.Topology{Nodes: 1, RanksPerNode: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, e := range map[string]*Engine{"row": rowE, "columnar": colE, "awkward": awk} {
+	for name, e := range map[string]*Engine{"corpus": equivEngine(t, 4), "awkward": awk} {
 		registerHalf(t, e)
 		for _, q := range rowsJSONQueries() {
 			res, err := e.Query(q)
@@ -103,7 +102,7 @@ func TestRowsJSONMatchesStrings(t *testing.T) {
 // QueryResponse: the spliced body and json.Marshal of the same
 // QueryResponse decode to the same document, trace included.
 func TestQueryResponseEnvelope(t *testing.T) {
-	_, e := enginePair(t, 2)
+	e := equivEngine(t, 2)
 	res, err := e.QueryTraced(`SELECT ?t (COUNT(?s) AS ?n) WHERE { ?s <http://x/tag> ?t . } GROUP BY ?t ORDER BY ?t`)
 	if err != nil {
 		t.Fatal(err)
@@ -145,38 +144,39 @@ func TestQueryResponseEnvelope(t *testing.T) {
 // TestEquivServerRoundTrip drives the corpus through a real server and
 // client: what Client.Query returns is what Engine.Strings renders for
 // the same query (as sets: two runs of a hash join need not agree on
-// order), on both engines.
+// order).
 func TestEquivServerRoundTrip(t *testing.T) {
-	rowE, colE := enginePair(t, 4)
-	for name, e := range map[string]*Engine{"row": rowE, "columnar": colE} {
-		registerHalf(t, e)
-		ts := httptest.NewServer(NewServer(e).Handler())
-		c := NewClient(ts.URL)
-		for _, q := range rowsJSONQueries() {
-			resp, err := c.Query(q)
-			if err != nil {
-				t.Fatalf("%s: %q: %v", name, q, err)
-			}
-			res, err := e.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.Rows == nil {
-				t.Fatalf("%s: %q: Rows decoded as nil", name, q)
-			}
-			got := make([]string, 0, len(resp.Rows))
-			for _, r := range resp.Rows {
-				got = append(got, strings.Join(r, "\x1f"))
-			}
-			sort.Strings(got)
-			if want := sortedRows(e, res); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: %q:\n client %q\n engine %q", name, q, got, want)
-			}
-			if !reflect.DeepEqual(resp.Vars, res.Vars) {
-				t.Fatalf("%s: %q: vars %v vs %v", name, q, resp.Vars, res.Vars)
-			}
+	e := equivEngine(t, 4)
+	registerHalf(t, e)
+	ts := httptest.NewServer(NewServer(e).Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	sorted := func(rows [][]string) []string {
+		out := make([]string, 0, len(rows))
+		for _, r := range rows {
+			out = append(out, strings.Join(r, "\x1f"))
 		}
-		ts.Close()
+		sort.Strings(out)
+		return out
+	}
+	for _, q := range rowsJSONQueries() {
+		resp, err := c.Query(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Rows == nil {
+			t.Fatalf("%q: Rows decoded as nil", q)
+		}
+		if got, want := sorted(resp.Rows), sorted(e.Strings(res)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n client %q\n engine %q", q, got, want)
+		}
+		if !reflect.DeepEqual(resp.Vars, res.Vars) {
+			t.Fatalf("%q: vars %v vs %v", q, resp.Vars, res.Vars)
+		}
 	}
 }
 

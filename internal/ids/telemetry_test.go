@@ -195,7 +195,7 @@ func TestSlowQueryCapture(t *testing.T) {
 // /metrics: a populated ids_vector_search_seconds histogram and a
 // nonzero visited-nodes counter.
 func TestVectorMetricsExported(t *testing.T) {
-	e := knnEngine(t, true)
+	e := knnEngine(t)
 	s := NewServer(e)
 	c, done := clientFor(t, s)
 	defer done()

@@ -88,7 +88,7 @@ func TestVectorUpsertDurableRecovery(t *testing.T) {
 		t.Fatalf("live search: %v %v", lm, err)
 	}
 	// Hybrid SIMILAR over the recovered store joins with replayed
-	// triples identically on both engines.
+	// triples identically on the live and the recovered engine.
 	q := `SELECT ?s ?o WHERE { SIMILAR(?s, <http://x/e1>, 4, "emb") . ?s <http://x/tag> ?o . } ORDER BY ?s ?o`
 	lr, err := live.Engine.Query(q)
 	if err != nil {
@@ -110,7 +110,7 @@ func TestVectorUpsertDurableRecovery(t *testing.T) {
 // TestVectorEndpointErrors pins the HTTP error mapping: a bad payload
 // is the client's fault (400), a search against a missing store too.
 func TestVectorEndpointErrors(t *testing.T) {
-	e := knnEngine(t, true)
+	e := knnEngine(t)
 	s := NewServer(e)
 	c, done := clientFor(t, s)
 	defer done()

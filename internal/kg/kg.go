@@ -270,18 +270,25 @@ func parseNTTerm(in string) (dict.Term, string, error) {
 // tests and the CLI export path).
 func (g *Graph) WriteNTriples(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, sh := range g.shards {
-		var err error
-		sh.Match(triple.Pattern{}, func(t triple.Triple) bool {
-			s := g.Dict.MustDecode(t.S)
-			p := g.Dict.MustDecode(t.P)
-			o := g.Dict.MustDecode(t.O)
-			_, err = fmt.Fprintf(bw, "%s %s %s .\n", s, p, o)
-			return err == nil
-		})
-		if err != nil {
-			return err
-		}
+	var err error
+	g.Triples(func(s, p, o dict.Term) bool {
+		_, err = fmt.Fprintf(bw, "%s %s %s .\n", s, p, o)
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
+}
+
+// Triples calls fn with every triple of the graph, decoded, shard by
+// shard, until fn returns false.
+func (g *Graph) Triples(fn func(s, p, o dict.Term) bool) {
+	more := true
+	for _, sh := range g.shards {
+		sh.Match(triple.Pattern{}, func(t triple.Triple) bool {
+			more = more && fn(g.Dict.MustDecode(t.S), g.Dict.MustDecode(t.P), g.Dict.MustDecode(t.O))
+			return more
+		})
+	}
 }
