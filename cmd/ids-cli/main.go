@@ -14,6 +14,10 @@
 //	ids-cli -e http://host:port insights [-top N] [-q]
 //	ids-cli -e http://host:port flightrec [qid] [-artifact heap|goroutine -o file]
 //
+// stats prints the graph size (ids_graph_triples, ids_graph_terms) and
+// the query and update counters from /metrics, and the UDFs the
+// profile has recorded from /profile.
+//
 // query -explain runs the query with span tracing and renders the
 // EXPLAIN ANALYZE tree (per-operator rows, virtual seconds, per-rank
 // skew, accounted allocations) after the result table.
@@ -319,8 +323,8 @@ func runFlightRec(c *ids.Client, args []string) error {
 
 // runInsights renders the workload observatory: the top fingerprints
 // by observed count, with rolling latency/allocation quantiles,
-// cache-hit rate, tail-retained trace counts, and linked flight
-// records, plus the observatory totals footer.
+// tail-retained trace counts, and linked flight records, plus the
+// observatory totals footer.
 func runInsights(c *ids.Client, args []string) error {
 	fs := flag.NewFlagSet("insights", flag.ExitOnError)
 	top := fs.Int("top", 10, "fingerprint rows to show (0 = all tracked)")
@@ -335,10 +339,9 @@ func runInsights(c *ids.Client, args []string) error {
 	t := metrics.NewTable(
 		fmt.Sprintf("workload insights: %d queries, %d shapes tracked (top-%d sketch, 1-in-%d tail sample)",
 			snap.TotalQueries, snap.Tracked, snap.TopK, snap.SampleN),
-		"fingerprint", "count", "err", "hit%", "p50(s)", "p99(s)", "alloc-p99", "alloc-share", "tail", "flightrec", "last-qid")
+		"fingerprint", "count", "err", "p50(s)", "p99(s)", "alloc-p99", "alloc-share", "tail", "flightrec", "last-qid")
 	for _, f := range snap.Fingerprints {
 		t.AddRow(f.Fingerprint, f.Count, f.Errors,
-			fmt.Sprintf("%.0f", 100*f.CacheHitRate),
 			fmt.Sprintf("%.6f", f.LatencyP50), fmt.Sprintf("%.6f", f.LatencyP99),
 			obs.FormatBytes(int64(f.AllocP99)),
 			fmt.Sprintf("%.1f%%", 100*f.AllocShare),
@@ -407,14 +410,38 @@ func runSnapshot(c *ids.Client, args []string) error {
 	return nil
 }
 
+// runStats prints the graph size and traffic counters from /metrics
+// and the names of the UDFs the profile has seen from /profile.
 func runStats(c *ids.Client) error {
-	s, err := c.Stats()
+	text, err := c.MetricsText()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("triples:  %d\nterms:    %d\nshards:   %d\nnodes:    %d\nranks:    %d\nqueries:  %d\nudfs:     %s\n",
-		s.Triples, s.Terms, s.Shards, s.Nodes, s.Ranks, s.Queries, strings.Join(s.UDFs, ", "))
+	prof, err := c.Profile()
+	if err != nil {
+		return err
+	}
+	for _, name := range []string{"ids_graph_triples", "ids_graph_terms", "ids_queries_total", "ids_updates_total"} {
+		fmt.Printf("%-18s %s\n", name, sampleValue(text, name))
+	}
+	udfs := make([]string, 0, len(prof))
+	for n := range prof {
+		udfs = append(udfs, n)
+	}
+	sort.Strings(udfs)
+	fmt.Printf("%-18s %s\n", "udfs", strings.Join(udfs, ", "))
 	return nil
+}
+
+// sampleValue returns the value of the unlabelled sample name in a
+// metrics text exposition, or "?" when it is absent.
+func sampleValue(text, name string) string {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	return "?"
 }
 
 func runProfile(c *ids.Client) error {

@@ -155,7 +155,7 @@ func main() {
 	}
 	fmt.Printf("IDS endpoint listening on http://%s (%d nodes x %d ranks, %d triples)\n",
 		inst.Addr, topo.Nodes, topo.RanksPerNode, inst.Engine.Graph.Len())
-	fmt.Println("POST /query, POST /update, POST /module, POST /checkpoint, GET /profile, GET /stats, GET /metrics, GET /trace, GET /traces, GET /insights, GET /debug/flightrec, GET /healthz, GET /readyz")
+	fmt.Println("POST /query, POST /update, POST /module, POST /checkpoint, GET /profile, GET /metrics, GET /trace, GET /traces, GET /insights, GET /debug/flightrec, GET /healthz, GET /readyz")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

@@ -3,7 +3,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 
 	"ids/internal/fam"
@@ -101,9 +100,6 @@ type Cache struct {
 	objects map[string]*meta
 	backing *store.Store
 	stats   Stats
-	// log, when non-nil, narrates tier transitions (DRAM->SSD spills,
-	// SSD evictions) at Debug.
-	log *slog.Logger
 	// hook, when set, runs at the top of every Get/Put with the op name
 	// ("cache.get"/"cache.put") and object name; a return >= 0 fails
 	// that node before the operation proceeds, simulating node loss
@@ -134,14 +130,6 @@ func (c *Cache) hookFailLocked(op, name string) {
 	if id := c.hook(op, name); id >= 0 && id < len(c.nodes) {
 		_ = c.failNodeLocked(id)
 	}
-}
-
-// SetLogger wires a structured logger for tier-transition records
-// (nil disables). Call before concurrent use.
-func (c *Cache) SetLogger(l *slog.Logger) {
-	c.mu.Lock()
-	c.log = l
-	c.mu.Unlock()
 }
 
 // dramRegion is the FAM region holding all DRAM-tier objects.
@@ -253,10 +241,6 @@ func (c *Cache) Put(m *fam.Meter, name string, data []byte, hintNode int) error 
 	// locality (the next Get repopulates), it must not fail the Put.
 	if err := c.placeDRAMLocked(m, name, data, hintNode); err != nil {
 		c.stats.PlacementErrors++
-		if c.log != nil {
-			c.log.Debug("cache put placement failed; object stash-only",
-				"object", name, "node", hintNode, "err", err)
-		}
 	}
 	return nil
 }
@@ -344,35 +328,27 @@ func (c *Cache) placeDRAMLocked(m *fam.Meter, name string, data []byte, nodeID i
 // dropped (an eviction straight to stash) and the caller's placement
 // continues.
 func (c *Cache) spillLocked(m *fam.Meter, victim string, nodeID int) error {
-	drop := func(d fam.Descriptor, why error) error {
+	drop := func(d fam.Descriptor) error {
 		_ = c.fabric.Deallocate(d)
 		c.objects[victim].dropLoc(Location{Node: nodeID, Tier: TierDRAM})
 		c.stats.Evictions++
 		c.stats.PlacementErrors++
-		if c.log != nil {
-			c.log.Debug("cache spill failed; victim dropped to stash",
-				"object", victim, "node", nodeID, "err", why)
-		}
 		return nil
 	}
 	d, err := c.fabric.Lookup(dramRegion, dramItemName(nodeID, victim))
 	if err != nil {
-		return drop(fam.Descriptor{}, err)
+		return drop(fam.Descriptor{})
 	}
 	data, err := c.fabric.Get(m, d, 0, d.Size, true)
 	if err != nil {
-		return drop(d, err)
+		return drop(d)
 	}
 	if err := c.fabric.Deallocate(d); err != nil {
-		return drop(d, err)
+		return drop(d)
 	}
 	mt := c.objects[victim]
 	mt.dropLoc(Location{Node: nodeID, Tier: TierDRAM})
 	c.stats.Spills++
-	if c.log != nil {
-		c.log.Debug("cache spill dram->ssd",
-			"object", victim, "node", nodeID, "bytes", len(data))
-	}
 	return c.placeSSDLocked(m, victim, data, nodeID)
 }
 
@@ -401,10 +377,6 @@ func (c *Cache) placeSSDLocked(m *fam.Meter, name string, data []byte, nodeID in
 		delete(n.ssdData, victim)
 		c.objects[victim].dropLoc(loc)
 		c.stats.Evictions++
-		if c.log != nil {
-			c.log.Debug("cache evict ssd->stash",
-				"object", victim, "node", nodeID, "bytes", victimBytes)
-		}
 	}
 	n.ssdData[name] = data
 	n.ssdUsed += int64(len(data))
@@ -501,10 +473,6 @@ func (c *Cache) Get(m *fam.Meter, name string, fromNode int) ([]byte, error) {
 		if fromNode >= 0 && fromNode < len(c.nodes) {
 			if err := c.placeDRAMLocked(m, name, data, fromNode); err != nil {
 				c.stats.PlacementErrors++
-				if c.log != nil {
-					c.log.Debug("cache stash repopulation failed",
-						"object", name, "node", fromNode, "err", err)
-				}
 			}
 		}
 		return data, nil

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,7 +12,6 @@ import (
 	"ids/internal/molgen"
 	"ids/internal/mpp"
 	"ids/internal/synth"
-	"ids/internal/vecstore"
 )
 
 // Every stochastic kernel must draw from a locally seeded rand.New —
@@ -51,44 +49,6 @@ func TestMolgenDeterminism(t *testing.T) {
 	c := molgen.New(8).Generate(100)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("molgen ignores its seed")
-	}
-}
-
-func TestVecstoreIVFDeterminism(t *testing.T) {
-	build := func() *vecstore.Store {
-		vs, err := vecstore.New(8, vecstore.Cosine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 64; i++ {
-			vec := make([]float32, 8)
-			for d := range vec {
-				vec[d] = float32((i*13+d*5)%17) - 8
-			}
-			if err := vs.Add(fmt.Sprintf("k%d", i), vec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := vs.BuildIVF(4, 5, 3); err != nil {
-			t.Fatal(err)
-		}
-		return vs
-	}
-	a, b := build(), build()
-	q := make([]float32, 8)
-	for d := range q {
-		q[d] = float32(d) - 3
-	}
-	ra, err := a.SearchIVF(q, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.SearchIVF(q, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ra, rb) {
-		t.Fatalf("IVF search differs between same-seed builds:\n a %v\n b %v", ra, rb)
 	}
 }
 

@@ -14,9 +14,6 @@ type TraceSummaryResult struct {
 	Ranks   int              `json:"ranks"`
 	Trace   *obs.QueryTrace  `json:"trace"`
 	Metrics []obs.FamilyJSON `json:"metrics"`
-	// Load carries the -concurrency load-mode results when that flag
-	// was set (one point per concurrency level), else it is omitted.
-	Load []LoadPoint `json:"load,omitempty"`
 }
 
 // TraceSummary runs the paper's NCNPR inner query (scan/join/

@@ -1,11 +1,10 @@
 // Package fam implements an OpenFAM-shaped disaggregated-memory API:
 // named regions of fabric-attached memory served by memory servers,
-// with data items allocated inside regions and accessed by get/put/
-// gather/scatter and atomic operations. The paper's global cache uses
-// OpenFAM as its RDMA transport; this package provides the same
-// programming model over in-process memory servers with an alpha-beta
-// network cost model, so callers can charge realistic virtual time for
-// remote access.
+// with data items allocated inside regions and accessed by get/put.
+// The paper's global cache uses OpenFAM as its RDMA transport; this
+// package provides the same programming model over in-process memory
+// servers with an alpha-beta network cost model, so callers can charge
+// realistic virtual time for remote access.
 package fam
 
 import (
@@ -24,7 +23,6 @@ var (
 	ErrNoCapacity   = errors.New("fam: insufficient capacity")
 	ErrServerDown   = errors.New("fam: memory server unavailable")
 	ErrInvalidSize  = errors.New("fam: invalid size")
-	ErrCASMismatch  = errors.New("fam: compare-and-swap mismatch")
 	ErrRegionExists = errors.New("fam: region already exists")
 )
 
@@ -108,7 +106,7 @@ type FAM struct {
 	nextSrv int
 
 	// hook, when set, is consulted before every fabric operation with
-	// the op name ("fam.get", "fam.put", "fam.alloc", "fam.atomic") and
+	// the op name ("fam.get", "fam.put", "fam.alloc") and
 	// the item key; a non-nil return fails the operation with that
 	// error. This is the chaos harness's seam for delayed/failed RDMA
 	// ops without a real fabric. Atomic so it can be (re)wired while
@@ -154,9 +152,6 @@ func New(n int, capPerServer int64, net NetModel) *FAM {
 	return f
 }
 
-// NumServers returns the memory-server count.
-func (f *FAM) NumServers() int { return len(f.servers) }
-
 // CreateRegion declares a named region with a size quota.
 func (f *FAM) CreateRegion(name string, size int64) error {
 	if size <= 0 {
@@ -168,24 +163,6 @@ func (f *FAM) CreateRegion(name string, size int64) error {
 		return fmt.Errorf("%w: %s", ErrRegionExists, name)
 	}
 	f.regions[name] = &region{name: name, size: size}
-	return nil
-}
-
-// DestroyRegion removes a region and every item in it.
-func (f *FAM) DestroyRegion(name string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, ok := f.regions[name]; !ok {
-		return fmt.Errorf("%w: region %s", ErrNotFound, name)
-	}
-	prefix := name + "/"
-	for key, d := range f.items {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			f.freeLocked(d)
-			delete(f.items, key)
-		}
-	}
-	delete(f.regions, name)
 	return nil
 }
 
@@ -355,86 +332,6 @@ func (f *FAM) Get(m *Meter, d Descriptor, off, n int, local bool) ([]byte, error
 	return out, nil
 }
 
-// Scatter writes strided chunks: data is split into len(offsets)
-// equal chunks written at each offset.
-func (f *FAM) Scatter(m *Meter, d Descriptor, offsets []int, data []byte, local bool) error {
-	if len(offsets) == 0 || len(data)%len(offsets) != 0 {
-		return ErrInvalidSize
-	}
-	chunk := len(data) / len(offsets)
-	for i, off := range offsets {
-		if err := f.Put(m, d, off, data[i*chunk:(i+1)*chunk], local); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Gather reads strided chunks of chunkLen from each offset.
-func (f *FAM) Gather(m *Meter, d Descriptor, offsets []int, chunkLen int, local bool) ([]byte, error) {
-	out := make([]byte, 0, len(offsets)*chunkLen)
-	for _, off := range offsets {
-		b, err := f.Get(m, d, off, chunkLen, local)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b...)
-	}
-	return out, nil
-}
-
-// FetchAdd atomically adds delta to the int64 at offset and returns
-// the previous value.
-func (f *FAM) FetchAdd(m *Meter, d Descriptor, off int, delta int64, local bool) (int64, error) {
-	if err := f.checkFault("fam.atomic", itemKey(d.Region, d.Name)); err != nil {
-		return 0, err
-	}
-	it, err := f.access(d, off, 8)
-	if err != nil {
-		return 0, err
-	}
-	s := f.servers[d.Server]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := int64(readU64(it.data[off:]))
-	writeU64(it.data[off:], uint64(old+delta))
-	m.add(f.net.Cost(8, local), 8)
-	return old, nil
-}
-
-// CompareSwap atomically replaces the int64 at offset if it equals
-// expect; it returns the previous value and ErrCASMismatch when the
-// comparison fails.
-func (f *FAM) CompareSwap(m *Meter, d Descriptor, off int, expect, replace int64, local bool) (int64, error) {
-	if err := f.checkFault("fam.atomic", itemKey(d.Region, d.Name)); err != nil {
-		return 0, err
-	}
-	it, err := f.access(d, off, 8)
-	if err != nil {
-		return 0, err
-	}
-	s := f.servers[d.Server]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := int64(readU64(it.data[off:]))
-	m.add(f.net.Cost(8, local), 8)
-	if old != expect {
-		return old, ErrCASMismatch
-	}
-	writeU64(it.data[off:], uint64(replace))
-	return old, nil
-}
-
-func readU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func writeU64(b []byte, u uint64) {
-	b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
-	b[4], b[5], b[6], b[7] = byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56)
-}
-
 // FailServer marks a server down and discards its contents (fabric
 // memory is volatile; the paper repopulates from backing storage).
 func (f *FAM) FailServer(id int) error {
@@ -470,14 +367,6 @@ func (f *FAM) RecoverServer(id int) error {
 	s.down = false
 	s.mu.Unlock()
 	return nil
-}
-
-// ServerUsage returns (used, capacity) of a server.
-func (f *FAM) ServerUsage(id int) (int64, int64) {
-	s := f.servers[id]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used, s.capacity
 }
 
 // ObjectID computes the 64-bit object ID of a name — the hash/ID

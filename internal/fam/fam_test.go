@@ -123,8 +123,7 @@ func TestLookupAndDeallocate(t *testing.T) {
 	if _, err := f.Lookup("r", "x"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after dealloc: %v", err)
 	}
-	used, _ := f.ServerUsage(d.Server)
-	if used != 0 {
+	if used := f.servers[d.Server].used; used != 0 {
 		t.Fatalf("server usage %d after dealloc", used)
 	}
 }
@@ -137,48 +136,6 @@ func TestOutOfRange(t *testing.T) {
 	}
 	if _, err := f.Get(nil, d, -1, 4, true); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestScatterGather(t *testing.T) {
-	f := newFAM(t)
-	d, _ := f.Allocate("r", "x", 64, -1)
-	var m Meter
-	data := []byte("AABBCC")
-	if err := f.Scatter(&m, d, []int{0, 16, 32}, data, false); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Gather(&m, d, []int{0, 16, 32}, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("Gather = %q", got)
-	}
-	if err := f.Scatter(&m, d, []int{0, 16}, []byte("odd"), false); !errors.Is(err, ErrInvalidSize) {
-		t.Fatalf("odd scatter err = %v", err)
-	}
-}
-
-func TestAtomics(t *testing.T) {
-	f := newFAM(t)
-	d, _ := f.Allocate("r", "ctr", 8, -1)
-	old, err := f.FetchAdd(nil, d, 0, 5, true)
-	if err != nil || old != 0 {
-		t.Fatalf("FetchAdd = %d, %v", old, err)
-	}
-	old, err = f.FetchAdd(nil, d, 0, 3, true)
-	if err != nil || old != 5 {
-		t.Fatalf("FetchAdd2 = %d, %v", old, err)
-	}
-	// CAS success.
-	if _, err := f.CompareSwap(nil, d, 0, 8, 100, true); err != nil {
-		t.Fatal(err)
-	}
-	// CAS failure returns the current value.
-	cur, err := f.CompareSwap(nil, d, 0, 8, 200, true)
-	if !errors.Is(err, ErrCASMismatch) || cur != 100 {
-		t.Fatalf("CAS mismatch = %d, %v", cur, err)
 	}
 }
 
@@ -200,21 +157,6 @@ func TestServerFailureLosesItems(t *testing.T) {
 	}
 	if _, err := f.Allocate("r", "x2", 8, 1); err != nil {
 		t.Fatalf("allocation after recovery: %v", err)
-	}
-}
-
-func TestDestroyRegion(t *testing.T) {
-	f := newFAM(t)
-	_, _ = f.Allocate("r", "a", 8, -1)
-	_, _ = f.Allocate("r", "b", 8, -1)
-	if err := f.DestroyRegion("r"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Lookup("r", "a"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("item survived region destroy")
-	}
-	if err := f.DestroyRegion("r"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double destroy err = %v", err)
 	}
 }
 

@@ -41,10 +41,9 @@ const (
 	OpTruncate Op = "truncate"
 	OpSyncDir  Op = "syncdir"
 
-	OpFAMGet    Op = "fam.get"
-	OpFAMPut    Op = "fam.put"
-	OpFAMAlloc  Op = "fam.alloc"
-	OpFAMAtomic Op = "fam.atomic"
+	OpFAMGet   Op = "fam.get"
+	OpFAMPut   Op = "fam.put"
+	OpFAMAlloc Op = "fam.alloc"
 
 	OpCacheGet Op = "cache.get"
 	OpCachePut Op = "cache.put"

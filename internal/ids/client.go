@@ -311,15 +311,6 @@ func (c *Client) Profile() (map[string]udf.Stats, error) {
 	return out, nil
 }
 
-// Stats fetches instance statistics.
-func (c *Client) Stats() (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.get("/stats", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Snapshot streams the remote graph's binary snapshot into w.
 func (c *Client) Snapshot(w io.Writer) error {
 	resp, err := c.HTTP.Get(c.Base + "/snapshot")

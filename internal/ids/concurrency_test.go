@@ -85,66 +85,6 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	}
 }
 
-// TestCachedQueryNotStaleAfterConcurrentUpdate races cached queries
-// against updates at the engine level: a cached result served after an
-// update completes must reflect that update (the cache key carries the
-// update epoch).
-func TestCachedQueryNotStaleAfterConcurrentUpdate(t *testing.T) {
-	e := newEngine(t, 2)
-	e.EnableResultCache(testResultCache(t))
-	q := `SELECT (COUNT(*) AS ?n) WHERE { ?s <http://x/name> ?o . }`
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errCh := make(chan error, 8)
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				res, _, err := e.CachedQuery(q)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				// Counts move only upward (inserts only): any value in
-				// [5, 5+inserts] is a valid snapshot.
-				if n := res.Rows[0][0].Num; n < 5 || n > 5+3 {
-					errCh <- fmt.Errorf("snapshot count = %v", n)
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 3; i++ {
-		u := fmt.Sprintf(`INSERT DATA { <http://x/extra%d> <http://x/name> "extra%d" . }`, i, i)
-		if _, err := e.Update(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-
-	// All updates done: the cache must now serve the new count, not a
-	// pre-update entry.
-	res, _, err := e.CachedQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Rows[0][0].Num; n != 8 {
-		t.Fatalf("post-update cached count = %v, want 8", n)
-	}
-}
-
 // TestAdmissionQueueFullReturns429 pins the shedding path: with one
 // slot held and no queue, the next query is rejected immediately with
 // 429 and a Retry-After hint the client surfaces as OverloadedError.

@@ -320,7 +320,7 @@ func testVectors(t *testing.T) *vecstore.Store {
 
 // TestRecoveryEquivalence the property test: (snapshot + WAL replay)
 // and an always-live engine must answer an identical workload of
-// graph queries, text searches and vector searches identically.
+// graph queries and vector searches identically.
 func TestRecoveryEquivalence(t *testing.T) {
 	workload := testWorkload(60)
 
@@ -350,9 +350,6 @@ func TestRecoveryEquivalence(t *testing.T) {
 	defer rec.Teardown()
 
 	for _, e := range []*Engine{live.Engine, rec.Engine} {
-		if err := e.EnableTextSearch(); err != nil {
-			t.Fatal(err)
-		}
 		if err := e.AttachVectors("emb", testVectors(t)); err != nil {
 			t.Fatal(err)
 		}
@@ -375,19 +372,6 @@ func TestRecoveryEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(live.Engine.Strings(lr), rec.Engine.Strings(rr)) {
 			t.Fatalf("query %q diverged:\n live %v\n rec  %v",
 				q, live.Engine.Strings(lr), rec.Engine.Strings(rr))
-		}
-	}
-	for _, tok := range []string{"token1", "token5", "entity", "absent"} {
-		lh, err := live.Engine.TextSearch(tok, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rh, err := rec.Engine.TextSearch(tok, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(lh, rh) {
-			t.Fatalf("text search %q diverged:\n live %v\n rec  %v", tok, lh, rh)
 		}
 	}
 	for _, key := range []string{"http://x/e1", "http://x/e7"} {

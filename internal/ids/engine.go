@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ids/internal/cache"
 	"ids/internal/dict"
 	"ids/internal/exec"
 	"ids/internal/expr"
@@ -27,7 +26,6 @@ import (
 	"ids/internal/plan"
 	"ids/internal/script"
 	"ids/internal/sparql"
-	"ids/internal/text"
 	"ids/internal/udf"
 	"ids/internal/vecstore"
 	"ids/internal/wal"
@@ -53,19 +51,18 @@ func DefaultOptions() Options {
 // Engine is one running IDS backend instance.
 //
 // Concurrency contract (snapshot isolation): Engine IS safe for
-// concurrent read queries. Query/Execute/CachedQuery take the read
-// half of an RWMutex and read the sealed graph, dictionary, text
-// index, and vector stores read-only; any number of MPP worlds may run
-// at once. Update takes the exclusive writer lock, mutates the graph,
-// swaps in fresh (immutable-after-build) planner statistics, and bumps
-// the atomic update epoch that keys the result cache — so readers
-// observe either the pre- or post-update graph, never a mix, and stale
-// cache entries can never hit. Per-rank UDF profiles are read through
+// concurrent read queries. Query/Execute take the read half of an
+// RWMutex and read the sealed graph, dictionary and vector stores
+// read-only; any number of MPP worlds may run at once. Update takes
+// the exclusive writer lock, mutates the graph, swaps in fresh
+// (immutable-after-build) planner statistics, and bumps the atomic
+// update epoch — so readers observe either the pre- or post-update
+// graph, never a mix. Per-rank UDF profiles are read through
 // per-query overlay profilers and merged back after the run, so
 // concurrent queries never contend on them mid-flight. Setup calls
-// (EnableTextSearch, EnableResultCache, AttachVectors, module loads)
-// are writer-locked; accessors (Decode, Strings, Profiler, Metrics)
-// are safe concurrently with running queries.
+// (AttachVectors, AttachWAL) are writer-locked; accessors (Decode,
+// Strings, Profiler, Metrics) are safe concurrently with running
+// queries.
 type Engine struct {
 	Graph  *kg.Graph
 	Reg    *udf.Registry
@@ -85,16 +82,10 @@ type Engine struct {
 	// concurrent planners never observe a partially rebuilt snapshot.
 	stats     atomic.Pointer[plan.Stats]
 	profilers []*udf.Profiler
-	// resultCache, when set, stashes whole query results in the
-	// global cache (see resultcache.go).
-	resultCache *cache.Cache
-	// textIndex, when set, backs keyword search (see textsearch.go).
-	textIndex *text.Index
 	// vectors holds attached vector stores (see vectors.go).
 	vectors map[string]*vecstore.Store
 	// updates counts applied update statements — the engine's update
-	// epoch. Part of the result-cache key so updates invalidate stale
-	// entries; atomic so key derivation never races with a writer.
+	// epoch, stamped on each WAL record.
 	updates atomic.Int64
 	// wal, when set, makes updates durable: Update appends the record
 	// (synced per the log's fsync policy) before mutating the graph.
@@ -158,9 +149,16 @@ func NewEngine(g *kg.Graph, topo mpp.Topology) (*Engine, error) {
 	for i := range e.profilers {
 		e.profilers[i] = udf.NewProfiler()
 	}
-	// Mirror the merged UDF profile into the registry at scrape time,
-	// making /metrics the single source of truth for profiling data.
+	// Mirror the graph's size and the merged UDF profile into the
+	// registry at scrape time, making /metrics the single source of
+	// truth for both. The sizes are read under the engine read lock, so
+	// a scrape never races an Update mutating the graph.
 	e.met.reg.AddCollector(func(r *obs.Registry) {
+		e.mu.RLock()
+		triples, terms := e.Graph.Len(), e.Graph.Dict.Len()
+		e.mu.RUnlock()
+		r.Gauge("ids_graph_triples").Set(float64(triples))
+		r.Gauge("ids_graph_terms").Set(float64(terms))
 		for name, s := range e.MergedProfile().Snapshot() {
 			r.Counter("udf_execs_total", "udf", name).Set(float64(s.Execs))
 			r.Counter("udf_seconds_total", "udf", name).Set(s.TotalSeconds)
@@ -175,9 +173,10 @@ func NewEngine(g *kg.Graph, topo mpp.Topology) (*Engine, error) {
 func (e *Engine) Profiler(r int) *udf.Profiler { return e.profilers[r] }
 
 // Metrics returns the engine's metrics registry (exposed by the
-// server's /metrics endpoint). Scraping is safe at any time: counters
-// are atomic and the UDF-profile collector reads the internally
-// synchronized per-rank profilers.
+// server's /metrics endpoint). Scraping is safe at any time except
+// while holding the engine lock: counters are atomic, the graph-size
+// collector takes the read lock, and the UDF-profile collector reads
+// the internally synchronized per-rank profilers.
 func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 
 // SetTracing toggles per-query span tracing: when on, every
@@ -215,8 +214,8 @@ type Result struct {
 	// for this query).
 	Trace *obs.QueryTrace
 	// Tail is the tail-sampling verdict the workload observatory made
-	// for this query (nil for cache hits and untracked paths): whether
-	// the full trace is worth retaining, and why.
+	// for this query (nil on untracked paths): whether the full trace
+	// is worth retaining, and why.
 	Tail *insights.Decision
 }
 
@@ -380,14 +379,10 @@ func (e *Engine) Execute(q *sparql.Query) (*Result, error) {
 func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs string, start time.Time, parseSec float64) (*Result, error) {
 	lg := e.Logger()
 	// Bracket the query with the runtime's cumulative allocation
-	// counters and the global cache's tier stats: completion deltas are
-	// the query's physical resource/cache attribution. Process-global,
-	// so concurrent neighbours over-attribute — see obs.ResourceUsage.
+	// counters: the completion delta is the query's physical resource
+	// attribution. Process-global, so concurrent neighbours
+	// over-attribute — see obs.ResourceUsage.
 	alloc0 := obs.ReadAllocs()
-	var cache0 cache.Stats
-	if e.resultCache != nil {
-		cache0 = e.resultCache.Stats()
-	}
 	planStart := time.Now()
 	pl, err := plan.Build(q, e.stats.Load())
 	if err != nil {
@@ -497,18 +492,6 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 			ru.CPUSeconds += op.CPUSeconds
 		}
 		tr.Resources = ru
-		if e.resultCache != nil {
-			c1 := e.resultCache.Stats()
-			tr.Cache = &obs.CacheInfo{
-				DRAMLocal:    c1.DRAMHitsLocal - cache0.DRAMHitsLocal,
-				DRAMRemote:   c1.DRAMHitsRemote - cache0.DRAMHitsRemote,
-				SSD:          c1.SSDHits - cache0.SSDHits,
-				Stash:        c1.StashHits - cache0.StashHits,
-				Misses:       c1.Misses - cache0.Misses,
-				ResultHits:   int64(e.met.resultCacheHits.Value()),
-				ResultMisses: int64(e.met.resultCacheMisses.Value()),
-			}
-		}
 		res.Trace = tr
 	}
 	e.met.observeQuery(res, report, wall, ru)

@@ -6,11 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ids/internal/cache"
 	"ids/internal/expr"
-	"ids/internal/fault"
 	"ids/internal/obs"
-	"ids/internal/store"
 )
 
 // opNamed returns the trace's operators of one kind.
@@ -117,45 +114,6 @@ func TestFinalizeRunsOnce(t *testing.T) {
 	}
 	if res.Report.Makespan < 40*0.25 {
 		t.Fatalf("makespan %g does not carry the 40 charged calls", res.Report.Makespan)
-	}
-}
-
-// TestCachedQueryPlacementFailureIsAMiss: when the result cache cannot
-// store an answer, the asker still gets it — as a miss, counted and
-// logged — and the next asker recomputes.
-func TestCachedQueryPlacementFailureIsAMiss(t *testing.T) {
-	inj := fault.NewInjector(1)
-	inj.Add(fault.Rule{Op: fault.OpRename, Prob: 1})
-	backing, err := store.OpenFS(t.TempDir(), fault.NewFS(inj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cache.New(cache.DefaultConfig(), backing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(t, 2)
-	e.EnableResultCache(c)
-	inj.Arm()
-	q := `SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n`
-	for i := 0; i < 2; i++ {
-		res, hit, err := e.CachedQuery(q)
-		if err != nil {
-			t.Fatalf("run %d: a failed placement surfaced as a query error: %v", i, err)
-		}
-		if hit || len(res.Rows) != 5 {
-			t.Fatalf("run %d: hit=%v rows=%d, want a 5-row miss", i, hit, len(res.Rows))
-		}
-	}
-	if n := e.met.resultCachePutErrors.Value(); n != 2 {
-		t.Fatalf("ids_result_cache_put_errors_total = %v, want 2", n)
-	}
-	inj.Disarm()
-	if _, hit, err := e.CachedQuery(q); err != nil || hit {
-		t.Fatalf("after repair: hit=%v err=%v, want a clean miss that stores", hit, err)
-	}
-	if _, hit, err := e.CachedQuery(q); err != nil || !hit {
-		t.Fatalf("after repair: hit=%v err=%v, want a hit", hit, err)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestTailSamplingRetention(t *testing.T) {
 	if respF.TailRetained || respF.TailReason != "" {
 		t.Fatalf("fast query retained: %+v", respF)
 	}
-	if n := len(fast.ring.Retained()); n != 0 {
+	if n := len(fast.ring.Slow()); n != 0 {
 		t.Fatalf("fast server retained %d traces, want 0", n)
 	}
 	if tr := fast.ring.Get(respF.QID); tr == nil {
@@ -153,7 +153,7 @@ func TestTailSamplingRetention(t *testing.T) {
 	if !respS.TailRetained || !strings.Contains(respS.TailReason, "slow") {
 		t.Fatalf("slow query not retained as slow: %+v", respS)
 	}
-	retained := slow.ring.Retained()
+	retained := slow.ring.Slow()
 	if len(retained) != 1 || retained[0].ID != respS.QID {
 		t.Fatalf("retained index = %+v, want just %s", retained, respS.QID)
 	}
@@ -166,13 +166,13 @@ func TestTailSamplingRetention(t *testing.T) {
 		t.Fatal("parse error accepted")
 	}
 	found := false
-	for _, e := range slow.ring.Retained() {
+	for _, e := range slow.ring.Slow() {
 		if e.TailReason == "error" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no error-retained trace in %+v", slow.ring.Retained())
+		t.Fatalf("no error-retained trace in %+v", slow.ring.Slow())
 	}
 }
 

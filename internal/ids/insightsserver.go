@@ -25,8 +25,8 @@ func (s *Server) exportTrace(tr *obs.QueryTrace) {
 }
 
 // handleInsights serves the workload observatory (GET /insights): the
-// top-k fingerprint table with rolling latency/allocation quantiles,
-// cache-hit rates and tail-retention counts, plus observatory totals.
+// top-k fingerprint table with rolling latency/allocation quantiles
+// and tail-retention counts, plus observatory totals.
 // ?top=N limits the fingerprint rows. Flight-recorder captures are
 // joined in by fingerprint, so a hot shape links straight to its
 // breach evidence.

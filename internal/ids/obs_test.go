@@ -124,22 +124,55 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
-func TestHTTPStatsEndpoint(t *testing.T) {
-	_, ts := testServer(t)
-	code, ct, body := getBody(t, ts.URL+"/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats status = %d", code)
+// TestHTTPGraphSizeGauges: /metrics reports the graph's triple and
+// term counts as scrape-time gauges, and a scrape after an INSERT DATA
+// sees the insert.
+func TestHTTPGraphSizeGauges(t *testing.T) {
+	s, ts := testServer(t)
+	g := s.Engine.Graph
+	scrape := func(triples, terms int) {
+		t.Helper()
+		code, _, body := getBody(t, ts.URL+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("metrics status = %d", code)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("\nids_graph_triples %d\n", triples),
+			fmt.Sprintf("\nids_graph_terms %d\n", terms),
+		} {
+			if !strings.Contains(body, want) {
+				t.Fatalf("metrics missing %q", strings.TrimSpace(want))
+			}
+		}
 	}
-	if !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("stats content-type = %q", ct)
+	triples, terms := g.Len(), g.Dict.Len()
+	if triples == 0 || terms == 0 {
+		t.Fatalf("test graph is empty: %d triples, %d terms", triples, terms)
 	}
-	var sr StatsResponse
-	if err := json.Unmarshal([]byte(body), &sr); err != nil {
-		t.Fatalf("stats not JSON: %v\n%s", err, body)
+	scrape(triples, terms)
+	if _, err := NewClient(ts.URL).Update(`INSERT DATA { <http://x/gauge> <http://x/name> "gauge" . }`); err != nil {
+		t.Fatal(err)
 	}
-	if sr.Ranks != 4 || sr.Triples == 0 {
-		t.Fatalf("stats = %+v", sr)
+	scrape(triples+1, terms+2) // one new subject IRI, one new literal
+
+	// Scrapes racing updates read the graph under the engine read lock;
+	// -race flags any unguarded read.
+	const racing = 20
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < racing && err == nil; i++ {
+			_, err = s.Engine.Update(fmt.Sprintf(`INSERT DATA { <http://x/race%d> <http://x/name> "race%d" . }`, i, i))
+		}
+		done <- err
+	}()
+	for i := 0; i < racing; i++ {
+		s.Engine.Metrics().WritePrometheus(io.Discard)
 	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	scrape(triples+1+racing, terms+2+2*racing)
 }
 
 func TestHTTPProfileEndpoint(t *testing.T) {

@@ -36,10 +36,6 @@ type engineMetrics struct {
 	commBytes   *obs.Counter
 	commSeconds *obs.Counter
 
-	resultCacheHits      *obs.Counter
-	resultCacheMisses    *obs.Counter
-	resultCachePutErrors *obs.Counter
-
 	rebalanceMoved *obs.Counter
 
 	vecSearchSeconds *obs.Histogram // SIMILAR top-k search latency
@@ -67,23 +63,18 @@ func newEngineMetrics() *engineMetrics {
 	reg.Describe("ids_query_errors_total", "Queries that failed to parse, plan or execute.")
 	reg.Describe("ids_rows_returned_total", "Result rows returned to clients.")
 	reg.Describe("ids_updates_total", "Update statements applied.")
+	reg.Describe("ids_graph_triples", "Triples in the loaded graph, read at scrape time.")
+	reg.Describe("ids_graph_terms", "Terms in the graph's dictionary, read at scrape time.")
 	reg.Describe("ids_query_duration_seconds", "Wall-clock query latency histogram.")
 	reg.Describe("ids_query_vt_seconds", "Simulated (virtual-clock) query makespan.")
 	reg.Describe("mpp_collectives_total", "Collective synchronizations across all queries.")
 	reg.Describe("mpp_comm_bytes_total", "Payload bytes exchanged by collectives.")
 	reg.Describe("mpp_comm_seconds_total", "Alpha-beta modeled communication seconds (max over ranks, summed over queries).")
-	reg.Describe("ids_result_cache_hits_total", "Whole-query result cache hits.")
-	reg.Describe("ids_result_cache_misses_total", "Whole-query result cache misses.")
-	reg.Describe("ids_result_cache_put_errors_total", "Computed results the result cache failed to store (served anyway, as misses).")
 	reg.Describe("ids_phase_vt_seconds_total", "Per-phase bottleneck virtual seconds, summed over queries.")
 	reg.Describe("exec_op_rows_in_total", "Operator input rows (traced queries), summed over ranks.")
 	reg.Describe("exec_op_rows_out_total", "Operator output rows (traced queries), summed over ranks.")
 	reg.Describe("exec_op_vt_seconds_total", "Operator virtual seconds (traced queries), max over ranks per query.")
 	reg.Describe("exec_rebalance_rows_moved_total", "Rows migrated between ranks by solution re-balancing.")
-	reg.Describe("cache_ops_total", "Global-cache lookups by tier outcome.")
-	reg.Describe("cache_puts_total", "Global-cache inserts.")
-	reg.Describe("cache_spills_total", "DRAM->SSD demotions.")
-	reg.Describe("cache_evictions_total", "Objects dropped from SSD (stash copy remains).")
 	reg.Describe("udf_execs_total", "UDF executions (merged over ranks).")
 	reg.Describe("udf_seconds_total", "UDF virtual seconds (merged over ranks).")
 	reg.Describe("udf_rejections_total", "Solutions rejected because of a UDF result.")
@@ -116,27 +107,24 @@ func newEngineMetrics() *engineMetrics {
 	obs.RegisterRuntimeCollectors(reg)
 	reg.Gauge("ids_degraded").Set(0) // exported from the start, flips on markDegraded
 	return &engineMetrics{
-		reg:                  reg,
-		queries:              reg.Counter("ids_queries_total"),
-		queryErrors:          reg.Counter("ids_query_errors_total"),
-		rowsReturned:         reg.Counter("ids_rows_returned_total"),
-		updates:              reg.Counter("ids_updates_total"),
-		queryDuration:        reg.Histogram("ids_query_duration_seconds", nil),
-		queryVTSeconds:       reg.Summary("ids_query_vt_seconds"),
-		collectives:          reg.Counter("mpp_collectives_total"),
-		commBytes:            reg.Counter("mpp_comm_bytes_total"),
-		commSeconds:          reg.Counter("mpp_comm_seconds_total"),
-		resultCacheHits:      reg.Counter("ids_result_cache_hits_total"),
-		resultCacheMisses:    reg.Counter("ids_result_cache_misses_total"),
-		resultCachePutErrors: reg.Counter("ids_result_cache_put_errors_total"),
-		rebalanceMoved:       reg.Counter("exec_rebalance_rows_moved_total"),
-		vecSearchSeconds:     reg.Histogram("ids_vector_search_seconds", nil),
-		vecVisited:           reg.Counter("ids_vector_visited_nodes_total"),
-		vecUpserts:           reg.Counter("ids_vector_upserts_total"),
-		queryAllocBytes:      reg.Histogram("ids_query_alloc_bytes", DefAllocBuckets),
-		allocBytesTotal:      reg.Counter("ids_query_alloc_bytes_total"),
-		mallocsTotal:         reg.Counter("ids_query_mallocs_total"),
-		cpuSecondsTotal:      reg.Counter("ids_query_cpu_seconds_total"),
+		reg:              reg,
+		queries:          reg.Counter("ids_queries_total"),
+		queryErrors:      reg.Counter("ids_query_errors_total"),
+		rowsReturned:     reg.Counter("ids_rows_returned_total"),
+		updates:          reg.Counter("ids_updates_total"),
+		queryDuration:    reg.Histogram("ids_query_duration_seconds", nil),
+		queryVTSeconds:   reg.Summary("ids_query_vt_seconds"),
+		collectives:      reg.Counter("mpp_collectives_total"),
+		commBytes:        reg.Counter("mpp_comm_bytes_total"),
+		commSeconds:      reg.Counter("mpp_comm_seconds_total"),
+		rebalanceMoved:   reg.Counter("exec_rebalance_rows_moved_total"),
+		vecSearchSeconds: reg.Histogram("ids_vector_search_seconds", nil),
+		vecVisited:       reg.Counter("ids_vector_visited_nodes_total"),
+		vecUpserts:       reg.Counter("ids_vector_upserts_total"),
+		queryAllocBytes:  reg.Histogram("ids_query_alloc_bytes", DefAllocBuckets),
+		allocBytesTotal:  reg.Counter("ids_query_alloc_bytes_total"),
+		mallocsTotal:     reg.Counter("ids_query_mallocs_total"),
+		cpuSecondsTotal:  reg.Counter("ids_query_cpu_seconds_total"),
 	}
 }
 

@@ -171,7 +171,6 @@ func (a *admission) release(slot int) {
 //	POST /query   {"query": "...", "explain": bool} -> QueryResponse (429 + Retry-After when overloaded)
 //	POST /module  {"name","source","reload"}        -> ModuleResponse
 //	GET  /profile                                   -> merged UDF profile
-//	GET  /stats                                     -> instance statistics (deprecated: prefer /metrics)
 //	GET  /metrics                                   -> Prometheus text exposition
 //	GET  /trace?id=q000001                          -> stored query trace (JSON)
 //	GET  /traces                                    -> retained trace index (qid, wall, status, slow)
@@ -180,9 +179,8 @@ func (a *admission) release(slot int) {
 type Server struct {
 	Engine *Engine
 
-	adm     *admission
-	queries atomic.Int64
-	log     *slog.Logger
+	adm *admission
+	log *slog.Logger
 
 	// ring retains recent query traces (every query is traced) plus
 	// pinned slow queries, addressable via GET /trace and GET /traces.
@@ -296,17 +294,6 @@ type ModuleResponse struct {
 	Loaded bool `json:"loaded"`
 }
 
-// StatsResponse is the /stats result.
-type StatsResponse struct {
-	Triples int      `json:"triples"`
-	Terms   int      `json:"terms"`
-	Shards  int      `json:"shards"`
-	Nodes   int      `json:"nodes"`
-	Ranks   int      `json:"ranks"`
-	UDFs    []string `json:"udfs"`
-	Queries int64    `json:"queries_served"`
-}
-
 // NewServer wraps an engine with the default admission limits.
 func NewServer(e *Engine) *Server {
 	return NewServerConfig(e, ServerConfig{})
@@ -384,7 +371,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/vector/search", s.handleVectorSearch)
 	mux.HandleFunc("/module", s.handleModule)
 	mux.HandleFunc("/profile", s.handleProfile)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -472,7 +458,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// full span tree is embedded in the response only on explain.
 	res, err := s.Engine.QueryTracedCtx(ctx, req.Query)
 	wall := time.Since(start).Seconds()
-	s.queries.Add(1)
 	if err != nil {
 		// Failed queries retain a full stub trace — errors are always a
 		// tail-worthy outcome — so the qid still resolves and the failure
@@ -775,23 +760,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-// handleStats serves the legacy ad-hoc JSON statistics.
-//
-// Deprecated: /metrics carries the same operational data (and more) in
-// Prometheus form; /stats remains for the CLI's human-readable view.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	q := s.queries.Load()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Triples: s.Engine.Graph.Len(),
-		Terms:   s.Engine.Graph.Dict.Len(),
-		Shards:  s.Engine.Graph.NumShards(),
-		Nodes:   s.Engine.Topo.Nodes,
-		Ranks:   s.Engine.Topo.Size(),
-		UDFs:    s.Engine.Reg.Names(),
-		Queries: q,
-	})
 }
 
 // Serve listens on addr (":0" picks a free port) until the listener is

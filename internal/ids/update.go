@@ -6,7 +6,6 @@ import (
 
 	"ids/internal/dict"
 	"ids/internal/sparql"
-	"ids/internal/text"
 	"ids/internal/wal"
 )
 
@@ -35,9 +34,8 @@ type UpdateResult struct {
 // the fsync policy) BEFORE the graph mutates — append-then-apply — so
 // an acknowledged update is always recoverable and a crash between
 // append and apply merely replays an idempotent record. Planner
-// statistics are rebuilt and swapped in atomically, the update epoch
-// is bumped so result-cache keys derived before the update can never
-// serve a post-update query, and an enabled text index is rebuilt.
+// statistics are rebuilt and swapped in atomically and the update
+// epoch is bumped.
 func (e *Engine) Update(us string) (*UpdateResult, error) {
 	return e.UpdateCtx(context.Background(), us)
 }
@@ -98,10 +96,10 @@ func (e *Engine) UpdateCtx(ctx context.Context, us string) (*UpdateResult, error
 }
 
 // applyLocked mutates the graph with one statement's triples, bumps
-// the update epoch, and rebuilds planner statistics and the text
-// index. Caller holds the writer lock. This is the single apply path
-// shared by live updates and WAL replay, so recovery reproduces
-// exactly the live engine's state transitions.
+// the update epoch, and rebuilds planner statistics. Caller holds the
+// writer lock. This is the single apply path shared by live updates
+// and WAL replay, so recovery reproduces exactly the live engine's
+// state transitions.
 func (e *Engine) applyLocked(kind wal.Kind, triples []wal.TermTriple) *UpdateResult {
 	res := &UpdateResult{Kind: kind.String(), Total: len(triples)}
 	for _, t := range triples {
@@ -119,23 +117,14 @@ func (e *Engine) applyLocked(kind wal.Kind, triples []wal.TermTriple) *UpdateRes
 	e.updates.Add(1)
 	e.met.updates.Inc()
 	e.rebuildStatsLocked()
-	if e.textIndex != nil {
-		// Rebuild over the changed literals; predicates restriction is
-		// not retained (documented: re-enable with predicates to
-		// restore it).
-		e.textIndex = text.BuildIndex(e.Graph, nil)
-	}
 	return res
 }
 
 // replayWAL applies every log record with LSN > from through the
 // normal update path (applyLocked / applyVecLocked), so recovery
-// rebuilds planner
-// statistics, the update epoch, and (if enabled) the text index with
-// exactly the live engine's state transitions; result-cache entries
-// are epoch-keyed, so the replayed epoch count invalidates pre-crash
-// keys exactly as live updates would have. Returns how many records
-// were replayed.
+// rebuilds planner statistics and the update epoch with exactly the
+// live engine's state transitions. Returns how many records were
+// replayed.
 func (e *Engine) replayWAL(l *wal.Log, from uint64) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

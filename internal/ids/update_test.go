@@ -96,45 +96,6 @@ func TestUpdateParseErrors(t *testing.T) {
 	}
 }
 
-func TestUpdateInvalidatesResultCache(t *testing.T) {
-	e := newEngine(t, 4)
-	e.EnableResultCache(testResultCache(t))
-	q := `SELECT ?s WHERE { ?s <http://x/age> ?a . }`
-	if _, _, err := e.CachedQuery(q); err != nil {
-		t.Fatal(err)
-	}
-	// Insert + delete nets the same triple count; the update counter
-	// must still invalidate the key.
-	if _, err := e.Update(`INSERT DATA { <http://x/tmp> <http://x/age> "1" . }`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Update(`DELETE DATA { <http://x/tmp> <http://x/age> "1" . }`); err != nil {
-		t.Fatal(err)
-	}
-	_, hit, err := e.CachedQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("stale result served after updates")
-	}
-}
-
-func TestUpdateRefreshesTextIndex(t *testing.T) {
-	e := textEngine(t)
-	if hits, _ := e.TextSearch("novel", 0); len(hits) != 0 {
-		t.Fatal("token present before insert")
-	}
-	_, err := e.Update(`INSERT DATA { <http://x/p9> <http://x/desc> "novel chemotype" . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err := e.TextSearch("novel", 0)
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("text index stale after update: %v, %v", hits, err)
-	}
-}
-
 func TestUpdateOverHTTP(t *testing.T) {
 	e := newEngine(t, 2)
 	srv := NewServer(e)

@@ -70,7 +70,6 @@ type Observation struct {
 	Seconds     float64
 	AllocBytes  int64
 	Rows        int
-	CacheHit    bool
 	Error       bool
 	Degraded    bool
 }
@@ -92,12 +91,10 @@ type FingerprintStats struct {
 	Count    uint64 `json:"count"`
 	CountErr uint64 `json:"count_err,omitempty"`
 
-	Errors       uint64  `json:"errors,omitempty"`
-	Degraded     uint64  `json:"degraded,omitempty"`
-	CacheHits    uint64  `json:"cache_hits,omitempty"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	Rows         uint64  `json:"rows"`
-	Retained     uint64  `json:"retained_traces,omitempty"`
+	Errors   uint64 `json:"errors,omitempty"`
+	Degraded uint64 `json:"degraded,omitempty"`
+	Rows     uint64 `json:"rows"`
+	Retained uint64 `json:"retained_traces,omitempty"`
 
 	LatencyP50 float64 `json:"latency_p50_seconds"`
 	LatencyP90 float64 `json:"latency_p90_seconds"`
@@ -176,9 +173,6 @@ func (o *Observatory) Observe(ob Observation) Decision {
 	}
 	if ob.Degraded {
 		e.degraded++
-	}
-	if ob.CacheHit {
-		e.cacheHits++
 	}
 	if ob.Rows > 0 {
 		e.rows += uint64(ob.Rows)
@@ -260,7 +254,6 @@ func (o *Observatory) snapshotRows(n int) []FingerprintStats {
 			CountErr:    e.countErr,
 			Errors:      e.errors,
 			Degraded:    e.degraded,
-			CacheHits:   e.cacheHits,
 			Rows:        e.rows,
 			Retained:    e.retained,
 			LatencyP50:  e.lat.quantile(0.50),
@@ -271,9 +264,6 @@ func (o *Observatory) snapshotRows(n int) []FingerprintStats {
 			AllocTotal:  e.allocTotal,
 			Query:       e.query,
 			LastQID:     e.lastQID,
-		}
-		if e.count > 0 {
-			r.CacheHitRate = float64(e.cacheHits) / float64(e.count)
 		}
 		if o.totalAlloc > 0 {
 			r.AllocShare = float64(e.allocTotal) / float64(o.totalAlloc)

@@ -81,11 +81,10 @@ type entry struct {
 	count    uint64
 	countErr uint64
 
-	errors    uint64
-	degraded  uint64
-	cacheHits uint64
-	rows      uint64
-	retained  uint64 // tail-retained traces of this shape
+	errors   uint64
+	degraded uint64
+	rows     uint64
+	retained uint64 // tail-retained traces of this shape
 
 	allocTotal uint64
 	lat        logHist // seconds
@@ -138,7 +137,7 @@ func (s *sketch) get(fp uint64) *entry {
 	min.countErr = min.count
 	min.count++
 	min.fp = fp
-	min.errors, min.degraded, min.cacheHits = 0, 0, 0
+	min.errors, min.degraded = 0, 0
 	min.rows, min.retained, min.allocTotal = 0, 0, 0
 	min.lat.reset()
 	min.alloc.reset()

@@ -66,7 +66,7 @@ func (c *Counter) Add(v float64) {
 }
 
 // Set overwrites the counter value. It exists for collectors that
-// mirror an external monotonic source (e.g. cache.Stats) into the
+// mirror an external monotonic source (e.g. wal.Stats) into the
 // registry at scrape time; instrumentation code should use Add/Inc.
 func (c *Counter) Set(v float64) { c.bits.Store(math.Float64bits(v)) }
 
@@ -216,7 +216,7 @@ func (r *Registry) Describe(name, help string) {
 }
 
 // AddCollector registers fn to run at the start of every exposition,
-// letting externally-owned stats (cache counters, UDF profiles) be
+// letting externally-owned stats (WAL counters, UDF profiles) be
 // mirrored into the registry at scrape time.
 func (r *Registry) AddCollector(fn func(*Registry)) {
 	r.mu.Lock()

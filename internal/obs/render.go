@@ -48,12 +48,6 @@ func (tr *QueryTrace) Render(w io.Writer, perRank bool) {
 			FormatBytes(r.AllocBytes), r.Mallocs,
 			FormatBytes(r.OpAllocBytes), r.OpMallocs, 100*r.OpCoverage(), r.CPUSeconds)
 	}
-	// A non-nil Cache block means a result cache is attached; all-zero
-	// counts are themselves informative (this query bypassed it).
-	if c := tr.Cache; c != nil {
-		fmt.Fprintf(w, "cache: dram-local %d  dram-remote %d  ssd %d  stash %d  miss %d  |  result-cache %d hit / %d miss\n",
-			c.DRAMLocal, c.DRAMRemote, c.SSD, c.Stash, c.Misses, c.ResultHits, c.ResultMisses)
-	}
 
 	t := metrics.NewTable("", "operator", "rows-in", "rows-out", "vt-max(s)", "vt-mean(s)", "skew", "wall-max(s)", "cpu(s)", "alloc", "mallocs", "detail")
 	for _, op := range tr.Ops {

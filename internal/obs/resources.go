@@ -86,25 +86,3 @@ func (r *ResourceUsage) OpCoverage() float64 {
 	}
 	return float64(r.OpAllocBytes) / float64(r.AllocBytes)
 }
-
-// CacheInfo is the cache context of a query trace: per-tier hit/miss
-// deltas of the engine's global cache bracketing this query, plus the
-// engine-wide result-cache totals at completion. It gives operator
-// costs their context — a cheap query may simply have hit a tier.
-type CacheInfo struct {
-	DRAMLocal  int64 `json:"dram_local"`
-	DRAMRemote int64 `json:"dram_remote"`
-	SSD        int64 `json:"ssd"`
-	Stash      int64 `json:"stash"`
-	Misses     int64 `json:"misses"`
-	// ResultHits/ResultMisses are the engine's cumulative whole-query
-	// result-cache counters at query completion.
-	ResultHits   int64 `json:"result_hits"`
-	ResultMisses int64 `json:"result_misses"`
-}
-
-// Touched reports whether any per-tier delta is non-zero.
-func (c *CacheInfo) Touched() bool {
-	return c != nil && (c.DRAMLocal != 0 || c.DRAMRemote != 0 || c.SSD != 0 ||
-		c.Stash != 0 || c.Misses != 0)
-}

@@ -6,23 +6,25 @@ import (
 )
 
 // TraceRing retains the last N query traces plus a separate pinned log
-// of slow queries, so a latency spike seen in the histogram can be
-// drilled into after the fact: GET /traces lists the index, GET
+// of tail-retained queries, so a latency spike seen in the histogram
+// can be drilled into after the fact: GET /traces lists the index, GET
 // /trace?id=<qid> returns the full span tree while it is retained.
 //
-// The ring and the slow log are independent: a slow trace stays
+// The ring and the pinned log are independent: a retained trace stays
 // resolvable by ID even after ordinary traffic has lapped the ring.
 type TraceRing struct {
 	mu sync.Mutex
 	// ring is a fixed-size circular buffer; next is the slot the next
-	// Put writes, wrapped indicates at least one full lap.
+	// PutRetained writes, wrapped indicates at least one full lap.
 	ring    []*QueryTrace
 	next    int
 	wrapped bool
-	// slow pins traces whose wall time reached threshold (0 disables);
-	// bounded FIFO of slowCap entries.
-	slow      []*QueryTrace
-	slowCap   int
+	// slow pins the traces the caller retained; bounded FIFO of
+	// slowCap entries.
+	slow    []*QueryTrace
+	slowCap int
+	// threshold is the slow-query budget in seconds (0 disables): it
+	// flags index entries slow, the boundary included.
 	threshold float64
 }
 
@@ -42,8 +44,8 @@ type TraceIndexEntry struct {
 }
 
 // NewTraceRing builds a ring retaining size recent traces and up to
-// size slow traces at or above slowThreshold seconds (0 disables the
-// slow log). size must be >= 1.
+// size pinned traces; index entries at or above slowThreshold seconds
+// are flagged slow (0 disables). size must be >= 1.
 func NewTraceRing(size int, slowThreshold float64) *TraceRing {
 	if size < 1 {
 		size = 1
@@ -58,30 +60,12 @@ func NewTraceRing(size int, slowThreshold float64) *TraceRing {
 // Threshold returns the slow-query threshold in seconds (0 = disabled).
 func (r *TraceRing) Threshold() float64 { return r.threshold }
 
-// Put retains tr, evicting the oldest ring entry when full. A trace
-// with WallSeconds >= threshold (threshold > 0) is additionally pinned
-// in the slow log; the boundary counts as slow. Returns whether the
-// trace was classified slow.
-func (r *TraceRing) Put(tr *QueryTrace) bool {
-	if tr == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.putRingLocked(tr)
-	slow := r.threshold > 0 && tr.WallSeconds >= r.threshold
-	if slow {
-		r.pinLocked(tr)
-	}
-	return slow
-}
-
-// PutRetained is the tail-sampling successor of Put: the retention
-// decision is made by the caller (slow, error, alloc breach, or
-// per-fingerprint 1-in-N — see insights.Observatory), not by the
-// ring's wall-time threshold. The trace always enters the recent
-// ring; when retain is true it is additionally pinned past eviction
-// with reason stamped as its TailReason.
+// PutRetained retains tr, evicting the oldest ring entry when full.
+// The retention decision is made by the caller (slow, error, alloc
+// breach, or per-fingerprint 1-in-N — see insights.Observatory), not
+// by the ring's wall-time threshold. When retain is true the trace is
+// additionally pinned past eviction with reason stamped as its
+// TailReason; the pinned log keeps the newest slowCap traces.
 func (r *TraceRing) PutRetained(tr *QueryTrace, retain bool, reason string) {
 	if tr == nil {
 		return
@@ -180,11 +164,7 @@ func (r *TraceRing) Index() []TraceIndexEntry {
 	return out
 }
 
-// Retained lists the pinned (tail-retained and slow) traces
-// newest-first.
-func (r *TraceRing) Retained() []TraceIndexEntry { return r.Slow() }
-
-// Slow lists the pinned slow traces newest-first.
+// Slow lists the pinned (tail-retained) traces newest-first.
 func (r *TraceRing) Slow() []TraceIndexEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()

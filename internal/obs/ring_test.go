@@ -14,7 +14,7 @@ func mkTrace(id string, wall float64) *QueryTrace {
 func TestTraceRingEvictionOrder(t *testing.T) {
 	r := NewTraceRing(3, 0)
 	for i := 1; i <= 5; i++ {
-		r.Put(mkTrace(fmt.Sprintf("q%d", i), 0.01))
+		r.PutRetained(mkTrace(fmt.Sprintf("q%d", i), 0.01), false, "")
 	}
 	if r.Len() != 3 {
 		t.Fatalf("len = %d", r.Len())
@@ -35,48 +35,69 @@ func TestTraceRingEvictionOrder(t *testing.T) {
 	}
 }
 
+// The ring flags an index entry slow from its wall time alone, with the
+// boundary counting as slow; pinning is the caller's verdict.
 func TestTraceRingSlowBoundary(t *testing.T) {
 	r := NewTraceRing(4, 0.5)
-	r.Put(mkTrace("fast", 0.499999))
-	slowExact := r.Put(mkTrace("exact", 0.5)) // boundary counts as slow
-	slowOver := r.Put(mkTrace("over", 0.7))
-	if slowExact != true {
-		t.Fatal("wall == threshold must classify as slow")
-	}
-	if !slowOver {
-		t.Fatal("wall > threshold must classify as slow")
-	}
-	slow := r.Slow()
-	if len(slow) != 2 || slow[0].ID != "over" || slow[1].ID != "exact" {
-		t.Fatalf("slow log = %+v", slow)
-	}
+	r.PutRetained(mkTrace("fast", 0.499999), false, "")
+	r.PutRetained(mkTrace("exact", 0.5), false, "")
+	r.PutRetained(mkTrace("over", 0.7), false, "")
 	for _, e := range r.Index() {
-		if e.ID == "fast" && e.Slow {
-			t.Fatal("fast trace flagged slow")
+		if want := e.ID != "fast"; e.Slow != want {
+			t.Fatalf("%s: slow = %v, want %v", e.ID, e.Slow, want)
 		}
-		if e.ID == "exact" && !e.Slow {
-			t.Fatal("boundary trace not flagged slow")
-		}
+	}
+	if n := len(r.Slow()); n != 0 {
+		t.Fatalf("%d traces pinned without a retain verdict", n)
 	}
 }
 
 func TestTraceRingSlowSurvivesEviction(t *testing.T) {
 	r := NewTraceRing(2, 1.0)
-	r.Put(mkTrace("slow1", 2.0))
-	r.Put(mkTrace("a", 0.01))
-	r.Put(mkTrace("b", 0.01)) // slow1 now lapped out of the ring
-	if r.Get("slow1") == nil {
-		t.Fatal("slow trace must stay resolvable after ring eviction")
+	r.PutRetained(mkTrace("slow1", 2.0), true, "slow")
+	r.PutRetained(mkTrace("a", 0.01), false, "")
+	r.PutRetained(mkTrace("b", 0.01), false, "") // slow1 now lapped out of the ring
+	tr := r.Get("slow1")
+	if tr == nil {
+		t.Fatal("retained trace must stay resolvable after ring eviction")
 	}
-	// The index still lists it (via the slow log), exactly once.
+	if tr.TailReason != "slow" {
+		t.Fatalf("tail reason = %q, want slow", tr.TailReason)
+	}
+	// The index still lists it (via the pinned log), exactly once.
 	n := 0
 	for _, e := range r.Index() {
 		if e.ID == "slow1" {
 			n++
+			if !e.Retained || !e.Slow {
+				t.Fatalf("slow1 entry = %+v", e)
+			}
 		}
 	}
 	if n != 1 {
 		t.Fatalf("slow1 listed %d times", n)
+	}
+}
+
+// More pins than the pinned log holds drop the oldest pinned trace
+// first: once ordinary traffic has lapped the ring, only the newest
+// slowCap pins still resolve.
+func TestTraceRingPinnedLogDropsOldestFirst(t *testing.T) {
+	r := NewTraceRing(2, 0)
+	for i := 1; i <= 3; i++ {
+		r.PutRetained(mkTrace(fmt.Sprintf("p%d", i), 0.01), true, "sample")
+	}
+	r.PutRetained(mkTrace("a", 0.01), false, "")
+	r.PutRetained(mkTrace("b", 0.01), false, "") // every pin lapped out of the ring
+	pinned := r.Slow()
+	if len(pinned) != 2 || pinned[0].ID != "p3" || pinned[1].ID != "p2" {
+		t.Fatalf("pinned log = %+v, want p3, p2", pinned)
+	}
+	if r.Get("p1") != nil {
+		t.Fatal("oldest pin survived overflow")
+	}
+	if r.Get("p2") == nil || r.Get("p3") == nil {
+		t.Fatal("newer pins evicted")
 	}
 }
 
@@ -90,11 +111,12 @@ func TestTraceRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
+				slow := i%10 == 0
 				wall := 0.0001
-				if i%10 == 0 {
+				if slow {
 					wall = 0.01
 				}
-				r.Put(mkTrace(id, wall))
+				r.PutRetained(mkTrace(id, wall), slow, "slow")
 				r.Get(id)
 				if i%50 == 0 {
 					r.Index()
@@ -106,6 +128,9 @@ func TestTraceRingConcurrent(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 16 {
 		t.Fatalf("len = %d", r.Len())
+	}
+	if n := len(r.Slow()); n != 16 {
+		t.Fatalf("pinned = %d, want 16", n)
 	}
 	for _, e := range r.Index() {
 		if e.ID == "" {

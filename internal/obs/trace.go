@@ -163,11 +163,8 @@ type QueryTrace struct {
 	// Resources is the per-query resource attribution block (nil for
 	// traces recorded before attribution, e.g. error stubs).
 	Resources *ResourceUsage `json:"resources,omitempty"`
-	// Cache carries the query's cache context: per-tier hit deltas and
-	// result-cache totals (nil when the engine has no cache attached).
-	Cache *CacheInfo `json:"cache,omitempty"`
-	Plan  string     `json:"plan,omitempty"`
-	Ops   []OpTrace  `json:"ops"`
+	Plan      string         `json:"plan,omitempty"`
+	Ops       []OpTrace      `json:"ops"`
 }
 
 // BuildTrace assembles the per-rank recordings into a QueryTrace. The

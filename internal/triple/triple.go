@@ -245,6 +245,13 @@ func (st *Store) Objects(s, p dict.ID) []dict.ID {
 	return SortUnique(out)
 }
 
+// SortUnique sorts ids in place and removes duplicates, returning the
+// shortened slice.
+func SortUnique(ids []dict.ID) []dict.ID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // PredicateStats returns triple counts per predicate, used by the
 // query planner's selectivity estimates.
 func (st *Store) PredicateStats() map[dict.ID]int {

@@ -3,7 +3,6 @@ package triple
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ids/internal/dict"
 )
@@ -216,74 +215,6 @@ func TestSortUnique(t *testing.T) {
 	}
 	if got := SortUnique(nil); len(got) != 0 {
 		t.Fatalf("SortUnique(nil) = %v", got)
-	}
-}
-
-func TestSetOps(t *testing.T) {
-	a := []dict.ID{1, 3, 5, 7}
-	b := []dict.ID{3, 4, 5, 8}
-	if got := Union(a, b); len(got) != 6 || got[0] != 1 || got[5] != 8 {
-		t.Fatalf("Union = %v", got)
-	}
-	if got := Intersect(a, b); len(got) != 2 || got[0] != 3 || got[1] != 5 {
-		t.Fatalf("Intersect = %v", got)
-	}
-	if got := Difference(a, b); len(got) != 2 || got[0] != 1 || got[1] != 7 {
-		t.Fatalf("Difference = %v", got)
-	}
-	if got := Difference(b, a); len(got) != 2 || got[0] != 4 || got[1] != 8 {
-		t.Fatalf("Difference(b,a) = %v", got)
-	}
-}
-
-func TestContainsID(t *testing.T) {
-	a := []dict.ID{2, 4, 6}
-	if !ContainsID(a, 4) || ContainsID(a, 5) || ContainsID(nil, 1) {
-		t.Fatal("ContainsID misbehaved")
-	}
-}
-
-// Properties for the set algebra: |A∪B| + |A∩B| = |A| + |B|, and
-// difference removes exactly the intersection.
-func TestSetAlgebraProperties(t *testing.T) {
-	gen := func(seed []uint8) []dict.ID {
-		ids := make([]dict.ID, len(seed))
-		for i, s := range seed {
-			ids[i] = dict.ID(s%32) + 1
-		}
-		return SortUnique(ids)
-	}
-	f := func(sa, sb []uint8) bool {
-		a, b := gen(sa), gen(sb)
-		u, x, d := Union(a, b), Intersect(a, b), Difference(a, b)
-		if len(u)+len(x) != len(a)+len(b) {
-			return false
-		}
-		if len(d) != len(a)-len(x) {
-			return false
-		}
-		// Union must be sorted unique.
-		for i := 1; i < len(u); i++ {
-			if u[i] <= u[i-1] {
-				return false
-			}
-		}
-		// Every intersect member is in both inputs.
-		for _, id := range x {
-			if !ContainsID(a, id) || !ContainsID(b, id) {
-				return false
-			}
-		}
-		// No difference member is in b.
-		for _, id := range d {
-			if ContainsID(b, id) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

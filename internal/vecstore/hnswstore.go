@@ -108,7 +108,7 @@ func (s *Store) SearchHNSW(q []float32, k, ef int) ([]Result, SearchInfo, error)
 		return nil, SearchInfo{}, ErrEmpty
 	}
 	if s.hnswIdx == nil {
-		hits := s.searchIn(q, k, nil)
+		hits := s.searchIn(q, k)
 		n := len(s.vecs)
 		return hits, SearchInfo{Index: "brute", Visited: n, Candidates: n}, nil
 	}

@@ -180,32 +180,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBuildIVFRandDeterministic(t *testing.T) {
-	mk := func() *Store {
-		s := mustStore(t, 6, L2)
-		randomFill(s, 300, 8)
-		if err := s.BuildIVFRand(8, 4, rand.New(rand.NewSource(21))); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := mk(), mk()
-	q := []float32{0.3, -1, 0.5, 2, -0.7, 0.1}
-	ra, err := a.SearchIVF(q, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.SearchIVF(q, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			t.Fatalf("same-seed IVF builds diverged: %v vs %v", ra, rb)
-		}
-	}
-}
-
 func TestSaveSetLoadSet(t *testing.T) {
 	a := mustStore(t, 4, Cosine)
 	randomFill(a, 20, 11)

@@ -1,9 +1,9 @@
 // Package vecstore implements the vector-store face of the IDS
 // 3-in-1 datastore: dense float32 vectors keyed by name, brute-force
-// and IVF (inverted-file, k-means-partitioned) indexes, and top-k
-// similarity search under cosine, dot-product and Euclidean metrics.
-// In the NCNPR workflow it holds compound fingerprints and sequence
-// embeddings for fast candidate pre-screening.
+// and HNSW indexes, and top-k similarity search under cosine,
+// dot-product and Euclidean metrics. In the NCNPR workflow it holds
+// compound fingerprints and sequence embeddings for fast candidate
+// pre-screening.
 package vecstore
 
 import (
@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -75,10 +74,6 @@ type Store struct {
 	norms []float64
 	index map[string]int
 
-	// IVF index state (nil until BuildIVF).
-	centroids [][]float32
-	lists     [][]int
-
 	// HNSW index state (nil until EnableHNSW); maintained
 	// incrementally by Add/Upsert.
 	hnswIdx *hnsw.Index
@@ -106,8 +101,8 @@ func (s *Store) Len() int {
 	return len(s.keys)
 }
 
-// Add inserts a vector under key. Adding invalidates any IVF index;
-// an enabled HNSW index is extended incrementally.
+// Add inserts a vector under key; an enabled HNSW index is extended
+// incrementally.
 func (s *Store) Add(key string, vec []float32) error {
 	if len(vec) != s.dim {
 		return fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(vec), s.dim)
@@ -137,7 +132,6 @@ func (s *Store) appendLocked(key string, vec []float32) error {
 	s.keys = append(s.keys, key)
 	s.vecs = append(s.vecs, cp)
 	s.norms = append(s.norms, norm(cp))
-	s.centroids, s.lists = nil, nil
 	if s.hnswIdx != nil {
 		return s.hnswIdx.Insert(len(s.keys) - 1)
 	}
@@ -146,8 +140,7 @@ func (s *Store) appendLocked(key string, vec []float32) error {
 
 // Upsert inserts the vector under key or overwrites an existing entry
 // in place. It reports whether a new entry was created. Overwrites
-// relink the HNSW node at its new position; both paths invalidate any
-// IVF index.
+// relink the HNSW node at its new position.
 func (s *Store) Upsert(key string, vec []float32) (created bool, err error) {
 	if len(vec) != s.dim {
 		return false, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(vec), s.dim)
@@ -160,7 +153,6 @@ func (s *Store) Upsert(key string, vec []float32) (created bool, err error) {
 	}
 	copy(s.vecs[i], vec)
 	s.norms[i] = norm(s.vecs[i])
-	s.centroids, s.lists = nil, nil
 	if s.hnswIdx != nil {
 		return false, s.hnswIdx.Reinsert(i)
 	}
@@ -250,7 +242,7 @@ func (s *Store) score(q []float32, qnorm float64, i int) float64 {
 // resultHeap is a min-heap holding the current top-k with the worst
 // hit on top. "Worse" is lower score, with equal scores broken by
 // greater key — so equal-score hits resolve deterministically by key
-// and brute-force, IVF and HNSW results stay comparable regardless of
+// and brute-force and HNSW results stay comparable regardless of
 // insertion order.
 type resultHeap []Result
 
@@ -279,29 +271,20 @@ func (s *Store) Search(q []float32, k int) ([]Result, error) {
 	if len(s.keys) == 0 {
 		return nil, ErrEmpty
 	}
-	return s.searchIn(q, k, nil), nil
+	return s.searchIn(q, k), nil
 }
 
-// searchIn scans the candidate index list (nil = all).
-func (s *Store) searchIn(q []float32, k int, candidates []int) []Result {
+// searchIn scans every stored vector; the caller holds the read lock.
+func (s *Store) searchIn(q []float32, k int) []Result {
 	qn := norm(q)
 	h := make(resultHeap, 0, k+1)
-	consider := func(i int) {
+	for i := range s.vecs {
 		r := Result{Key: s.keys[i], Score: s.score(q, qn, i)}
 		if len(h) < k {
 			heap.Push(&h, r)
 		} else if k > 0 && worseThan(h.worst(), r) {
 			h[0] = r
 			heap.Fix(&h, 0)
-		}
-	}
-	if candidates == nil {
-		for i := range s.vecs {
-			consider(i)
-		}
-	} else {
-		for _, i := range candidates {
-			consider(i)
 		}
 	}
 	out := make([]Result, len(h))
@@ -314,126 +297,4 @@ func (s *Store) searchIn(q []float32, k int, candidates []int) []Result {
 // by key ascending.
 func sortResults(out []Result) {
 	sort.Slice(out, func(a, b int) bool { return worseThan(out[b], out[a]) })
-}
-
-// BuildIVF partitions the stored vectors into nlist clusters with
-// k-means (iters iterations, deterministic from seed). Search can then
-// probe only the closest nprobe lists.
-func (s *Store) BuildIVF(nlist, iters int, seed int64) error {
-	return s.BuildIVFRand(nlist, iters, rand.New(rand.NewSource(seed)))
-}
-
-// BuildIVFRand is BuildIVF seeded from an explicit random source, so
-// callers own the determinism of the k-means initialization outright
-// (nothing in this package ever touches the package-level math/rand
-// state).
-func (s *Store) BuildIVFRand(nlist, iters int, rng *rand.Rand) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.vecs)
-	if n == 0 {
-		return ErrEmpty
-	}
-	if nlist <= 0 || nlist > n {
-		nlist = int(math.Sqrt(float64(n))) + 1
-	}
-	// k-means++ style init: random distinct picks.
-	perm := rng.Perm(n)
-	centroids := make([][]float32, nlist)
-	for i := 0; i < nlist; i++ {
-		c := make([]float32, s.dim)
-		copy(c, s.vecs[perm[i]])
-		centroids[i] = c
-	}
-	assign := make([]int, n)
-	for it := 0; it < iters; it++ {
-		for i, v := range s.vecs {
-			assign[i] = nearestCentroid(v, centroids)
-		}
-		// Recompute.
-		counts := make([]int, nlist)
-		sums := make([][]float64, nlist)
-		for c := range sums {
-			sums[c] = make([]float64, s.dim)
-		}
-		for i, v := range s.vecs {
-			c := assign[i]
-			counts[c]++
-			for j, x := range v {
-				sums[c][j] += float64(x)
-			}
-		}
-		for c := range centroids {
-			if counts[c] == 0 {
-				continue
-			}
-			for j := range centroids[c] {
-				centroids[c][j] = float32(sums[c][j] / float64(counts[c]))
-			}
-		}
-	}
-	lists := make([][]int, nlist)
-	for i, v := range s.vecs {
-		c := nearestCentroid(v, centroids)
-		lists[c] = append(lists[c], i)
-	}
-	s.centroids, s.lists = centroids, lists
-	return nil
-}
-
-func nearestCentroid(v []float32, centroids [][]float32) int {
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range centroids {
-		ss := 0.0
-		for j := range v {
-			d := float64(v[j]) - float64(cent[j])
-			ss += d * d
-		}
-		if ss < bestD {
-			best, bestD = c, ss
-		}
-	}
-	return best
-}
-
-// SearchIVF probes the nprobe nearest clusters. Falls back to brute
-// force when no IVF index exists.
-func (s *Store) SearchIVF(q []float32, k, nprobe int) ([]Result, error) {
-	if len(q) != s.dim {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), s.dim)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.keys) == 0 {
-		return nil, ErrEmpty
-	}
-	if s.centroids == nil {
-		return s.searchIn(q, k, nil), nil
-	}
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > len(s.centroids) {
-		nprobe = len(s.centroids)
-	}
-	// Rank clusters by centroid distance.
-	type cd struct {
-		c int
-		d float64
-	}
-	ds := make([]cd, len(s.centroids))
-	for c, cent := range s.centroids {
-		ss := 0.0
-		for j := range q {
-			d := float64(q[j]) - float64(cent[j])
-			ss += d * d
-		}
-		ds[c] = cd{c, ss}
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
-	var candidates []int
-	for i := 0; i < nprobe; i++ {
-		candidates = append(candidates, s.lists[ds[i].c]...)
-	}
-	return s.searchIn(q, k, candidates), nil
 }

@@ -132,86 +132,6 @@ func randomFill(s *Store, n int, seed int64) {
 	}
 }
 
-func TestIVFAgreesWithBruteForceTop1(t *testing.T) {
-	s := mustStore(t, 8, L2)
-	randomFill(s, 500, 42)
-	if err := s.BuildIVF(16, 5, 1); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	agree := 0
-	const trials = 50
-	for i := 0; i < trials; i++ {
-		q := make([]float32, 8)
-		for j := range q {
-			q[j] = float32(rng.NormFloat64())
-		}
-		bf, err := s.Search(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ivf, err := s.SearchIVF(q, 1, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bf[0].Key == ivf[0].Key {
-			agree++
-		}
-	}
-	// IVF is approximate; 4/16 probes should still agree most of the
-	// time on top-1.
-	if agree < trials*7/10 {
-		t.Fatalf("IVF top-1 recall %d/%d too low", agree, trials)
-	}
-}
-
-func TestIVFFullProbeIsExact(t *testing.T) {
-	s := mustStore(t, 4, L2)
-	randomFill(s, 200, 3)
-	if err := s.BuildIVF(8, 4, 1); err != nil {
-		t.Fatal(err)
-	}
-	q := []float32{0.5, -0.2, 1.0, 0}
-	bf, _ := s.Search(q, 5)
-	ivf, _ := s.SearchIVF(q, 5, 8) // probe all lists
-	for i := range bf {
-		if bf[i].Key != ivf[i].Key {
-			t.Fatalf("full-probe IVF differs at %d: %v vs %v", i, bf, ivf)
-		}
-	}
-}
-
-func TestSearchIVFWithoutIndexFallsBack(t *testing.T) {
-	s := mustStore(t, 2, Cosine)
-	_ = s.Add("a", []float32{1, 0})
-	hits, err := s.SearchIVF([]float32{1, 0}, 1, 2)
-	if err != nil || len(hits) != 1 {
-		t.Fatalf("fallback failed: %v %v", hits, err)
-	}
-}
-
-func TestBuildIVFEmpty(t *testing.T) {
-	s := mustStore(t, 2, Cosine)
-	if err := s.BuildIVF(4, 3, 1); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestAddInvalidatesIVF(t *testing.T) {
-	s := mustStore(t, 2, L2)
-	randomFill(s, 50, 9)
-	if err := s.BuildIVF(4, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	_ = s.Add("new", []float32{100, 100})
-	// After invalidation SearchIVF falls back to brute force and must
-	// find the new vector.
-	hits, err := s.SearchIVF([]float32{100, 100}, 1, 1)
-	if err != nil || hits[0].Key != "new" {
-		t.Fatalf("hits = %v, %v", hits, err)
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	if Cosine.String() != "cosine" || Dot.String() != "dot" || L2.String() != "l2" {
 		t.Fatal("Metric.String mismatch")
@@ -271,31 +191,6 @@ func BenchmarkSearchBrute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Search(q, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSearchIVF(b *testing.B) {
-	s, _ := New(64, Cosine)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		v := make([]float32, 64)
-		for j := range v {
-			v[j] = float32(rng.NormFloat64())
-		}
-		_ = s.Add(fmt.Sprintf("v%d", i), v)
-	}
-	if err := s.BuildIVF(100, 5, 1); err != nil {
-		b.Fatal(err)
-	}
-	q := make([]float32, 64)
-	for j := range q {
-		q[j] = float32(rng.NormFloat64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SearchIVF(q, 10, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
