@@ -54,8 +54,8 @@ func main() {
 	ckptUpdates := flag.Int("checkpoint-updates", 0, "checkpoint after this many updates (0 = 256 default, <0 disables)")
 	logFormat := flag.String("log-format", "text", "log output format: text | json")
 	logLevel := flag.String("log-level", "info", "log level: debug | info | warn | error")
-	slowQuery := flag.Duration("slow-query", 0, "pin and WARN-log queries at or above this wall time, and flight-record them (0 disables)")
-	slowQueryAlloc := flag.Int64("slow-query-alloc", 0, "flight-record queries allocating at least this many heap bytes (0 disables)")
+	slowQuery := flag.Duration("slow-query", 0, "latency budget: a query at or above this wall time (writer-lock wait included) gets a slow verdict — pinned, listed by /traces?slow=1, WARN-logged and flight-recorded (0 disables)")
+	slowQueryAlloc := flag.Int64("slow-query-alloc", 0, "allocation budget: a query allocating at least this many heap bytes gets an alloc verdict — pinned, WARN-logged and flight-recorded (0 disables)")
 	tailSampleN := flag.Int("tail-sample-n", 0, "tail-sample 1-in-N queries per fingerprint (0 = default 64, <0 disables)")
 	insightsTopK := flag.Int("insights-top-k", 0, "workload fingerprints tracked with full statistics (0 = default 64)")
 	traceExport := flag.String("trace-export", "", "export tail-retained traces as OTLP-JSON: http(s) collector URL, or a file to append JSON lines")

@@ -6,7 +6,7 @@
 // oracle) — and nothing else: no planner, no operators, no ranks, no
 // arenas, no dictionary IDs, its own expression walk and value order.
 // Everything is a nested loop over the decoded triple list. The dialect
-// it implements is written down in DESIGN.md §11 and §14.
+// it implements is written down in DESIGN.md §9 and §11.
 package ref
 
 import (
@@ -189,7 +189,7 @@ func (w *World) known(t dict.Term) bool {
 }
 
 // values is an inline data block: UNDEF is unbound, and a row naming a
-// term the graph does not contain is dropped (dialect, DESIGN.md §14).
+// term the graph does not contain is dropped (dialect, DESIGN.md §11).
 func (w *World) values(vp sparql.ValuesPattern) rel {
 	out := rel{vars: vp.Vars}
 	for _, src := range vp.Rows {

@@ -18,7 +18,7 @@ import (
 // ledger only ever reports real allocations — reused slab capacity is
 // free, which is exactly what keeps the two-ledger invariant
 // 0 < op-accounted <= physical delta true on warm queries (see
-// internal/obs/resources.go and DESIGN.md §11).
+// internal/obs/resources.go and DESIGN.md §9).
 type Arena struct {
 	slabs  [][]dict.ID // every slab owned by the arena, reused across Reset
 	active int         // slab currently being bumped

@@ -15,7 +15,7 @@ import (
 // The estimates here are deliberately conservative (they skip map
 // internals, string bodies, and transient per-row garbage), preserving
 // the invariant 0 < sum(op footprints) <= physical delta documented in
-// internal/obs/resources.go and DESIGN.md §10.
+// internal/obs/resources.go and DESIGN.md §6.
 
 // valueSize is the in-memory size of one expr.Value cell.
 const valueSize = int64(unsafe.Sizeof(expr.Value{}))

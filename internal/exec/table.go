@@ -169,7 +169,7 @@ rows:
 }
 
 // orderClass ranks the kinds of the ORDER BY total order (DESIGN.md
-// §11): unbound first, then numbers, then text, then booleans.
+// §9): unbound first, then numbers, then text, then booleans.
 func orderClass(v expr.Value) int {
 	switch v.Kind {
 	case expr.KindFloat:

@@ -16,7 +16,7 @@ import (
 // Rows containing a term absent from the dictionary are dropped — an
 // unknown term can never match a graph binding, and keeping it would
 // force materialized strings into the ID-typed columnar stream. This
-// is a documented subset restriction (DESIGN.md §14).
+// is a documented subset restriction (DESIGN.md §11).
 func ResolveValues(vp sparql.ValuesPattern, d *dict.Dict) [][]dict.ID {
 	rows := make([][]dict.ID, 0, len(vp.Rows))
 	for _, src := range vp.Rows {

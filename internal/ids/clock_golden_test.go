@@ -14,7 +14,7 @@ import (
 
 // updateGolden rewrites testdata/clock_golden.json from the current
 // tree. The committed file was captured at the all-gather parent of the
-// root-gather refactor (DESIGN.md §11), so a green run proves the
+// root-gather refactor (DESIGN.md §9), so a green run proves the
 // simulated clock and the communication ledger did not notice it.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/clock_golden.json")
 

@@ -18,7 +18,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	e := newEngine(t, 4)
 	// A queue deep enough that the query workers never overflow it;
 	// shedding behavior is tested separately below.
-	s := NewServerWith(e, AdmissionConfig{MaxInFlight: 4, MaxQueue: 64, QueueTimeout: 30 * time.Second})
+	s := NewServerConfig(e, ServerConfig{Admission: AdmissionConfig{MaxInFlight: 4, MaxQueue: 64, QueueTimeout: 30 * time.Second}})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
@@ -90,7 +90,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 // 429 and a Retry-After hint the client surfaces as OverloadedError.
 func TestAdmissionQueueFullReturns429(t *testing.T) {
 	e := newEngine(t, 2)
-	s := NewServerWith(e, AdmissionConfig{MaxInFlight: 1, MaxQueue: -1})
+	s := NewServerConfig(e, ServerConfig{Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: -1}})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
@@ -122,7 +122,7 @@ func TestAdmissionQueueFullReturns429(t *testing.T) {
 // that waits in the queue longer than QueueTimeout is shed.
 func TestAdmissionQueueTimeoutReturns429(t *testing.T) {
 	e := newEngine(t, 2)
-	s := NewServerWith(e, AdmissionConfig{MaxInFlight: 1, MaxQueue: 4, QueueTimeout: 20 * time.Millisecond})
+	s := NewServerConfig(e, ServerConfig{Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: 4, QueueTimeout: 20 * time.Millisecond}})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)
@@ -149,7 +149,7 @@ func TestAdmissionQueueTimeoutReturns429(t *testing.T) {
 // the backoff sleep, and the retry succeeds.
 func TestQueryRetrySucceedsAfterBackoff(t *testing.T) {
 	e := newEngine(t, 2)
-	s := NewServerWith(e, AdmissionConfig{MaxInFlight: 1, MaxQueue: -1})
+	s := NewServerConfig(e, ServerConfig{Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: -1}})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL)

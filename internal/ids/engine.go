@@ -214,9 +214,9 @@ type Result struct {
 	// for this query).
 	Trace *obs.QueryTrace
 	// Tail is the tail-sampling verdict the workload observatory made
-	// for this query (nil on untracked paths): whether the full trace
-	// is worth retaining, and why.
-	Tail *insights.Decision
+	// for this query: whether the full trace is worth retaining, and
+	// why.
+	Tail insights.Decision
 }
 
 // Decode renders a row value as a display string using the engine's
@@ -334,9 +334,10 @@ func (e *Engine) Query(qs string) (*Result, error) {
 // obs.WithQID) becomes the trace ID and stamps every log record the
 // query emits, tying the log stream, /trace, and the response together.
 func (e *Engine) QueryCtx(ctx context.Context, qs string) (*Result, error) {
+	start := time.Now()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.queryLocked(ctx, qs, e.tracing.Load())
+	return e.queryLocked(ctx, qs, e.tracing.Load(), start)
 }
 
 // QueryTraced is Query with span tracing forced on for this one call;
@@ -347,14 +348,17 @@ func (e *Engine) QueryTraced(qs string) (*Result, error) {
 
 // QueryTracedCtx is QueryCtx with span tracing forced on.
 func (e *Engine) QueryTracedCtx(ctx context.Context, qs string) (*Result, error) {
+	start := time.Now()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.queryLocked(ctx, qs, true)
+	return e.queryLocked(ctx, qs, true, start)
 }
 
 // queryLocked runs one query; the caller holds the engine read lock.
-func (e *Engine) queryLocked(ctx context.Context, qs string, traced bool) (*Result, error) {
-	start := time.Now()
+// start is taken before the lock, so time spent waiting behind a
+// writer counts toward the query's wall time and its tail verdict.
+func (e *Engine) queryLocked(ctx context.Context, qs string, traced bool, start time.Time) (*Result, error) {
+	parseStart := time.Now()
 	q, err := sparql.Parse(qs)
 	if err != nil {
 		e.met.queryErrors.Inc()
@@ -366,7 +370,7 @@ func (e *Engine) queryLocked(ctx context.Context, qs string, traced bool) (*Resu
 		e.Logger().ErrorContext(ctx, "query parse failed", "err", err)
 		return nil, err
 	}
-	return e.execute(ctx, q, traced, qs, start, time.Since(start).Seconds())
+	return e.execute(ctx, q, traced, qs, start, time.Since(parseStart).Seconds())
 }
 
 // Execute runs a parsed query.
@@ -508,10 +512,9 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 // observeWorkload records one finished query with the workload
 // observatory, stamping the context's qid, and returns the tail
 // decision.
-func (e *Engine) observeWorkload(ctx context.Context, ob insights.Observation) *insights.Decision {
+func (e *Engine) observeWorkload(ctx context.Context, ob insights.Observation) insights.Decision {
 	ob.QID = obs.QID(ctx)
-	d := e.workload.Load().Observe(ob)
-	return &d
+	return e.workload.Load().Observe(ob)
 }
 
 // RunPlan executes the plan steps on one rank and returns the final

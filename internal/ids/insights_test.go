@@ -135,8 +135,10 @@ func TestTailSamplingRetention(t *testing.T) {
 	if respF.TailRetained || respF.TailReason != "" {
 		t.Fatalf("fast query retained: %+v", respF)
 	}
-	if n := len(fast.ring.Slow()); n != 0 {
-		t.Fatalf("fast server retained %d traces, want 0", n)
+	for _, e := range fast.ring.Index() {
+		if e.Retained {
+			t.Fatalf("fast server retained %+v, want nothing", e)
+		}
 	}
 	if tr := fast.ring.Get(respF.QID); tr == nil {
 		t.Fatal("dropped query no longer in the recent ring")
@@ -166,14 +168,48 @@ func TestTailSamplingRetention(t *testing.T) {
 		t.Fatal("parse error accepted")
 	}
 	found := false
-	for _, e := range slow.ring.Slow() {
+	for _, e := range slow.ring.Index() {
 		if e.TailReason == "error" {
-			found = true
+			found = e.Retained && !e.Slow
 		}
 	}
 	if !found {
-		t.Fatalf("no error-retained trace in %+v", slow.ring.Slow())
+		t.Fatalf("no error-retained trace in %+v", slow.ring.Index())
 	}
+
+	// /traces?slow=1 lists only slow verdicts: with a threshold no
+	// query reaches, the first sighting's "sample" pin is retained but
+	// not listed.
+	sampled := NewServerConfig(newEngine(t, 4), ServerConfig{SlowQuerySeconds: 30})
+	cd, done3 := clientFor(t, sampled)
+	defer done3()
+	respD, err := cd.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if respD.TailReason != "sample" {
+		t.Fatalf("first sighting reason = %q, want sample", respD.TailReason)
+	}
+	if listed := getTraces(t, cd.Base+"/traces?slow=1"); len(listed) != 0 {
+		t.Fatalf("/traces?slow=1 lists non-slow traces: %+v", listed)
+	}
+}
+
+// getTraces fetches a /traces listing.
+func getTraces(t *testing.T, url string) []obs.TraceIndexEntry {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Traces []obs.TraceIndexEntry `json:"traces"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Traces
 }
 
 // TestInsightsEndpoint drives a mixed workload and checks /insights:
@@ -255,9 +291,8 @@ func TestInsightsEndpoint(t *testing.T) {
 func TestInsightsFlightRecordLink(t *testing.T) {
 	e := newEngine(t, 4)
 	s := NewServerConfig(e, ServerConfig{
-		SlowQuerySeconds:          1e-9, // every query breaches
-		FlightRecorderMinInterval: -1,   // no rate limit in tests
-		TailSampleN:               -1,
+		SlowQuerySeconds: 1e-9, // every query breaches
+		TailSampleN:      -1,
 	})
 	c, done := clientFor(t, s)
 	defer done()
@@ -266,7 +301,7 @@ func TestInsightsFlightRecordLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := s.flightrec.Index()
+	recs := s.ring.FlightIndex()
 	if len(recs) != 1 || recs[0].QID != resp.QID {
 		t.Fatalf("flight records = %+v, want one for %s", recs, resp.QID)
 	}

@@ -7,7 +7,7 @@ import (
 	"ids/internal/obs"
 )
 
-// Serving layer of the workload observatory (DESIGN.md §13): the
+// Serving layer of the workload observatory (DESIGN.md §6): the
 // /insights endpoint, the bounded fingerprint metric export, and the
 // OTLP trace export hook. The aggregation itself lives in the engine
 // (internal/obs/insights) so embedded callers get it without HTTP.
@@ -35,10 +35,10 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 	if top, err := strconv.Atoi(r.URL.Query().Get("top")); err == nil && top > 0 && top < len(snap.Fingerprints) {
 		snap.Fingerprints = snap.Fingerprints[:top]
 	}
-	// Join breach captures onto their shapes: the flight recorder is
-	// tiny (ring of ~8), so a scan per row set is fine.
+	// Join breach captures onto their shapes: the profiled list is
+	// tiny (8 records), so a scan per row set is fine.
 	byFP := map[string][]string{}
-	for _, rec := range s.flightrec.Index() {
+	for _, rec := range s.ring.FlightIndex() {
 		if rec.Fingerprint != "" {
 			byFP[rec.Fingerprint] = append(byFP[rec.Fingerprint], rec.QID)
 		}
@@ -49,19 +49,22 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
+// fingerprintSeries bounds how many fingerprints /metrics exports as
+// labelled series (label-cardinality guard).
+const fingerprintSeries = 10
+
 // registerFingerprintMetrics exports the observatory's top shapes as
 // labelled Prometheus series, refreshed at scrape time. The row count
-// is bounded by PromTopK (label-cardinality guard): a shape that
-// leaves the top-k stops updating but its last-seen series remains,
-// which Prometheus handles as a stale counter.
+// is bounded by fingerprintSeries: a shape that leaves the top-k stops
+// updating but its last-seen series remains, which Prometheus handles
+// as a stale counter.
 func (s *Server) registerFingerprintMetrics(reg *obs.Registry) {
 	reg.Describe("ids_fingerprint_queries_total", "Queries observed per workload fingerprint (top-k only).")
 	reg.Describe("ids_fingerprint_errors_total", "Errors observed per workload fingerprint (top-k only).")
 	reg.Describe("ids_fingerprint_alloc_bytes_total", "Bytes attributed per workload fingerprint (top-k only).")
 	reg.Describe("ids_fingerprint_latency_p99_seconds", "Rolling p99 latency per workload fingerprint (top-k only).")
 	reg.AddCollector(func(r *obs.Registry) {
-		o := s.Engine.Insights()
-		for _, row := range o.TopK(o.Config().PromTopK) {
+		for _, row := range s.Engine.Insights().TopK(fingerprintSeries) {
 			r.Counter("ids_fingerprint_queries_total", "fp", row.Fingerprint).Set(float64(row.Count))
 			r.Counter("ids_fingerprint_errors_total", "fp", row.Fingerprint).Set(float64(row.Errors))
 			r.Counter("ids_fingerprint_alloc_bytes_total", "fp", row.Fingerprint).Set(float64(row.AllocTotal))

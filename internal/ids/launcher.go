@@ -42,16 +42,11 @@ type LaunchConfig struct {
 	// Logger receives the instance's structured log stream (engine,
 	// WAL, checkpointer, HTTP layer). Nil discards.
 	Logger *slog.Logger
-	// SlowQuerySeconds pins traces at or above this wall time in the
-	// slow-query log, logs them at WARN, and triggers a flight-recorder
-	// capture (0 disables).
-	SlowQuerySeconds float64
-	// SlowQueryAllocBytes triggers a flight-recorder capture when a
-	// query's physical allocation delta reaches this many bytes (0
-	// disables the allocation budget).
+	// SlowQuerySeconds / SlowQueryAllocBytes are the latency and
+	// allocation budgets of the tail verdict (0 disables each); see
+	// ServerConfig for what a breach triggers.
+	SlowQuerySeconds    float64
 	SlowQueryAllocBytes int64
-	// TraceRingSize bounds the retained trace ring (default 64).
-	TraceRingSize int
 	// TailSampleN retains every N-th query of each fingerprint in the
 	// tail-sampling pipeline (0 → default; negative disables sampling).
 	TailSampleN int
@@ -305,7 +300,6 @@ func (Launcher) Launch(cfg LaunchConfig) (*Instance, error) {
 		Admission:           cfg.Admission,
 		SlowQuerySeconds:    cfg.SlowQuerySeconds,
 		SlowQueryAllocBytes: cfg.SlowQueryAllocBytes,
-		TraceRingSize:       cfg.TraceRingSize,
 		TailSampleN:         cfg.TailSampleN,
 		InsightsTopK:        cfg.InsightsTopK,
 		TraceExporter:       exp,

@@ -289,13 +289,14 @@ func TestHTTPExplainAndTrace(t *testing.T) {
 func TestTraceRingBounded(t *testing.T) {
 	s, ts := testServer(t)
 	c := NewClient(ts.URL)
-	for i := 0; i < traceRingSize+5; i++ {
+	const recent = 64 // the trace store's recent-list bound
+	for i := 0; i < recent+5; i++ {
 		if _, err := c.QueryExplain(`SELECT ?s WHERE { ?s <http://x/name> ?n . }`); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := s.ring.Len(); n != traceRingSize {
-		t.Fatalf("trace ring holds %d, want %d", n, traceRingSize)
+	if n := s.ring.Len(); n != recent {
+		t.Fatalf("trace ring holds %d, want %d", n, recent)
 	}
 }
 

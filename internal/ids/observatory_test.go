@@ -212,11 +212,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 // artifacts — through the public endpoint.
 func TestFlightRecorderEndToEnd(t *testing.T) {
 	e := newEngine(t, 4)
-	// Threshold 0-adjacent so every query breaches; rate limit disabled.
-	s := NewServerConfig(e, ServerConfig{
-		SlowQuerySeconds:          1e-9,
-		FlightRecorderMinInterval: -1,
-	})
+	// Threshold 0-adjacent so every query breaches.
+	s := NewServerConfig(e, ServerConfig{SlowQuerySeconds: 1e-9})
 	c, done := clientFor(t, s)
 	defer done()
 
@@ -289,8 +286,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 func TestFlightRecorderAllocBudget(t *testing.T) {
 	e := newEngine(t, 4)
 	s := NewServerConfig(e, ServerConfig{
-		SlowQueryAllocBytes:       1, // every query allocates more than this
-		FlightRecorderMinInterval: -1,
+		SlowQueryAllocBytes: 1, // every query allocates more than this
 	})
 	c, done := clientFor(t, s)
 	defer done()
@@ -315,7 +311,7 @@ func TestFlightRecorderAllocBudget(t *testing.T) {
 // when no budget is configured.
 func TestFlightRecorderQuietWhenNoBudget(t *testing.T) {
 	e := newEngine(t, 4)
-	s := NewServerConfig(e, ServerConfig{FlightRecorderMinInterval: -1})
+	s := NewServerConfig(e, ServerConfig{})
 	c, done := clientFor(t, s)
 	defer done()
 

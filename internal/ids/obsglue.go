@@ -30,7 +30,7 @@ type engineMetrics struct {
 	updates      *obs.Counter
 
 	queryDuration  *obs.Histogram // wall-clock latency histogram
-	queryVTSeconds *obs.Summary   // simulated makespan
+	queryVTSeconds *obs.Histogram // simulated makespan
 
 	collectives *obs.Counter
 	commBytes   *obs.Counter
@@ -57,6 +57,11 @@ type engineMetrics struct {
 // enough for point lookups and multi-gigabyte analytical queries.
 var DefAllocBuckets = obs.ExpBuckets(4096, 4, 12)
 
+// vtBuckets spans 1µs .. ~18min of simulated makespan quadrupling per
+// bucket: from the sub-millisecond scan microbenchmarks to the paper's
+// docking-heavy NCNPR workflow (tens of seconds at 64-256 nodes).
+var vtBuckets = obs.ExpBuckets(1e-6, 4, 16)
+
 func newEngineMetrics() *engineMetrics {
 	reg := obs.NewRegistry()
 	reg.Describe("ids_queries_total", "Queries executed by this engine.")
@@ -66,7 +71,7 @@ func newEngineMetrics() *engineMetrics {
 	reg.Describe("ids_graph_triples", "Triples in the loaded graph, read at scrape time.")
 	reg.Describe("ids_graph_terms", "Terms in the graph's dictionary, read at scrape time.")
 	reg.Describe("ids_query_duration_seconds", "Wall-clock query latency histogram.")
-	reg.Describe("ids_query_vt_seconds", "Simulated (virtual-clock) query makespan.")
+	reg.Describe("ids_query_vt_seconds", "Simulated (virtual-clock) query makespan histogram.")
 	reg.Describe("mpp_collectives_total", "Collective synchronizations across all queries.")
 	reg.Describe("mpp_comm_bytes_total", "Payload bytes exchanged by collectives.")
 	reg.Describe("mpp_comm_seconds_total", "Alpha-beta modeled communication seconds (max over ranks, summed over queries).")
@@ -113,7 +118,7 @@ func newEngineMetrics() *engineMetrics {
 		rowsReturned:     reg.Counter("ids_rows_returned_total"),
 		updates:          reg.Counter("ids_updates_total"),
 		queryDuration:    reg.Histogram("ids_query_duration_seconds", nil),
-		queryVTSeconds:   reg.Summary("ids_query_vt_seconds"),
+		queryVTSeconds:   reg.Histogram("ids_query_vt_seconds", vtBuckets),
 		collectives:      reg.Counter("mpp_collectives_total"),
 		commBytes:        reg.Counter("mpp_comm_bytes_total"),
 		commSeconds:      reg.Counter("mpp_comm_seconds_total"),

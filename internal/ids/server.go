@@ -20,10 +20,6 @@ import (
 	"ids/internal/wal"
 )
 
-// traceRingSize is the default bound on how many recent query traces
-// the server retains for GET /trace and GET /traces.
-const traceRingSize = 64
-
 // retryAfterSeconds is the backoff hint sent with 429 responses.
 const retryAfterSeconds = 1
 
@@ -182,9 +178,10 @@ type Server struct {
 	adm *admission
 	log *slog.Logger
 
-	// ring retains recent query traces (every query is traced) plus
-	// pinned slow queries, addressable via GET /trace and GET /traces.
-	ring *obs.TraceRing
+	// ring is the trace store: recent traces (every query is traced),
+	// the ones the tail verdict pinned, and the profiled budget
+	// breaches — GET /trace, /traces and /debug/flightrec.
+	ring *obs.TraceStore
 
 	// health, when set, backs GET /readyz; nil means "always ready"
 	// (embedded servers without a launcher lifecycle).
@@ -193,12 +190,7 @@ type Server struct {
 	// ckpt, when set, serves POST /checkpoint (durable instances only).
 	ckpt func() (CheckpointInfo, error)
 
-	slowTotal *obs.Counter
-
-	// flightrec captures profile snapshots + the offending trace when a
-	// query breaches the latency or allocation budget (GET /debug/flightrec).
-	flightrec      *obs.FlightRecorder
-	slowAllocBytes int64
+	slowTotal      *obs.Counter
 	flightrecCaps  *obs.Counter
 	flightrecSuppr *obs.Counter
 
@@ -213,23 +205,16 @@ type Server struct {
 type ServerConfig struct {
 	// Admission bounds concurrent query execution.
 	Admission AdmissionConfig
-	// SlowQuerySeconds pins traces at or above this wall time in the
-	// slow-query log, logs them at WARN, and triggers a flight-recorder
-	// capture (0 disables).
+	// SlowQuerySeconds is the latency budget of the tail verdict (0
+	// disables): a query whose wall time, writer-lock wait included,
+	// reaches it gets a verdict that includes "slow" — its trace is
+	// pinned and listed by /traces?slow=1, logged at WARN, counted in
+	// ids_slow_queries_total, and flight-recorded.
 	SlowQuerySeconds float64
-	// SlowQueryAllocBytes triggers a flight-recorder capture when a
-	// query's physical allocation delta reaches this many bytes
-	// (0 disables the allocation budget).
+	// SlowQueryAllocBytes is the allocation budget of the tail verdict
+	// (0 disables): a query whose physical allocation delta reaches it
+	// gets "alloc" in its verdict — pinned, logged and flight-recorded.
 	SlowQueryAllocBytes int64
-	// FlightRecorderSize bounds the retained flight-record ring
-	// (default obs.DefaultFlightRecSize).
-	FlightRecorderSize int
-	// FlightRecorderMinInterval rate-limits captures (zero selects
-	// obs.DefaultFlightRecInterval; negative disables the limit, for
-	// tests).
-	FlightRecorderMinInterval time.Duration
-	// TraceRingSize bounds the retained trace ring (default 64).
-	TraceRingSize int
 	// TailSampleN retains every N-th query of each fingerprint in the
 	// tail pipeline regardless of cost (0 selects the insights default;
 	// negative disables 1-in-N sampling, leaving slow/error/alloc as
@@ -299,16 +284,8 @@ func NewServer(e *Engine) *Server {
 	return NewServerConfig(e, ServerConfig{})
 }
 
-// NewServerWith wraps an engine with explicit admission limits.
-func NewServerWith(e *Engine, cfg AdmissionConfig) *Server {
-	return NewServerConfig(e, ServerConfig{Admission: cfg})
-}
-
 // NewServerConfig wraps an engine with full HTTP-layer configuration.
 func NewServerConfig(e *Engine, cfg ServerConfig) *Server {
-	if cfg.TraceRingSize <= 0 {
-		cfg.TraceRingSize = traceRingSize
-	}
 	lg := cfg.Logger
 	if lg == nil {
 		lg = e.Logger()
@@ -319,16 +296,8 @@ func NewServerConfig(e *Engine, cfg ServerConfig) *Server {
 	// calls SetBuildInfo with the real fsync policy before this runs,
 	// and the first call wins.
 	e.SetBuildInfo("in-memory")
-	frInterval := cfg.FlightRecorderMinInterval
-	switch {
-	case frInterval == 0:
-		frInterval = obs.DefaultFlightRecInterval
-	case frInterval < 0:
-		frInterval = 0 // disabled (tests)
-	}
-	// Align the workload observatory's tail thresholds with the
-	// server's slow-query budgets, so "slow" means the same thing on
-	// the WARN line, the flight recorder, and the tail sampler.
+	// The workload observatory owns the budgets: its verdict is the
+	// only place "slow" and "alloc" are decided (see Server.sink).
 	e.ConfigureInsights(insights.Config{
 		TopK:        cfg.InsightsTopK,
 		SampleN:     cfg.TailSampleN,
@@ -341,10 +310,8 @@ func NewServerConfig(e *Engine, cfg ServerConfig) *Server {
 		Engine:         e,
 		adm:            newAdmission(cfg.Admission, reg),
 		log:            obs.OrNop(lg),
-		ring:           obs.NewTraceRing(cfg.TraceRingSize, cfg.SlowQuerySeconds),
+		ring:           obs.NewTraceStore(),
 		slowTotal:      reg.Counter("ids_slow_queries_total"),
-		flightrec:      obs.NewFlightRecorder(cfg.FlightRecorderSize, frInterval),
-		slowAllocBytes: cfg.SlowQueryAllocBytes,
 		flightrecCaps:  reg.Counter("ids_flightrec_captures_total"),
 		flightrecSuppr: reg.Counter("ids_flightrec_suppressed_total"),
 		exporter:       cfg.TraceExporter,
@@ -469,39 +436,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Fingerprint:      plan.FormatFingerprint(plan.FingerprintString(req.Query)),
 			TraceParent:      tc.String(),
 		}
-		s.ring.PutRetained(stub, true, "error")
-		s.retained.Inc()
-		s.exportTrace(stub)
+		s.sink(ctx, stub, insights.Decision{Retain: true, Reasons: []string{"error"}})
 		s.log.ErrorContext(ctx, "query failed", "wall_seconds", wall, "err", err)
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var retain bool
-	var reason string
-	if res.Tail != nil {
-		retain, reason = res.Tail.Retain, res.Tail.Reason()
-	}
 	if res.Trace != nil {
-		res.Trace.WallSeconds = wall
 		res.Trace.QueueWaitSeconds = queueWait.Seconds()
-		s.ring.PutRetained(res.Trace, retain, reason)
-		if retain {
-			s.retained.Inc()
-			s.exportTrace(res.Trace)
-		} else {
-			s.dropped.Inc()
-		}
-		// "slow" keeps its pre-tail-sampling contract: the WARN line,
-		// ids_slow_queries_total, and the flight recorder fire exactly
-		// when the tail decision includes the slow reason.
-		slow := strings.Contains(","+reason+",", ",slow,")
-		if slow {
-			s.slowTotal.Inc()
-			s.log.WarnContext(ctx, "slow query",
-				"wall_seconds", wall, "threshold_seconds", s.ring.Threshold(),
-				"rows", len(res.Rows), "query", req.Query)
-		}
-		s.maybeFlightCapture(qid, slow, wall, res.Trace)
+		s.sink(ctx, res.Trace, res.Tail)
 	}
 	s.log.InfoContext(ctx, "query done",
 		"wall_seconds", wall, "rows", len(res.Rows), "makespan_seconds", res.Report.Makespan)
@@ -514,8 +456,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Plan:         res.Plan.Explain(),
 		WallTime:     wall,
 		Fingerprint:  plan.FormatFingerprint(res.Plan.Fingerprint),
-		TailRetained: retain,
-		TailReason:   reason,
+		TailRetained: res.Tail.Retain,
+		TailReason:   res.Tail.Reason(),
 	}
 	if res.Trace != nil {
 		resp.TraceID = res.Trace.ID
@@ -530,45 +472,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// maybeFlightCapture fires the flight recorder when a query breached
-// its latency budget (slow, decided by the trace ring's threshold) or
-// its allocation budget (SlowQueryAllocBytes against the trace's
-// physical allocation delta).
-func (s *Server) maybeFlightCapture(qid string, slow bool, wall float64, tr *obs.QueryTrace) {
+// sink acts on one finished query's tail verdict; it is the only
+// consumer of the verdict. Every trace goes into the store (pinned
+// when retained); a retained trace is counted and exported; a verdict
+// that includes "slow" is logged at WARN and counted; one that
+// includes "slow" or "alloc" is flight-recorded.
+func (s *Server) sink(ctx context.Context, tr *obs.QueryTrace, d insights.Decision) {
+	slow, alloc := d.Has("slow"), d.Has("alloc")
+	s.ring.Put(tr, d.Reason(), slow)
+	if d.Retain {
+		s.retained.Inc()
+		s.exportTrace(tr)
+	} else {
+		s.dropped.Inc()
+	}
+	if slow {
+		s.slowTotal.Inc()
+		s.log.WarnContext(ctx, "slow query",
+			"wall_seconds", tr.WallSeconds,
+			"threshold_seconds", s.Engine.Insights().Config().SlowSeconds,
+			"rows", tr.Rows, "query", tr.Query)
+	}
+	if !slow && !alloc {
+		return
+	}
 	var allocBytes int64
 	if tr.Resources != nil {
 		allocBytes = tr.Resources.AllocBytes
 	}
-	allocBreach := s.slowAllocBytes > 0 && allocBytes >= s.slowAllocBytes
-	if !slow && !allocBreach {
-		return
-	}
-	reason := ""
+	capture := "latency"
 	switch {
-	case slow && allocBreach:
-		reason = "latency+alloc"
-	case slow:
-		reason = "latency"
-	default:
-		reason = "alloc"
+	case slow && alloc:
+		capture = "latency+alloc"
+	case alloc:
+		capture = "alloc"
 	}
-	captured := s.flightrec.Capture(qid, reason, wall, allocBytes, tr)
 	// Increment from this breach's own outcome rather than Set-ing a
-	// Stats() snapshot: two concurrent breaches could Set out of order,
-	// making the _total transiently decrease — which Prometheus reads
-	// as a counter reset and inflates rate()/increase().
-	if captured {
+	// FlightStats() snapshot: two concurrent breaches could Set out of
+	// order, making the _total transiently decrease — which Prometheus
+	// reads as a counter reset and inflates rate()/increase().
+	if s.ring.Capture(capture, tr) {
 		s.flightrecCaps.Inc()
+		s.log.WarnContext(ctx, "flight recorder capture", "reason", capture,
+			"wall_seconds", tr.WallSeconds, "alloc_bytes", allocBytes)
 	} else {
 		s.flightrecSuppr.Inc()
 	}
-	if captured {
-		s.log.Warn("flight recorder capture", "qid", qid, "reason", reason,
-			"wall_seconds", wall, "alloc_bytes", allocBytes)
-	}
-	if allocBreach {
-		s.log.Warn("query exceeded alloc budget", "qid", qid,
-			"alloc_bytes", allocBytes, "budget_bytes", s.slowAllocBytes)
+	if alloc {
+		s.log.WarnContext(ctx, "query exceeded alloc budget",
+			"alloc_bytes", allocBytes, "budget_bytes", s.Engine.Insights().Config().AllocBudget)
 	}
 }
 
@@ -580,15 +532,15 @@ func (s *Server) maybeFlightCapture(qid string, slow bool, wall float64, tr *obs
 func (s *Server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		caps, suppr := s.flightrec.Stats()
+		caps, suppr := s.ring.FlightStats()
 		writeJSON(w, http.StatusOK, map[string]any{
 			"captures":   caps,
 			"suppressed": suppr,
-			"records":    s.flightrec.Index(),
+			"records":    s.ring.FlightIndex(),
 		})
 		return
 	}
-	rec := s.flightrec.Get(id)
+	rec := s.ring.FlightRecord(id)
 	if rec == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("ids: no flight record %q", id))
 		return
@@ -651,8 +603,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraces serves the retained trace index (GET /traces): one row
-// per retained trace with qid, start, wall time, status, and the slow
-// flag; ?slow=1 restricts to the pinned slow-query log.
+// per stored trace with qid, start, wall time, status, and the slow
+// flag; ?slow=1 restricts to the pinned traces whose verdict includes
+// "slow".
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	var idx []obs.TraceIndexEntry
 	if r.URL.Query().Get("slow") != "" {
@@ -661,7 +614,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		idx = s.ring.Index()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"threshold_seconds": s.ring.Threshold(),
+		"threshold_seconds": s.Engine.Insights().Config().SlowSeconds,
 		"traces":            idx,
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ids/internal/mpp"
 	"ids/internal/obs"
@@ -190,6 +191,47 @@ func TestSlowQueryCapture(t *testing.T) {
 	}
 }
 
+// TestSlowVerdictCountsWriterWait holds the engine's writer lock for
+// 80 ms under a 50 ms budget: the query's wall time includes the wait,
+// so every consumer of the verdict — /traces, the response, the slow
+// counter and the flight recorder — agrees the query was slow.
+func TestSlowVerdictCountsWriterWait(t *testing.T) {
+	e := newEngine(t, 4)
+	s := NewServerConfig(e, ServerConfig{SlowQuerySeconds: 0.05, TailSampleN: -1})
+	c, done := clientFor(t, s)
+	defer done()
+
+	e.mu.Lock()
+	go func() {
+		time.Sleep(80 * time.Millisecond)
+		e.mu.Unlock()
+	}()
+	resp, err := c.Query(`SELECT ?s WHERE { ?s <http://x/name> ?n . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.TailRetained || resp.TailReason != "slow" {
+		t.Fatalf("response verdict = (%v, %q), want (true, slow)", resp.TailRetained, resp.TailReason)
+	}
+	listed := getTraces(t, c.Base+"/traces")
+	if len(listed) != 1 || listed[0].ID != resp.QID {
+		t.Fatalf("/traces = %+v, want just %s", listed, resp.QID)
+	}
+	if ent := listed[0]; !ent.Slow || !ent.Retained || ent.TailReason != "slow" {
+		t.Fatalf("/traces entry disagrees with the verdict: %+v", ent)
+	}
+	if v := e.Metrics().Counter("ids_slow_queries_total").Value(); v != 1 {
+		t.Fatalf("ids_slow_queries_total = %v, want 1", v)
+	}
+	list, err := c.FlightRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Records) != 1 || list.Records[0].QID != resp.QID || list.Records[0].Reason != "latency" {
+		t.Fatalf("flight records = %+v, want one latency record for %s", list.Records, resp.QID)
+	}
+}
+
 // TestVectorMetricsExported runs a SIMILAR query through the HTTP
 // surface and asserts the vector-search telemetry shows up on
 // /metrics: a populated ids_vector_search_seconds histogram and a
@@ -218,18 +260,18 @@ func TestVectorMetricsExported(t *testing.T) {
 	}
 }
 
-// TestTraceEvictedQID404 overflows the ring and checks the evicted
-// qid answers 404 while a recent one still resolves.
+// TestTraceEvictedQID404 overflows the store's 64 recent traces and
+// checks the evicted qid answers 404 while a recent one still resolves.
 func TestTraceEvictedQID404(t *testing.T) {
 	e := newEngine(t, 4)
 	// Tail sampling off: it would pin the first trace of the shape,
 	// which is exactly the eviction this test wants to observe.
-	s := NewServerConfig(e, ServerConfig{TraceRingSize: 4, TailSampleN: -1})
+	s := NewServerConfig(e, ServerConfig{TailSampleN: -1})
 	c, done := clientFor(t, s)
 	defer done()
 
 	var qids []string
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 66; i++ {
 		resp, err := c.Query(`SELECT ?s WHERE { ?s <http://x/name> ?n . }`)
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +283,7 @@ func TestTraceEvictedQID404(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "404") {
 		t.Fatalf("evicted qid error = %v", err)
 	}
-	if _, err := c.Trace(qids[5]); err != nil {
-		t.Fatalf("recent qid %s unresolvable: %v", qids[5], err)
+	if _, err := c.Trace(qids[2]); err != nil {
+		t.Fatalf("recent qid %s unresolvable: %v", qids[2], err)
 	}
 }

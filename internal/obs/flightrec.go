@@ -3,26 +3,20 @@ package obs
 import (
 	"bytes"
 	"runtime/pprof"
-	"sync"
 	"time"
 )
 
-// FlightRecorder captures post-hoc debuggable evidence when a query
-// breaches its latency or allocation budget: the offending trace plus
-// heap and goroutine profile snapshots, retained in a bounded ring.
-// A slow-query WARN line tells you *that* something was slow;
-// the flight record tells you *what the process looked like* at that
-// moment — without anyone having been attached to pprof at the time.
-//
-// Captures are rate-limited (MinInterval) so a storm of slow queries
-// costs at most one profile snapshot per interval, and the ring bound
-// caps retained memory. All methods are safe for concurrent use.
+// A flight record is post-hoc debuggable evidence of a query that
+// breached its latency or allocation budget: the offending trace plus
+// heap and goroutine profile snapshots, kept in the TraceStore's
+// profiled list. A slow-query WARN line tells you *that* something was
+// slow; the flight record tells you *what the process looked like* at
+// that moment — without anyone having been attached to pprof at the
+// time. Captures are rate-limited (captureInterval) so a storm of slow
+// queries costs at most one profile snapshot per interval.
 
-// DefaultFlightRecSize bounds the retained flight-record ring.
-const DefaultFlightRecSize = 8
-
-// DefaultFlightRecInterval is the minimum spacing between captures.
-const DefaultFlightRecInterval = time.Second
+// captureInterval is the minimum spacing between captures.
+const captureInterval = time.Second
 
 // FlightRecord is one captured budget breach.
 type FlightRecord struct {
@@ -33,9 +27,8 @@ type FlightRecord struct {
 	// /insights can surface "this hot fingerprint has flight records".
 	Fingerprint string    `json:"fingerprint,omitempty"`
 	Captured    time.Time `json:"captured"`
-	// WallSeconds/AllocBytes are the measurements that tripped the
-	// budget (alloc_bytes 0 when only latency tripped and no resource
-	// block was captured).
+	// WallSeconds/AllocBytes are the trace's measurements (alloc_bytes
+	// 0 when the trace carries no resource block).
 	WallSeconds float64 `json:"wall_seconds"`
 	AllocBytes  int64   `json:"alloc_bytes"`
 	// Trace is the offending query's span trace.
@@ -51,76 +44,40 @@ type FlightRecord struct {
 
 // FlightIndexEntry is one row of the flight-recorder listing.
 type FlightIndexEntry struct {
-	QID             string    `json:"qid"`
-	Reason          string    `json:"reason"`
-	Fingerprint     string    `json:"fingerprint,omitempty"`
-	Captured        time.Time `json:"captured"`
-	WallSeconds     float64   `json:"wall_seconds"`
-	AllocBytes      int64     `json:"alloc_bytes"`
-	HeapBytes       int       `json:"heap_profile_bytes"`
-	GoroutineBytes  int       `json:"goroutine_profile_bytes"`
-	RateLimitedSkip int64     `json:"-"`
+	QID            string    `json:"qid"`
+	Reason         string    `json:"reason"`
+	Fingerprint    string    `json:"fingerprint,omitempty"`
+	Captured       time.Time `json:"captured"`
+	WallSeconds    float64   `json:"wall_seconds"`
+	AllocBytes     int64     `json:"alloc_bytes"`
+	HeapBytes      int       `json:"heap_profile_bytes"`
+	GoroutineBytes int       `json:"goroutine_profile_bytes"`
 }
 
-// FlightRecorder retains the last Size captures, at most one per
-// MinInterval.
-type FlightRecorder struct {
-	mu      sync.Mutex
-	ring    []*FlightRecord
-	next    int
-	wrapped bool
-
-	minInterval time.Duration
-	last        time.Time
-
-	captures   int64
-	suppressed int64
-
-	// now is the clock (swapped in tests).
-	now func() time.Time
-}
-
-// NewFlightRecorder builds a recorder retaining size records spaced at
-// least minInterval apart (size <= 0 and minInterval < 0 select the
-// defaults; minInterval == 0 disables rate limiting, for tests).
-func NewFlightRecorder(size int, minInterval time.Duration) *FlightRecorder {
-	if size <= 0 {
-		size = DefaultFlightRecSize
-	}
-	if minInterval < 0 {
-		minInterval = DefaultFlightRecInterval
-	}
-	return &FlightRecorder{
-		ring:        make([]*FlightRecord, size),
-		minInterval: minInterval,
-		now:         time.Now,
-	}
-}
-
-// Capture records one budget breach: it snapshots the heap and
-// goroutine profiles and pins them with the trace. Returns false when
+// Capture records one budget breach of tr: it snapshots the heap and
+// goroutine profiles and keeps them with the trace. Returns false when
 // the capture was suppressed by the rate limit (the breach still
-// counts in Stats).
-func (f *FlightRecorder) Capture(qid, reason string, wall float64, allocBytes int64, tr *QueryTrace) bool {
-	f.mu.Lock()
-	now := f.now()
-	if !f.last.IsZero() && f.minInterval > 0 && now.Sub(f.last) < f.minInterval {
-		f.suppressed++
-		f.mu.Unlock()
+// counts in FlightStats).
+func (s *TraceStore) Capture(reason string, tr *QueryTrace) bool {
+	s.mu.Lock()
+	now := s.now()
+	if !s.lastCapture.IsZero() && now.Sub(s.lastCapture) < captureInterval {
+		s.suppressed++
+		s.mu.Unlock()
 		return false
 	}
-	f.last = now
-	f.captures++
-	f.mu.Unlock()
+	s.lastCapture = now
+	s.captures++
+	s.mu.Unlock()
 
 	// Profile collection happens outside the lock: WriteTo stops the
 	// world briefly and can take milliseconds on big heaps.
 	rec := &FlightRecord{
-		QID: qid, Reason: reason, Captured: now,
-		WallSeconds: wall, AllocBytes: allocBytes, Trace: tr,
+		QID: tr.ID, Reason: reason, Fingerprint: tr.Fingerprint, Captured: now,
+		WallSeconds: tr.WallSeconds, Trace: tr,
 	}
-	if tr != nil {
-		rec.Fingerprint = tr.Fingerprint
+	if tr.Resources != nil {
+		rec.AllocBytes = tr.Resources.AllocBytes
 	}
 	var heap, gor bytes.Buffer
 	if p := pprof.Lookup("heap"); p != nil {
@@ -132,37 +89,32 @@ func (f *FlightRecorder) Capture(qid, reason string, wall float64, allocBytes in
 	rec.HeapProfile = heap.Bytes()
 	rec.GoroutineProfile = gor.Bytes()
 
-	f.mu.Lock()
-	f.ring[f.next] = rec
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.wrapped = true
-	}
-	f.mu.Unlock()
+	s.mu.Lock()
+	s.profiled.push(rec)
+	s.mu.Unlock()
 	return true
 }
 
-// Get returns the retained record for qid (newest wins on duplicate
-// captures), or nil.
-func (f *FlightRecorder) Get(qid string) *FlightRecord {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i := 0; i < f.countLocked(); i++ {
-		if rec := f.atLocked(i); rec.QID == qid {
+// FlightRecord returns the flight record for qid (newest wins on
+// duplicate captures), or nil.
+func (s *TraceStore) FlightRecord(qid string) *FlightRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < s.profiled.n; i++ {
+		if rec := s.profiled.at(i); rec.QID == qid {
 			return rec
 		}
 	}
 	return nil
 }
 
-// Index lists retained records newest-first with artifact sizes.
-func (f *FlightRecorder) Index() []FlightIndexEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]FlightIndexEntry, 0, f.countLocked())
-	for i := 0; i < f.countLocked(); i++ {
-		rec := f.atLocked(i)
+// FlightIndex lists flight records newest-first with artifact sizes.
+func (s *TraceStore) FlightIndex() []FlightIndexEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]FlightIndexEntry, 0, s.profiled.n)
+	for i := 0; i < s.profiled.n; i++ {
+		rec := s.profiled.at(i)
 		out = append(out, FlightIndexEntry{
 			QID: rec.QID, Reason: rec.Reason, Fingerprint: rec.Fingerprint, Captured: rec.Captured,
 			WallSeconds: rec.WallSeconds, AllocBytes: rec.AllocBytes,
@@ -173,25 +125,9 @@ func (f *FlightRecorder) Index() []FlightIndexEntry {
 	return out
 }
 
-// Stats returns (captures, rate-limit-suppressed) totals.
-func (f *FlightRecorder) Stats() (captures, suppressed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.captures, f.suppressed
-}
-
-func (f *FlightRecorder) countLocked() int {
-	if f.wrapped {
-		return len(f.ring)
-	}
-	return f.next
-}
-
-// atLocked returns the i-th newest record (0 = most recent).
-func (f *FlightRecorder) atLocked(i int) *FlightRecord {
-	idx := f.next - 1 - i
-	if idx < 0 {
-		idx += len(f.ring)
-	}
-	return f.ring[idx]
+// FlightStats returns the (captures, rate-limit-suppressed) totals.
+func (s *TraceStore) FlightStats() (captures, suppressed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.captures, s.suppressed
 }

@@ -7,28 +7,30 @@ import (
 	"time"
 )
 
-// testClock swaps the recorder's clock so rate-limit behavior is
-// deterministic.
-func testClock(f *FlightRecorder, start time.Time) *time.Time {
-	t := start
-	f.now = func() time.Time { return t }
-	return &t
+// steppingClock swaps the store's capture clock for one that advances
+// by step on every reading, so rate-limit behavior is deterministic.
+func steppingClock(s *TraceStore, step time.Duration) {
+	t := time.Unix(1000, 0)
+	s.now = func() time.Time {
+		t = t.Add(step)
+		return t
+	}
 }
 
 func TestFlightRecorderCaptureAndGet(t *testing.T) {
-	f := NewFlightRecorder(4, 0)
-	tr := &QueryTrace{ID: "q000001"}
-	if !f.Capture("q000001", "latency", 2.5, 1<<20, tr) {
-		t.Fatal("capture suppressed with rate limiting disabled")
+	s := NewTraceStore()
+	tr := &QueryTrace{ID: "q000001", WallSeconds: 2.5, Resources: &ResourceUsage{AllocBytes: 1 << 20}}
+	if !s.Capture("latency", tr) {
+		t.Fatal("first capture suppressed")
 	}
-	rec := f.Get("q000001")
+	rec := s.FlightRecord("q000001")
 	if rec == nil {
 		t.Fatal("captured record not retrievable")
 	}
 	if rec.Reason != "latency" || rec.WallSeconds != 2.5 || rec.AllocBytes != 1<<20 {
 		t.Fatalf("record fields wrong: %+v", rec)
 	}
-	if rec.Trace == nil || rec.Trace.ID != "q000001" {
+	if rec.Trace != tr {
 		t.Fatalf("trace not pinned: %+v", rec.Trace)
 	}
 	// The snapshots must be real profiles, not empty buffers.
@@ -38,25 +40,28 @@ func TestFlightRecorderCaptureAndGet(t *testing.T) {
 	if len(rec.GoroutineProfile) == 0 || !bytes.Contains(rec.GoroutineProfile, []byte("goroutine")) {
 		t.Errorf("goroutine profile missing or not text (%d bytes)", len(rec.GoroutineProfile))
 	}
-	if f.Get("q999999") != nil {
-		t.Error("Get on unknown qid should be nil")
+	if s.FlightRecord("q999999") != nil {
+		t.Error("FlightRecord on unknown qid should be nil")
 	}
 }
 
 func TestFlightRecorderRingEviction(t *testing.T) {
-	f := NewFlightRecorder(3, 0)
+	s := newTraceStore(4, 4, 3)
+	steppingClock(s, captureInterval)
 	for _, qid := range []string{"q1", "q2", "q3", "q4", "q5"} {
-		f.Capture(qid, "latency", 1, 0, nil)
+		if !s.Capture("latency", &QueryTrace{ID: qid}) {
+			t.Fatalf("capture of %s suppressed one interval after the last", qid)
+		}
 	}
-	idx := f.Index()
+	idx := s.FlightIndex()
 	if len(idx) != 3 {
-		t.Fatalf("ring should retain 3, got %d", len(idx))
+		t.Fatalf("profiled list should hold 3, got %d", len(idx))
 	}
 	// Newest first; the two oldest evicted.
 	if idx[0].QID != "q5" || idx[1].QID != "q4" || idx[2].QID != "q3" {
 		t.Fatalf("index order wrong: %+v", idx)
 	}
-	if f.Get("q1") != nil || f.Get("q2") != nil {
+	if s.FlightRecord("q1") != nil || s.FlightRecord("q2") != nil {
 		t.Error("evicted records still retrievable")
 	}
 	if idx[0].HeapBytes == 0 || idx[0].GoroutineBytes == 0 {
@@ -65,46 +70,51 @@ func TestFlightRecorderRingEviction(t *testing.T) {
 }
 
 func TestFlightRecorderRateLimit(t *testing.T) {
-	f := NewFlightRecorder(8, time.Second)
-	clock := testClock(f, time.Unix(1000, 0))
+	s := NewTraceStore()
+	clock := time.Unix(1000, 0)
+	s.now = func() time.Time { return clock }
 
-	if !f.Capture("q1", "latency", 1, 0, nil) {
+	if !s.Capture("latency", &QueryTrace{ID: "q1"}) {
 		t.Fatal("first capture should pass")
 	}
-	*clock = clock.Add(200 * time.Millisecond)
-	if f.Capture("q2", "latency", 1, 0, nil) {
+	clock = clock.Add(200 * time.Millisecond)
+	if s.Capture("latency", &QueryTrace{ID: "q2"}) {
 		t.Fatal("capture inside min interval should be suppressed")
 	}
-	*clock = clock.Add(900 * time.Millisecond) // 1.1s after q1
-	if !f.Capture("q3", "latency", 1, 0, nil) {
+	clock = clock.Add(900 * time.Millisecond) // 1.1s after q1
+	if !s.Capture("latency", &QueryTrace{ID: "q3"}) {
 		t.Fatal("capture after min interval should pass")
 	}
-	caps, suppr := f.Stats()
+	caps, suppr := s.FlightStats()
 	if caps != 2 || suppr != 1 {
 		t.Fatalf("stats = (%d, %d), want (2, 1)", caps, suppr)
 	}
-	if f.Get("q2") != nil {
+	if s.FlightRecord("q2") != nil {
 		t.Error("suppressed breach must not leave a record")
 	}
 }
 
 func TestFlightRecorderNewestWinsOnDuplicateQID(t *testing.T) {
-	f := NewFlightRecorder(4, 0)
-	f.Capture("q1", "latency", 1, 0, nil)
-	f.Capture("q1", "latency+alloc", 9, 512, nil)
-	rec := f.Get("q1")
+	s := NewTraceStore()
+	steppingClock(s, captureInterval)
+	s.Capture("latency", &QueryTrace{ID: "q1", WallSeconds: 1})
+	s.Capture("latency+alloc", &QueryTrace{ID: "q1", WallSeconds: 9})
+	rec := s.FlightRecord("q1")
 	if rec == nil || rec.Reason != "latency+alloc" || rec.WallSeconds != 9 {
-		t.Fatalf("Get should return newest capture, got %+v", rec)
+		t.Fatalf("FlightRecord should return newest capture, got %+v", rec)
 	}
 }
 
 func TestFlightRecorderDefaults(t *testing.T) {
-	f := NewFlightRecorder(0, -1)
-	if len(f.ring) != DefaultFlightRecSize {
-		t.Errorf("default size = %d, want %d", len(f.ring), DefaultFlightRecSize)
+	s := NewTraceStore()
+	if n := len(s.recent.buf); n != recentTraces {
+		t.Errorf("recent bound = %d, want %d", n, recentTraces)
 	}
-	if f.minInterval != DefaultFlightRecInterval {
-		t.Errorf("default interval = %s, want %s", f.minInterval, DefaultFlightRecInterval)
+	if n := len(s.pinned.buf); n != pinnedTraces {
+		t.Errorf("pinned bound = %d, want %d", n, pinnedTraces)
+	}
+	if n := len(s.profiled.buf); n != flightRecords {
+		t.Errorf("profiled bound = %d, want %d", n, flightRecords)
 	}
 }
 

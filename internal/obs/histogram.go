@@ -9,9 +9,9 @@ import (
 // Observe is a binary search plus two atomic adds, safe for concurrent
 // use from rank goroutines, and the exposition layer renders the
 // Prometheus _bucket/_sum/_count series plus exact
-// quantile-from-bucket estimates. Unlike the bounded Summary it never
-// aliases under load — every observation lands in a bucket counter, so
-// a scrape after a burst still sees the burst.
+// quantile-from-bucket estimates. It never aliases under load — every
+// observation lands in a bucket counter, so a scrape after a burst
+// still sees the burst.
 type Histogram struct {
 	// bounds are the inclusive upper bounds of each bucket, ascending.
 	// An implicit +Inf bucket follows the last bound.
@@ -103,9 +103,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the running sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // BucketExemplar returns the pinned exemplar of bucket i (0-based over
 // bounds, len(bounds) = the +Inf bucket), or nil when the bucket never

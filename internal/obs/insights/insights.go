@@ -1,4 +1,4 @@
-// Package insights is the workload observatory (DESIGN.md §13): it
+// Package insights is the workload observatory (DESIGN.md §6): it
 // aggregates per-query measurements by query *fingerprint* (shape)
 // into bounded-memory heavy-hitter statistics, and makes the
 // tail-sampling decision — which queries' full traces are worth
@@ -20,9 +20,8 @@ import (
 
 // Defaults for Config zero values.
 const (
-	DefaultTopK     = 64 // tracked fingerprints (sketch capacity)
-	DefaultSampleN  = 64 // 1-in-N per-fingerprint tail sample rate
-	DefaultPromTopK = 10 // fingerprints exported as Prometheus series
+	DefaultTopK    = 64 // tracked fingerprints (sketch capacity)
+	DefaultSampleN = 64 // 1-in-N per-fingerprint tail sample rate
 )
 
 // tailSlots is the fixed size of the per-fingerprint tail-sample
@@ -44,9 +43,6 @@ type Config struct {
 	// each): a query at or above either is retained.
 	SlowSeconds float64
 	AllocBudget int64
-	// PromTopK bounds how many fingerprints the metrics endpoint
-	// exports as labelled series (label cardinality guard).
-	PromTopK int
 }
 
 func (c Config) withDefaults() Config {
@@ -55,9 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleN == 0 {
 		c.SampleN = DefaultSampleN
-	}
-	if c.PromTopK <= 0 {
-		c.PromTopK = DefaultPromTopK
 	}
 	return c
 }
@@ -74,10 +67,22 @@ type Observation struct {
 	Degraded    bool
 }
 
-// Decision is the tail-sampling verdict for one observation.
+// Decision is the tail-sampling verdict for one observation — the only
+// place "slow" and "alloc" are decided. The serving layer pins, flags,
+// counts, logs, exports and profiles from it without re-measuring.
 type Decision struct {
 	Retain  bool
 	Reasons []string // "slow", "error", "alloc", "sample"
+}
+
+// Has reports whether reason is one of the verdict's reasons.
+func (d Decision) Has(reason string) bool {
+	for _, r := range d.Reasons {
+		if r == reason {
+			return true
+		}
+	}
+	return false
 }
 
 // Reason joins the reasons into the stamp stored on retained traces.

@@ -16,7 +16,7 @@ import (
 	"ids/internal/obs"
 )
 
-// OTLP-JSON trace export (DESIGN.md §13): retained tail traces are
+// OTLP-JSON trace export (DESIGN.md §6): retained tail traces are
 // converted to the OpenTelemetry OTLP/JSON wire shape and written to
 // a file (JSON Lines, one ExportTraceServiceRequest per line) or
 // POSTed to an http(s) collector endpoint — so traces outlive the

@@ -1,23 +1,21 @@
 // Package obs is the observability layer of the IDS reproduction: a
-// process-wide metrics registry (atomic counters, gauges, bounded
-// summaries with quantiles) with Prometheus-text and JSON exposition,
+// per-engine metrics registry (atomic counters, gauges, fixed-bucket
+// histograms) with Prometheus-text and JSON exposition,
 // and a per-query span tracer that records the hierarchical execution
 // timeline (parse -> plan -> per-operator -> per-rank) the paper's
 // runtime-measurement-driven optimizer needs to be inspectable.
 //
 // The registry is deliberately dependency-free: instrumented packages
-// hold *Counter/*Gauge/*Summary handles (atomic, safe for concurrent
+// hold *Counter/*Gauge/*Histogram handles (atomic, safe for concurrent
 // use from rank goroutines) and the HTTP layer renders the whole
 // registry on GET /metrics.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,15 +28,12 @@ type MetricType string
 const (
 	TypeCounter   MetricType = "counter"
 	TypeGauge     MetricType = "gauge"
-	TypeSummary   MetricType = "summary"
 	TypeHistogram MetricType = "histogram"
 )
 
-// summaryWindow bounds the retained sample window of a Summary.
-const summaryWindow = 1024
-
-// summaryQuantiles are the quantiles a Summary exposes.
-var summaryQuantiles = []float64{0.5, 0.9, 0.99}
+// histQuantiles are the quantiles the JSON exposition estimates per
+// histogram.
+var histQuantiles = []float64{0.5, 0.9, 0.99}
 
 var nameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
@@ -95,80 +90,11 @@ func (g *Gauge) Add(v float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Summary is a bounded-window order-statistics summary: it keeps the
-// last summaryWindow observations for quantiles plus an exact running
-// count and sum. Safe for concurrent use.
-type Summary struct {
-	mu    sync.Mutex
-	ring  []float64
-	next  int
-	count int64
-	sum   float64
-}
-
-// Observe records one sample. NaN and ±Inf are dropped so quantile and
-// sum reporting stay NaN-free whatever the instrumentation feeds in.
-func (s *Summary) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ring) < summaryWindow {
-		s.ring = append(s.ring, v)
-	} else {
-		s.ring[s.next] = v
-		s.next = (s.next + 1) % summaryWindow
-	}
-	s.count++
-	s.sum += v
-}
-
-// Count returns the total number of observations.
-func (s *Summary) Count() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Sum returns the running sum of all observations.
-func (s *Summary) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum
-}
-
-// Quantile returns the q-th quantile over the retained window (0 when
-// empty).
-func (s *Summary) Quantile(q float64) float64 {
-	s.mu.Lock()
-	vals := append([]float64(nil), s.ring...)
-	s.mu.Unlock()
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	idx := q * float64(len(vals)-1)
-	lo := int(idx)
-	frac := idx - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[lo]
-	}
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
-}
-
 // series is one labeled instance within a family.
 type series struct {
 	labels  []string // alternating key, value
 	counter *Counter
 	gauge   *Gauge
-	summary *Summary
 	hist    *Histogram
 }
 
@@ -184,9 +110,8 @@ type family struct {
 	bounds []float64
 }
 
-// Registry holds metric families and renders them. A process-wide
-// Default instance exists for ad-hoc use; the engine creates its own
-// so parallel engines (tests, experiments) do not cross-pollute.
+// Registry holds metric families and renders them. Each engine creates
+// its own so parallel engines (tests, experiments) do not cross-pollute.
 type Registry struct {
 	mu         sync.Mutex
 	fams       map[string]*family
@@ -198,9 +123,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{fams: map[string]*family{}}
 }
-
-// Default is the process-wide registry.
-var Default = NewRegistry()
 
 // Describe sets the help text of a metric family (creating it lazily
 // is fine; help attaches when the family first materializes too).
@@ -286,8 +208,6 @@ func (r *Registry) get(name string, typ MetricType, bounds []float64, labels []s
 			s.counter = &Counter{}
 		case TypeGauge:
 			s.gauge = &Gauge{}
-		case TypeSummary:
-			s.summary = &Summary{}
 		case TypeHistogram:
 			s.hist = NewHistogram(f.bounds)
 		}
@@ -306,11 +226,6 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 // Gauge returns the gauge for name+labels.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return r.get(name, TypeGauge, nil, labels).gauge
-}
-
-// Summary returns the summary for name+labels.
-func (r *Registry) Summary(name string, labels ...string) *Summary {
-	return r.get(name, TypeSummary, nil, labels).summary
 }
 
 // Histogram returns the histogram for name+labels, creating it on
@@ -377,17 +292,6 @@ func (r *Registry) write(w io.Writer, exemplars bool) {
 				writeSample(w, f.name, key, "", s.counter.Value())
 			case TypeGauge:
 				writeSample(w, f.name, key, "", s.gauge.Value())
-			case TypeSummary:
-				for _, q := range summaryQuantiles {
-					qk := key
-					if qk != "" {
-						qk += ","
-					}
-					qk += fmt.Sprintf("quantile=%q", fmt.Sprintf("%g", q))
-					writeSample(w, f.name, qk, "", s.summary.Quantile(q))
-				}
-				writeSample(w, f.name, key, "_sum", s.summary.Sum())
-				writeSample(w, f.name, key, "_count", float64(s.summary.Count()))
 			case TypeHistogram:
 				cum := s.hist.Cumulative()
 				for i, bound := range f.bounds {
@@ -449,7 +353,7 @@ func formatValue(v float64) string {
 type SeriesJSON struct {
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  float64           `json:"value,omitempty"`
-	// Summary/histogram fields.
+	// Histogram fields.
 	Count     int64              `json:"count,omitempty"`
 	Sum       float64            `json:"sum,omitempty"`
 	Quantiles map[string]float64 `json:"quantiles,omitempty"`
@@ -494,18 +398,11 @@ func (r *Registry) Snapshot() []FamilyJSON {
 				sj.Value = s.counter.Value()
 			case TypeGauge:
 				sj.Value = s.gauge.Value()
-			case TypeSummary:
-				sj.Count = s.summary.Count()
-				sj.Sum = s.summary.Sum()
-				sj.Quantiles = map[string]float64{}
-				for _, q := range summaryQuantiles {
-					sj.Quantiles[fmt.Sprintf("%g", q)] = s.summary.Quantile(q)
-				}
 			case TypeHistogram:
 				sj.Count = int64(s.hist.Count())
 				sj.Sum = s.hist.Sum()
 				sj.Quantiles = map[string]float64{}
-				for _, q := range summaryQuantiles {
+				for _, q := range histQuantiles {
 					sj.Quantiles[fmt.Sprintf("%g", q)] = s.hist.Quantile(q)
 				}
 				cum := s.hist.Cumulative()
@@ -519,11 +416,4 @@ func (r *Registry) Snapshot() []FamilyJSON {
 		out = append(out, fj)
 	}
 	return out
-}
-
-// WriteJSON renders the registry as JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeSummary(t *testing.T) {
+func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "op", "scan")
 	c.Inc()
@@ -33,32 +33,19 @@ func TestCounterGaugeSummary(t *testing.T) {
 		t.Fatalf("gauge = %v, want 2.5", got)
 	}
 
-	s := r.Summary("test_seconds")
+	h := r.Histogram("test_seconds", ExpBuckets(1, 2, 8))
 	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i))
+		h.Observe(float64(i))
 	}
-	if s.Count() != 100 || s.Sum() != 5050 {
-		t.Fatalf("summary count/sum = %d/%v", s.Count(), s.Sum())
+	if h.Count() != 100 || h.Sum() != 5050 {
+		t.Fatalf("histogram count/sum = %d/%v", h.Count(), h.Sum())
 	}
-	if q := s.Quantile(0.5); q < 49 || q > 52 {
-		t.Fatalf("p50 = %v, want ~50.5", q)
+	// p50 = 50 lands in the (32, 64] bucket.
+	if q := h.Quantile(0.5); q <= 32 || q > 64 {
+		t.Fatalf("p50 = %v, want in (32, 64]", q)
 	}
-}
-
-func TestSummaryWindowBound(t *testing.T) {
-	var s Summary
-	for i := 0; i < 10*summaryWindow; i++ {
-		s.Observe(float64(i))
-	}
-	if len(s.ring) != summaryWindow {
-		t.Fatalf("ring grew to %d, want bounded at %d", len(s.ring), summaryWindow)
-	}
-	if s.Count() != int64(10*summaryWindow) {
-		t.Fatalf("count = %d", s.Count())
-	}
-	// Quantiles reflect the most recent window only.
-	if q := s.Quantile(0); q < float64(9*summaryWindow) {
-		t.Fatalf("min quantile %v should be in the last window", q)
+	if r.Histogram("test_seconds", nil) != h {
+		t.Fatal("same name must return the same histogram")
 	}
 }
 
@@ -147,7 +134,7 @@ func parsePrometheus(t *testing.T, text string) []promSample {
 				t.Fatalf("malformed TYPE line: %q", line)
 			}
 			switch parts[3] {
-			case "counter", "gauge", "summary", "histogram", "untyped":
+			case "counter", "gauge", "histogram", "untyped":
 			default:
 				t.Fatalf("invalid metric type in %q", line)
 			}
@@ -166,7 +153,7 @@ func parsePrometheus(t *testing.T, text string) []promSample {
 		if err != nil {
 			t.Fatalf("bad value in %q: %v", line, err)
 		}
-		base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count"), "_bucket")
 		if _, ok := typed[name]; !ok {
 			if _, ok := typed[base]; !ok {
 				t.Fatalf("sample %q has no preceding TYPE line", line)
@@ -188,9 +175,9 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	r.Counter("rt_rows_total", "op", "scan").Add(100)
 	r.Counter("rt_rows_total", "op", "filter").Add(40)
 	r.Gauge("rt_temp", "site", `weird"label\with`+"\nnewline").Set(1.25)
-	s := r.Summary("rt_seconds")
+	h := r.Histogram("rt_seconds", []float64{1, 5})
 	for i := 0; i < 10; i++ {
-		s.Observe(float64(i))
+		h.Observe(float64(i))
 	}
 
 	var sb strings.Builder
@@ -230,19 +217,23 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		t.Fatalf("escaped gauge = %v", sp.value)
 	}
 	if sp := find("rt_seconds_count"); sp.value != 10 {
-		t.Fatalf("summary count = %v", sp.value)
+		t.Fatalf("histogram count = %v", sp.value)
 	}
 	if sp := find("rt_seconds_sum"); sp.value != 45 {
-		t.Fatalf("summary sum = %v", sp.value)
+		t.Fatalf("histogram sum = %v", sp.value)
 	}
-	find("rt_seconds", "quantile", "0.5")
-	find("rt_seconds", "quantile", "0.99")
+	if sp := find("rt_seconds_bucket", "le", "5"); sp.value != 6 {
+		t.Fatalf("le=5 bucket = %v, want 6", sp.value)
+	}
+	if sp := find("rt_seconds_bucket", "le", "+Inf"); sp.value != 10 {
+		t.Fatalf("+Inf bucket = %v, want 10", sp.value)
+	}
 }
 
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("js_total", "op", "scan").Add(3)
-	r.Summary("js_seconds").Observe(0.5)
+	r.Histogram("js_seconds", nil).Observe(0.5)
 	snap := r.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot families = %d, want 2", len(snap))
@@ -254,8 +245,8 @@ func TestSnapshotJSON(t *testing.T) {
 	if f := byName["js_total"]; f.Type != TypeCounter || f.Series[0].Value != 3 || f.Series[0].Labels["op"] != "scan" {
 		t.Fatalf("bad counter family: %+v", f)
 	}
-	if f := byName["js_seconds"]; f.Type != TypeSummary || f.Series[0].Count != 1 {
-		t.Fatalf("bad summary family: %+v", f)
+	if f := byName["js_seconds"]; f.Type != TypeHistogram || f.Series[0].Count != 1 || len(f.Series[0].Buckets) == 0 {
+		t.Fatalf("bad histogram family: %+v", f)
 	}
 }
 

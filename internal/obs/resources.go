@@ -15,7 +15,7 @@ import (
 //	0 < OpAllocBytes <= AllocBytes
 //
 // always holds, and on the bench workload the operator sum lands
-// within the tolerance documented in DESIGN.md §10. Under concurrent
+// within the tolerance documented in DESIGN.md §6. Under concurrent
 // queries the runtime deltas are process-global (they over-attribute:
 // a query's delta includes its neighbours' allocations), which keeps
 // the inequality valid in that direction too.
@@ -79,7 +79,7 @@ type ResourceUsage struct {
 // OpCoverage returns the fraction of the physical allocation delta the
 // operator-local byte accounting explains (0 when no delta was
 // captured). The reconciliation tolerance on this ratio is documented
-// in DESIGN.md §10.
+// in DESIGN.md §6.
 func (r *ResourceUsage) OpCoverage() float64 {
 	if r == nil || r.AllocBytes <= 0 {
 		return 0

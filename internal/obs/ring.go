@@ -5,27 +5,66 @@ import (
 	"time"
 )
 
-// TraceRing retains the last N query traces plus a separate pinned log
-// of tail-retained queries, so a latency spike seen in the histogram
-// can be drilled into after the fact: GET /traces lists the index, GET
-// /trace?id=<qid> returns the full span tree while it is retained.
+// Store bounds: recent traces, pinned (tail-retained) traces, and
+// profiled flight records.
+const (
+	recentTraces  = 64
+	pinnedTraces  = 64
+	flightRecords = 8
+)
+
+// ring is a bounded newest-first list: push overwrites the oldest
+// entry once all len(buf) slots are full. Not synchronized.
+type ring[T any] struct {
+	buf  []T
+	next int // slot the next push writes
+	n    int // entries held
+}
+
+func newRing[T any](size int) ring[T] { return ring[T]{buf: make([]T, size)} }
+
+func (r *ring[T]) push(v T) {
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % len(r.buf)
+	if r.n < len(r.buf) {
+		r.n++
+	}
+}
+
+// at returns the i-th newest entry (0 = most recent), i < r.n.
+func (r *ring[T]) at(i int) T {
+	idx := r.next - 1 - i
+	if idx < 0 {
+		idx += len(r.buf)
+	}
+	return r.buf[idx]
+}
+
+// TraceStore is the one place query traces are kept after a query
+// finishes, so a latency spike seen in a histogram can be drilled into
+// after the fact: GET /traces lists the index, GET /trace?id=<qid>
+// returns the full span tree while it is retained, and GET
+// /debug/flightrec serves the profiled breaches.
 //
-// The ring and the pinned log are independent: a retained trace stays
-// resolvable by ID even after ordinary traffic has lapped the ring.
-type TraceRing struct {
-	mu sync.Mutex
-	// ring is a fixed-size circular buffer; next is the slot the next
-	// PutRetained writes, wrapped indicates at least one full lap.
-	ring    []*QueryTrace
-	next    int
-	wrapped bool
-	// slow pins the traces the caller retained; bounded FIFO of
-	// slowCap entries.
-	slow    []*QueryTrace
-	slowCap int
-	// threshold is the slow-query budget in seconds (0 disables): it
-	// flags index entries slow, the boundary included.
-	threshold float64
+// It holds three bounded newest-first lists under one mutex:
+//   - recent: every trace, lapped by ordinary traffic;
+//   - pinned: the traces the caller's retention verdict kept, so they
+//     stay resolvable by ID after the recent list has moved on;
+//   - profiled: flight records (the trace plus heap and goroutine
+//     profiles) captured by Capture, at most one per second.
+//
+// The store decides nothing: which traces are pinned, which are slow
+// and which get profiled is the caller's verdict (insights.Decision).
+type TraceStore struct {
+	mu       sync.Mutex
+	recent   ring[*QueryTrace]
+	pinned   ring[*QueryTrace]
+	profiled ring[*FlightRecord]
+
+	lastCapture          time.Time
+	captures, suppressed int64
+	// now is the capture clock (swapped in tests).
+	now func() time.Time
 }
 
 // TraceIndexEntry is one row of the GET /traces listing.
@@ -43,139 +82,94 @@ type TraceIndexEntry struct {
 	Query      string `json:"query"`
 }
 
-// NewTraceRing builds a ring retaining size recent traces and up to
-// size pinned traces; index entries at or above slowThreshold seconds
-// are flagged slow (0 disables). size must be >= 1.
-func NewTraceRing(size int, slowThreshold float64) *TraceRing {
-	if size < 1 {
-		size = 1
-	}
-	return &TraceRing{
-		ring:      make([]*QueryTrace, size),
-		slowCap:   size,
-		threshold: slowThreshold,
+// NewTraceStore builds a store with the default bounds.
+func NewTraceStore() *TraceStore {
+	return newTraceStore(recentTraces, pinnedTraces, flightRecords)
+}
+
+func newTraceStore(recent, pinned, profiled int) *TraceStore {
+	return &TraceStore{
+		recent:   newRing[*QueryTrace](recent),
+		pinned:   newRing[*QueryTrace](pinned),
+		profiled: newRing[*FlightRecord](profiled),
+		now:      time.Now,
 	}
 }
 
-// Threshold returns the slow-query threshold in seconds (0 = disabled).
-func (r *TraceRing) Threshold() float64 { return r.threshold }
-
-// PutRetained retains tr, evicting the oldest ring entry when full.
-// The retention decision is made by the caller (slow, error, alloc
-// breach, or per-fingerprint 1-in-N — see insights.Observatory), not
-// by the ring's wall-time threshold. When retain is true the trace is
-// additionally pinned past eviction with reason stamped as its
-// TailReason; the pinned log keeps the newest slowCap traces.
-func (r *TraceRing) PutRetained(tr *QueryTrace, retain bool, reason string) {
+// Put stores tr in the recent list. A non-empty reason is the
+// verdict's retention stamp: the trace is also pinned, with reason as
+// its TailReason; slow marks a verdict that includes "slow".
+func (s *TraceStore) Put(tr *QueryTrace, reason string, slow bool) {
 	if tr == nil {
 		return
 	}
-	if retain {
-		tr.TailReason = reason
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.putRingLocked(tr)
-	if retain {
-		r.pinLocked(tr)
+	tr.TailReason, tr.slow = reason, slow
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.recent.push(tr)
+	if reason != "" {
+		s.pinned.push(tr)
 	}
 }
 
-// putRingLocked writes tr into the circular buffer.
-func (r *TraceRing) putRingLocked(tr *QueryTrace) {
-	r.ring[r.next] = tr
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.wrapped = true
-	}
-}
-
-// pinLocked appends tr to the bounded FIFO of pinned traces.
-func (r *TraceRing) pinLocked(tr *QueryTrace) {
-	r.slow = append(r.slow, tr)
-	if len(r.slow) > r.slowCap {
-		// FIFO: drop the oldest pinned trace.
-		copy(r.slow, r.slow[1:])
-		r.slow[len(r.slow)-1] = nil
-		r.slow = r.slow[:len(r.slow)-1]
-	}
-}
-
-// Get returns the retained trace with the given ID, searching the ring
-// newest-first and then the slow log; nil when evicted or never seen.
-func (r *TraceRing) Get(id string) *QueryTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := 0; i < r.countLocked(); i++ {
-		if tr := r.atLocked(i); tr.ID == id {
-			return tr
-		}
-	}
-	for i := len(r.slow) - 1; i >= 0; i-- {
-		if r.slow[i].ID == id {
-			return r.slow[i]
+// Get returns the stored trace with the given ID, searching the recent
+// list and then the pinned one, newest first; nil when evicted from
+// both or never seen.
+func (s *TraceStore) Get(id string) *QueryTrace {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, l := range []*ring[*QueryTrace]{&s.recent, &s.pinned} {
+		for i := 0; i < l.n; i++ {
+			if tr := l.at(i); tr.ID == id {
+				return tr
+			}
 		}
 	}
 	return nil
 }
 
-// Len returns the number of traces currently retained in the ring.
-func (r *TraceRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.countLocked()
+// Len returns the number of traces in the recent list.
+func (s *TraceStore) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recent.n
 }
 
-// countLocked is the retained ring entry count.
-func (r *TraceRing) countLocked() int {
-	if r.wrapped {
-		return len(r.ring)
+// Index lists stored traces newest-first: the recent list, then the
+// pinned traces it has already lapped.
+func (s *TraceStore) Index() []TraceIndexEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	inRecent := make(map[string]bool, s.recent.n)
+	out := make([]TraceIndexEntry, 0, s.recent.n+s.pinned.n)
+	for i := 0; i < s.recent.n; i++ {
+		tr := s.recent.at(i)
+		inRecent[tr.ID] = true
+		out = append(out, indexEntry(tr))
 	}
-	return r.next
-}
-
-// atLocked returns the i-th newest ring entry (0 = most recent).
-func (r *TraceRing) atLocked(i int) *QueryTrace {
-	idx := r.next - 1 - i
-	if idx < 0 {
-		idx += len(r.ring)
-	}
-	return r.ring[idx]
-}
-
-// Index lists retained traces newest-first: the ring, then any pinned
-// slow traces that have already been evicted from it.
-func (r *TraceRing) Index() []TraceIndexEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	inRing := make(map[string]bool, r.countLocked())
-	out := make([]TraceIndexEntry, 0, r.countLocked()+len(r.slow))
-	for i := 0; i < r.countLocked(); i++ {
-		tr := r.atLocked(i)
-		inRing[tr.ID] = true
-		out = append(out, r.entryLocked(tr))
-	}
-	for i := len(r.slow) - 1; i >= 0; i-- {
-		if !inRing[r.slow[i].ID] {
-			out = append(out, r.entryLocked(r.slow[i]))
+	for i := 0; i < s.pinned.n; i++ {
+		if tr := s.pinned.at(i); !inRecent[tr.ID] {
+			out = append(out, indexEntry(tr))
 		}
 	}
 	return out
 }
 
-// Slow lists the pinned (tail-retained) traces newest-first.
-func (r *TraceRing) Slow() []TraceIndexEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]TraceIndexEntry, 0, len(r.slow))
-	for i := len(r.slow) - 1; i >= 0; i-- {
-		out = append(out, r.entryLocked(r.slow[i]))
+// Slow lists the pinned traces whose verdict includes "slow",
+// newest-first.
+func (s *TraceStore) Slow() []TraceIndexEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]TraceIndexEntry, 0, s.pinned.n)
+	for i := 0; i < s.pinned.n; i++ {
+		if tr := s.pinned.at(i); tr.slow {
+			out = append(out, indexEntry(tr))
+		}
 	}
 	return out
 }
 
-func (r *TraceRing) entryLocked(tr *QueryTrace) TraceIndexEntry {
+func indexEntry(tr *QueryTrace) TraceIndexEntry {
 	status := tr.Status
 	if status == "" {
 		status = "ok"
@@ -189,7 +183,7 @@ func (r *TraceRing) entryLocked(tr *QueryTrace) TraceIndexEntry {
 		Start:       tr.Start,
 		WallSeconds: tr.WallSeconds,
 		Status:      status,
-		Slow:        r.threshold > 0 && tr.WallSeconds >= r.threshold,
+		Slow:        tr.slow,
 		Fingerprint: tr.Fingerprint,
 		Retained:    tr.TailReason != "",
 		TailReason:  tr.TailReason,

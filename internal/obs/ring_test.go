@@ -12,14 +12,14 @@ func mkTrace(id string, wall float64) *QueryTrace {
 }
 
 func TestTraceRingEvictionOrder(t *testing.T) {
-	r := NewTraceRing(3, 0)
+	s := newTraceStore(3, 3, 1)
 	for i := 1; i <= 5; i++ {
-		r.PutRetained(mkTrace(fmt.Sprintf("q%d", i), 0.01), false, "")
+		s.Put(mkTrace(fmt.Sprintf("q%d", i), 0.01), "", false)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d", r.Len())
+	if s.Len() != 3 {
+		t.Fatalf("len = %d", s.Len())
 	}
-	idx := r.Index()
+	idx := s.Index()
 	// Newest first: q5, q4, q3; q1/q2 evicted.
 	want := []string{"q5", "q4", "q3"}
 	for i, w := range want {
@@ -27,46 +27,47 @@ func TestTraceRingEvictionOrder(t *testing.T) {
 			t.Fatalf("index[%d] = %s, want %s", i, idx[i].ID, w)
 		}
 	}
-	if r.Get("q1") != nil || r.Get("q2") != nil {
+	if s.Get("q1") != nil || s.Get("q2") != nil {
 		t.Fatal("evicted traces still resolvable")
 	}
-	if r.Get("q4") == nil {
+	if s.Get("q4") == nil {
 		t.Fatal("retained trace not resolvable")
 	}
 }
 
-// The ring flags an index entry slow from its wall time alone, with the
-// boundary counting as slow; pinning is the caller's verdict.
-func TestTraceRingSlowBoundary(t *testing.T) {
-	r := NewTraceRing(4, 0.5)
-	r.PutRetained(mkTrace("fast", 0.499999), false, "")
-	r.PutRetained(mkTrace("exact", 0.5), false, "")
-	r.PutRetained(mkTrace("over", 0.7), false, "")
-	for _, e := range r.Index() {
-		if want := e.ID != "fast"; e.Slow != want {
+// The store flags an entry slow from the verdict it was given, never
+// from its wall time: a long trace without a slow verdict is not slow,
+// and only slow-verdict pins are listed by Slow.
+func TestTraceStoreSlowFromVerdict(t *testing.T) {
+	s := newTraceStore(4, 4, 1)
+	s.Put(mkTrace("long", 9), "", false)
+	s.Put(mkTrace("sampled", 0.001), "sample", false)
+	s.Put(mkTrace("slow", 0.001), "slow,sample", true)
+	for _, e := range s.Index() {
+		if want := e.ID == "slow"; e.Slow != want {
 			t.Fatalf("%s: slow = %v, want %v", e.ID, e.Slow, want)
 		}
 	}
-	if n := len(r.Slow()); n != 0 {
-		t.Fatalf("%d traces pinned without a retain verdict", n)
+	if sl := s.Slow(); len(sl) != 1 || sl[0].ID != "slow" || !sl[0].Retained {
+		t.Fatalf("Slow() = %+v, want just the slow-verdict pin", sl)
 	}
 }
 
 func TestTraceRingSlowSurvivesEviction(t *testing.T) {
-	r := NewTraceRing(2, 1.0)
-	r.PutRetained(mkTrace("slow1", 2.0), true, "slow")
-	r.PutRetained(mkTrace("a", 0.01), false, "")
-	r.PutRetained(mkTrace("b", 0.01), false, "") // slow1 now lapped out of the ring
-	tr := r.Get("slow1")
+	s := newTraceStore(2, 2, 1)
+	s.Put(mkTrace("slow1", 2.0), "slow", true)
+	s.Put(mkTrace("a", 0.01), "", false)
+	s.Put(mkTrace("b", 0.01), "", false) // slow1 now lapped out of the recent list
+	tr := s.Get("slow1")
 	if tr == nil {
 		t.Fatal("retained trace must stay resolvable after ring eviction")
 	}
 	if tr.TailReason != "slow" {
 		t.Fatalf("tail reason = %q, want slow", tr.TailReason)
 	}
-	// The index still lists it (via the pinned log), exactly once.
+	// The index still lists it (via the pinned list), exactly once.
 	n := 0
-	for _, e := range r.Index() {
+	for _, e := range s.Index() {
 		if e.ID == "slow1" {
 			n++
 			if !e.Retained || !e.Slow {
@@ -79,30 +80,33 @@ func TestTraceRingSlowSurvivesEviction(t *testing.T) {
 	}
 }
 
-// More pins than the pinned log holds drop the oldest pinned trace
-// first: once ordinary traffic has lapped the ring, only the newest
-// slowCap pins still resolve.
+// More pins than the pinned list holds drop the oldest pinned trace
+// first: once ordinary traffic has lapped the recent list, only the
+// newest pins still resolve.
 func TestTraceRingPinnedLogDropsOldestFirst(t *testing.T) {
-	r := NewTraceRing(2, 0)
+	s := newTraceStore(2, 2, 1)
 	for i := 1; i <= 3; i++ {
-		r.PutRetained(mkTrace(fmt.Sprintf("p%d", i), 0.01), true, "sample")
+		s.Put(mkTrace(fmt.Sprintf("p%d", i), 0.01), "slow", true)
 	}
-	r.PutRetained(mkTrace("a", 0.01), false, "")
-	r.PutRetained(mkTrace("b", 0.01), false, "") // every pin lapped out of the ring
-	pinned := r.Slow()
+	s.Put(mkTrace("a", 0.01), "", false)
+	s.Put(mkTrace("b", 0.01), "", false) // every pin lapped out of the recent list
+	pinned := s.Slow()
 	if len(pinned) != 2 || pinned[0].ID != "p3" || pinned[1].ID != "p2" {
-		t.Fatalf("pinned log = %+v, want p3, p2", pinned)
+		t.Fatalf("pinned list = %+v, want p3, p2", pinned)
 	}
-	if r.Get("p1") != nil {
+	if s.Get("p1") != nil {
 		t.Fatal("oldest pin survived overflow")
 	}
-	if r.Get("p2") == nil || r.Get("p3") == nil {
+	if s.Get("p2") == nil || s.Get("p3") == nil {
 		t.Fatal("newer pins evicted")
 	}
 }
 
+// The recent, pinned and profiled lists share one lock: writers,
+// readers and captures race on all three.
 func TestTraceRingConcurrent(t *testing.T) {
-	r := NewTraceRing(16, 0.001)
+	s := newTraceStore(16, 16, 4)
+	steppingClock(s, captureInterval)
 	var wg sync.WaitGroup
 	const writers, per = 8, 200
 	for w := 0; w < writers; w++ {
@@ -112,27 +116,34 @@ func TestTraceRingConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
 				slow := i%10 == 0
-				wall := 0.0001
+				tr := mkTrace(id, 0.0001)
 				if slow {
-					wall = 0.01
+					s.Put(tr, "slow", true)
+				} else {
+					s.Put(tr, "", false)
 				}
-				r.PutRetained(mkTrace(id, wall), slow, "slow")
-				r.Get(id)
+				s.Get(id)
 				if i%50 == 0 {
-					r.Index()
-					r.Slow()
+					s.Capture("latency", tr)
+					s.Index()
+					s.Slow()
+					s.FlightIndex()
+					s.FlightRecord(id)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if r.Len() != 16 {
-		t.Fatalf("len = %d", r.Len())
+	if s.Len() != 16 {
+		t.Fatalf("len = %d", s.Len())
 	}
-	if n := len(r.Slow()); n != 16 {
+	if n := len(s.Slow()); n != 16 {
 		t.Fatalf("pinned = %d, want 16", n)
 	}
-	for _, e := range r.Index() {
+	if caps, _ := s.FlightStats(); caps != writers*per/50 || len(s.FlightIndex()) != 4 {
+		t.Fatalf("captures = %d, profiled = %d", caps, len(s.FlightIndex()))
+	}
+	for _, e := range s.Index() {
 		if e.ID == "" {
 			t.Fatal("empty index entry")
 		}

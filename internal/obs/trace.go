@@ -137,6 +137,8 @@ type QueryTrace struct {
 	// ("slow", "error", "alloc", "sample", comma-joined); empty for
 	// traces that only passed through the recent ring.
 	TailReason string `json:"tail_reason,omitempty"`
+	// slow is set by TraceStore.Put when the verdict includes "slow".
+	slow bool
 	// Status is "ok" or "error"; Error carries the failure message for
 	// error traces so a failed qid is still resolvable after the fact.
 	Status string `json:"status,omitempty"`

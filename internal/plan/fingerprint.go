@@ -10,7 +10,7 @@ import (
 	"ids/internal/sparql"
 )
 
-// Query fingerprinting (DESIGN.md §13): a stable uint64 identifying a
+// Query fingerprinting (DESIGN.md §6): a stable uint64 identifying a
 // query's *shape*, so workload-level statistics can aggregate the
 // thousands of literal-variations an iterative exploration session
 // re-issues into one line. Two queries share a fingerprint exactly when

@@ -269,17 +269,6 @@ func appendMemoKey(dst []byte, name string, args []expr.Value, byID bool) ([]byt
 	return b, true
 }
 
-// Names returns the sorted registered function names.
-func (r *Registry) Names() []string {
-	entries := r.tab.Load().entries
-	out := make([]string, 0, len(entries))
-	for name := range entries {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Has reports whether name is registered.
 func (r *Registry) Has(name string) bool {
 	_, ok := r.tab.Load().entries[name]

@@ -114,16 +114,6 @@ func TestUnloadModule(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	_ = r.Register("zeta", identity)
-	_ = r.Register("alpha", identity)
-	names := r.Names()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
 func TestProfilerRecordAndEstimate(t *testing.T) {
 	p := NewProfiler()
 	p.Record("sw", 0.001, true)
