@@ -2,14 +2,12 @@
 // algorithm used by the NCNPR workflow's cheapest filter UDF. The
 // paper uses the SIMD SSW library (Zhao et al. 2013) at < 1 ms per
 // comparison; this package provides the same algorithm with a scalar
-// affine-gap kernel plus an SSW-style query-profile optimization, and
-// a traceback variant for producing full alignments.
+// affine-gap kernel plus an SSW-style query-profile optimization.
 package align
 
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -26,14 +24,6 @@ type Scorer struct {
 // default gap penalties (open 11, extend 1).
 func NewBLOSUM62() *Scorer {
 	return &Scorer{matrix: &blosum62, gapOpen: 11, gapExtend: 1}
-}
-
-// NewScorer returns a BLOSUM62 scorer with custom gap penalties.
-func NewScorer(gapOpen, gapExtend int) (*Scorer, error) {
-	if gapOpen < 0 || gapExtend < 0 {
-		return nil, fmt.Errorf("align: negative gap penalties (open=%d extend=%d)", gapOpen, gapExtend)
-	}
-	return &Scorer{matrix: &blosum62, gapOpen: gapOpen, gapExtend: gapExtend}, nil
 }
 
 // ErrEmptySequence is returned when either input sequence is empty.
@@ -99,13 +89,6 @@ func (s *Scorer) NewProfile(query string) (*Profile, error) {
 	}
 	return p, nil
 }
-
-// SelfScore returns the score of aligning the profile's query against
-// itself — the normalization denominator for Similarity.
-func (p *Profile) SelfScore() int { return p.selfScore }
-
-// Length returns the query length.
-func (p *Profile) Length() int { return p.length }
 
 // dpScratch is the per-alignment working set, pooled so the bulk-scan
 // UDF path (millions of Align calls per query) does not allocate per
@@ -208,117 +191,6 @@ func (p *Profile) Similarity(target string) (float64, error) {
 		sim = 1
 	}
 	return sim, nil
-}
-
-// Local is a convenience that profiles query and aligns it against
-// target once.
-func (s *Scorer) Local(query, target string) (Result, error) {
-	p, err := s.NewProfile(query)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.Align(target)
-}
-
-// Alignment is a full traceback alignment.
-type Alignment struct {
-	Result
-	// StartQuery/StartTarget are 0-based inclusive starts.
-	StartQuery  int
-	StartTarget int
-	// AlignedQuery/AlignedTarget are the gapped alignment strings.
-	AlignedQuery  string
-	AlignedTarget string
-	Matches       int // exact residue matches
-}
-
-// Identity returns the fraction of alignment columns that are exact
-// matches.
-func (a Alignment) Identity() float64 {
-	if len(a.AlignedQuery) == 0 {
-		return 0
-	}
-	return float64(a.Matches) / float64(len(a.AlignedQuery))
-}
-
-// Traceback runs full-matrix Smith-Waterman with traceback. It uses
-// O(len(query)*len(target)) memory; intended for the short candidate
-// lists that survive filtering, not the bulk scan.
-func (s *Scorer) Traceback(query, target string) (Alignment, error) {
-	q, err := encode(query)
-	if err != nil {
-		return Alignment{}, err
-	}
-	t, err := encode(target)
-	if err != nil {
-		return Alignment{}, err
-	}
-	m, n := len(t), len(q)
-	// dp[i][j] over target i, query j (1-based).
-	dp := make([][]int, m+1)
-	eTab := make([][]int, m+1)
-	fTab := make([][]int, m+1)
-	for i := range dp {
-		dp[i] = make([]int, n+1)
-		eTab[i] = make([]int, n+1)
-		fTab[i] = make([]int, n+1)
-	}
-	best, bi, bj := 0, 0, 0
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= n; j++ {
-			e := max(eTab[i][j-1]-s.gapExtend, dp[i][j-1]-s.gapOpen)
-			f := max(fTab[i-1][j]-s.gapExtend, dp[i-1][j]-s.gapOpen)
-			h := dp[i-1][j-1] + int(s.matrix[t[i-1]][q[j-1]])
-			h = max(h, max(e, f))
-			if h < 0 {
-				h = 0
-			}
-			dp[i][j], eTab[i][j], fTab[i][j] = h, e, f
-			if h > best {
-				best, bi, bj = h, i, j
-			}
-		}
-	}
-	// Traceback from (bi, bj) until a zero cell.
-	var aq, at strings.Builder
-	i, j := bi, bj
-	matches := 0
-	for i > 0 && j > 0 && dp[i][j] > 0 {
-		h := dp[i][j]
-		switch {
-		case h == dp[i-1][j-1]+int(s.matrix[t[i-1]][q[j-1]]):
-			aq.WriteByte(query[j-1])
-			at.WriteByte(target[i-1])
-			if query[j-1] == target[i-1] {
-				matches++
-			}
-			i, j = i-1, j-1
-		case h == eTab[i][j]:
-			aq.WriteByte(query[j-1])
-			at.WriteByte('-')
-			j--
-		default:
-			aq.WriteByte('-')
-			at.WriteByte(target[i-1])
-			i--
-		}
-	}
-	return Alignment{
-		Result:        Result{Score: best, EndQuery: bj - 1, EndTarget: bi - 1},
-		StartQuery:    j,
-		StartTarget:   i,
-		AlignedQuery:  reverse(aq.String()),
-		AlignedTarget: reverse(at.String()),
-		Matches:       matches,
-	}, nil
-}
-
-func reverse(s string) string {
-	b := []byte(s)
-	for i, j := 0, len(b)-1; i < j; i, j = i+1, j-1 {
-		b[i], b[j] = b[j], b[i]
-	}
-	return string(b)
 }
 
 func max(a, b int) int {

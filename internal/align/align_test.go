@@ -35,11 +35,11 @@ func TestBLOSUM62KnownEntries(t *testing.T) {
 
 func TestLowercaseAccepted(t *testing.T) {
 	s := NewBLOSUM62()
-	up, err := s.Local("ACDEFG", "ACDEFG")
+	up, err := local(s, "ACDEFG", "ACDEFG")
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := s.Local("acdefg", "acdefg")
+	low, err := local(s, "acdefg", "acdefg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func TestIdenticalSequencesScoreSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Score != p.SelfScore() {
-		t.Fatalf("self alignment score %d != self score %d", r.Score, p.SelfScore())
+	if r.Score != p.selfScore {
+		t.Fatalf("self alignment score %d != self score %d", r.Score, p.selfScore)
 	}
 	sim, err := p.Similarity(seq)
 	if err != nil {
@@ -73,11 +73,7 @@ func TestIdenticalSequencesScoreSelf(t *testing.T) {
 
 func TestKnownAlignment(t *testing.T) {
 	// Classic textbook pair: local alignment of overlapping words.
-	s, err := NewScorer(11, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Local("HEAGAWGHEE", "PAWHEAE")
+	r, err := local(NewBLOSUM62(), "HEAGAWGHEE", "PAWHEAE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +86,15 @@ func TestKnownAlignment(t *testing.T) {
 	if r.Score != ref {
 		t.Fatalf("score = %d, reference = %d", r.Score, ref)
 	}
+}
+
+// local profiles query and aligns it against target once.
+func local(s *Scorer, query, target string) (Result, error) {
+	p, err := s.NewProfile(query)
+	if err != nil {
+		return Result{}, err
+	}
+	return p.Align(target)
 }
 
 // bruteForceSW is an independent full-matrix affine SW used as a test
@@ -163,77 +168,18 @@ func TestProfileMatchesBruteForce(t *testing.T) {
 
 func TestEmptySequence(t *testing.T) {
 	s := NewBLOSUM62()
-	if _, err := s.Local("", "ACD"); !errors.Is(err, ErrEmptySequence) {
+	if _, err := local(s, "", "ACD"); !errors.Is(err, ErrEmptySequence) {
 		t.Fatalf("err = %v, want ErrEmptySequence", err)
 	}
-	if _, err := s.Local("ACD", ""); !errors.Is(err, ErrEmptySequence) {
+	if _, err := local(s, "ACD", ""); !errors.Is(err, ErrEmptySequence) {
 		t.Fatalf("err = %v, want ErrEmptySequence", err)
 	}
 }
 
 func TestBadResidue(t *testing.T) {
 	s := NewBLOSUM62()
-	if _, err := s.Local("AC1D", "ACD"); !errors.Is(err, ErrBadResidue) {
+	if _, err := local(s, "AC1D", "ACD"); !errors.Is(err, ErrBadResidue) {
 		t.Fatalf("err = %v, want ErrBadResidue", err)
-	}
-}
-
-func TestNegativeGapPenaltiesRejected(t *testing.T) {
-	if _, err := NewScorer(-1, 1); err == nil {
-		t.Fatal("NewScorer accepted negative open penalty")
-	}
-	if _, err := NewScorer(11, -1); err == nil {
-		t.Fatal("NewScorer accepted negative extend penalty")
-	}
-}
-
-func TestTracebackReconstruction(t *testing.T) {
-	s := NewBLOSUM62()
-	a, err := s.Traceback("HEAGAWGHEE", "PAWHEAE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.AlignedQuery) != len(a.AlignedTarget) {
-		t.Fatalf("gapped strings differ in length: %q %q", a.AlignedQuery, a.AlignedTarget)
-	}
-	// The traceback score must match the score-only kernel.
-	r, err := s.Local("HEAGAWGHEE", "PAWHEAE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Score != r.Score {
-		t.Fatalf("traceback score %d != kernel score %d", a.Score, r.Score)
-	}
-	// Recompute the score from the gapped strings.
-	recomputed := 0
-	inGapQ, inGapT := false, false
-	for i := 0; i < len(a.AlignedQuery); i++ {
-		qc, tc := a.AlignedQuery[i], a.AlignedTarget[i]
-		switch {
-		case qc == '-':
-			if inGapQ {
-				recomputed -= 1
-			} else {
-				recomputed -= 11
-			}
-			inGapQ, inGapT = true, false
-		case tc == '-':
-			if inGapT {
-				recomputed -= 1
-			} else {
-				recomputed -= 11
-			}
-			inGapT, inGapQ = true, false
-		default:
-			recomputed += int(blosum62[residueIndex[tc]][residueIndex[qc]])
-			inGapQ, inGapT = false, false
-		}
-	}
-	if recomputed != a.Score {
-		t.Fatalf("recomputed %d != reported %d (%q / %q)", recomputed, a.Score, a.AlignedQuery, a.AlignedTarget)
-	}
-	if a.Identity() <= 0 || a.Identity() > 1 {
-		t.Fatalf("identity = %f", a.Identity())
 	}
 }
 
@@ -272,8 +218,8 @@ func TestSWProperties(t *testing.T) {
 	}
 	f := func(ra, rb []byte) bool {
 		a, b := toSeq(ra), toSeq(rb)
-		r1, err1 := s.Local(a, b)
-		r2, err2 := s.Local(b, a)
+		r1, err1 := local(s, a, b)
+		r2, err2 := local(s, b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -282,9 +228,9 @@ func TestSWProperties(t *testing.T) {
 		}
 		pa, _ := s.NewProfile(a)
 		pb, _ := s.NewProfile(b)
-		bound := pa.SelfScore()
-		if pb.SelfScore() < bound {
-			bound = pb.SelfScore()
+		bound := pa.selfScore
+		if pb.selfScore < bound {
+			bound = pb.selfScore
 		}
 		return r1.Score <= bound
 	}
@@ -305,8 +251,8 @@ func TestSubstringAlignsPerfectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Score != p.SelfScore() {
-		t.Fatalf("substring score %d != self %d", r.Score, p.SelfScore())
+	if r.Score != p.selfScore {
+		t.Fatalf("substring score %d != self %d", r.Score, p.selfScore)
 	}
 	if r.EndTarget != 24 {
 		t.Fatalf("end target = %d, want 24", r.EndTarget)

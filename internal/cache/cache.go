@@ -499,52 +499,6 @@ func (c *Cache) WhereIs(name string) []Location {
 	return out
 }
 
-// Has reports whether name is cached in any tier or present in the
-// stash.
-func (c *Cache) Has(name string) bool {
-	if len(c.WhereIs(name)) > 0 {
-		return true
-	}
-	return c.backing.Has(name)
-}
-
-// Relocate moves the DRAM copy of name to the target node (operator
-// hint / affinity policy).
-func (c *Cache) Relocate(m *fam.Meter, name string, toNode int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mt, ok := c.objects[name]
-	if !ok {
-		return fmt.Errorf("cache: unknown object %s", name)
-	}
-	if toNode < 0 || toNode >= len(c.nodes) {
-		return fmt.Errorf("cache: bad node %d", toNode)
-	}
-	for _, l := range mt.locations {
-		if l.Tier != TierDRAM || c.nodes[l.Node].down || l.Node == toNode {
-			continue
-		}
-		d, err := c.fabric.Lookup(dramRegion, dramItemName(l.Node, name))
-		if err != nil {
-			continue
-		}
-		data, err := c.fabric.Get(m, d, 0, d.Size, false)
-		if err != nil {
-			continue
-		}
-		_ = c.fabric.Deallocate(d)
-		c.nodes[l.Node].dram.Remove(name)
-		mt.dropLoc(l)
-		return c.placeDRAMLocked(m, name, data, toNode)
-	}
-	// No DRAM copy elsewhere: pull from SSD or stash.
-	data, _, err := c.backing.Get(name)
-	if err != nil {
-		return err
-	}
-	return c.placeDRAMLocked(m, name, data, toNode)
-}
-
 // FailNode simulates losing a cache node: its DRAM and SSD contents
 // vanish; backing copies remain, so later Gets repopulate.
 func (c *Cache) FailNode(id int) error {
@@ -586,15 +540,4 @@ func (c *Cache) RecoverNode(id int) error {
 	}
 	c.nodes[id].down = false
 	return c.fabric.RecoverServer(id)
-}
-
-// ObjectHash returns the recorded content hash of name.
-func (c *Cache) ObjectHash(name string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mt, ok := c.objects[name]
-	if !ok {
-		return "", false
-	}
-	return mt.hash, true
 }

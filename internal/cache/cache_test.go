@@ -196,26 +196,6 @@ func TestNodeFailureAndRepopulation(t *testing.T) {
 	}
 }
 
-func TestRelocate(t *testing.T) {
-	c := newCache(t, smallConfig())
-	if err := c.Put(nil, "obj", []byte("move me"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Relocate(nil, "obj", 1); err != nil {
-		t.Fatal(err)
-	}
-	locs := c.WhereIs("obj")
-	if len(locs) != 1 || locs[0] != (Location{Node: 1, Tier: TierDRAM}) {
-		t.Fatalf("locations = %v", locs)
-	}
-	if err := c.Relocate(nil, "ghost", 1); err == nil {
-		t.Fatal("relocating unknown object succeeded")
-	}
-	if err := c.Relocate(nil, "obj", 99); err == nil {
-		t.Fatal("relocating to bad node succeeded")
-	}
-}
-
 func TestPutUpdatesContent(t *testing.T) {
 	c := newCache(t, smallConfig())
 	if err := c.Put(nil, "k", []byte("v1"), 0); err != nil {
@@ -228,8 +208,7 @@ func TestPutUpdatesContent(t *testing.T) {
 	if err != nil || string(got) != "v2-longer" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	h, ok := c.ObjectHash("k")
-	if !ok || h != store.Hash([]byte("v2-longer")) {
+	if h := c.objects["k"].hash; h != store.Hash([]byte("v2-longer")) {
 		t.Fatal("hash not updated")
 	}
 }
@@ -247,19 +226,6 @@ func TestOversizedObjectGoesToStashOnly(t *testing.T) {
 	got, err := c.Get(nil, "big", 0)
 	if err != nil || len(got) != len(big) {
 		t.Fatalf("stash get: %d bytes, %v", len(got), err)
-	}
-}
-
-func TestHas(t *testing.T) {
-	c := newCache(t, smallConfig())
-	if c.Has("x") {
-		t.Fatal("Has on empty cache")
-	}
-	if err := c.Put(nil, "x", []byte("1"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Has("x") {
-		t.Fatal("Has false after Put")
 	}
 }
 

@@ -1,10 +1,6 @@
 package chem
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func mustParse(t *testing.T, s string) *Mol {
 	t.Helper()
@@ -15,6 +11,18 @@ func mustParse(t *testing.T, s string) *Mol {
 	return m
 }
 
+// hydrogens returns the molecule's total hydrogen count.
+func hydrogens(m *Mol) int {
+	n := 0
+	for i := range m.Atoms {
+		n += m.ImplicitH(i)
+	}
+	return n
+}
+
+// rings returns the cycle rank of a connected molecule.
+func rings(m *Mol) int { return len(m.Bonds) - len(m.Atoms) + 1 }
+
 func TestParseMethane(t *testing.T) {
 	m := mustParse(t, "C")
 	if len(m.Atoms) != 1 || len(m.Bonds) != 0 {
@@ -23,9 +31,6 @@ func TestParseMethane(t *testing.T) {
 	if h := m.ImplicitH(0); h != 4 {
 		t.Fatalf("methane implicit H = %d, want 4", h)
 	}
-	if w := m.MolWeight(); math.Abs(w-16.043) > 0.01 {
-		t.Fatalf("methane MW = %f, want ~16.04", w)
-	}
 }
 
 func TestParseEthanol(t *testing.T) {
@@ -33,14 +38,11 @@ func TestParseEthanol(t *testing.T) {
 	if len(m.Atoms) != 3 || len(m.Bonds) != 2 {
 		t.Fatalf("atoms=%d bonds=%d", len(m.Atoms), len(m.Bonds))
 	}
-	if w := m.MolWeight(); math.Abs(w-46.07) > 0.05 {
-		t.Fatalf("ethanol MW = %f, want ~46.07", w)
+	if h := hydrogens(m); h != 6 {
+		t.Fatalf("ethanol H = %d, want 6", h)
 	}
-	if d := m.HBondDonors(); d != 1 {
-		t.Fatalf("ethanol donors = %d, want 1", d)
-	}
-	if a := m.HBondAcceptors(); a != 1 {
-		t.Fatalf("ethanol acceptors = %d, want 1", a)
+	if h := m.ImplicitH(2); h != 1 {
+		t.Fatalf("ethanol O-H = %d, want 1", h)
 	}
 }
 
@@ -49,7 +51,7 @@ func TestParseBenzene(t *testing.T) {
 	if len(m.Atoms) != 6 || len(m.Bonds) != 6 {
 		t.Fatalf("atoms=%d bonds=%d", len(m.Atoms), len(m.Bonds))
 	}
-	if r := m.RingCount(); r != 1 {
+	if r := rings(m); r != 1 {
 		t.Fatalf("benzene rings = %d, want 1", r)
 	}
 	for _, b := range m.Bonds {
@@ -57,8 +59,8 @@ func TestParseBenzene(t *testing.T) {
 			t.Fatal("benzene bond not aromatic")
 		}
 	}
-	if w := m.MolWeight(); math.Abs(w-78.11) > 0.1 {
-		t.Fatalf("benzene MW = %f, want ~78.11", w)
+	if h := hydrogens(m); h != 6 {
+		t.Fatalf("benzene H = %d, want 6", h)
 	}
 }
 
@@ -122,13 +124,13 @@ func TestParseAromaticNWithH(t *testing.T) {
 func TestParseRingClosures(t *testing.T) {
 	// Naphthalene: two fused rings.
 	m := mustParse(t, "c1ccc2ccccc2c1")
-	if m.RingCount() != 2 {
-		t.Fatalf("naphthalene rings = %d, want 2", m.RingCount())
+	if r := rings(m); r != 2 {
+		t.Fatalf("naphthalene rings = %d, want 2", r)
 	}
 	// %nn labels.
 	m = mustParse(t, "C%10CC%10")
-	if m.RingCount() != 1 {
-		t.Fatalf("%%nn ring = %d, want 1", m.RingCount())
+	if r := rings(m); r != 1 {
+		t.Fatalf("%%nn ring = %d, want 1", r)
 	}
 }
 
@@ -157,36 +159,11 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestAspirinDescriptors(t *testing.T) {
-	// Aspirin: CC(=O)Oc1ccccc1C(=O)O — MW 180.16.
-	m := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O")
-	if w := m.MolWeight(); math.Abs(w-180.16) > 0.5 {
-		t.Fatalf("aspirin MW = %f, want ~180.16", w)
-	}
-	if m.HeavyAtoms() != 13 {
-		t.Fatalf("heavy atoms = %d, want 13", m.HeavyAtoms())
-	}
-	if m.RingCount() != 1 {
-		t.Fatalf("rings = %d, want 1", m.RingCount())
-	}
-	if d := m.HBondDonors(); d != 1 {
-		t.Fatalf("donors = %d, want 1", d)
-	}
-	if a := m.HBondAcceptors(); a != 4 {
-		t.Fatalf("acceptors = %d, want 4", a)
-	}
-	if v := m.LipinskiViolations(); v != 0 {
-		t.Fatalf("violations = %d, want 0", v)
-	}
-}
-
 func TestCaffeineParses(t *testing.T) {
+	// C8H10N4O2: 14 heavy atoms in two fused rings.
 	m := mustParse(t, "Cn1cnc2c1c(=O)n(C)c(=O)n2C")
-	if w := m.MolWeight(); math.Abs(w-194.19) > 1.5 {
-		t.Fatalf("caffeine MW = %f, want ~194", w)
-	}
-	if m.RingCount() != 2 {
-		t.Fatalf("caffeine rings = %d, want 2", m.RingCount())
+	if len(m.Atoms) != 14 || rings(m) != 2 || hydrogens(m) != 10 {
+		t.Fatalf("caffeine atoms/rings/H = %d/%d/%d, want 14/2/10", len(m.Atoms), rings(m), hydrogens(m))
 	}
 }
 
@@ -205,118 +182,10 @@ func TestRotatableBonds(t *testing.T) {
 	}
 }
 
-func TestLogPOrdering(t *testing.T) {
-	// Hexane should be more lipophilic than ethanol.
-	hexane := mustParse(t, "CCCCCC").LogP()
-	ethanol := mustParse(t, "CCO").LogP()
-	if hexane <= ethanol {
-		t.Fatalf("logP hexane %f <= ethanol %f", hexane, ethanol)
-	}
-}
-
-func TestPIC50(t *testing.T) {
-	// 1 nM -> pIC50 9; 1 uM -> 6.
-	if p := PIC50FromIC50nM(1); math.Abs(p-9) > 1e-9 {
-		t.Fatalf("pIC50(1nM) = %f, want 9", p)
-	}
-	if p := PIC50FromIC50nM(1000); math.Abs(p-6) > 1e-9 {
-		t.Fatalf("pIC50(1uM) = %f, want 6", p)
-	}
-	if p := PIC50FromIC50nM(0); p != 0 {
-		t.Fatalf("pIC50(0) = %f, want 0", p)
-	}
-	if p := PIC50FromIC50nM(-5); p != 0 {
-		t.Fatalf("pIC50(-5) = %f, want 0", p)
-	}
-}
-
-func TestPIC50RoundTripProperty(t *testing.T) {
-	f := func(raw uint32) bool {
-		nM := float64(raw%1000000) + 0.1
-		p := PIC50FromIC50nM(nM)
-		back := IC50nMFromPIC50(p)
-		return math.Abs(back-nM)/nM < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFingerprintSelfSimilarity(t *testing.T) {
-	m := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O")
-	fp := m.PathFingerprint()
-	if fp.PopCount() == 0 {
-		t.Fatal("empty fingerprint for aspirin")
-	}
-	if sim := Tanimoto(fp, fp); sim != 1 {
-		t.Fatalf("self Tanimoto = %f, want 1", sim)
-	}
-}
-
-func TestFingerprintDiscriminates(t *testing.T) {
-	aspirin := mustParse(t, "CC(=O)Oc1ccccc1C(=O)O").PathFingerprint()
-	salicylic := mustParse(t, "OC(=O)c1ccccc1O").PathFingerprint()
-	hexane := mustParse(t, "CCCCCC").PathFingerprint()
-	near := Tanimoto(aspirin, salicylic)
-	far := Tanimoto(aspirin, hexane)
-	if near <= far {
-		t.Fatalf("Tanimoto ordering wrong: similar %f <= dissimilar %f", near, far)
-	}
-}
-
-func TestTanimotoEmpty(t *testing.T) {
-	var a, b Fingerprint
-	if Tanimoto(&a, &b) != 1 {
-		t.Fatal("empty/empty Tanimoto should be 1")
-	}
-}
-
-func TestTanimotoBoundsProperty(t *testing.T) {
-	f := func(aw, bw [4]uint64) bool {
-		var a, b Fingerprint
-		copy(a[:4], aw[:])
-		copy(b[:4], bw[:])
-		s := Tanimoto(&a, &b)
-		return s >= 0 && s <= 1 && Tanimoto(&a, &b) == Tanimoto(&b, &a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFPVector(t *testing.T) {
-	m := mustParse(t, "CCO")
-	fp := m.PathFingerprint()
-	v := fp.FPVector()
-	if len(v) != FPBits {
-		t.Fatalf("len = %d", len(v))
-	}
-	ones := 0
-	for _, x := range v {
-		if x == 1 {
-			ones++
-		}
-	}
-	if ones != fp.PopCount() {
-		t.Fatalf("vector ones %d != popcount %d", ones, fp.PopCount())
-	}
-}
-
 func BenchmarkParseSMILES(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseSMILES("CC(=O)Oc1ccccc1C(=O)O"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkPathFingerprint(b *testing.B) {
-	m, err := ParseSMILES("Cn1cnc2c1c(=O)n(C)c(=O)n2C")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PathFingerprint()
 	}
 }

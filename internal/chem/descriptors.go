@@ -2,14 +2,6 @@ package chem
 
 import "math"
 
-// Atomic masses for the elements this package encounters (g/mol).
-var atomicMass = map[string]float64{
-	"H": 1.008, "B": 10.811, "C": 12.011, "N": 14.007, "O": 15.999,
-	"F": 18.998, "Na": 22.990, "Mg": 24.305, "Si": 28.086, "P": 30.974,
-	"S": 32.06, "Cl": 35.45, "K": 39.098, "Ca": 40.078, "Fe": 55.845,
-	"Zn": 65.38, "Se": 78.971, "Br": 79.904, "I": 126.904,
-}
-
 // defaultValence gives the organic-subset implicit-hydrogen valence.
 var defaultValence = map[string]int{
 	"B": 3, "C": 4, "N": 3, "O": 2, "P": 3, "S": 2,
@@ -48,82 +40,6 @@ func (m *Mol) ImplicitH(i int) int {
 		h = 0
 	}
 	return h
-}
-
-// MolWeight returns the molecular weight including implicit and
-// explicit hydrogens.
-func (m *Mol) MolWeight() float64 {
-	w := 0.0
-	for i, a := range m.Atoms {
-		mass, ok := atomicMass[a.Element]
-		if !ok {
-			mass = 12.011 // unknown elements approximated as carbon
-		}
-		w += mass
-		w += float64(m.hydrogens(i)) * atomicMass["H"]
-	}
-	return w
-}
-
-// hydrogens returns the total hydrogen count on atom i.
-func (m *Mol) hydrogens(i int) int { return m.ImplicitH(i) }
-
-// HeavyAtoms returns the number of non-hydrogen atoms.
-func (m *Mol) HeavyAtoms() int { return len(m.Atoms) }
-
-// RingCount returns the cycle rank (bonds - atoms + components), the
-// number of independent rings.
-func (m *Mol) RingCount() int {
-	comp := m.components()
-	return len(m.Bonds) - len(m.Atoms) + comp
-}
-
-func (m *Mol) components() int {
-	seen := make([]bool, len(m.Atoms))
-	n := 0
-	var stack []int
-	for start := range m.Atoms {
-		if seen[start] {
-			continue
-		}
-		n++
-		stack = append(stack[:0], start)
-		seen[start] = true
-		for len(stack) > 0 {
-			at := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, bi := range m.adj[at] {
-				nb := m.Other(m.Bonds[bi], at)
-				if !seen[nb] {
-					seen[nb] = true
-					stack = append(stack, nb)
-				}
-			}
-		}
-	}
-	return n
-}
-
-// HBondDonors counts N-H and O-H groups (Lipinski donors).
-func (m *Mol) HBondDonors() int {
-	n := 0
-	for i, a := range m.Atoms {
-		if (a.Element == "N" || a.Element == "O") && m.hydrogens(i) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// HBondAcceptors counts N and O atoms (Lipinski acceptors).
-func (m *Mol) HBondAcceptors() int {
-	n := 0
-	for _, a := range m.Atoms {
-		if a.Element == "N" || a.Element == "O" {
-			n++
-		}
-	}
-	return n
 }
 
 // RotatableBonds counts non-ring single bonds between two heavy atoms
@@ -186,84 +102,4 @@ func (m *Mol) ringBonds() []bool {
 		}
 	}
 	return inRing
-}
-
-// crippenContribution approximates a per-atom Crippen logP fragment
-// value by element and aromaticity.
-func crippenContribution(a Atom) float64 {
-	switch a.Element {
-	case "C":
-		if a.Aromatic {
-			return 0.29
-		}
-		return 0.14
-	case "N":
-		if a.Aromatic {
-			return -0.26
-		}
-		return -0.60
-	case "O":
-		return -0.45
-	case "S":
-		return 0.25
-	case "F":
-		return 0.22
-	case "Cl":
-		return 0.65
-	case "Br":
-		return 0.86
-	case "I":
-		return 1.12
-	case "P":
-		return 0.13
-	default:
-		return 0.0
-	}
-}
-
-// LogP returns a Crippen-style octanol/water partition estimate from
-// per-atom contributions (hydrogens contribute a small positive term).
-func (m *Mol) LogP() float64 {
-	p := 0.0
-	for i, a := range m.Atoms {
-		p += crippenContribution(a)
-		p += 0.12 * float64(m.hydrogens(i))
-		p -= 0.2 * math.Abs(float64(a.Charge))
-	}
-	return p
-}
-
-// LipinskiViolations counts rule-of-five violations (MW > 500,
-// logP > 5, donors > 5, acceptors > 10).
-func (m *Mol) LipinskiViolations() int {
-	v := 0
-	if m.MolWeight() > 500 {
-		v++
-	}
-	if m.LogP() > 5 {
-		v++
-	}
-	if m.HBondDonors() > 5 {
-		v++
-	}
-	if m.HBondAcceptors() > 10 {
-		v++
-	}
-	return v
-}
-
-// PIC50FromIC50nM converts an IC50 in nanomolar to pIC50
-// (-log10 of molar concentration). This is the paper's cheap (1e-5 s)
-// potency filter: the assay value is stored in the graph and the UDF
-// just transforms and thresholds it.
-func PIC50FromIC50nM(nM float64) float64 {
-	if nM <= 0 {
-		return 0
-	}
-	return -math.Log10(nM * 1e-9)
-}
-
-// IC50nMFromPIC50 is the inverse transform.
-func IC50nMFromPIC50(p float64) float64 {
-	return math.Pow(10, -p) * 1e9
 }

@@ -5,7 +5,7 @@ import "testing"
 // FuzzSMILESParse throws arbitrary strings at the SMILES parser. The
 // contract: malformed input errors, it never panics, and an accepted
 // molecule is structurally sound (bond endpoints in range — the
-// invariant the descriptor and fingerprint code rely on).
+// invariant the ring and hydrogen counts rely on).
 func FuzzSMILESParse(f *testing.F) {
 	for _, seed := range []string{
 		``,

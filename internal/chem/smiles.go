@@ -1,9 +1,6 @@
 // Package chem provides the small-molecule substrate of the NCNPR
-// workflow: a SMILES parser producing molecular graphs, descriptor
-// calculations (molecular weight, H-bond donors/acceptors, ring count,
-// rotatable bonds, a Crippen-style logP estimate), hashed path
-// fingerprints with Tanimoto similarity, and the pIC50 potency
-// transform used as the workflow's second filter UDF.
+// workflow: a SMILES parser producing molecular graphs, with the
+// implicit-hydrogen and rotatable-bond counts docking reads.
 package chem
 
 import (

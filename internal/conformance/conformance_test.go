@@ -43,9 +43,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	for _, q := range a {
 		seen[q.Category]++
 	}
-	for _, name := range Categories() {
-		if seen[name] == 0 {
-			t.Errorf("category %q never emitted in %d queries", name, sweepN)
+	for _, c := range categories {
+		if seen[c.name] == 0 {
+			t.Errorf("category %q never emitted in %d queries", c.name, sweepN)
 		}
 	}
 }

@@ -43,15 +43,6 @@ func Generate(seed int64, n int) []Query {
 	return out
 }
 
-// Categories returns the generator category names in emission order.
-func Categories() []string {
-	out := make([]string, len(categories))
-	for i, c := range categories {
-		out[i] = c.name
-	}
-	return out
-}
-
 type category struct {
 	name   string
 	weight int

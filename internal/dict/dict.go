@@ -127,17 +127,6 @@ func (d *Dict) Encode(t Term) ID {
 	return id
 }
 
-// EncodeIRI is shorthand for encoding an IRI term.
-func (d *Dict) EncodeIRI(iri string) ID { return d.Encode(Term{Kind: IRI, Value: iri}) }
-
-// EncodeLiteral is shorthand for encoding a plain string literal.
-func (d *Dict) EncodeLiteral(v string) ID { return d.Encode(Term{Kind: Literal, Value: v}) }
-
-// EncodeTyped encodes a literal with a datatype IRI.
-func (d *Dict) EncodeTyped(v, datatype string) ID {
-	return d.Encode(Term{Kind: Literal, Value: v, Datatype: datatype})
-}
-
 // Lookup returns the ID already assigned to term, or (None, false).
 func (d *Dict) Lookup(t Term) (ID, bool) {
 	key := t.key()

@@ -35,8 +35,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeIsIdempotent(t *testing.T) {
 	d := New()
-	a := d.EncodeIRI("http://x/a")
-	b := d.EncodeIRI("http://x/a")
+	a := d.Encode(Term{Kind: IRI, Value: "http://x/a"})
+	b := d.Encode(Term{Kind: IRI, Value: "http://x/a"})
 	if a != b {
 		t.Fatalf("same IRI got two ids: %d %d", a, b)
 	}
@@ -47,8 +47,8 @@ func TestEncodeIsIdempotent(t *testing.T) {
 
 func TestKindsDoNotCollide(t *testing.T) {
 	d := New()
-	iri := d.EncodeIRI("x")
-	lit := d.EncodeLiteral("x")
+	iri := d.Encode(Term{Kind: IRI, Value: "x"})
+	lit := d.Encode(Term{Kind: Literal, Value: "x"})
 	blank := d.Encode(Term{Kind: Blank, Value: "x"})
 	if iri == lit || iri == blank || lit == blank {
 		t.Fatalf("kind collision: iri=%d lit=%d blank=%d", iri, lit, blank)
@@ -57,8 +57,8 @@ func TestKindsDoNotCollide(t *testing.T) {
 
 func TestTypedLiteralsDistinct(t *testing.T) {
 	d := New()
-	plain := d.EncodeLiteral("1")
-	typed := d.EncodeTyped("1", "http://www.w3.org/2001/XMLSchema#integer")
+	plain := d.Encode(Term{Kind: Literal, Value: "1"})
+	typed := d.Encode(Term{Kind: Literal, Value: "1", Datatype: "http://www.w3.org/2001/XMLSchema#integer"})
 	if plain == typed {
 		t.Fatal("plain and typed literal collided")
 	}
@@ -69,7 +69,7 @@ func TestLookupWithoutEncode(t *testing.T) {
 	if _, ok := d.LookupIRI("http://nope"); ok {
 		t.Fatal("Lookup found a term never encoded")
 	}
-	d.EncodeIRI("http://yes")
+	d.Encode(Term{Kind: IRI, Value: "http://yes"})
 	if id, ok := d.LookupIRI("http://yes"); !ok || id == None {
 		t.Fatal("Lookup missed an encoded term")
 	}
@@ -133,7 +133,7 @@ func TestConcurrentEncode(t *testing.T) {
 			ids[w] = make([]ID, perWorker)
 			for i := 0; i < perWorker; i++ {
 				// Heavy overlap between workers: only 100 distinct terms.
-				ids[w][i] = d.EncodeIRI(fmt.Sprintf("http://x/%d", i%100))
+				ids[w][i] = d.Encode(Term{Kind: IRI, Value: fmt.Sprintf("http://x/%d", i%100)})
 			}
 		}(w)
 	}
@@ -175,16 +175,16 @@ func BenchmarkEncodeNew(b *testing.B) {
 	d := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.EncodeIRI(fmt.Sprintf("http://bench/%d", i))
+		d.Encode(Term{Kind: IRI, Value: fmt.Sprintf("http://bench/%d", i)})
 	}
 }
 
 func BenchmarkEncodeHit(b *testing.B) {
 	d := New()
-	d.EncodeIRI("http://bench/hot")
+	d.Encode(Term{Kind: IRI, Value: "http://bench/hot"})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.EncodeIRI("http://bench/hot")
+		d.Encode(Term{Kind: IRI, Value: "http://bench/hot"})
 	}
 }

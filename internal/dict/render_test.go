@@ -103,7 +103,7 @@ func FuzzTermJSON(f *testing.F) {
 func TestSnapshotDecodesWhileEncoding(t *testing.T) {
 	d := New()
 	for i := 0; i < 100; i++ {
-		d.EncodeIRI(fmt.Sprintf("http://x/%d", i))
+		d.Encode(Term{Kind: IRI, Value: fmt.Sprintf("http://x/%d", i)})
 	}
 	snap := d.Snapshot()
 	var wg sync.WaitGroup
@@ -112,7 +112,7 @@ func TestSnapshotDecodesWhileEncoding(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				d.EncodeIRI(fmt.Sprintf("http://y/%d/%d", w, i))
+				d.Encode(Term{Kind: IRI, Value: fmt.Sprintf("http://y/%d/%d", w, i)})
 			}
 		}(w)
 	}

@@ -317,9 +317,6 @@ type Params struct {
 	Temp  float64
 }
 
-// DefaultParams returns the calibrated default search parameters.
-func DefaultParams(seed int64) Params { return Params{Steps: 2000, Seed: seed, Temp: 1.2} }
-
 // Result is the outcome of one docking run.
 type Result struct {
 	// Affinity is the Vina-style binding free energy estimate in

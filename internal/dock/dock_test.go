@@ -166,7 +166,7 @@ func TestHBondPair(t *testing.T) {
 func TestDockFindsFavorablePose(t *testing.T) {
 	rec := testReceptor(t)
 	lig := testLigand(t, "CC(=O)Oc1ccccc1C(=O)O")
-	res, err := Dock(rec, lig, DefaultParams(42))
+	res, err := Dock(rec, lig, Params{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestDockFindsFavorablePose(t *testing.T) {
 func TestDockDeterministic(t *testing.T) {
 	rec := testReceptor(t)
 	lig := testLigand(t, "CCO")
-	a, err := Dock(rec, lig, DefaultParams(7))
+	a, err := Dock(rec, lig, Params{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Dock(rec, lig, DefaultParams(7))
+	b, err := Dock(rec, lig, Params{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ func TestDockSearchImproves(t *testing.T) {
 
 func TestDockErrors(t *testing.T) {
 	rec := testReceptor(t)
-	if _, err := Dock(rec, &Ligand{}, DefaultParams(1)); err == nil {
+	if _, err := Dock(rec, &Ligand{}, Params{Seed: 1}); err == nil {
 		t.Fatal("empty ligand accepted")
 	}
 	lig := testLigand(t, "C")
-	if _, err := Dock(&Receptor{}, lig, DefaultParams(1)); err == nil {
+	if _, err := Dock(&Receptor{}, lig, Params{Seed: 1}); err == nil {
 		t.Fatal("empty receptor accepted")
 	}
 }

@@ -400,7 +400,7 @@ func TestFilterBatchUDFMemoKeys(t *testing.T) {
 	d := dict.New()
 	in := NewBatch("x")
 	for _, lit := range []string{"3", "3.0", "4", "3"} {
-		in.Cols[0] = append(in.Cols[0], d.EncodeLiteral(lit))
+		in.Cols[0] = append(in.Cols[0], d.Encode(dict.Term{Kind: dict.Literal, Value: lit}))
 		in.NRows++
 	}
 	res := expr.NewCachedResolver(expr.DictResolver{Dict: d})

@@ -118,7 +118,7 @@ func idBatch(d *dict.Dict, vars []string, rows ...[]string) *Batch {
 	b := NewBatch(vars...)
 	for _, row := range rows {
 		for c, lit := range row {
-			b.Cols[c] = append(b.Cols[c], d.EncodeLiteral(lit))
+			b.Cols[c] = append(b.Cols[c], d.Encode(dict.Term{Kind: dict.Literal, Value: lit}))
 		}
 		b.NRows++
 	}
@@ -586,4 +586,21 @@ func TestFilterBatchWithRebalance(t *testing.T) {
 			t.Fatalf("rank %d evaluated %d rows, want 20: %v", i, c, counts)
 		}
 	}
+}
+
+// TransferPlan computes a deterministic redistribution matrix:
+// plan[from][to] rows move from surplus ranks to deficit ranks, both
+// walked in rank order. All ranks compute the identical plan from the
+// same inputs. O(P^2) memory — use SendRow inside rank bodies, where
+// P copies of the matrix would not fit.
+func TransferPlan(current, target []int) [][]int {
+	p := len(current)
+	plan := make([][]int, p)
+	for i := range plan {
+		plan[i] = make([]int, p)
+	}
+	walkTransfers(current, target, func(src, dst, n int) {
+		plan[src][dst] += n
+	})
+	return plan
 }

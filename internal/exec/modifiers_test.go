@@ -139,9 +139,9 @@ func TestSortByTotalOrder(t *testing.T) {
 	d := dict.New()
 	var ids []expr.Value
 	for _, lit := range []string{"93", "5", "tagB", "13", "0.5", "tagA"} {
-		ids = append(ids, expr.IDVal(d.EncodeLiteral(lit)))
+		ids = append(ids, expr.IDVal(d.Encode(dict.Term{Kind: dict.Literal, Value: lit})))
 	}
-	iri := expr.IDVal(d.EncodeIRI("http://x/e1"))
+	iri := expr.IDVal(d.Encode(dict.Term{Kind: dict.IRI, Value: "http://x/e1"}))
 	cells := append(ids, iri, expr.Null, expr.Bool(true), expr.Float(7), expr.Bool(false), expr.Null)
 	tab := NewTable("k")
 	for _, c := range cells {

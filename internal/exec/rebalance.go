@@ -102,25 +102,10 @@ func CostTargets(total int, rates []float64) []int {
 	return out
 }
 
-// TransferPlan computes a deterministic redistribution matrix:
-// plan[from][to] rows move from surplus ranks to deficit ranks, both
-// walked in rank order. All ranks compute the identical plan from the
-// same inputs. O(P^2) memory — use SendRow inside rank bodies, where
-// P copies of the matrix would not fit.
-func TransferPlan(current, target []int) [][]int {
-	p := len(current)
-	plan := make([][]int, p)
-	for i := range plan {
-		plan[i] = make([]int, p)
-	}
-	walkTransfers(current, target, func(src, dst, n int) {
-		plan[src][dst] += n
-	})
-	return plan
-}
-
-// SendRow computes only rank me's row of the transfer plan — O(P)
-// memory, so every rank can evaluate it locally.
+// SendRow computes rank me's row of the deterministic redistribution
+// matrix: how many rows rank me sends to each rank, surplus ranks
+// walked against deficit ranks in rank order. O(P) memory, so every
+// rank evaluates it locally from the same inputs.
 func SendRow(current, target []int, me int) []int {
 	out := make([]int, len(current))
 	walkTransfers(current, target, func(src, dst, n int) {

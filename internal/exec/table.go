@@ -42,14 +42,6 @@ func (t *Table) Col(name string) int {
 // Len returns the local row count.
 func (t *Table) Len() int { return len(t.Rows) }
 
-// Append adds a row; the row length must match the header.
-func (t *Table) Append(row []expr.Value) {
-	if len(row) != len(t.Vars) {
-		panic(fmt.Sprintf("exec: row width %d != header width %d", len(row), len(t.Vars)))
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // rowEnv adapts one row to expr.Env.
 type rowEnv struct {
 	cols map[string]int

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"ids/internal/expr"
@@ -115,4 +116,12 @@ func TestRowKeyDistinguishesKinds(t *testing.T) {
 	if len(keys) != 4 {
 		t.Fatal("rowKey collides across kinds")
 	}
+}
+
+// Append adds a row; the row length must match the header.
+func (t *Table) Append(row []expr.Value) {
+	if len(row) != len(t.Vars) {
+		panic(fmt.Sprintf("exec: row width %d != header width %d", len(row), len(t.Vars)))
+	}
+	t.Rows = append(t.Rows, row)
 }

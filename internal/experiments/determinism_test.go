@@ -67,7 +67,7 @@ func TestDockDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dock.Dock(rec, lig, dock.DefaultParams(5))
+		res, err := dock.Dock(rec, lig, dock.Params{Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,15 +11,6 @@ type Env interface {
 	Lookup(name string) (Value, bool)
 }
 
-// MapEnv is an Env backed by a map; convenient in tests and UDF glue.
-type MapEnv map[string]Value
-
-// Lookup implements Env.
-func (m MapEnv) Lookup(name string) (Value, bool) {
-	v, ok := m[name]
-	return v, ok
-}
-
 // FuncResolver dispatches UDF calls. The returned cost is the virtual
 // execution time in seconds the caller should charge and record in the
 // per-rank profile.

@@ -61,9 +61,9 @@ func TestCompareIncomparable(t *testing.T) {
 
 func TestDictResolver(t *testing.T) {
 	d := dict.New()
-	numID := d.EncodeLiteral("42.5")
-	strID := d.EncodeLiteral("hello")
-	iriID := d.EncodeIRI("http://x/a")
+	numID := d.Encode(dict.Term{Kind: dict.Literal, Value: "42.5"})
+	strID := d.Encode(dict.Term{Kind: dict.Literal, Value: "hello"})
+	iriID := d.Encode(dict.Term{Kind: dict.IRI, Value: "http://x/a"})
 	r := DictResolver{Dict: d}
 	if v := r.ResolveID(numID); v.Kind != KindFloat || v.Num != 42.5 {
 		t.Fatalf("numeric literal resolved to %s", v)
@@ -81,7 +81,7 @@ func TestDictResolver(t *testing.T) {
 
 func TestCompareResolvesIDs(t *testing.T) {
 	d := dict.New()
-	id := d.EncodeLiteral("7")
+	id := d.Encode(dict.Term{Kind: dict.Literal, Value: "7"})
 	r := DictResolver{Dict: d}
 	if c, ok := Compare(IDVal(id), Float(5), r); !ok || c != 1 {
 		t.Fatalf("resolved compare: %d %v", c, ok)
@@ -93,7 +93,7 @@ func TestCompareResolvesIDs(t *testing.T) {
 // without a resolver; two IDs nobody can decode are incomparable.
 func TestCompareTwoIDsByValue(t *testing.T) {
 	d := dict.New()
-	big, small, text := d.EncodeLiteral("93"), d.EncodeLiteral("5"), d.EncodeLiteral("tag")
+	big, small, text := d.Encode(dict.Term{Kind: dict.Literal, Value: "93"}), d.Encode(dict.Term{Kind: dict.Literal, Value: "5"}), d.Encode(dict.Term{Kind: dict.Literal, Value: "tag"})
 	r := DictResolver{Dict: d}
 	if c, ok := Compare(IDVal(big), IDVal(small), r); !ok || c != 1 {
 		t.Fatalf(`"93" vs "5" (IDs %d, %d) = %d %v, want 1`, big, small, c, ok)
@@ -292,7 +292,7 @@ func (s *argSpy) CallLazy(name string, args []Value, terms Resolver) (Value, flo
 // the UDF body never sees an ID either way.
 func TestEvalPassesIDsToUDFs(t *testing.T) {
 	d := dict.New()
-	id := d.EncodeLiteral("21")
+	id := d.Encode(dict.Term{Kind: dict.Literal, Value: "21"})
 	concrete := func(args []Value) (Value, error) {
 		for _, a := range args {
 			if a.Kind == KindID {
@@ -438,14 +438,12 @@ func TestReorderUnknownUDFLast(t *testing.T) {
 func TestReorderWholeExpr(t *testing.T) {
 	est := fakeEst{costs: map[string]float64{"slow": 10, "fast": 0.001}}
 	e := &And{Children: []Expr{callNamed("slow"), callNamed("fast")}}
-	re := Reorder(e, est)
-	and, ok := re.(*And)
-	if !ok || and.Children[0].(*Call).Name != "fast" {
-		t.Fatalf("Reorder = %s", re)
+	if got := ReorderChain(Conjuncts(e), est); got[0].(*Call).Name != "fast" {
+		t.Fatalf("ReorderChain = %v", got)
 	}
-	// Non-conjunction unchanged.
+	// A non-conjunction is a chain of one, unchanged.
 	single := callNamed("slow")
-	if Reorder(single, est) != Expr(single) {
+	if got := ReorderChain(Conjuncts(single), est); len(got) != 1 || got[0] != Expr(single) {
 		t.Fatal("single expression should be unchanged")
 	}
 }
@@ -482,4 +480,13 @@ func TestReorderPreservesConjuncts(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MapEnv is an Env backed by a map; convenient in tests and UDF glue.
+type MapEnv map[string]Value
+
+// Lookup implements Env.
+func (m MapEnv) Lookup(name string) (Value, bool) {
+	v, ok := m[name]
+	return v, ok
 }

@@ -58,18 +58,6 @@ func EstimateConjunct(e Expr, est Estimator) ConjunctStats {
 	return cs
 }
 
-// Reorder returns the conjuncts of e ordered for cheapest-first
-// evaluation with the selectivity tie-break, rebuilt as an And. A
-// non-conjunction is returned unchanged.
-func Reorder(e Expr, est Estimator) Expr {
-	chain := Conjuncts(e)
-	if len(chain) <= 1 {
-		return e
-	}
-	ordered := ReorderChain(chain, est)
-	return &And{Children: ordered}
-}
-
 // ReorderChain orders a conjunct list by ascending estimated cost;
 // conjuncts whose costs fall within the similarity band are ordered by
 // descending rejection rate so the stronger pruner runs first. The

@@ -8,10 +8,9 @@
 //     chaos harness can fail the Nth write, tear a write short, fail an
 //     fsync, return ENOSPC, or break a rename — on an exact, replayable
 //     schedule.
-//   - An Injector that also backs the non-file seams: internal/fam and
-//     internal/cache expose plain-func hooks, and the chaos harness
-//     wires them to Injector.Check so fabric faults and node loss draw
-//     from the same seeded schedule.
+//   - The Injector itself: a seeded rule set any seam can consult
+//     through Check. The fam and cache seams are plain-func hooks the
+//     chaos harness drives from its own seeded schedule.
 //
 // Determinism contract: given the same seed and the same sequence of
 // Check/CheckWrite calls, an Injector fires the same faults. All
@@ -26,8 +25,7 @@ import (
 	"sync"
 )
 
-// Op names an interception point. File ops are checked by the fault FS;
-// the fabric/cache ops are checked by hooks installed on fam and cache.
+// Op names an interception point checked by the fault FS.
 type Op string
 
 const (
@@ -40,13 +38,6 @@ const (
 	OpRemove   Op = "remove"
 	OpTruncate Op = "truncate"
 	OpSyncDir  Op = "syncdir"
-
-	OpFAMGet   Op = "fam.get"
-	OpFAMPut   Op = "fam.put"
-	OpFAMAlloc Op = "fam.alloc"
-
-	OpCacheGet Op = "cache.get"
-	OpCachePut Op = "cache.put"
 )
 
 // ErrInjected is the default error attached to a firing rule.

@@ -70,10 +70,10 @@ func TestDisarmSuspendsCountingAndFiring(t *testing.T) {
 func TestProbRuleIsDeterministicPerSeed(t *testing.T) {
 	fires := func(seed int64) []int {
 		in := NewInjector(seed)
-		in.Add(Rule{Op: OpFAMGet, Prob: 0.3})
+		in.Add(Rule{Op: OpRead, Prob: 0.3})
 		var out []int
 		for i := 0; i < 50; i++ {
-			if in.Check(OpFAMGet, "obj") != nil {
+			if in.Check(OpRead, "obj") != nil {
 				out = append(out, i)
 			}
 		}

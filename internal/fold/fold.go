@@ -253,18 +253,6 @@ func assignConfidence(st *Structure) {
 	}
 }
 
-// MeanConfidence returns the average pLDDT of the model.
-func (st *Structure) MeanConfidence() float64 {
-	if len(st.Confidence) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, c := range st.Confidence {
-		s += c
-	}
-	return s / float64(len(st.Confidence))
-}
-
 // PocketCenter returns the docking box center: the Cα of the
 // hydrophobic residue closest to the hydrophobic centroid. Snapping to
 // a real residue position guarantees the box surrounds actual protein
@@ -306,22 +294,6 @@ func hasHydrophobic(seq string) bool {
 		}
 	}
 	return false
-}
-
-// RadiusOfGyration returns the Cα radius of gyration, a compactness
-// sanity metric used in tests.
-func (st *Structure) RadiusOfGyration() float64 {
-	var c Point
-	for _, p := range st.CA {
-		c = c.Add(p)
-	}
-	c = c.Scale(1 / float64(len(st.CA)))
-	ss := 0.0
-	for _, p := range st.CA {
-		d := Dist(p, c)
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(st.CA)))
 }
 
 type splitmix64 struct{ state uint64 }

@@ -3,10 +3,8 @@ package ids
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -25,16 +23,12 @@ import (
 type Client struct {
 	Base string
 	HTTP *http.Client
-	// Logger narrates retries and backoff; nil discards.
-	Logger *slog.Logger
 }
 
 // NewClient targets the given base URL (e.g. "http://127.0.0.1:8080").
 func NewClient(base string) *Client {
 	return &Client{Base: base, HTTP: &http.Client{Timeout: 120 * time.Second}}
 }
-
-func (c *Client) log() *slog.Logger { return obs.OrNop(c.Logger) }
 
 // OverloadedError reports a 429 from the server's admission
 // controller; RetryAfter carries the server's backoff hint.
@@ -47,22 +41,7 @@ func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("ids client: server overloaded (retry after %s): %s", e.RetryAfter, e.Message)
 }
 
-// IsOverloaded reports whether err is a server 429 and, if so, the
-// suggested retry delay.
-func IsOverloaded(err error) (time.Duration, bool) {
-	var oe *OverloadedError
-	if errors.As(err, &oe) {
-		return oe.RetryAfter, true
-	}
-	return 0, false
-}
-
 func (c *Client) post(path string, in, out any) error {
-	return c.postHdr(path, nil, in, out)
-}
-
-// postHdr is post with extra request headers (e.g. traceparent).
-func (c *Client) postHdr(path string, hdr map[string]string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -72,9 +51,6 @@ func (c *Client) postHdr(path string, hdr map[string]string, in, out any) error 
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
@@ -109,7 +85,7 @@ func (c *Client) postHdr(path string, hdr map[string]string, in, out any) error 
 	return json.Unmarshal(buf.Bytes(), out)
 }
 
-// bodyBufPool recycles postHdr's response-body buffers.
+// bodyBufPool recycles post's response-body buffers.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func (c *Client) get(path string, out any) error {
@@ -133,18 +109,6 @@ func (c *Client) Query(q string) (*QueryResponse, error) {
 	return &out, nil
 }
 
-// QueryTraceparent runs a query remotely under an existing W3C trace
-// context: the header joins the server's spans to the caller's
-// distributed trace, and the response echoes the resolved value.
-func (c *Client) QueryTraceparent(q, traceparent string) (*QueryResponse, error) {
-	var out QueryResponse
-	hdr := map[string]string{"traceparent": traceparent}
-	if err := c.postHdr("/query", hdr, QueryRequest{Query: q}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Insights fetches the workload observatory snapshot (GET /insights):
 // per-fingerprint heavy-hitter statistics plus observatory totals.
 // top > 0 limits the fingerprint rows.
@@ -158,34 +122,6 @@ func (c *Client) Insights(top int) (*insights.Snapshot, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// QueryRetry runs a query remotely, honoring the server's admission
-// backpressure: on 429 it sleeps for the Retry-After hint and retries,
-// up to attempts tries total. Any other error returns immediately.
-// Each shed attempt is logged (Client.Logger) with the Retry-After
-// hint; the successful response carries the final attempt's qid.
-func (c *Client) QueryRetry(q string, attempts int) (*QueryResponse, error) {
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		resp, err := c.Query(q)
-		if err == nil {
-			if i > 0 {
-				c.log().Info("query admitted after backoff",
-					"attempt", i+1, "qid", resp.QID)
-			}
-			return resp, nil
-		}
-		lastErr = err
-		ra, overloaded := IsOverloaded(err)
-		if !overloaded {
-			return nil, err
-		}
-		c.log().Warn("query shed, backing off",
-			"attempt", i+1, "attempts", attempts, "retry_after", ra)
-		time.Sleep(ra)
-	}
-	return nil, lastErr
 }
 
 // QueryExplain runs a query remotely with span tracing; the response
@@ -336,14 +272,4 @@ func (c *Client) Ready() (bool, string) {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 	return resp.StatusCode == http.StatusOK, strings.TrimSpace(string(b))
-}
-
-// Healthy reports whether the endpoint responds.
-func (c *Client) Healthy() bool {
-	resp, err := c.HTTP.Get(c.Base + "/healthz")
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }

@@ -51,14 +51,14 @@ func slotFrom(ctx context.Context) int {
 // path, the persistent profiles for embedded RunPlan callers), and the
 // world's arenas (nil = allocate a private arena per rank, as embedded
 // RunPlan callers run inside a foreign mpp.Run).
-func (e *Engine) runPlanRec(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, arenas []*exec.Arena) (*exec.Table, error) {
+func (e *Engine) runPlanRec(r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, arenas []*exec.Arena) (*exec.Table, error) {
 	var a *exec.Arena
 	if arenas != nil {
 		a = arenas[r.ID()]
 	} else {
 		a = exec.NewArena()
 	}
-	b, err := e.runSteps(ctx, r, pl.Steps, nil, rec, profs, a, 0)
+	b, err := e.runSteps(r, pl.Steps, nil, rec, profs, a, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func (e *Engine) runPlanRec(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec
 // and OPTIONAL bodies recurse with a fresh stream. When rec is non-nil
 // every operator appends one OpSample; all ranks run the identical
 // plan so sample sequences zip across ranks.
-func (e *Engine) runSteps(ctx context.Context, r *mpp.Rank, steps []plan.Step, b *exec.Batch, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena, depth int) (*exec.Batch, error) {
+func (e *Engine) runSteps(r *mpp.Rank, steps []plan.Step, b *exec.Batch, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena, depth int) (*exec.Batch, error) {
 	shard := e.Graph.Shard(r.ID())
 	prof := profs[r.ID()]
 	speed := 1.0
@@ -158,7 +158,7 @@ func (e *Engine) runSteps(ctx context.Context, r *mpp.Rank, steps []plan.Step, b
 				Logger:      flog,
 				// The request context rides along so the obs handler
 				// stamps qid and traceparent onto operator lines.
-				Ctx: ctx,
+				Ctx: r.Context(),
 			}, a)
 			if err != nil {
 				return nil, err
@@ -192,7 +192,7 @@ func (e *Engine) runSteps(ctx context.Context, r *mpp.Rank, steps []plan.Step, b
 		case plan.UnionStep:
 			parts := make([]*exec.Batch, 0, len(s.Branches))
 			for _, branch := range s.Branches {
-				bt, err := e.runSteps(ctx, r, branch, nil, rec, profs, a, depth+1)
+				bt, err := e.runSteps(r, branch, nil, rec, profs, a, depth+1)
 				if err != nil {
 					return nil, err
 				}
@@ -251,7 +251,7 @@ func (e *Engine) runSteps(ctx context.Context, r *mpp.Rank, steps []plan.Step, b
 				return nil, err
 			}
 		case plan.OptionalStep:
-			bt, err := e.runSteps(ctx, r, s.Body, nil, rec, profs, a, depth+1)
+			bt, err := e.runSteps(r, s.Body, nil, rec, profs, a, depth+1)
 			if err != nil {
 				return nil, err
 			}

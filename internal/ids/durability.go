@@ -30,12 +30,10 @@ import (
 type DurabilityConfig struct {
 	// Dir holds the WAL segments, snapshots and MANIFEST.
 	Dir string
-	// Fsync is the WAL durability policy (always | interval | none).
+	// Fsync is the WAL durability policy (always | interval | none);
+	// the interval policy syncs every 100ms, and segments rotate at
+	// 16 MiB (the wal package defaults).
 	Fsync wal.FsyncPolicy
-	// FsyncInterval applies to the interval policy (default 100ms).
-	FsyncInterval time.Duration
-	// SegmentBytes caps one WAL segment (default 16 MiB).
-	SegmentBytes int64
 	// CheckpointInterval is how often the background checkpointer
 	// runs (default 30s; negative disables the timer).
 	CheckpointInterval time.Duration
@@ -131,12 +129,10 @@ func openDurable(cfg DurabilityConfig, nshards int, rec *RecoveryStats, lg *slog
 		}
 	}
 	l, err := wal.Open(wal.Options{
-		Dir:           cfg.Dir,
-		SegmentBytes:  cfg.SegmentBytes,
-		Fsync:         cfg.Fsync,
-		FsyncInterval: cfg.FsyncInterval,
-		Logger:        lg,
-		FS:            cfg.FS,
+		Dir:    cfg.Dir,
+		Fsync:  cfg.Fsync,
+		Logger: lg,
+		FS:     cfg.FS,
 	})
 	if err != nil {
 		return nil, nil, nil, err

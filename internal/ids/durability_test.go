@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ids/internal/dict"
+	"ids/internal/fault"
 	"ids/internal/mpp"
 	"ids/internal/vecstore"
 	"ids/internal/wal"
@@ -77,7 +78,7 @@ func TestDurableLaunchAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clean shutdown checkpoints, so the manifest covers everything.
-	man, err := wal.ReadManifest(dir)
+	man, err := wal.ReadManifestFS(fault.OS, dir)
 	if err != nil || man == nil || man.LastLSN != 5 {
 		t.Fatalf("manifest after teardown = %+v, %v", man, err)
 	}
@@ -397,7 +398,6 @@ func TestDurableConcurrentStress(t *testing.T) {
 	inst := launchDurable(t, LaunchConfig{Durability: &DurabilityConfig{
 		Dir:                dir,
 		Fsync:              wal.FsyncInterval,
-		FsyncInterval:      time.Millisecond,
 		CheckpointInterval: 5 * time.Millisecond,
 		CheckpointEvery:    16,
 	}})

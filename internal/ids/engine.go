@@ -60,9 +60,8 @@ func DefaultOptions() Options {
 // graph, never a mix. Per-rank UDF profiles are read through
 // per-query overlay profilers and merged back after the run, so
 // concurrent queries never contend on them mid-flight. Setup calls
-// (AttachVectors, AttachWAL) are writer-locked; accessors (Decode,
-// Strings, Profiler, Metrics) are safe concurrently with running
-// queries.
+// (AttachVectors, AttachWAL) are writer-locked; accessors (Strings,
+// MergedProfile, Metrics) are safe concurrently with running queries.
 type Engine struct {
 	Graph  *kg.Graph
 	Reg    *udf.Registry
@@ -102,8 +101,6 @@ type Engine struct {
 	// transition is one-way: only a restart (with a repaired log) clears
 	// it.
 	degraded atomic.Pointer[string]
-	// tracing makes every query collect a span trace (Result.Trace).
-	tracing atomic.Bool
 	// workload is the insights observatory: per-fingerprint rolling
 	// statistics and the tail-sampling decision for every query (never
 	// nil; see ConfigureInsights).
@@ -168,22 +165,12 @@ func NewEngine(g *kg.Graph, topo mpp.Topology) (*Engine, error) {
 	return e, nil
 }
 
-// Profiler returns rank r's persistent UDF profile (lives across
-// queries, as the paper specifies).
-func (e *Engine) Profiler(r int) *udf.Profiler { return e.profilers[r] }
-
 // Metrics returns the engine's metrics registry (exposed by the
 // server's /metrics endpoint). Scraping is safe at any time except
 // while holding the engine lock: counters are atomic, the graph-size
 // collector takes the read lock, and the UDF-profile collector reads
 // the internally synchronized per-rank profilers.
 func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
-
-// SetTracing toggles per-query span tracing: when on, every
-// Query/Execute attaches an obs.QueryTrace to its Result. Overhead is
-// a few timestamps per operator per rank; when off the traced path is
-// skipped entirely. Safe to toggle while queries run.
-func (e *Engine) SetTracing(on bool) { e.tracing.Store(on) }
 
 // SetLogger wires the engine's structured logger (nil resets to the
 // nop logger). Safe to call while queries run.
@@ -210,8 +197,8 @@ type Result struct {
 	Rows   [][]expr.Value
 	Report *mpp.Report
 	Plan   *plan.Plan
-	// Trace is the query's span trace (nil unless tracing was enabled
-	// for this query).
+	// Trace is the query's span trace (nil unless the query ran through
+	// QueryTraced/QueryTracedCtx).
 	Trace *obs.QueryTrace
 	// Tail is the tail-sampling verdict the workload observatory made
 	// for this query: whether the full trace is worth retaining, and
@@ -219,16 +206,10 @@ type Result struct {
 	Tail insights.Decision
 }
 
-// Decode renders a row value as a display string using the engine's
-// dictionary.
-func (e *Engine) Decode(v expr.Value) string {
-	return string(appendCell(nil, e.Graph.Dict.Snapshot(), v, false))
-}
-
 // appendCell appends a row value's display form to dst — a term's
 // N-Triples syntax, a computed value's literal form — raw, or (js) as
-// the JSON string literal that decodes to it. Strings, Decode and the
-// /query response writer all render through it.
+// the JSON string literal that decodes to it. Strings and the /query
+// response writer both render through it.
 func appendCell(dst []byte, terms dict.Terms, v expr.Value, js bool) []byte {
 	if v.Kind == expr.KindID {
 		if t, ok := terms.Decode(v.ID); ok {
@@ -337,7 +318,7 @@ func (e *Engine) QueryCtx(ctx context.Context, qs string) (*Result, error) {
 	start := time.Now()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.queryLocked(ctx, qs, e.tracing.Load(), start)
+	return e.queryLocked(ctx, qs, false, start)
 }
 
 // QueryTraced is Query with span tracing forced on for this one call;
@@ -377,7 +358,7 @@ func (e *Engine) queryLocked(ctx context.Context, qs string, traced bool, start 
 func (e *Engine) Execute(q *sparql.Query) (*Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.execute(context.Background(), q, e.tracing.Load(), "", time.Now(), 0)
+	return e.execute(context.Background(), q, false, "", time.Now(), 0)
 }
 
 func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs string, start time.Time, parseSec float64) (*Result, error) {
@@ -434,7 +415,7 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 		if recs != nil {
 			rec = recs[r.ID()]
 		}
-		tab, err := e.runPlanRec(ctx, r, pl, rec, qprofs, arenas)
+		tab, err := e.runPlanRec(r, pl, rec, qprofs, arenas)
 		if r.ID() == exec.RootRank {
 			answer = tab
 		}
@@ -526,7 +507,7 @@ func (e *Engine) observeWorkload(ctx context.Context, ob insights.Observation) i
 // internally synchronized); the caller is responsible for excluding
 // concurrent updates for the duration of its world.
 func (e *Engine) RunPlan(r *mpp.Rank, pl *plan.Plan) (*exec.Table, error) {
-	return e.runPlanRec(context.Background(), r, pl, nil, e.profilers, nil)
+	return e.runPlanRec(r, pl, nil, e.profilers, nil)
 }
 
 // finalize turns the gathered solutions into the answer: BIND columns

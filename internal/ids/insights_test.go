@@ -375,8 +375,4 @@ func TestOTLPExportOnRetention(t *testing.T) {
 	if !strings.Contains(line, "2af7651916cd43dd8448eb211c80319c") {
 		t.Fatalf("export line missing propagated trace id:\n%s", line)
 	}
-	exported, errored := exp.Stats()
-	if exported != 1 || errored != 0 {
-		t.Fatalf("exporter stats = (%d, %d), want (1, 0)", exported, errored)
-	}
 }

@@ -102,7 +102,6 @@ type Instance struct {
 
 	dur      *durability
 	exporter *insights.Exporter
-	ln       net.Listener
 	httpSrv  *http.Server
 	handler  atomic.Pointer[http.Handler]
 	doneOnce sync.Once
@@ -161,7 +160,7 @@ func (Launcher) Launch(cfg LaunchConfig) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Addr: ln.Addr().String(), Health: health, ln: ln}
+	inst := &Instance{Addr: ln.Addr().String(), Health: health}
 	boot := bootstrapHandler(health)
 	inst.handler.Store(&boot)
 	inst.httpSrv = &http.Server{
@@ -334,18 +333,6 @@ func (Launcher) Launch(cfg LaunchConfig) (*Instance, error) {
 // Client returns a client bound to this instance's endpoint.
 func (inst *Instance) Client() *Client {
 	return NewClient("http://" + inst.Addr)
-}
-
-// ImportCode routes a module import through an agent (the deployment
-// path for adding user code), logging the action per node.
-func (inst *Instance) ImportCode(name, source string) error {
-	if err := inst.Engine.LoadModule(name, source); err != nil {
-		return err
-	}
-	for _, a := range inst.Agents {
-		a.Logf("imported module %s", name)
-	}
-	return nil
 }
 
 // Teardown stops the endpoint, stops the checkpointer (taking a final

@@ -64,15 +64,6 @@ func TestQueryNotTracedByDefault(t *testing.T) {
 	if res.Trace != nil {
 		t.Fatal("untraced query carries a trace")
 	}
-	// SetTracing flips the default.
-	e.SetTracing(true)
-	res, err = e.Query(peopleQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil {
-		t.Fatal("SetTracing(true) did not enable tracing")
-	}
 }
 
 func TestEngineMetricsRecorded(t *testing.T) {

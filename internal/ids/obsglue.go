@@ -209,8 +209,8 @@ func startOp(rec *obs.RankRecorder, r *mpp.Rank, a *exec.Arena) opTimer {
 // record fills the sample's VT/Wall from the timer, adds the heap the
 // arena genuinely grew by since startOp to whatever the caller already
 // put in AllocBytes/Mallocs (what the operator materialized outside the
-// arena), folds the total into the rank's resource tally and appends
-// the sample. It is the only place operator telemetry is assembled.
+// arena) and appends the sample. It is the only place operator
+// telemetry is assembled.
 func (ot opTimer) record(rec *obs.RankRecorder, r *mpp.Rank, s obs.OpSample) {
 	if !ot.on {
 		return
@@ -220,6 +220,5 @@ func (ot opTimer) record(rec *obs.RankRecorder, r *mpp.Rank, s obs.OpSample) {
 	s.Mallocs += fm - ot.fm0
 	s.VT = r.Now() - ot.vt0
 	s.Wall = time.Since(ot.w0).Seconds()
-	r.Account(s.AllocBytes, s.Mallocs, int64(s.RowsOut), s.Wall)
 	rec.Record(s)
 }

@@ -148,7 +148,7 @@ func TestQueryResponseEnvelope(t *testing.T) {
 func TestEquivServerRoundTrip(t *testing.T) {
 	e := equivEngine(t, 4)
 	registerHalf(t, e)
-	ts := httptest.NewServer(NewServer(e).Handler())
+	ts := httptest.NewServer(NewServerConfig(e, ServerConfig{}).Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	sorted := func(rows [][]string) []string {
@@ -244,7 +244,7 @@ func TestRowsJSONAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewServer(e).Handler()
+	h := NewServerConfig(e, ServerConfig{}).Handler()
 	body, err := json.Marshal(QueryRequest{Query: exportQuery})
 	if err != nil {
 		t.Fatal(err)

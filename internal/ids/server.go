@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -14,10 +13,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ids/internal/mpp"
 	"ids/internal/obs"
 	"ids/internal/obs/insights"
 	"ids/internal/plan"
-	"ids/internal/wal"
 )
 
 // retryAfterSeconds is the backoff hint sent with 429 responses.
@@ -38,11 +37,6 @@ type AdmissionConfig struct {
 	// QueueTimeout is the longest a queued query waits before the
 	// server sheds it with 429 + Retry-After. Default: 2s.
 	QueueTimeout time.Duration
-}
-
-// DefaultAdmissionConfig derives the default limits from GOMAXPROCS.
-func DefaultAdmissionConfig() AdmissionConfig {
-	return AdmissionConfig{}.withDefaults()
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -279,11 +273,6 @@ type ModuleResponse struct {
 	Loaded bool `json:"loaded"`
 }
 
-// NewServer wraps an engine with the default admission limits.
-func NewServer(e *Engine) *Server {
-	return NewServerConfig(e, ServerConfig{})
-}
-
 // NewServerConfig wraps an engine with full HTTP-layer configuration.
 func NewServerConfig(e *Engine, cfg ServerConfig) *Server {
 	lg := cfg.Logger
@@ -438,7 +427,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.sink(ctx, stub, insights.Decision{Retain: true, Reasons: []string{"error"}})
 		s.log.ErrorContext(ctx, "query failed", "wall_seconds", wall, "err", err)
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusOf(err), err)
 		return
 	}
 	if res.Trace != nil {
@@ -619,6 +608,19 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// statusOf maps an engine error to its HTTP status: a rank panic is the
+// server's fault (500), a degraded engine cannot take writes (503), and
+// anything else is the request's fault (400).
+func statusOf(err error) int {
+	switch {
+	case errors.Is(err, mpp.ErrPanic):
+		return http.StatusInternalServerError
+	case errors.Is(err, ErrDegraded):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}
+
 // UpdateRequest is the /update payload.
 type UpdateRequest struct {
 	Update string `json:"update"`
@@ -638,15 +640,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// them against each other and against in-flight queries.
 	res, err := s.Engine.Update(req.Update)
 	if err != nil {
-		// A WAL failure (this update's append, or an earlier one's
-		// sticky degradation) is the server's fault, not the client's:
-		// if the engine is degraded now, this was it.
-		if _, degraded := s.Engine.Degraded(); degraded &&
-			(errors.Is(err, ErrDegraded) || errors.Is(err, wal.ErrFailed) || strings.Contains(err.Error(), "wal append")) {
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusOf(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -713,17 +707,4 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-// Serve listens on addr (":0" picks a free port) until the listener is
-// closed. It returns the bound address through the ready callback.
-func (s *Server) Serve(addr string, ready func(boundAddr string)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	return http.Serve(ln, s.Handler())
 }

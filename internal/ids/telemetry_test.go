@@ -238,7 +238,7 @@ func TestSlowVerdictCountsWriterWait(t *testing.T) {
 // nonzero visited-nodes counter.
 func TestVectorMetricsExported(t *testing.T) {
 	e := knnEngine(t)
-	s := NewServer(e)
+	s := NewServerConfig(e, ServerConfig{})
 	c, done := clientFor(t, s)
 	defer done()
 

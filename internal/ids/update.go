@@ -66,23 +66,9 @@ func (e *Engine) UpdateCtx(ctx context.Context, us string) (*UpdateResult, error
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if reason, ok := e.Degraded(); ok {
-		return nil, fmt.Errorf("%w: %s", ErrDegraded, reason)
-	}
-	var lsn uint64
-	if e.wal != nil {
-		lsn, err = e.wal.Append(wal.Record{
-			Epoch:   uint64(e.updates.Load()) + 1,
-			Kind:    kind,
-			Triples: triples,
-		})
-		if err != nil {
-			// The update is cleanly rejected — nothing was applied to
-			// the graph — but the log can no longer acknowledge writes,
-			// so the whole engine flips to read-only degraded mode.
-			e.markDegraded(fmt.Sprintf("wal append: %v", err))
-			return nil, fmt.Errorf("ids: wal append: %w", err)
-		}
+	lsn, err := e.appendLocked(wal.Record{Kind: kind, Triples: triples})
+	if err != nil {
+		return nil, err
 	}
 	res := e.applyLocked(kind, triples)
 	res.Kind = u.Kind.String()
@@ -93,6 +79,29 @@ func (e *Engine) UpdateCtx(ctx context.Context, us string) (*UpdateResult, error
 	e.Logger().DebugContext(ctx, "update applied",
 		"kind", res.Kind, "applied", res.Applied, "total", res.Total, "lsn", lsn)
 	return res, nil
+}
+
+// appendLocked is the write-ahead step both kinds of update share: it
+// refuses while the engine is degraded, stamps rec with the next update
+// epoch and appends it (a no-op returning LSN 0 without a WAL). A failed
+// append rejects the update cleanly, since nothing was applied yet, but
+// the log can no longer acknowledge writes, so the engine flips to
+// read-only degraded mode. Every error it returns wraps ErrDegraded.
+// Caller holds the writer lock.
+func (e *Engine) appendLocked(rec wal.Record) (uint64, error) {
+	if reason, ok := e.Degraded(); ok {
+		return 0, fmt.Errorf("%w: %s", ErrDegraded, reason)
+	}
+	if e.wal == nil {
+		return 0, nil
+	}
+	rec.Epoch = uint64(e.updates.Load()) + 1
+	lsn, err := e.wal.Append(rec)
+	if err != nil {
+		e.markDegraded(fmt.Sprintf("wal append: %v", err))
+		return 0, fmt.Errorf("%w: wal append: %w", ErrDegraded, err)
+	}
+	return lsn, nil
 }
 
 // applyLocked mutates the graph with one statement's triples, bumps

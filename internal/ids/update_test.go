@@ -98,7 +98,7 @@ func TestUpdateParseErrors(t *testing.T) {
 
 func TestUpdateOverHTTP(t *testing.T) {
 	e := newEngine(t, 2)
-	srv := NewServer(e)
+	srv := NewServerConfig(e, ServerConfig{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL)

@@ -111,7 +111,7 @@ func TestVectorUpsertDurableRecovery(t *testing.T) {
 // is the client's fault (400), a search against a missing store too.
 func TestVectorEndpointErrors(t *testing.T) {
 	e := knnEngine(t)
-	s := NewServer(e)
+	s := NewServerConfig(e, ServerConfig{})
 	c, done := clientFor(t, s)
 	defer done()
 

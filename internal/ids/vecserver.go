@@ -2,12 +2,9 @@ package ids
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
-	"strings"
 
 	"ids/internal/vecstore"
-	"ids/internal/wal"
 )
 
 // HTTP surface of the vector subsystem: POST /vector/upsert writes one
@@ -48,14 +45,7 @@ func (s *Server) handleVectorUpsert(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.Engine.VectorUpsert(req.Store, req.Key, req.Vector)
 	if err != nil {
-		// Same fault split as /update: a degraded WAL is the server's
-		// problem, a bad payload is the client's.
-		if _, degraded := s.Engine.Degraded(); degraded &&
-			(errors.Is(err, ErrDegraded) || errors.Is(err, wal.ErrFailed) || strings.Contains(err.Error(), "wal append")) {
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusOf(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ids/internal/chem"
 	"ids/internal/dict"
 	"ids/internal/kg"
 	"ids/internal/mpp"
@@ -29,16 +28,19 @@ func vectorEngine(t *testing.T) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := vecstore.New(chem.FPBits, vecstore.Cosine)
+	// Synthetic fingerprints: salicylic acid shares most of aspirin's
+	// bits, hexane none of them.
+	fps := map[string][]float32{
+		"aspirin":   {1, 1, 1, 0},
+		"salicylic": {1, 1, 0, 0},
+		"hexane":    {0, 0, 0, 1},
+	}
+	vs, err := vecstore.New(4, vecstore.Cosine)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, smi := range smiles {
-		m, err := chem.ParseSMILES(smi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vs.Add(name, m.PathFingerprint().FPVector()); err != nil {
+	for name, v := range fps {
+		if err := vs.Add(name, v); err != nil {
 			t.Fatal(err)
 		}
 	}

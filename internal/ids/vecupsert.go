@@ -32,9 +32,6 @@ func (e *Engine) VectorUpsert(store, key string, vec []float32) (*UpdateResult, 
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if reason, ok := e.Degraded(); ok {
-		return nil, fmt.Errorf("%w: %s", ErrDegraded, reason)
-	}
 	// Validate against the live store before logging anything: an
 	// upsert either fully enters the WAL or is fully rejected.
 	metric := vecstore.Cosine
@@ -45,18 +42,12 @@ func (e *Engine) VectorUpsert(store, key string, vec []float32) (*UpdateResult, 
 				store, vs.Dim(), len(vec))
 		}
 	}
-	var lsn uint64
-	var err error
-	if e.wal != nil {
-		lsn, err = e.wal.Append(wal.Record{
-			Epoch: uint64(e.updates.Load()) + 1,
-			Kind:  wal.KindVecUpsert,
-			Vec:   &wal.VecUpsert{Store: store, Key: key, Metric: uint8(metric), Vec: vec},
-		})
-		if err != nil {
-			e.markDegraded(fmt.Sprintf("wal append: %v", err))
-			return nil, fmt.Errorf("ids: wal append: %w", err)
-		}
+	lsn, err := e.appendLocked(wal.Record{
+		Kind: wal.KindVecUpsert,
+		Vec:  &wal.VecUpsert{Store: store, Key: key, Metric: uint8(metric), Vec: vec},
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := e.applyVecLocked(store, key, uint8(metric), vec); err != nil {
 		return nil, err

@@ -266,21 +266,6 @@ func parseNTTerm(in string) (dict.Term, string, error) {
 	}
 }
 
-// WriteNTriples serializes the whole graph as N-Triples (mainly for
-// tests and the CLI export path).
-func (g *Graph) WriteNTriples(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var err error
-	g.Triples(func(s, p, o dict.Term) bool {
-		_, err = fmt.Fprintf(bw, "%s %s %s .\n", s, p, o)
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // Triples calls fn with every triple of the graph, decoded, shard by
 // shard, until fn returns false.
 func (g *Graph) Triples(fn func(s, p, o dict.Term) bool) {

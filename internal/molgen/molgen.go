@@ -58,19 +58,6 @@ func (g *Generator) Generate(n int) []string {
 	return out
 }
 
-// GenerateMol returns n parsed molecules.
-func (g *Generator) GenerateMol(n int) []*chem.Mol {
-	mols := make([]*chem.Mol, 0, n)
-	for _, s := range g.Generate(n) {
-		m, err := chem.ParseSMILES(s)
-		if err != nil {
-			continue
-		}
-		mols = append(mols, m)
-	}
-	return mols
-}
-
 // molecule emits one candidate SMILES.
 func (g *Generator) molecule() string {
 	switch g.rng.Intn(4) {

@@ -50,27 +50,25 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestGenerateMol(t *testing.T) {
-	mols := New(5).GenerateMol(50)
+	mols := parseAll(t, New(5).Generate(50))
 	if len(mols) != 50 {
 		t.Fatalf("got %d mols", len(mols))
 	}
 	for _, m := range mols {
-		if m.MolWeight() <= 0 {
-			t.Fatalf("molecule %q has non-positive MW", m.SMILES)
-		}
-		if m.HeavyAtoms() == 0 {
+		if len(m.Atoms) == 0 {
 			t.Fatalf("molecule %q has no atoms", m.SMILES)
 		}
 	}
 }
 
 func TestGeneratedMoleculesAreDruglike(t *testing.T) {
-	// Most generated molecules should be small and mostly pass the
-	// rule of five (the generator aims at drug-like space).
-	mols := New(11).GenerateMol(200)
+	// Most generated molecules should be small and flexible enough for
+	// drug-like space: at most 36 heavy atoms (about 500 Da) and at most
+	// 10 rotatable bonds (Veber).
+	mols := parseAll(t, New(11).Generate(200))
 	passing := 0
 	for _, m := range mols {
-		if m.LipinskiViolations() <= 1 {
+		if len(m.Atoms) <= 36 && m.RotatableBonds() <= 10 {
 			passing++
 		}
 	}
@@ -95,4 +93,17 @@ func BenchmarkGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Generate(10)
 	}
+}
+
+func parseAll(t *testing.T, smiles []string) []*chem.Mol {
+	t.Helper()
+	mols := make([]*chem.Mol, len(smiles))
+	for i, s := range smiles {
+		m, err := chem.ParseSMILES(s)
+		if err != nil {
+			t.Fatalf("ParseSMILES(%q): %v", s, err)
+		}
+		mols[i] = m
+	}
+	return mols
 }

@@ -8,16 +8,6 @@ package mpp
 // collective. Virtual-clock synchronization and network latency are
 // charged by the barriers; data-volume cost is charged by the sender.
 
-// Op identifies a reduction operator.
-type Op int
-
-// Reduction operators.
-const (
-	OpSum Op = iota
-	OpMax
-	OpMin
-)
-
 // AllGather gathers one value from every rank; the result slice is
 // indexed by rank id and identical on all ranks.
 func AllGather[T any](r *Rank, v T) ([]T, error) {
@@ -53,24 +43,6 @@ func AllGatherSlice[T any](r *Rank, v []T) ([][]T, error) {
 	}
 	if err := r.Barrier(); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// Bcast distributes root's value to every rank.
-func Bcast[T any](r *Rank, root int, v T) (T, error) {
-	w := r.w
-	if r.id == root {
-		w.slots[root] = v
-		r.chargeXfer(1)
-	}
-	var zero T
-	if err := r.Barrier(); err != nil {
-		return zero, err
-	}
-	out := w.slots[root].(T)
-	if err := r.Barrier(); err != nil {
-		return zero, err
 	}
 	return out, nil
 }
@@ -221,59 +193,6 @@ func AllToAllSized[T any](r *Rank, send []T, elems func(T) int) ([]T, error) {
 		return nil, err
 	}
 	return recv, nil
-}
-
-// AllReduceFloat64 reduces one float64 across all ranks with op; every
-// rank receives the result.
-func AllReduceFloat64(r *Rank, v float64, op Op) (float64, error) {
-	all, err := AllGather(r, v)
-	if err != nil {
-		return 0, err
-	}
-	return reduceFloat64(all, op), nil
-}
-
-// AllReduceInt reduces one int across all ranks with op.
-func AllReduceInt(r *Rank, v int, op Op) (int, error) {
-	all, err := AllGather(r, v)
-	if err != nil {
-		return 0, err
-	}
-	out := all[0]
-	for _, x := range all[1:] {
-		switch op {
-		case OpSum:
-			out += x
-		case OpMax:
-			if x > out {
-				out = x
-			}
-		case OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	return out, nil
-}
-
-func reduceFloat64(all []float64, op Op) float64 {
-	out := all[0]
-	for _, x := range all[1:] {
-		switch op {
-		case OpSum:
-			out += x
-		case OpMax:
-			if x > out {
-				out = x
-			}
-		case OpMin:
-			if x < out {
-				out = x
-			}
-		}
-	}
-	return out
 }
 
 type errSendLenT struct{ got, want int }

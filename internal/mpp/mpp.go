@@ -87,7 +87,7 @@ type World struct {
 	seed int64
 
 	bar   *barrier
-	slots []any    // allgather/bcast exchange slots, one per rank
+	slots []any    // allgather exchange slots, one per rank
 	mat   [][]any  // alltoall exchange matrix, mat[src][dst]
 	pub   gathered // GatherRoot's result, written by the root between its barriers
 	ranks []*Rank
@@ -105,8 +105,7 @@ type Rank struct {
 	acc   map[string]float64 // phase -> accumulated virtual seconds
 	rng   *rand.Rand
 	err   error
-	comm  CommStats     // rank-local collective accounting
-	res   ResourceStats // rank-local resource accounting (see Account)
+	comm  CommStats // rank-local collective accounting
 	// held is non-nil while the rank runs GatherRoot's build: charges
 	// queue there (heldVT is their running sum, so Now still advances)
 	// and every rank applies them after the closing barrier.
@@ -167,9 +166,6 @@ func (r *Rank) RNG() *rand.Rand {
 // (scan, join, merge, filter, dock, ...).
 func (r *Rank) SetPhase(name string) { r.phase = name }
 
-// Phase returns the current accounting phase name.
-func (r *Rank) Phase() string { return r.phase }
-
 // Charge advances the rank's virtual clock by d seconds, attributing
 // the time to the current phase. Negative charges are ignored.
 func (r *Rank) Charge(d float64) {
@@ -186,15 +182,6 @@ func (r *Rank) Charge(d float64) {
 		r.acc = make(map[string]float64)
 	}
 	r.acc[r.phase] += d
-}
-
-// ChargeComm charges the network cost of sending elems elements
-// point-to-point (one hop plus transfer time).
-func (r *Rank) ChargeComm(elems int) {
-	cost := r.w.net.Alpha + r.w.net.xferCost(elems)
-	r.comm.Bytes += int64(elems * r.w.net.BytesPerElem)
-	r.comm.Seconds += cost
-	r.Charge(cost)
 }
 
 // chargeXfer charges a collective's data-transfer component and
@@ -216,53 +203,18 @@ type CommStats struct {
 	Seconds     float64 `json:"seconds"`
 }
 
-// ResourceStats accounts a rank's materialized work: heap bytes and
-// objects the rank's operators accounted (see exec footprints), rows
-// produced, and measured CPU-proxy seconds. Zero unless the job body
-// calls Account (the engine does so for traced queries).
-type ResourceStats struct {
-	AllocBytes int64   `json:"alloc_bytes"`
-	Mallocs    int64   `json:"mallocs"`
-	Rows       int64   `json:"rows"`
-	CPUSeconds float64 `json:"cpu_seconds"`
-}
-
-// Account adds one operator's accounted footprint to the rank's
-// running resource tally. Like all Rank methods it must only be called
-// from the rank's own goroutine.
-func (r *Rank) Account(allocBytes, mallocs, rows int64, cpuSeconds float64) {
-	r.res.AllocBytes += allocBytes
-	r.res.Mallocs += mallocs
-	r.res.Rows += rows
-	r.res.CPUSeconds += cpuSeconds
-}
-
-// Resources returns the rank's accumulated resource tally.
-func (r *Rank) Resources() ResourceStats { return r.res }
-
-// PhaseTotal returns the virtual seconds accumulated in the named
-// phase so far on this rank.
-func (r *Rank) PhaseTotal(name string) float64 { return r.acc[name] }
-
 // Report summarizes a finished run. Makespan is the max over ranks of
 // final virtual time — the simulated end-to-end wall clock. Phases
 // holds, per phase, the max over ranks of time accumulated in that
-// phase (the bottleneck view used for the paper's breakdown figures);
-// PhaseSum holds the sum over ranks (the utilization view).
+// phase (the bottleneck view used for the paper's breakdown figures).
 type Report struct {
 	Topology Topology
 	Makespan float64
 	Phases   map[string]float64
-	PhaseSum map[string]float64
 	// Comm aggregates collective traffic: Collectives is the max over
 	// ranks (the per-rank synchronization count — symmetric in normal
 	// runs), Bytes the sum over ranks, Seconds the max over ranks.
 	Comm CommStats
-	// Resources sums the per-rank resource tallies; RankResources keeps
-	// the per-rank breakdown (index = rank id) so skew in accounted
-	// memory is visible alongside virtual-time skew.
-	Resources     ResourceStats
-	RankResources []ResourceStats
 }
 
 // PhaseMax returns the bottleneck time of the named phase, or 0.
@@ -342,7 +294,6 @@ func RunCtx(ctx context.Context, topo Topology, net NetModel, seed int64, body f
 	rep := &Report{
 		Topology: topo,
 		Phases:   make(map[string]float64),
-		PhaseSum: make(map[string]float64),
 	}
 	var firstErr error
 	for _, r := range w.ranks {
@@ -356,7 +307,6 @@ func RunCtx(ctx context.Context, topo Topology, net NetModel, seed int64, body f
 			if v > rep.Phases[name] {
 				rep.Phases[name] = v
 			}
-			rep.PhaseSum[name] += v
 		}
 		if r.comm.Collectives > rep.Comm.Collectives {
 			rep.Comm.Collectives = r.comm.Collectives
@@ -365,11 +315,6 @@ func RunCtx(ctx context.Context, topo Topology, net NetModel, seed int64, body f
 		if r.comm.Seconds > rep.Comm.Seconds {
 			rep.Comm.Seconds = r.comm.Seconds
 		}
-		rep.Resources.AllocBytes += r.res.AllocBytes
-		rep.Resources.Mallocs += r.res.Mallocs
-		rep.Resources.Rows += r.res.Rows
-		rep.Resources.CPUSeconds += r.res.CPUSeconds
-		rep.RankResources = append(rep.RankResources, r.res)
 	}
 	if firstErr != nil {
 		return rep, firstErr

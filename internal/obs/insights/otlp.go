@@ -34,9 +34,6 @@ type Exporter struct {
 	f        *os.File
 	endpoint string
 	client   *http.Client
-
-	exported uint64
-	errors   uint64
 }
 
 // NewExporter opens a trace exporter for dest: "" returns nil (export
@@ -70,35 +67,18 @@ func (e *Exporter) Export(tr *obs.QueryTrace) error {
 	defer e.mu.Unlock()
 	if e.f != nil {
 		payload = append(payload, '\n')
-		if _, err := e.f.Write(payload); err != nil {
-			e.errors++
-			return err
-		}
-		e.exported++
-		return nil
+		_, err := e.f.Write(payload)
+		return err
 	}
 	resp, err := e.client.Post(e.endpoint, "application/json", bytes.NewReader(payload))
 	if err != nil {
-		e.errors++
 		return err
 	}
 	resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		e.errors++
 		return fmt.Errorf("insights: trace export POST %s: %s", e.endpoint, resp.Status)
 	}
-	e.exported++
 	return nil
-}
-
-// Stats returns (exported, errored) trace counts.
-func (e *Exporter) Stats() (exported, errored uint64) {
-	if e == nil {
-		return 0, 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.exported, e.errors
 }
 
 // Close flushes and closes a file-backed exporter.

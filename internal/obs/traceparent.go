@@ -109,14 +109,6 @@ func NewTraceContext() TraceContext {
 	return tc
 }
 
-// Child returns the context for a span created under tc: same trace,
-// fresh span id, flags preserved.
-func (tc TraceContext) Child() TraceContext {
-	child := tc
-	binary.BigEndian.PutUint64(child.SpanID[:], nextID())
-	return child
-}
-
 const traceParentKey ctxKey = 1
 
 // WithTraceContext returns ctx carrying the query's trace context.

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"ids/internal/dict"
 	"ids/internal/expr"
@@ -147,15 +146,6 @@ func FormatFingerprint(fp uint64) string {
 		return ""
 	}
 	return fmt.Sprintf("%016x", fp)
-}
-
-// ParseFingerprint reverses FormatFingerprint ("" and garbage → 0).
-func ParseFingerprint(s string) uint64 {
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0
-	}
-	return v
 }
 
 // fpGroup hashes one WHERE group (the top level, a UNION branch, or an

@@ -180,10 +180,10 @@ func TestBuildPrefersFilterEnablingPattern(t *testing.T) {
 func TestPatternCardEstimates(t *testing.T) {
 	g := testGraph()
 	st := StatsFromGraph(g)
-	common := mustQuery(t, `SELECT ?s WHERE { ?s <http://x/common> ?v . }`).Patterns()[0]
-	rare := mustQuery(t, `SELECT ?s WHERE { ?s <http://x/rare> ?v . }`).Patterns()[0]
-	unknown := mustQuery(t, `SELECT ?s WHERE { ?s <http://x/never> ?v . }`).Patterns()[0]
-	all := mustQuery(t, `SELECT ?s WHERE { ?s ?p ?o . }`).Patterns()[0]
+	common := mustQuery(t, `SELECT ?s WHERE { ?s <http://x/common> ?v . }`).Where[0].(sparql.TriplePattern)
+	rare := mustQuery(t, `SELECT ?s WHERE { ?s <http://x/rare> ?v . }`).Where[0].(sparql.TriplePattern)
+	unknown := mustQuery(t, `SELECT ?s WHERE { ?s <http://x/never> ?v . }`).Where[0].(sparql.TriplePattern)
+	all := mustQuery(t, `SELECT ?s WHERE { ?s ?p ?o . }`).Where[0].(sparql.TriplePattern)
 	if st.PatternCard(common) <= st.PatternCard(rare) {
 		t.Fatal("common should estimate larger than rare")
 	}

@@ -38,16 +38,6 @@ type returnSignal struct{ v expr.Value }
 
 func (returnSignal) Error() string { return "return" }
 
-// Call invokes a function of the module with the given arguments.
-func (m *Module) Call(fn string, args []expr.Value) (expr.Value, error) {
-	fd, ok := m.Funcs[fn]
-	if !ok {
-		return expr.Null, fmt.Errorf("%w function %s.%s", ErrUndefined, m.Name, fn)
-	}
-	in := &interp{mod: m}
-	return in.invoke(fd, args)
-}
-
 func (in *interp) invoke(fd *FuncDecl, args []expr.Value) (expr.Value, error) {
 	if len(args) != len(fd.Params) {
 		return expr.Null, fmt.Errorf("%w: %s takes %d, got %d", ErrArity, fd.Name, len(fd.Params), len(args))

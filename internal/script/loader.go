@@ -20,10 +20,6 @@ type Loader struct {
 	// LoadCost is the modeled one-time cost in seconds of importing a
 	// module (the paper caches modules to amortize it).
 	LoadCost float64
-
-	loads   int
-	hits    int
-	reloads int
 }
 
 // NewLoader returns an empty loader.
@@ -37,7 +33,6 @@ func (l *Loader) Load(name, src string) (*Module, float64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if m, ok := l.cache[name]; ok {
-		l.hits++
 		return m, 0, nil
 	}
 	m, err := ParseModule(name, src)
@@ -45,7 +40,6 @@ func (l *Loader) Load(name, src string) (*Module, float64, error) {
 		return nil, 0, err
 	}
 	l.cache[name] = m
-	l.loads++
 	return m, l.LoadCost, nil
 }
 
@@ -58,25 +52,8 @@ func (l *Loader) ForceReload(name, src string) (*Module, float64, error) {
 	}
 	l.mu.Lock()
 	l.cache[name] = m
-	l.reloads++
 	l.mu.Unlock()
 	return m, l.LoadCost, nil
-}
-
-// Unload drops a module from the cache.
-func (l *Loader) Unload(name string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ok := l.cache[name]
-	delete(l.cache, name)
-	return ok
-}
-
-// CacheStats reports (parses, cache hits, reloads).
-func (l *Loader) CacheStats() (loads, hits, reloads int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.loads, l.hits, l.reloads
 }
 
 // Register binds every function of the module into the registry as a

@@ -9,7 +9,7 @@ import (
 
 func TestParseBind(t *testing.T) {
 	q := mustParse(t, `SELECT ?x ?y WHERE { ?x <http://x/p> ?o . BIND(?o + 1 AS ?y) }`)
-	binds := q.Binds()
+	binds := elems[Bind](q)
 	if len(binds) != 1 {
 		t.Fatalf("binds = %d, want 1", len(binds))
 	}
@@ -26,7 +26,7 @@ func TestParseBind(t *testing.T) {
 
 func TestParseValuesSingleVar(t *testing.T) {
 	q := mustParse(t, `SELECT ?x WHERE { VALUES ?x { <http://x/a> "b" 3 UNDEF } }`)
-	vs := q.ValuesBlocks()
+	vs := elems[ValuesPattern](q)
 	if len(vs) != 1 {
 		t.Fatalf("values blocks = %d, want 1", len(vs))
 	}
@@ -52,7 +52,7 @@ func TestParseValuesMultiVarAndTrailing(t *testing.T) {
 	q := mustParse(t, `
 		PREFIX x: <http://x/>
 		SELECT ?a ?b WHERE { ?a x:p ?b . VALUES (?a ?b) { (x:1 "u") (UNDEF "v") } }`)
-	vs := q.ValuesBlocks()
+	vs := elems[ValuesPattern](q)
 	if len(vs) != 1 {
 		t.Fatalf("values blocks = %d, want 1", len(vs))
 	}
@@ -72,7 +72,7 @@ func TestParseValuesMultiVarAndTrailing(t *testing.T) {
 
 	// Trailing form after the solution modifiers.
 	q2 := mustParse(t, `SELECT ?s WHERE { ?s <http://x/p> ?o . } LIMIT 5 VALUES ?s { <http://x/a> }`)
-	if got := q2.ValuesBlocks(); len(got) != 1 || len(got[0].Rows) != 1 {
+	if got := elems[ValuesPattern](q2); len(got) != 1 || len(got[0].Rows) != 1 {
 		t.Fatalf("trailing VALUES blocks = %+v", got)
 	}
 	if q2.Limit != 5 {

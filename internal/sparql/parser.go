@@ -190,63 +190,6 @@ type Query struct {
 	GroupBy    []string
 }
 
-// Patterns returns the triple patterns of the WHERE clause in order.
-func (q *Query) Patterns() []TriplePattern {
-	var out []TriplePattern
-	for _, e := range q.Where {
-		if tp, ok := e.(TriplePattern); ok {
-			out = append(out, tp)
-		}
-	}
-	return out
-}
-
-// Similars returns the SIMILAR elements of the WHERE clause in order.
-func (q *Query) Similars() []SimilarPattern {
-	var out []SimilarPattern
-	for _, e := range q.Where {
-		if sp, ok := e.(SimilarPattern); ok {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// Filters returns the FILTER elements of the WHERE clause in order.
-func (q *Query) Filters() []Filter {
-	var out []Filter
-	for _, e := range q.Where {
-		if f, ok := e.(Filter); ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Binds returns the top-level BIND elements of the WHERE clause in
-// order.
-func (q *Query) Binds() []Bind {
-	var out []Bind
-	for _, e := range q.Where {
-		if b, ok := e.(Bind); ok {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// ValuesBlocks returns the VALUES elements of the WHERE clause in
-// order.
-func (q *Query) ValuesBlocks() []ValuesPattern {
-	var out []ValuesPattern
-	for _, e := range q.Where {
-		if vp, ok := e.(ValuesPattern); ok {
-			out = append(out, vp)
-		}
-	}
-	return out
-}
-
 // rdfType is the IRI the 'a' keyword expands to.
 const rdfType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 

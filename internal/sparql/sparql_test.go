@@ -22,7 +22,7 @@ func TestParseMinimal(t *testing.T) {
 	if len(q.Select) != 1 || q.Select[0] != "s" {
 		t.Fatalf("Select = %v", q.Select)
 	}
-	pats := q.Patterns()
+	pats := elems[TriplePattern](q)
 	if len(pats) != 1 {
 		t.Fatalf("patterns = %d", len(pats))
 	}
@@ -42,7 +42,7 @@ func TestParsePrefixes(t *testing.T) {
 	q := mustParse(t, `
 		PREFIX up: <http://purl.uniprot.org/core/>
 		SELECT ?p WHERE { ?p a up:Protein . }`)
-	tp := q.Patterns()[0]
+	tp := elems[TriplePattern](q)[0]
 	if tp.P.Term.Value != rdfType {
 		t.Fatalf("'a' did not expand: %v", tp.P)
 	}
@@ -71,7 +71,7 @@ func TestParseMultiplePatternsAndSemicolon(t *testing.T) {
 			   <http://x/age> ?a .
 			?s <http://x/knows> ?k .
 		}`)
-	pats := q.Patterns()
+	pats := elems[TriplePattern](q)
 	if len(pats) != 3 {
 		t.Fatalf("patterns = %d, want 3", len(pats))
 	}
@@ -83,7 +83,7 @@ func TestParseMultiplePatternsAndSemicolon(t *testing.T) {
 
 func TestParseLiteralObjects(t *testing.T) {
 	q := mustParse(t, `SELECT ?s WHERE { ?s <http://x/name> "Ada" . ?s <http://x/age> 36 . }`)
-	pats := q.Patterns()
+	pats := elems[TriplePattern](q)
 	if pats[0].O.Term.Kind != dict.Literal || pats[0].O.Term.Value != "Ada" {
 		t.Fatalf("string literal = %v", pats[0].O)
 	}
@@ -94,7 +94,7 @@ func TestParseLiteralObjects(t *testing.T) {
 
 func TestParseFilterComparison(t *testing.T) {
 	q := mustParse(t, `SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER(?a >= 18 && ?a < 65) }`)
-	fs := q.Filters()
+	fs := elems[Filter](q)
 	if len(fs) != 1 {
 		t.Fatalf("filters = %d", len(fs))
 	}
@@ -110,7 +110,7 @@ func TestParseFilterUDFCall(t *testing.T) {
 			?c <http://x/smiles> ?smi .
 			FILTER(ncnpr.sw_similarity(?seq, "MKTAYIA") >= 0.9 && ncnpr.dtba(?seq, ?smi) > 7.0)
 		}`)
-	f := q.Filters()[0]
+	f := elems[Filter](q)[0]
 	names := expr.CallNames(f.Expr)
 	if len(names) != 2 || names[0] != "ncnpr.sw_similarity" || names[1] != "ncnpr.dtba" {
 		t.Fatalf("call names = %v", names)
@@ -119,7 +119,7 @@ func TestParseFilterUDFCall(t *testing.T) {
 
 func TestParseFilterArithmeticPrecedence(t *testing.T) {
 	q := mustParse(t, `SELECT ?x WHERE { ?s <http://x/v> ?x . FILTER(?x + 2 * 3 = 7) }`)
-	cmp := q.Filters()[0].Expr.(*expr.Cmp)
+	cmp := elems[Filter](q)[0].Expr.(*expr.Cmp)
 	// Left side must be ?x + (2*3).
 	add, ok := cmp.L.(*expr.Arith)
 	if !ok || add.Op != expr.Add {
@@ -132,9 +132,9 @@ func TestParseFilterArithmeticPrecedence(t *testing.T) {
 
 func TestParseFilterNotAndOr(t *testing.T) {
 	q := mustParse(t, `SELECT ?x WHERE { ?s <http://x/v> ?x . FILTER(!(?x = 1) || ?x > 10) }`)
-	or, ok := q.Filters()[0].Expr.(*expr.Or)
+	or, ok := elems[Filter](q)[0].Expr.(*expr.Or)
 	if !ok || len(or.Children) != 2 {
-		t.Fatalf("expr = %s", q.Filters()[0].Expr)
+		t.Fatalf("expr = %s", elems[Filter](q)[0].Expr)
 	}
 	if _, ok := or.Children[0].(*expr.Not); !ok {
 		t.Fatalf("first disjunct = %s", or.Children[0])
@@ -143,7 +143,7 @@ func TestParseFilterNotAndOr(t *testing.T) {
 
 func TestParseFilterBooleansAndStrings(t *testing.T) {
 	q := mustParse(t, `SELECT ?x WHERE { ?s <http://x/v> ?x . FILTER(?x = "yes" || ?x = true) }`)
-	or := q.Filters()[0].Expr.(*expr.Or)
+	or := elems[Filter](q)[0].Expr.(*expr.Or)
 	c0 := or.Children[0].(*expr.Cmp).R.(*expr.Const)
 	if c0.Val.Kind != expr.KindString || c0.Val.Str != "yes" {
 		t.Fatalf("string const = %s", c0.Val)
@@ -178,21 +178,21 @@ func TestParseComments(t *testing.T) {
 		SELECT ?s WHERE {
 			?s ?p ?o . # any triple
 		}`)
-	if len(q.Patterns()) != 1 {
+	if len(elems[TriplePattern](q)) != 1 {
 		t.Fatal("comment handling broke parsing")
 	}
 }
 
 func TestParseEscapedString(t *testing.T) {
 	q := mustParse(t, `SELECT ?s WHERE { ?s <http://x/note> "a\"b\nc" . }`)
-	if got := q.Patterns()[0].O.Term.Value; got != "a\"b\nc" {
+	if got := elems[TriplePattern](q)[0].O.Term.Value; got != "a\"b\nc" {
 		t.Fatalf("escaped string = %q", got)
 	}
 }
 
 func TestParseNegativeAndFloatNumbers(t *testing.T) {
 	q := mustParse(t, `SELECT ?x WHERE { ?s <http://x/v> ?x . FILTER(?x > -7.25 && ?x < 1e3) }`)
-	and := q.Filters()[0].Expr.(*expr.And)
+	and := elems[Filter](q)[0].Expr.(*expr.And)
 	r0 := and.Children[0].(*expr.Cmp).R.(*expr.Const)
 	if r0.Val.Num != -7.25 {
 		t.Fatalf("negative float = %s", r0.Val)
@@ -240,13 +240,13 @@ func TestParseNCNPRStyleQuery(t *testing.T) {
 			FILTER(ncnpr.sw(?seq) >= 0.9 && ncnpr.pic50(?ic50) > 6 && ncnpr.dtba(?seq, ?smiles) > 7)
 		}
 		ORDER BY ?compound LIMIT 2000`)
-	if len(q.Patterns()) != 6 {
-		t.Fatalf("patterns = %d", len(q.Patterns()))
+	if len(elems[TriplePattern](q)) != 6 {
+		t.Fatalf("patterns = %d", len(elems[TriplePattern](q)))
 	}
-	if len(q.Filters()) != 1 {
-		t.Fatalf("filters = %d", len(q.Filters()))
+	if len(elems[Filter](q)) != 1 {
+		t.Fatalf("filters = %d", len(elems[Filter](q)))
 	}
-	conj := expr.Conjuncts(q.Filters()[0].Expr)
+	conj := expr.Conjuncts(elems[Filter](q)[0].Expr)
 	if len(conj) != 3 {
 		t.Fatalf("conjuncts = %d", len(conj))
 	}
@@ -284,8 +284,8 @@ func TestParseUnion(t *testing.T) {
 		t.Fatal("branch filter lost")
 	}
 	// Outer pattern still present.
-	if len(q.Patterns()) != 1 {
-		t.Fatalf("outer patterns = %d", len(q.Patterns()))
+	if len(elems[TriplePattern](q)) != 1 {
+		t.Fatalf("outer patterns = %d", len(elems[TriplePattern](q)))
 	}
 }
 
@@ -401,7 +401,7 @@ func TestParseSimilar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sims := q.Similars()
+	sims := elems[SimilarPattern](q)
 	if len(sims) != 3 {
 		t.Fatalf("Similars = %v", sims)
 	}
@@ -417,8 +417,8 @@ func TestParseSimilar(t *testing.T) {
 	if c.Var != "z" || len(c.Vec) != 3 || c.Vec[1] != -1 || c.Vec[2] != 0.25 || c.K != 3 {
 		t.Fatalf("third SIMILAR = %+v", c)
 	}
-	if len(q.Patterns()) != 1 {
-		t.Fatalf("Patterns = %v", q.Patterns())
+	if len(elems[TriplePattern](q)) != 1 {
+		t.Fatalf("Patterns = %v", elems[TriplePattern](q))
 	}
 	if s := a.String(); !strings.Contains(s, "<http://x/c/42>") || !strings.Contains(s, `"fp"`) {
 		t.Fatalf("String = %s", s)
@@ -447,4 +447,15 @@ func TestParseSimilarErrors(t *testing.T) {
 			t.Errorf("Parse(%q) succeeded", s)
 		}
 	}
+}
+
+// elems returns the top-level WHERE elements of type T, in order.
+func elems[T Element](q *Query) []T {
+	var out []T
+	for _, e := range q.Where {
+		if x, ok := e.(T); ok {
+			out = append(out, x)
+		}
+	}
+	return out
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"ids/internal/fault"
@@ -173,45 +172,6 @@ func (s *Store) Get(name string) ([]byte, float64, error) {
 		return nil, 0, fmt.Errorf("store: %w", err)
 	}
 	return data, s.cost.Cost(len(data)), nil
-}
-
-// Has reports whether name is stored.
-func (s *Store) Has(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[name]
-	return ok
-}
-
-// HashOf returns the content hash recorded for name.
-func (s *Store) HashOf(name string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h, ok := s.index[name]
-	return h, ok
-}
-
-// Delete removes the name mapping (content remains for other names).
-func (s *Store) Delete(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	delete(s.index, name)
-	return s.saveIndexLocked()
-}
-
-// List returns all stored names, sorted.
-func (s *Store) List() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.index))
-	for name := range s.index {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Len returns the number of stored names.

@@ -42,9 +42,6 @@ func TestGetMissing(t *testing.T) {
 	if _, _, err := s.Get("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	if s.Has("nope") {
-		t.Fatal("Has(missing) true")
-	}
 }
 
 func TestReplaceMapping(t *testing.T) {
@@ -61,8 +58,8 @@ func TestReplaceMapping(t *testing.T) {
 	if err != nil || string(got) != "v2" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if h, _ := s.HashOf("k"); h != h2 {
-		t.Fatal("HashOf stale")
+	if h := s.index["k"]; h != h2 {
+		t.Fatal("index hash stale")
 	}
 }
 
@@ -94,25 +91,6 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	got, _, err := s2.Get("persist")
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("reopened Get = %q, %v", got, err)
-	}
-}
-
-func TestDeleteAndList(t *testing.T) {
-	s := openStore(t)
-	_, _, _ = s.Put("b", []byte("1"))
-	_, _, _ = s.Put("a", []byte("2"))
-	names := s.List()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("List = %v", names)
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Has("a") || s.Len() != 1 {
-		t.Fatal("Delete ineffective")
-	}
-	if err := s.Delete("a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete err = %v", err)
 	}
 }
 

@@ -293,15 +293,3 @@ func BuildNCNPR(cfg NCNPRConfig) (*Dataset, error) {
 	g.Seal()
 	return ds, nil
 }
-
-// CandidatesAbove returns the ground-truth number of compounds whose
-// protein similarity is >= threshold (the Table 2 "Compounds" column).
-func (ds *Dataset) CandidatesAbove(threshold float64) int {
-	n := 0
-	for p, sim := range ds.ProteinSim {
-		if sim >= threshold {
-			n += len(ds.CompoundsOf[p])
-		}
-	}
-	return n
-}

@@ -7,6 +7,7 @@ import (
 	"ids/internal/chem"
 	"ids/internal/dict"
 	"ids/internal/kg"
+	"ids/internal/triple"
 )
 
 func smallConfig() NCNPRConfig {
@@ -122,14 +123,14 @@ func TestCandidatesAboveMonotone(t *testing.T) {
 	}
 	prev := -1
 	for _, thr := range []float64{0.99, 0.7, 0.45, 0.3, 0.1} {
-		n := ds.CandidatesAbove(thr)
+		n := candidatesAbove(ds, thr)
 		if prev >= 0 && n < prev {
 			t.Fatalf("candidates not monotone: %d at %f after %d", n, thr, prev)
 		}
 		prev = n
 	}
 	// High threshold matches tier-0 compounds.
-	if got := ds.CandidatesAbove(0.995); got != 6 {
+	if got := candidatesAbove(ds, 0.995); got != 6 {
 		t.Fatalf("candidates@0.995 = %d, want 6", got)
 	}
 }
@@ -164,8 +165,7 @@ func TestGraphQueryableShape(t *testing.T) {
 	// background = 28.
 	n := 0
 	for i := 0; i < ds.Graph.NumShards(); i++ {
-		sh := ds.Graph.Shard(i)
-		n += len(sh.Subjects(revID, trueID))
+		n += ds.Graph.Shard(i).Count(triple.Pattern{P: revID, O: trueID})
 	}
 	if n != 28 {
 		t.Fatalf("reviewed proteins = %d, want 28", n)
@@ -209,7 +209,7 @@ func TestGenerateSourceCounts(t *testing.T) {
 
 func TestGenerateTable1Proportions(t *testing.T) {
 	g := kg.New(4)
-	counts := GenerateTable1(g, 1e-7, 1)
+	counts := generateTable1(g, 1e-7, 1)
 	if len(counts) != 7 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -219,4 +219,26 @@ func TestGenerateTable1Proportions(t *testing.T) {
 		t.Fatalf("proportions off: %v", counts)
 	}
 	g.Seal()
+}
+
+// candidatesAbove returns the ground-truth number of compounds whose
+// protein similarity is >= threshold (the Table 2 "Compounds" column).
+func candidatesAbove(ds *Dataset, threshold float64) int {
+	n := 0
+	for p, sim := range ds.ProteinSim {
+		if sim >= threshold {
+			n += len(ds.CompoundsOf[p])
+		}
+	}
+	return n
+}
+
+// generateTable1 populates g with every Table 1 source at the scale
+// factor, returning per-source generated triple counts keyed by name.
+func generateTable1(g *kg.Graph, scale float64, seed int64) map[string]int {
+	out := map[string]int{}
+	for i, src := range Table1Sources() {
+		out[src.Name] = GenerateSource(g, src, scale, seed+int64(i))
+	}
+	return out
 }

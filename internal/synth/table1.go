@@ -69,13 +69,3 @@ func GenerateSource(g *kg.Graph, src Table1Source, scale float64, seed int64) in
 	}
 	return added
 }
-
-// GenerateTable1 populates g with every Table 1 source at the scale
-// factor, returning per-source generated triple counts keyed by name.
-func GenerateTable1(g *kg.Graph, scale float64, seed int64) map[string]int {
-	out := map[string]int{}
-	for i, src := range Table1Sources() {
-		out[src.Name] = GenerateSource(g, src, scale, seed+int64(i))
-	}
-	return out
-}

@@ -39,9 +39,6 @@ func (st *Store) Add(t Triple) {
 // Len returns the number of (deduplicated, if sealed) triples.
 func (st *Store) Len() int { return len(st.spo) }
 
-// Sealed reports whether the store is ready for queries.
-func (st *Store) Sealed() bool { return st.sealed }
-
 // Seal sorts the three indexes and removes duplicate triples. It is
 // idempotent.
 func (st *Store) Seal() {
@@ -223,33 +220,6 @@ func (st *Store) Contains(t Triple) bool {
 	found := false
 	st.Match(Pattern{t.S, t.P, t.O}, func(Triple) bool { found = true; return false })
 	return found
-}
-
-// Subjects returns the sorted distinct subjects matching (?, p, o).
-func (st *Store) Subjects(p, o dict.ID) []dict.ID {
-	var out []dict.ID
-	st.Match(Pattern{P: p, O: o}, func(t Triple) bool {
-		out = append(out, t.S)
-		return true
-	})
-	return SortUnique(out)
-}
-
-// Objects returns the sorted distinct objects matching (s, p, ?).
-func (st *Store) Objects(s, p dict.ID) []dict.ID {
-	var out []dict.ID
-	st.Match(Pattern{S: s, P: p}, func(t Triple) bool {
-		out = append(out, t.O)
-		return true
-	})
-	return SortUnique(out)
-}
-
-// SortUnique sorts ids in place and removes duplicates, returning the
-// shortened slice.
-func SortUnique(ids []dict.ID) []dict.ID {
-	slices.Sort(ids)
-	return slices.Compact(ids)
 }
 
 // PredicateStats returns triple counts per predicate, used by the

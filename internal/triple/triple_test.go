@@ -35,7 +35,7 @@ func TestSealIdempotent(t *testing.T) {
 	st := buildStore(tr(1, 2, 3))
 	st.Seal()
 	st.Seal()
-	if st.Len() != 1 || !st.Sealed() {
+	if st.Len() != 1 || !st.sealed {
 		t.Fatal("Seal not idempotent")
 	}
 }
@@ -96,18 +96,6 @@ func TestContains(t *testing.T) {
 	}
 	if st.Contains(tr(5, 6, 8)) {
 		t.Fatal("Contains found absent triple")
-	}
-}
-
-func TestSubjectsObjects(t *testing.T) {
-	st := buildStore(tr(3, 10, 100), tr(1, 10, 100), tr(1, 10, 200), tr(2, 11, 100))
-	subj := st.Subjects(10, 100)
-	if len(subj) != 2 || subj[0] != 1 || subj[1] != 3 {
-		t.Fatalf("Subjects = %v, want [1 3]", subj)
-	}
-	obj := st.Objects(1, 10)
-	if len(obj) != 2 || obj[0] != 100 || obj[1] != 200 {
-		t.Fatalf("Objects = %v, want [100 200]", obj)
 	}
 }
 
@@ -205,16 +193,6 @@ func TestInsertDeleteUnsealedPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestSortUnique(t *testing.T) {
-	got := SortUnique([]dict.ID{5, 3, 5, 1, 3})
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("SortUnique = %v", got)
-	}
-	if got := SortUnique(nil); len(got) != 0 {
-		t.Fatalf("SortUnique(nil) = %v", got)
 	}
 }
 

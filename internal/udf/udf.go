@@ -269,18 +269,6 @@ func appendMemoKey(dst []byte, name string, args []expr.Value, byID bool) ([]byt
 	return b, true
 }
 
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	_, ok := r.tab.Load().entries[name]
-	return ok
-}
-
-// IsDynamic reports whether name is a dynamically loaded UDF.
-func (r *Registry) IsDynamic(name string) bool {
-	e, ok := r.tab.Load().entries[name]
-	return ok && e.dynamic
-}
-
 // CallUDF invokes the named UDF on concrete arguments: CallLazy for
 // callers that hold no dictionary IDs.
 func (r *Registry) CallUDF(name string, args []expr.Value) (expr.Value, float64, error) {

@@ -83,7 +83,7 @@ func TestDynamicReloadSemantics(t *testing.T) {
 	if out.Num != 2 {
 		t.Fatalf("v2 = %s", out)
 	}
-	if !r.IsDynamic("mymod.f") {
+	if e, ok := r.tab.Load().entries["mymod.f"]; !ok || !e.dynamic {
 		t.Fatal("IsDynamic false for dynamic UDF")
 	}
 }
@@ -106,10 +106,10 @@ func TestUnloadModule(t *testing.T) {
 	if n := r.UnloadModule("m"); n != 2 {
 		t.Fatalf("unloaded %d, want 2", n)
 	}
-	if r.Has("m.a") || r.Has("m.b") {
+	if has(r, "m.a") || has(r, "m.b") {
 		t.Fatal("module functions survived unload")
 	}
-	if !r.Has("other.c") {
+	if !has(r, "other.c") {
 		t.Fatal("unrelated module removed")
 	}
 }
@@ -205,4 +205,10 @@ func TestRegistryImplementsEstimatorPipeline(t *testing.T) {
 	if ordered[0].(*expr.Call).Name != "cheap" {
 		t.Fatal("profiled costs did not drive reordering")
 	}
+}
+
+// has reports whether name is registered.
+func has(r *Registry, name string) bool {
+	_, ok := r.tab.Load().entries[name]
+	return ok
 }

@@ -85,14 +85,6 @@ func (s *Store) EnableHNSW(cfg hnsw.Config) error {
 	return nil
 }
 
-// HNSWConfig returns the effective index configuration and whether an
-// HNSW index is enabled.
-func (s *Store) HNSWConfig() (hnsw.Config, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.hnswCfg, s.hnswIdx != nil
-}
-
 // SearchHNSW returns the approximate top-k hits through the HNSW
 // index (ef <= 0 takes the configured EfSearch). Without an enabled
 // index it falls back to the exact brute-force scan, so SIMILAR works

@@ -120,7 +120,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("shape mismatch after load: len=%d dim=%d metric=%v",
 			loaded.Len(), loaded.Dim(), loaded.Metric())
 	}
-	cfg, on := loaded.HNSWConfig()
+	cfg, on := loaded.hnswCfg, loaded.hnswIdx != nil
 	if !on || cfg.M != 8 || cfg.EfConstruction != 48 || cfg.EfSearch != 40 || cfg.Seed != 9 {
 		t.Fatalf("hnsw config after load: on=%v cfg=%+v", on, cfg)
 	}
@@ -162,7 +162,7 @@ func TestSnapshotRoundTripNoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, on := loaded.HNSWConfig(); on {
+	if loaded.hnswIdx != nil {
 		t.Fatal("index enabled after loading index-free snapshot")
 	}
 	got, err := loaded.Get("x")
@@ -207,7 +207,7 @@ func TestSaveSetLoadSet(t *testing.T) {
 		t.Fatalf("loaded shapes: fp len %d metric %v, emb len %d metric %v",
 			ga.Len(), ga.Metric(), gb.Len(), gb.Metric())
 	}
-	if _, on := ga.HNSWConfig(); !on {
+	if ga.hnswIdx == nil {
 		t.Fatal("fp lost its HNSW index")
 	}
 	q := []float32{1, 0, 0, 0}

@@ -27,13 +27,8 @@ type Manifest struct {
 	Vectors string `json:"vectors,omitempty"`
 }
 
-// ReadManifest loads the manifest from dir; (nil, nil) when none
-// exists (fresh directory).
-func ReadManifest(dir string) (*Manifest, error) {
-	return ReadManifestFS(fault.OS, dir)
-}
-
-// ReadManifestFS is ReadManifest through an explicit filesystem.
+// ReadManifestFS loads the manifest from dir through fsys; (nil, nil)
+// when none exists (fresh directory).
 func ReadManifestFS(fsys fault.FS, dir string) (*Manifest, error) {
 	b, err := fsys.ReadFile(filepath.Join(dir, ManifestName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -55,15 +50,9 @@ func ReadManifestFS(fsys fault.FS, dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// WriteManifest atomically replaces the manifest in dir: write temp,
-// fsync, rename, fsync directory.
-func WriteManifest(dir string, m Manifest) error {
-	return WriteManifestFS(fault.OS, dir, m)
-}
-
-// WriteManifestFS is WriteManifest through an explicit filesystem, so
-// every step of the swap — temp create, write, fsync, rename, directory
-// sync — is a fault-injection seam.
+// WriteManifestFS atomically replaces the manifest in dir through fsys:
+// write temp, fsync, rename, fsync directory. Every step of the swap is
+// a fault-injection seam.
 func WriteManifestFS(fsys fault.FS, dir string, m Manifest) error {
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -93,9 +82,4 @@ func WriteManifestFS(fsys fault.FS, dir string, m Manifest) error {
 		return err
 	}
 	return fsys.SyncDir(dir)
-}
-
-// SyncDir fsyncs a directory so renames within it are durable.
-func SyncDir(dir string) error {
-	return fault.OS.SyncDir(dir)
 }

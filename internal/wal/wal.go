@@ -416,17 +416,6 @@ func (l *Log) failLocked(err error) {
 	}
 }
 
-// Failed reports the sticky failure (wrapped in ErrFailed), or nil for
-// a healthy log.
-func (l *Log) Failed() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed == nil {
-		return nil
-	}
-	return fmt.Errorf("%w: %v", ErrFailed, l.failed)
-}
-
 // rotateLocked seals the active segment (always synced, whatever the
 // policy — a sealed segment must never lose frames) and starts a new
 // one.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ids/internal/dict"
+	"ids/internal/fault"
 )
 
 func iri(s string) dict.Term { return dict.Term{Kind: dict.IRI, Value: s} }
@@ -239,37 +240,37 @@ func TestParseFsyncPolicy(t *testing.T) {
 
 func TestManifestRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	m, err := ReadManifest(dir)
+	m, err := ReadManifestFS(fault.OS, dir)
 	if err != nil || m != nil {
 		t.Fatalf("fresh dir manifest = %v, %v", m, err)
 	}
 	want := Manifest{Snapshot: "snap-0000000000000007.idsnap", LastLSN: 7}
-	if err := WriteManifest(dir, want); err != nil {
+	if err := WriteManifestFS(fault.OS, dir, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(dir)
+	got, err := ReadManifestFS(fault.OS, dir)
 	if err != nil || got == nil || *got != want {
 		t.Fatalf("manifest = %v, %v", got, err)
 	}
 	// Overwrite is atomic-in-place.
 	want2 := Manifest{Snapshot: "snap-0000000000000009.idsnap", LastLSN: 9}
-	if err := WriteManifest(dir, want2); err != nil {
+	if err := WriteManifestFS(fault.OS, dir, want2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := ReadManifest(dir); *got != want2 {
+	if got, _ := ReadManifestFS(fault.OS, dir); *got != want2 {
 		t.Fatalf("manifest after overwrite = %v", got)
 	}
 	// Corrupt manifests are errors, not nil.
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil {
+	if _, err := ReadManifestFS(fault.OS, dir); err == nil {
 		t.Fatal("corrupt manifest accepted")
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(`{"snapshot":"../../etc/passwd","last_lsn":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil {
+	if _, err := ReadManifestFS(fault.OS, dir); err == nil {
 		t.Fatal("path-escaping snapshot name accepted")
 	}
 }

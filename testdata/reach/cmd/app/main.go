@@ -1,0 +1,12 @@
+// Command app is the one binary of the reachability check's test module.
+package main
+
+import (
+	"fmt"
+
+	"tiny/internal/lib"
+)
+
+func main() {
+	fmt.Println(lib.Live(), lib.T{})
+}
