@@ -113,8 +113,8 @@ func TestRefHandComputedAnswers(t *testing.T) {
 		{"count skips unbound, count(*) does not",
 			`SELECT ?s (COUNT(?n) AS ?c) (COUNT(*) AS ?all) WHERE { ?s r:type r:T . OPTIONAL { ?s r:nick ?n . } } GROUP BY ?s ORDER BY ?s`, true,
 			[][]string{{a, "1", "1"}, {b, "0", "1"}, {c, "0", "1"}}},
-		{"aggregates of nothing", `SELECT (COUNT(?s) AS ?n) (SUM(?v) AS ?sum) (MIN(?v) AS ?lo) WHERE { ?s r:nosuch ?v . }`, false,
-			[][]string{{"0", "0", "null"}}},
+		{"aggregates of nothing", `SELECT (COUNT(*) AS ?all) (COUNT(?s) AS ?n) (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) WHERE { ?s r:nosuch ?v . }`, false,
+			[][]string{{"0", "0", "0", "null", "null", "null"}}},
 		{"grouped aggregate of nothing", `SELECT ?s (COUNT(?v) AS ?n) WHERE { ?s r:nosuch ?v . } GROUP BY ?s`, false, nil},
 		{"a group without numbers", `SELECT ?t (AVG(?t) AS ?m) (SUM(?t) AS ?sum) WHERE { r:a r:tag ?t . } GROUP BY ?t`, false,
 			[][]string{{`"t1"`, "null", "0"}}},

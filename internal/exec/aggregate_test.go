@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,32 @@ func TestAggregateNullHandling(t *testing.T) {
 		return
 	}
 	t.Fatal(err)
+}
+
+// TestAggregateOfNothing: an ungrouped aggregate over zero rows still
+// yields one row, with COUNT and SUM at 0 and the rest unbound; a
+// grouped one yields no rows.
+func TestAggregateOfNothing(t *testing.T) {
+	aggs := []AggSpec{
+		{Func: "count", As: "all"},
+		{Func: "count", Var: "v", As: "n"},
+		{Func: "sum", Var: "v", As: "s"},
+		{Func: "avg", Var: "v", As: "m"},
+		{Func: "min", Var: "v", As: "lo"},
+		{Func: "max", Var: "v", As: "hi"},
+	}
+	out, err := Aggregate(NewTable("g", "v"), nil, aggs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []expr.Value{expr.Float(0), expr.Float(0), expr.Float(0), expr.Null, expr.Null, expr.Null}
+	if len(out.Rows) != 1 || !slices.Equal(out.Rows[0], want) {
+		t.Fatalf("rows = %v, want [%v]", out.Rows, want)
+	}
+	out, err = Aggregate(NewTable("g", "v"), []string{"g"}, aggs, nil)
+	if err != nil || len(out.Rows) != 0 {
+		t.Fatalf("grouped rows = %v, %v; want none", out.Rows, err)
+	}
 }
 
 func TestAggregateErrors(t *testing.T) {

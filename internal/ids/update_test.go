@@ -1,8 +1,11 @@
 package ids
 
 import (
+	"maps"
 	"net/http/httptest"
 	"testing"
+
+	"ids/internal/dict"
 )
 
 func TestUpdateInsertData(t *testing.T) {
@@ -116,4 +119,51 @@ func TestUpdateOverHTTP(t *testing.T) {
 	if err != nil || len(q.Rows) != 1 {
 		t.Fatalf("query after remote update: %v, %v", q, err)
 	}
+}
+
+// TestStatsFollowUpdates: the planner's statistics are a recount of
+// the graph after every applied statement, live and on WAL replay. The
+// insert brings a predicate the statistics have never seen; the delete
+// removes the last triples of another, whose entry must go.
+func TestStatsFollowUpdates(t *testing.T) {
+	check := func(step string, e *Engine) {
+		t.Helper()
+		total, preds := 0, map[dict.ID]int{}
+		e.Graph.Triples(func(s, p, o dict.Term) bool {
+			id, ok := e.Graph.Dict.Lookup(p)
+			if !ok {
+				t.Fatalf("%s: predicate %v not in the dictionary", step, p)
+			}
+			total++
+			preds[id]++
+			return true
+		})
+		st := e.stats.Load()
+		if st.Total != total || !maps.Equal(st.Predicates, preds) {
+			t.Fatalf("%s: stats = %d %v, recount = %d %v", step, st.Total, st.Predicates, total, preds)
+		}
+	}
+	dir := t.TempDir()
+	inst := launchDurable(t, LaunchConfig{Graph: peopleGraph(2), Durability: durCfg(dir)})
+	defer inst.Teardown()
+	check("launch", inst.Engine)
+	for _, u := range []string{
+		`INSERT DATA { <http://x/ada> <http://x/brandNew> "v" . }`,
+		`DELETE DATA { <http://x/ada> <http://x/knows> <http://x/grace> .
+		               <http://x/grace> <http://x/knows> <http://x/alan> . }`,
+	} {
+		res, err := inst.Engine.Update(u)
+		if err != nil || res.Applied != res.Total {
+			t.Fatalf("%s: %+v, %v", u, res, err)
+		}
+		check(u, inst.Engine)
+	}
+	// The copied directory holds the seed checkpoint plus both records,
+	// so the relaunch rebuilds the graph through WAL replay.
+	inst2 := launchDurable(t, LaunchConfig{Durability: durCfg(copyDir(t, dir))})
+	defer inst2.Teardown()
+	if inst2.Recovery.ReplayedRecords != 2 {
+		t.Fatalf("recovery = %+v", inst2.Recovery)
+	}
+	check("replay", inst2.Engine)
 }

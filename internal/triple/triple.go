@@ -7,6 +7,7 @@ package triple
 
 import (
 	"slices"
+	"sort"
 
 	"ids/internal/dict"
 )
@@ -223,11 +224,16 @@ func (st *Store) Contains(t Triple) bool {
 }
 
 // PredicateStats returns triple counts per predicate, used by the
-// query planner's selectivity estimates.
+// query planner's selectivity estimates. pos is sorted by predicate,
+// so each predicate's run is counted with one binary search for its
+// end: O(predicates · log n), not a pass over every triple.
 func (st *Store) PredicateStats() map[dict.ID]int {
 	stats := make(map[dict.ID]int)
-	for _, t := range st.pos {
-		stats[t.P]++
+	for run := st.pos; len(run) > 0; {
+		p := run[0].P
+		n := sort.Search(len(run), func(i int) bool { return run[i].P != p })
+		stats[p] = n
+		run = run[n:]
 	}
 	return stats
 }

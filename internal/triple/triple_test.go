@@ -1,7 +1,10 @@
 package triple
 
 import (
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ids/internal/dict"
@@ -104,6 +107,67 @@ func TestPredicateStats(t *testing.T) {
 	stats := st.PredicateStats()
 	if stats[10] != 2 || stats[11] != 1 {
 		t.Fatalf("stats = %v", stats)
+	}
+}
+
+// Property: after every Insert/Delete on a sealed store, the run-length
+// PredicateStats equals a per-triple recount of what the store holds.
+// Predicates include 0 and the largest ID, where an end-of-run search
+// bounded by p+1 would overflow; a predicate whose last triple is
+// deleted must vanish from the map, not stay at 0.
+func TestPredicateStatsMatchesRecount(t *testing.T) {
+	const maxID = dict.ID(math.MaxUint64)
+	check := func(t *testing.T, st *Store, held map[Triple]bool) {
+		t.Helper()
+		want := map[dict.ID]int{}
+		for x := range held {
+			want[x.P]++
+		}
+		if got := st.PredicateStats(); !maps.Equal(got, want) {
+			t.Fatalf("PredicateStats = %v, recount = %v", got, want)
+		}
+	}
+	check(t, New(), nil)
+	check(t, buildStore(), nil)
+
+	for _, tc := range []struct {
+		name  string
+		preds []dict.ID
+	}{
+		{"one predicate", []dict.ID{7}},
+		{"one predicate at max", []dict.ID{maxID}},
+		{"mixed", []dict.ID{0, 1, 2, 3, maxID - 1, maxID}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			st, held := buildStore(), map[Triple]bool{}
+			for step := 0; step < 2000; step++ {
+				x := tr(dict.ID(rng.Intn(6)+1), tc.preds[rng.Intn(len(tc.preds))], dict.ID(rng.Intn(6)+1))
+				// Deletes grow likelier as the store fills, so
+				// predicates keep emptying and refilling.
+				if rng.Intn(len(held)+8) >= 8 {
+					if st.Delete(x) {
+						delete(held, x)
+					}
+				} else if st.Insert(x) {
+					held[x] = true
+				}
+				check(t, st, held)
+			}
+			rest := make([]Triple, 0, len(held))
+			for x := range held {
+				rest = append(rest, x)
+			}
+			slices.SortFunc(rest, cmpSPO)
+			for _, x := range rest {
+				st.Delete(x)
+				delete(held, x)
+				check(t, st, held)
+			}
+			if st.Len() != 0 {
+				t.Fatalf("Len = %d after deleting everything", st.Len())
+			}
+		})
 	}
 }
 
