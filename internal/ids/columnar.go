@@ -46,18 +46,13 @@ func slotFrom(ctx context.Context) int {
 	return -1
 }
 
-// runPlanRec is RunPlan with an optional per-rank trace recorder, an
-// explicit profiler set (per-query overlays on the engine's query
-// path, the persistent profiles for embedded RunPlan callers), and the
-// world's arenas (nil = allocate a private arena per rank, as embedded
-// RunPlan callers run inside a foreign mpp.Run).
+// runPlanRec executes the plan steps on one rank and returns the final
+// (gathered, ordered, projected) table — one table, built by the gather
+// root and handed to every rank, so callers must treat it as read-only.
+// rec is the rank's optional trace recorder, profs the query's overlay
+// profilers and arenas the world's.
 func (e *Engine) runPlanRec(r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, arenas []*exec.Arena) (*exec.Table, error) {
-	var a *exec.Arena
-	if arenas != nil {
-		a = arenas[r.ID()]
-	} else {
-		a = exec.NewArena()
-	}
+	a := arenas[r.ID()]
 	b, err := e.runSteps(r, pl.Steps, nil, rec, profs, a, 0)
 	if err != nil {
 		return nil, err

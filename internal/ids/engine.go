@@ -139,7 +139,7 @@ func NewEngine(g *kg.Graph, topo mpp.Topology) (*Engine, error) {
 		arenas: exec.NewArenaPool(),
 	}
 	e.cres = expr.NewCachedResolver(expr.DictResolver{Dict: g.Dict})
-	e.stats.Store(plan.StatsFromGraph(g))
+	e.rebuildStatsLocked()
 	e.log.Store(obs.NopLogger())
 	e.workload.Store(insights.New(insights.Config{}))
 	e.profilers = make([]*udf.Profiler, topo.Size())
@@ -318,7 +318,22 @@ func (e *Engine) QueryCtx(ctx context.Context, qs string) (*Result, error) {
 	start := time.Now()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.queryLocked(ctx, qs, false, start)
+	return e.queryLocked(ctx, qs, false, start, nil)
+}
+
+// QueryStage is QueryCtx followed, in the same world, by a per-rank
+// stage over the gathered answer: once the plan has run, every rank
+// calls stage with the table (the same read-only table on every rank),
+// so a workflow step such as docking is one query — its charges and
+// phases land in the Report, the metrics and the insights observation,
+// and a stage error fails the query like an operator error. The stage
+// runs under the engine read lock, so a writer waits for the whole
+// world, stage included.
+func (e *Engine) QueryStage(ctx context.Context, qs string, stage func(*mpp.Rank, *exec.Table) error) (*Result, error) {
+	start := time.Now()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.queryLocked(ctx, qs, false, start, stage)
 }
 
 // QueryTraced is Query with span tracing forced on for this one call;
@@ -332,13 +347,14 @@ func (e *Engine) QueryTracedCtx(ctx context.Context, qs string) (*Result, error)
 	start := time.Now()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.queryLocked(ctx, qs, true, start)
+	return e.queryLocked(ctx, qs, true, start, nil)
 }
 
-// queryLocked runs one query; the caller holds the engine read lock.
-// start is taken before the lock, so time spent waiting behind a
-// writer counts toward the query's wall time and its tail verdict.
-func (e *Engine) queryLocked(ctx context.Context, qs string, traced bool, start time.Time) (*Result, error) {
+// queryLocked runs one query, then stage (nil = none; see QueryStage);
+// the caller holds the engine read lock. start is taken before the
+// lock, so time spent waiting behind a writer counts toward the query's
+// wall time and its tail verdict.
+func (e *Engine) queryLocked(ctx context.Context, qs string, traced bool, start time.Time, stage func(*mpp.Rank, *exec.Table) error) (*Result, error) {
 	parseStart := time.Now()
 	q, err := sparql.Parse(qs)
 	if err != nil {
@@ -351,17 +367,17 @@ func (e *Engine) queryLocked(ctx context.Context, qs string, traced bool, start 
 		e.Logger().ErrorContext(ctx, "query parse failed", "err", err)
 		return nil, err
 	}
-	return e.execute(ctx, q, traced, qs, start, time.Since(parseStart).Seconds())
+	return e.execute(ctx, q, traced, qs, start, time.Since(parseStart).Seconds(), stage)
 }
 
 // Execute runs a parsed query.
 func (e *Engine) Execute(q *sparql.Query) (*Result, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.execute(context.Background(), q, false, "", time.Now(), 0)
+	return e.execute(context.Background(), q, false, "", time.Now(), 0, nil)
 }
 
-func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs string, start time.Time, parseSec float64) (*Result, error) {
+func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs string, start time.Time, parseSec float64, stage func(*mpp.Rank, *exec.Table) error) (*Result, error) {
 	lg := e.Logger()
 	// Bracket the query with the runtime's cumulative allocation
 	// counters: the completion delta is the query's physical resource
@@ -418,6 +434,9 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 		tab, err := e.runPlanRec(r, pl, rec, qprofs, arenas)
 		if r.ID() == exec.RootRank {
 			answer = tab
+		}
+		if err == nil && stage != nil {
+			err = stage(r, tab)
 		}
 		return err
 	})
@@ -496,18 +515,6 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 func (e *Engine) observeWorkload(ctx context.Context, ob insights.Observation) insights.Decision {
 	ob.QID = obs.QID(ctx)
 	return e.workload.Load().Observe(ob)
-}
-
-// RunPlan executes the plan steps on one rank and returns the final
-// (gathered, ordered, projected) table — one table, built by the gather
-// root and handed to every rank, so callers must treat it as read-only.
-// Exposed so workflow drivers can embed queries inside a larger
-// mpp.Run with extra stages (e.g. docking) in the same world. It
-// records straight into the persistent per-rank profiles (which are
-// internally synchronized); the caller is responsible for excluding
-// concurrent updates for the duration of its world.
-func (e *Engine) RunPlan(r *mpp.Rank, pl *plan.Plan) (*exec.Table, error) {
-	return e.runPlanRec(r, pl, nil, e.profilers, nil)
 }
 
 // finalize turns the gathered solutions into the answer: BIND columns

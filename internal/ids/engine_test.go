@@ -1,6 +1,9 @@
 package ids
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -217,5 +220,37 @@ func TestOptionsAffectExecution(t *testing.T) {
 	}
 	if len(res1.Rows) != len(res2.Rows) {
 		t.Fatalf("optimization changed results: %d vs %d", len(res1.Rows), len(res2.Rows))
+	}
+}
+
+func TestQueryStageErrorIsAQueryError(t *testing.T) {
+	e := newEngine(t, 4)
+	before, err := e.Query(peopleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errStage := errors.New("stage failed")
+	_, err = e.QueryStage(context.Background(), peopleQuery, func(r *mpp.Rank, tab *exec.Table) error {
+		if r.ID() == 1 {
+			return errStage
+		}
+		// The other ranks park on a barrier the failing rank never
+		// reaches; the world's abort must release them.
+		return r.Barrier()
+	})
+	if !errors.Is(err, errStage) {
+		t.Fatalf("QueryStage err = %v, want %v", err, errStage)
+	}
+	if v := e.Metrics().Counter("ids_query_errors_total").Value(); v != 1 {
+		t.Fatalf("ids_query_errors_total = %v, want 1", v)
+	}
+	// The failed world's arenas went back to the pool; the next query
+	// reuses them and must answer as before.
+	after, err := e.Query(peopleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Strings(after), e.Strings(before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a failed stage: %v, want %v", got, want)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // rebuildStatsLocked swaps in fresh planner statistics: graph
 // cardinalities plus per-store vector counts for SIMILAR selectivity.
-// Caller holds the writer lock.
+// Caller holds the writer lock, or is NewEngine before e is shared.
 func (e *Engine) rebuildStatsLocked() {
 	st := plan.StatsFromGraph(e.Graph)
 	if len(e.vectors) > 0 {

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"sort"
+	"strconv"
 
 	"ids/internal/dtba"
 	"ids/internal/molgen"
@@ -83,7 +84,7 @@ func (w *Workflow) GenerateAndScreen(n, topK int, seed int64) (*GenerateResult, 
 			if w.assignRank(r, i, all[i].smi) != r.ID() {
 				continue
 			}
-			name := "generated/" + itoa(seed) + "/" + itoa(int64(i))
+			name := "generated/" + strconv.FormatInt(seed, 10) + "/" + strconv.Itoa(i)
 			cand, err := w.dockOne(r, name, all[i].smi)
 			if err != nil {
 				return err
@@ -114,23 +115,4 @@ func (w *Workflow) GenerateAndScreen(n, topK int, seed int64) (*GenerateResult, 
 		return gr.Docked[i].Affinity < gr.Docked[j].Affinity
 	})
 	return gr, nil
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b []byte
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
-	}
-	if neg {
-		return "-" + string(b)
-	}
-	return string(b)
 }

@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -23,6 +24,16 @@ func TestGenerateAndScreen(t *testing.T) {
 	for i := 1; i < len(gr.Docked); i++ {
 		if gr.Docked[i].Affinity < gr.Docked[i-1].Affinity {
 			t.Fatal("docked candidates not sorted by affinity")
+		}
+	}
+	// Each docked survivor is named generated/<seed>/<screen rank>.
+	names := map[string]bool{}
+	for _, c := range gr.Docked {
+		names[c.Compound] = true
+	}
+	for i := range gr.Docked {
+		if name := fmt.Sprintf("generated/11/%d", i); !names[name] {
+			t.Fatalf("no docked candidate named %s: %+v", name, gr.Docked)
 		}
 	}
 	// Phases present.
@@ -69,14 +80,5 @@ func TestGenerateAndScreenUsesCache(t *testing.T) {
 	if second.Report.Makespan > first.Report.Makespan*1.01 {
 		t.Fatalf("warm generative run slower: %f vs %f",
 			second.Report.Makespan, first.Report.Makespan)
-	}
-}
-
-func TestItoa(t *testing.T) {
-	cases := map[int64]string{0: "0", 7: "7", 42: "42", -3: "-3", 1234567: "1234567"}
-	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Fatalf("itoa(%d) = %q, want %q", in, got, want)
-		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 
 // updateGolden rewrites testdata/runquery_golden.json from the current
 // tree. The committed file was captured at the all-gather parent of the
-// root-gather refactor (DESIGN.md §9): RunQuery embeds Engine.RunPlan
-// in a larger world and deals docking tasks from the table every rank
-// gets back, so it is the caller that notices if ranks stop agreeing on
-// the table or on the clock.
+// root-gather refactor (DESIGN.md §9): RunQuery docks in a stage of
+// the query's own world (Engine.QueryStage) and deals docking tasks
+// from the table every rank gets back, so it is the caller that notices
+// if ranks stop agreeing on the table or on the clock.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/runquery_golden.json")
 
 type runGolden struct {

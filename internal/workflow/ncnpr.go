@@ -8,6 +8,7 @@
 package workflow
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,13 +16,12 @@ import (
 	"ids/internal/cache"
 	"ids/internal/dock"
 	"ids/internal/dtba"
+	"ids/internal/exec"
 	"ids/internal/expr"
 	"ids/internal/fam"
 	"ids/internal/fold"
 	"ids/internal/ids"
 	"ids/internal/mpp"
-	"ids/internal/plan"
-	"ids/internal/sparql"
 	"ids/internal/synth"
 )
 
@@ -237,31 +237,16 @@ func (w *Workflow) Run(swThreshold float64) (*RunResult, error) {
 }
 
 // RunQuery runs the workflow with a caller-supplied inner query (used
-// by ablations that vary the FILTER structure).
+// by ablations that vary the FILTER structure). The docking stage runs
+// in the query's own world, so the query's report, metrics and
+// insights observation include it.
 func (w *Workflow) RunQuery(query string) (*RunResult, error) {
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := plan.Build(q, plan.StatsFromGraph(w.Engine.Graph))
-	if err != nil {
-		return nil, err
-	}
-
 	p := w.Engine.Topo.Size()
 	perRank := make([][]Candidate, p)
 	hits := make([]int, p)
 	misses := make([]int, p)
-	inner := 0
 
-	report, err := mpp.Run(w.Engine.Topo, w.Engine.Net, w.Engine.Seed, func(r *mpp.Rank) error {
-		tab, err := w.Engine.RunPlan(r, pl)
-		if err != nil {
-			return err
-		}
-		if r.ID() == 0 {
-			inner = tab.Len()
-		}
+	out, err := w.Engine.QueryStage(context.Background(), query, func(r *mpp.Rank, tab *exec.Table) error {
 		// Step 5: dock the survivors. The gathered table is identical
 		// on every rank, so every rank computes the same assignment:
 		// round-robin by default, or cache-affinity placement (tasks
@@ -297,7 +282,7 @@ func (w *Workflow) RunQuery(query string) (*RunResult, error) {
 		return nil, err
 	}
 
-	rr := &RunResult{Report: report, InnerRows: inner}
+	rr := &RunResult{Report: out.Report, InnerRows: len(out.Rows)}
 	for i := range perRank {
 		rr.Candidates = append(rr.Candidates, perRank[i]...)
 		rr.CacheHits += hits[i]

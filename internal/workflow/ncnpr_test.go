@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"fmt"
 	"testing"
 
 	"ids/internal/cache"
@@ -287,4 +288,56 @@ func indexOf(s, sub string) int {
 		}
 	}
 	return -1
+}
+
+// TestRunQueryUnderUpdates runs the workflow while INSERT DATA
+// statements mutate the graph: the inner query and its docking stage
+// hold the engine read lock for the whole world, so under -race no
+// access to the graph is unsynchronized.
+func TestRunQueryUnderUpdates(t *testing.T) {
+	w := newWorkflow(t, 4, false)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 50; i++ {
+			u := fmt.Sprintf(`INSERT DATA { <http://x/s%d> <http://x/note> "v%d" . }`, i, i)
+			if _, err := w.Engine.Update(u); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 3; i++ {
+		if _, err := w.Run(0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunQueryIsObserved checks that the §4 query, docking included,
+// is an ordinary query to the engine's metrics and insights.
+func TestRunQueryIsObserved(t *testing.T) {
+	w := newWorkflow(t, 4, false)
+	rr, err := w.Run(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := w.Engine.Metrics()
+	if v := reg.Counter("ids_queries_total").Value(); v != 1 {
+		t.Fatalf("ids_queries_total = %v, want 1", v)
+	}
+	dock := rr.Report.Phases["dock"]
+	if dock <= 0 {
+		t.Fatalf("report has no docking phase: %v", rr.Report.Phases)
+	}
+	if v := reg.Counter("ids_phase_vt_seconds_total", "phase", "dock").Value(); v != dock {
+		t.Fatalf(`ids_phase_vt_seconds_total{phase="dock"} = %v, want %v`, v, dock)
+	}
+	top := w.Engine.Insights().TopK(1)
+	if len(top) != 1 || top[0].Count != 1 {
+		t.Fatalf("insights top fingerprints = %+v, want one with count 1", top)
+	}
 }
