@@ -39,6 +39,8 @@ type Arena struct {
 	// survive Reset.
 	sel  []int32
 	selB []int32
+	// binds holds a probe join's per-match pattern bindings.
+	binds [][3]dict.ID
 	// parts/chunks are the partition counting-sort counters and send
 	// chunks (reused once the preceding exchange's trailing barrier
 	// guarantees no rank still reads them).
@@ -199,6 +201,18 @@ func (a *Arena) saveSelB(s []int32) {
 		a.freshBytes += int64(cap(s)-cap(a.selB)) * 4
 		a.freshMallocs++
 		a.selB = s
+	}
+}
+
+// bindScratch returns the probe join's binding scratch with length 0.
+func (a *Arena) bindScratch() [][3]dict.ID { return a.binds[:0] }
+
+// saveBinds stores grown binding scratch back for reuse.
+func (a *Arena) saveBinds(s [][3]dict.ID) {
+	if cap(s) > cap(a.binds) {
+		a.freshBytes += int64(cap(s)-cap(a.binds)) * 24
+		a.freshMallocs++
+		a.binds = s
 	}
 }
 

@@ -190,10 +190,12 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 // columnar operators. Measured on the 4096-entity bench graph the warm
 // operators sit at ~26 (scan), ~33 (filter) and ~48 (join) allocs per
 // run — almost all of it the fixed mpp world setup — so the ceilings
-// below carry ~2× headroom. A regression that reintroduces per-row or
-// per-batch heap traffic (thousands of allocs) fails loudly. The warm
-// UDF filter answers 4096 memo hits over 240-character literals inside
-// the same fixed budget as the plain filter: zero allocations per row.
+// below carry ~2× headroom. The probe join (4095 index probes) costs
+// what the scan does: nothing per row. A regression that reintroduces
+// per-row or per-batch heap traffic (thousands of allocs) fails
+// loudly. The warm UDF filter answers 4096 memo hits over 240-character
+// literals inside the same fixed budget as the plain filter: zero
+// allocations per row.
 // Run in CI as the alloc-ceiling smoke step.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() {
@@ -243,6 +245,10 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := HashJoinBatch(r, l, rt, a)
 			return err
 		}},
+		{"probe", 60, false, func(r *mpp.Rank, a *Arena) error {
+			_, err := probeAge(r, g, l, a)
+			return err
+		}},
 	}
 	// The race detector makes sync.Pool drop a quarter of what it is
 	// given, so there a pooled buffer is not an allocation-free one.
@@ -273,6 +279,37 @@ func TestAllocCeilings(t *testing.T) {
 			if got > tc.ceiling {
 				t.Fatalf("%s: %.0f allocs/op exceeds pinned ceiling %.0f", tc.name, got, tc.ceiling)
 			}
+		})
+	}
+}
+
+// probeAge joins ?t <age> ?v into l (whose ?t column the bench graph's
+// one shard owns) through the shard's index: the probe-join twin of the
+// hash join BenchmarkHashJoinBatch measures, with the same answer.
+func probeAge(r *mpp.Rank, g *kg.Graph, l *Batch, a *Arena) (*Batch, error) {
+	out, _ := ProbeJoinBatch(r, g.Shard(0), g.Dict, l, l.Col("t"), pat("?t", "http://x/age", "?v"), a)
+	if out.Len() != l.Len() {
+		return nil, fmt.Errorf("probe join: %d rows, want %d", out.Len(), l.Len())
+	}
+	return out, nil
+}
+
+func BenchmarkProbeJoinBatch(b *testing.B) {
+	g := benchGraph(benchEntities, 1)
+	ain, a := NewArena(), NewArena()
+	var l *Batch
+	benchWorld(b, func(r *mpp.Rank) error {
+		var err error
+		l, err = ScanBatch(r, g.Shard(0), g.Dict, pat("?s", "http://x/knows", "?t"), ain)
+		return err
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Reset()
+		benchWorld(b, func(r *mpp.Rank) error {
+			_, err := probeAge(r, g, l, a)
+			return err
 		})
 	}
 }

@@ -165,6 +165,59 @@ func TestHashJoinBatchMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// TestProbeJoinBatchMatchesHashJoin joins patterns into a stream whose
+// rows sit on the rank owning their ?t as a subject (a scan with
+// subject ?t) both ways: through each rank's own index, and by the
+// distributed hash join. The answers and headers must be equal.
+func TestProbeJoinBatchMatchesHashJoin(t *testing.T) {
+	g := buildGraph(3)
+	left := pat("?t", "http://x/age", "?a")
+	for _, p := range []struct{ s, p, o string }{
+		{"?t", "http://x/name", "?n"},
+		{"?t", "?p", "?o"},
+		{"?t", "?p", "?p"},                        // repeated new variable
+		{"?t", "http://x/knows", "?t"},            // the key twice: no self-loops
+		{"?t", "?p", "\"p4\""},                    // constant object
+		{"?t", "http://x/nosuch", "?o"},           // a term the graph never saw
+		{"?t", "http://x/age", "?x"},              // one match per row
+		{"?t", "http://x/knows", "http://x/none"}, // nothing matches
+	} {
+		tp := pat(p.s, p.p, p.o)
+		probed := gathered(t, g, func(r *mpp.Rank, a *Arena) (*Batch, error) {
+			l, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, left, a)
+			if err != nil {
+				return nil, err
+			}
+			out, _ := ProbeJoinBatch(r, g.Shard(r.ID()), g.Dict, l, l.Col("t"), tp, a)
+			return out, nil
+		})
+		hashed := gathered(t, g, func(r *mpp.Rank, a *Arena) (*Batch, error) {
+			l, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, left, a)
+			if err != nil {
+				return nil, err
+			}
+			rt, err := ScanBatch(r, g.Shard(r.ID()), g.Dict, tp, a)
+			if err != nil {
+				return nil, err
+			}
+			return HashJoinBatch(r, l, rt, a)
+		})
+		if !slices.Equal(probed.Vars, hashed.Vars) || !slices.Equal(batchRows(probed), batchRows(hashed)) {
+			t.Errorf("pattern %v:\n probe %v %v\n hash  %v %v", tp, probed.Vars, batchRows(probed), hashed.Vars, batchRows(hashed))
+		}
+	}
+	// An unbound key is no subject: it must not probe as a wildcard.
+	runWorld(t, 1, func(r *mpp.Rank) error {
+		g1 := buildGraph(1)
+		l := &Batch{Vars: []string{"t"}, Cols: [][]dict.ID{{dict.None, dict.None}}, NRows: 2}
+		out, matched := ProbeJoinBatch(r, g1.Shard(0), g1.Dict, l, 0, pat("?t", "?p", "?o"), NewArena())
+		if out.Len() != 0 || matched != 0 {
+			return fmt.Errorf("unbound keys matched %d triples into %d rows", matched, out.Len())
+		}
+		return nil
+	})
+}
+
 func TestLeftJoinBatchNullExtension(t *testing.T) {
 	g := buildGraph(1)
 	runWorld(t, 1, func(r *mpp.Rank) error {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"log/slog"
+	"slices"
 	"strings"
 
 	"ids/internal/dict"
@@ -25,48 +26,57 @@ const scanCostPerTriple = 5e-8
 // joinCostPerRow is the modeled hash-join cost per probed row.
 const joinCostPerRow = 1e-7
 
+// patternLayout resolves pat's constant terms against d and numbers
+// its variables in S, P, O order of first appearance: col[i] is the
+// output column of position i (S, P, O), -1 for a constant. ok is false
+// when a constant is absent from the dictionary (nothing matches).
+func patternLayout(d *dict.Dict, pat sparql.TriplePattern) (tp triple.Pattern, vars []string, col [3]int, ok bool) {
+	ok = true
+	var ids [3]dict.ID
+	for i, tv := range [3]sparql.TermOrVar{pat.S, pat.P, pat.O} {
+		if !tv.IsVar {
+			id, found := d.Lookup(tv.Term)
+			ids[i], ok, col[i] = id, ok && found, -1
+			continue
+		}
+		if col[i] = slices.Index(vars, tv.Var); col[i] < 0 {
+			col[i] = len(vars)
+			vars = append(vars, tv.Var)
+		}
+	}
+	return triple.Pattern{S: ids[0], P: ids[1], O: ids[2]}, vars, col, ok
+}
+
+// bindTriple writes t's components into vals by layout col. Repeated
+// variables within the pattern are equality constraints: false when the
+// components they bind disagree.
+func bindTriple(t triple.Triple, col [3]int, vals *[3]dict.ID) bool {
+	var set [3]bool
+	for i, id := range [3]dict.ID{t.S, t.P, t.O} {
+		c := col[i]
+		if c < 0 {
+			continue
+		}
+		if set[c] {
+			if vals[c] != id {
+				return false
+			}
+			continue
+		}
+		set[c], vals[c] = true, id
+	}
+	return true
+}
+
 // ScanBatch matches a triple pattern against the rank's shard and
 // returns the local bindings as ID column vectors. Repeated variables
 // within the pattern are enforced as equality constraints.
 func ScanBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, pat sparql.TriplePattern, a *Arena) (*Batch, error) {
-	resolve := func(tv sparql.TermOrVar) (dict.ID, bool) {
-		if tv.IsVar {
-			return dict.None, true
-		}
-		id, ok := d.Lookup(tv.Term)
-		return id, ok
-	}
-	sid, sOK := resolve(pat.S)
-	pid, pOK := resolve(pat.P)
-	oid, oOK := resolve(pat.O)
-
-	var vars []string
-	addVar := func(name string) int {
-		for i, v := range vars {
-			if v == name {
-				return i
-			}
-		}
-		vars = append(vars, name)
-		return len(vars) - 1
-	}
-	si, pi, oi := -1, -1, -1
-	if pat.S.IsVar {
-		si = addVar(pat.S.Var)
-	}
-	if pat.P.IsVar {
-		pi = addVar(pat.P.Var)
-	}
-	if pat.O.IsVar {
-		oi = addVar(pat.O.Var)
-	}
+	tp, vars, col, ok := patternLayout(d, pat)
 	out := NewBatch(vars...)
-	if !sOK || !pOK || !oOK {
-		// A concrete term absent from the dictionary matches nothing.
+	if !ok {
 		return out, nil
 	}
-
-	tp := triple.Pattern{S: sid, P: pid, O: oid}
 	capacity := shard.Count(tp)
 	for c := range out.Cols {
 		out.Cols[c] = a.AllocIDs(capacity)
@@ -75,28 +85,7 @@ func ScanBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, pat sparql.Triple
 	shard.Match(tp, func(t triple.Triple) bool {
 		matched++
 		var vals [3]dict.ID
-		var set [3]bool
-		ok := true
-		bind := func(ci int, id dict.ID) {
-			if set[ci] {
-				if vals[ci] != id {
-					ok = false
-				}
-				return
-			}
-			set[ci] = true
-			vals[ci] = id
-		}
-		if si >= 0 {
-			bind(si, t.S)
-		}
-		if ok && pi >= 0 {
-			bind(pi, t.P)
-		}
-		if ok && oi >= 0 {
-			bind(oi, t.O)
-		}
-		if ok {
+		if bindTriple(t, col, &vals) {
 			for c := range out.Cols {
 				out.Cols[c][rows] = vals[c]
 			}
@@ -110,6 +99,62 @@ func ScanBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, pat sparql.Triple
 	out.NRows = rows
 	r.Charge(float64(matched) * scanCostPerTriple)
 	return out, nil
+}
+
+// ProbeJoinBatch joins pat into left through the shard's spo index: for
+// each left row it matches pat with its subject bound to the row's
+// keyCol cell — one subject range per row, no exchange. pat's subject
+// must be the variable of left's column keyCol. It is a join only when
+// every left row sits on the rank that owns its key as a subject (each
+// triple lives on the shard of its subject, kg.Graph.ShardOf) and pat
+// shares no other variable with left; the engine decides that from the
+// plan alone. The output header is the hash join's: left's columns,
+// then pat's new variables. matched counts the triples the probes
+// touched.
+func ProbeJoinBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch, keyCol int, pat sparql.TriplePattern, a *Arena) (out *Batch, matched int) {
+	tp, vars, col, ok := patternLayout(d, pat)
+	// Pattern column 0 is the subject, which left already carries; the
+	// others follow left's columns.
+	nl := len(left.Vars)
+	outVars := append(left.Vars[:nl:nl], vars[1:]...)
+	// One subject range per row: sel collects the left row of each
+	// match and binds its pattern bindings; the columns are built to
+	// size from them.
+	keys := left.Cols[keyCol]
+	sel, binds := a.selSlice(left.NRows), a.bindScratch()
+	for i := 0; i < left.NRows && ok; i++ {
+		if tp.S = keys[i]; tp.S == dict.None {
+			continue // an unbound key is no subject: a wildcard would match all
+		}
+		shard.Match(tp, func(t triple.Triple) bool {
+			matched++
+			var vals [3]dict.ID
+			if bindTriple(t, col, &vals) {
+				sel = append(sel, int32(i))
+				binds = append(binds, vals)
+			}
+			return true
+		})
+	}
+	n := len(sel)
+	out = &Batch{Vars: outVars, Cols: a.AllocCols(len(outVars)), NRows: n}
+	for c := range out.Cols {
+		to := a.AllocIDs(n)
+		if c < nl {
+			for k, li := range sel {
+				to[k] = left.Cols[c][li]
+			}
+		} else {
+			for k := range binds {
+				to[k] = binds[k][c-nl+1]
+			}
+		}
+		out.Cols[c] = to
+	}
+	a.saveSel(sel)
+	a.saveBinds(binds)
+	r.Charge(float64(matched)*scanCostPerTriple + float64(left.NRows)*joinCostPerRow)
+	return out, matched
 }
 
 // sharedVarsBatch returns the variables common to both headers.

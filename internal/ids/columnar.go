@@ -129,11 +129,30 @@ func (e *Engine) runSteps(r *mpp.Rank, steps []plan.Step, b *exec.Batch, rec *ob
 		}
 		return join(t, "join", false)
 	}
+	// owned names the stream variable whose every row sits on the rank
+	// that owns its value as a subject: set when a SIMILAR access path
+	// seeds the stream (its hits are placed by kg.Graph.ShardOf), kept
+	// across probe joins, cleared by every other step. The choice reads
+	// only the plan and the stream header, so all ranks make it alike —
+	// they must, since the hash join it replaces enters collectives.
+	owned := ""
 	for _, step := range steps {
+		placed := owned
+		owned = ""
 		switch s := step.(type) {
 		case plan.ScanStep, plan.JoinStep:
 			pat := patternOf(step)
 			r.SetPhase("scan")
+			if col := probeCol(b, pat, placed); col >= 0 {
+				ot := startOp(rec, r, a)
+				in := b.Len()
+				var matched int
+				b, matched = exec.ProbeJoinBatch(r, shard, e.Graph.Dict, b, col, pat, a)
+				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "scan", Label: pat.String(),
+					RowsIn: in, RowsOut: matched, Note: "probe ?" + placed})
+				owned = placed
+				continue
+			}
 			ot := startOp(rec, r, a)
 			t, err := exec.ScanBatch(r, shard, e.Graph.Dict, pat, a)
 			if err != nil {
@@ -229,10 +248,14 @@ func (e *Engine) runSteps(r *mpp.Rank, steps []plan.Step, b *exec.Batch, rec *ob
 					RowsIn: in, RowsOut: b.Len(), Note: knnNote(info, true)})
 				continue
 			}
-			t := exec.KNNBatch(a, s.Sim.Var, knnPartition(ids, r.ID(), e.Topo.Size()))
+			t := exec.KNNBatch(a, s.Sim.Var, e.knnOwned(ids, r.ID()))
 			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
 				RowsOut: t.Len(), Note: knnNote(info, false)})
-			if err := joinIn(t); err != nil {
+			if b == nil {
+				b, owned = t, s.Sim.Var
+				continue
+			}
+			if err := join(t, "join", false); err != nil {
 				return nil, err
 			}
 		case plan.ValuesStep:
@@ -273,6 +296,22 @@ func patternOf(s plan.Step) (p sparql.TriplePattern) {
 		return n.Pattern
 	}
 	return p
+}
+
+// probeCol returns the stream column of placed when pat can join
+// through the rank's own spo index (exec.ProbeJoinBatch): placed is the
+// stream's owner-placed variable, pat's subject, and the only variable
+// pat shares with the stream. -1 otherwise.
+func probeCol(b *exec.Batch, pat sparql.TriplePattern, placed string) int {
+	if placed == "" || !pat.S.IsVar || pat.S.Var != placed {
+		return -1
+	}
+	for _, tv := range [2]sparql.TermOrVar{pat.P, pat.O} {
+		if tv.IsVar && tv.Var != placed && b.Col(tv.Var) >= 0 {
+			return -1
+		}
+	}
+	return b.Col(placed)
 }
 
 // res returns the engine's cached ID resolver.

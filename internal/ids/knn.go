@@ -28,9 +28,11 @@ func (e *Engine) rebuildStatsLocked() {
 // (plan.SimilarStep) runs here. Every rank executes the identical
 // deterministic top-k search — the store index is shared and the
 // result is a function of (store, query, k, ef) — so no broadcast is
-// needed: access mode partitions the hit list round-robin by rank, and
-// semi mode filters each rank's stream partition against the full
-// top-k key set.
+// needed: access mode keeps on each rank the hits whose subject triples
+// its shard holds (kg.Graph.ShardOf), so a following subject-bound
+// pattern probes that shard's index instead of a hash join, and semi
+// mode filters each rank's stream partition against the full top-k key
+// set.
 
 // similarStore resolves the store a SIMILAR clause targets. An empty
 // name selects the sole attached store. Caller holds the engine read
@@ -91,12 +93,13 @@ func (e *Engine) knnHits(sp sparql.SimilarPattern, observe bool) ([]dict.ID, vec
 	return ids, info, nil
 }
 
-// knnPartition returns this rank's round-robin share of the hit list
-// (access mode emits each hit on exactly one rank).
-func knnPartition(ids []dict.ID, rank, size int) []dict.ID {
-	out := make([]dict.ID, 0, len(ids)/size+1)
-	for i, id := range ids {
-		if i%size == rank {
+// knnOwned keeps, in place, the hits rank owns as subjects (access
+// mode emits each hit once, on the rank whose shard holds its triples,
+// so a subject-bound pattern can join it through that shard's index).
+func (e *Engine) knnOwned(ids []dict.ID, rank int) []dict.ID {
+	out := ids[:0]
+	for _, id := range ids {
+		if e.Graph.ShardOf(id) == rank {
 			out = append(out, id)
 		}
 	}

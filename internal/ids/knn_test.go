@@ -17,20 +17,29 @@ import (
 // on a line in vector space (so nearest neighbours are unambiguous),
 // with an HNSW-indexed store attached under "fp". Keys are the
 // compound IRIs plus one literal-keyed extra.
-func knnEngine(t *testing.T) *Engine {
+func knnEngine(t *testing.T) *Engine { return knnEngineAt(t, 2) }
+
+// knnEngineAt is knnEngine over the given number of ranks. Besides
+// names, each compound has a weight class and a link to the next one;
+// two keys join nothing as a subject: "orphan" has no graph term at
+// all, <http://x/target> appears only as an object.
+func knnEngineAt(t *testing.T, ranks int) *Engine {
 	t.Helper()
-	g := kg.New(2)
+	g := kg.New(ranks)
 	iri := func(s string) dict.Term { return dict.Term{Kind: dict.IRI, Value: s} }
 	lit := func(s string) dict.Term { return dict.Term{Kind: dict.Literal, Value: s} }
 	for i := 0; i < 10; i++ {
 		c := fmt.Sprintf("http://x/c%d", i)
 		g.Add(iri(c), iri("http://x/name"), lit(fmt.Sprintf("c%d", i)))
+		g.Add(iri(c), iri("http://x/weight"), lit(fmt.Sprintf("w%d", i%3)))
+		g.Add(iri(c), iri("http://x/next"), iri(fmt.Sprintf("http://x/c%d", (i+1)%10)))
 		if i < 2 {
 			g.Add(iri(c), iri("http://x/rare"), lit("r"))
 		}
 	}
+	g.Add(iri("http://x/c5"), iri("http://x/binds"), iri("http://x/target"))
 	g.Seal()
-	e, err := NewEngine(g, mpp.Topology{Nodes: 1, RanksPerNode: 2})
+	e, err := NewEngine(g, mpp.Topology{Nodes: 1, RanksPerNode: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +54,9 @@ func knnEngine(t *testing.T) *Engine {
 	}
 	// A key with no graph term: must be silently dropped from joins.
 	if err := vs.Add("orphan", []float32{0.1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := vs.Add("http://x/target", []float32{5.5, 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := vs.EnableHNSW(hnsw.Config{M: 4, EfConstruction: 32, Seed: 1}); err != nil {
@@ -170,22 +182,63 @@ func TestSimilarExplainAnalyze(t *testing.T) {
 	}
 }
 
-// TestEquivSimilar checks the access-path and semi-join forms, and a
-// literal-keyed anchor, against the reference evaluator, which turns
-// the same SearchHNSW hit list into bindings by its own rules.
+// TestEquivSimilar checks SIMILAR access paths, semi-joins and the
+// patterns they drive against the reference evaluator, which turns the
+// same SearchHNSW hit list into bindings by its own rules, at 1-4
+// ranks: access mode places each hit on the rank owning it as a
+// subject, which differs with the rank count. probes is how many
+// operators join through the owner's index (a "probe" note) — so the
+// answers cannot come from the hash join the probe replaces.
 func TestEquivSimilar(t *testing.T) {
-	e := knnEngine(t)
-	w := refWorld(e)
-	for _, qs := range []string{
-		`SELECT ?c ?n WHERE { SIMILAR(?c, [4 0], 5, "fp") . ?c <http://x/name> ?n . } ORDER BY ?n`,
-		`SELECT ?c WHERE { ?c <http://x/rare> "r" . SIMILAR(?c, [0 0], 4, "fp") }`,
-		`SELECT ?c WHERE { SIMILAR(?c, "orphan", 4, "fp") }`,
-		`SELECT ?c WHERE { SIMILAR(?c, [0 0], 3) }`,
-	} {
-		if _, err := e.Query(qs); err != nil {
-			t.Fatalf("%q: %v", qs, err)
-		}
-		runEquiv(t, e, w, qs)
+	cases := []struct {
+		q      string
+		probes int
+	}{
+		{`SELECT ?c ?n WHERE { SIMILAR(?c, [4 0], 5, "fp") . ?c <http://x/name> ?n . } ORDER BY ?n`, 1},
+		{`SELECT ?c WHERE { ?c <http://x/rare> "r" . SIMILAR(?c, [0 0], 4, "fp") }`, 0},
+		{`SELECT ?c WHERE { SIMILAR(?c, "orphan", 4, "fp") }`, 0},
+		{`SELECT ?c WHERE { SIMILAR(?c, [0 0], 3) }`, 0},
+		// Two chained probes: the placement survives the first.
+		{`SELECT ?c ?n ?w WHERE { SIMILAR(?c, [4 0], 6, "fp") . ?c <http://x/name> ?n . ?c <http://x/weight> ?w . }`, 2},
+		// A constant object and a predicate variable.
+		{`SELECT ?c ?p WHERE { SIMILAR(?c, [4.2 0], 2, "fp") . ?c ?p "w1" . }`, 1},
+		// The "orphan" hit has no graph term; <http://x/target> is only
+		// ever an object.
+		{`SELECT ?c ?n WHERE { SIMILAR(?c, [0 0], 3, "fp") . ?c <http://x/name> ?n . }`, 1},
+		{`SELECT ?c ?p ?o WHERE { SIMILAR(?c, [5.5 0.5], 3, "fp") . ?c ?p ?o . }`, 1},
+		// The second pattern's subject is not the placed variable, and
+		// the third shares ?n with the stream: both hash-join.
+		{`SELECT ?c ?d ?m WHERE { SIMILAR(?c, [2 0], 4, "fp") . ?c <http://x/next> ?d . ?d <http://x/name> ?m . }`, 1},
+		{`SELECT ?c ?n WHERE { SIMILAR(?c, [2 0], 4, "fp") . ?c <http://x/next> ?n . ?c <http://x/name> ?n . }`, 1},
+		// SIMILAR seeding an OPTIONAL body and a UNION branch.
+		{`SELECT ?c ?r ?w WHERE { ?c <http://x/rare> ?r . OPTIONAL { SIMILAR(?c, [1 0], 3, "fp") . ?c <http://x/weight> ?w . } }`, 1},
+		{`SELECT ?c ?v WHERE { { SIMILAR(?c, [2 0], 3, "fp") . ?c <http://x/name> ?v . } UNION { ?c <http://x/rare> ?v . } }`, 1},
+		// A FILTER clears the placement: the join after it hashes.
+		{`SELECT ?c ?n WHERE { SIMILAR(?c, [4 0], 5, "fp") . ?c <http://x/weight> ?w . FILTER(?w != "w1") ?c <http://x/name> ?n . }`, 1},
+		// SIMILAR over a non-empty stream is a cross product, not a seed.
+		{`SELECT ?c ?x WHERE { ?x <http://x/rare> "r" . SIMILAR(?c, [4 0], 3, "fp") . ?c <http://x/name> ?n . }`, 0},
+	}
+	for ranks := 1; ranks <= 4; ranks++ {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			e := knnEngineAt(t, ranks)
+			w := refWorld(e)
+			for _, tc := range cases {
+				res, err := e.QueryTraced(tc.q)
+				if err != nil {
+					t.Fatalf("%q: %v", tc.q, err)
+				}
+				probes := 0
+				for _, op := range res.Trace.Ops {
+					if strings.HasPrefix(op.Note, "probe ") {
+						probes++
+					}
+				}
+				if probes != tc.probes {
+					t.Fatalf("%q: %d probe joins, want %d\n%s", tc.q, probes, tc.probes, res.Plan.Explain())
+				}
+				runEquiv(t, e, w, tc.q)
+			}
+		})
 	}
 }
 

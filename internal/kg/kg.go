@@ -53,7 +53,11 @@ func (g *Graph) shardFor(s dict.ID) int {
 	return int((uint64(s) * 0x9e3779b97f4a7c15 >> 33) % uint64(g.nshards))
 }
 
-// ShardOf exposes the subject routing for schedulers and tests.
+// ShardOf is the subject routing: every triple lives on shard
+// ShardOf(its subject), whichever way it arrived (Add, Insert,
+// LoadSnapshot into any shard count, WAL replay). The engine's probe
+// join relies on it — a rank holding a subject's ID finds all of that
+// subject's triples in its own shard — and placement_test.go pins it.
 func (g *Graph) ShardOf(s dict.ID) int { return g.shardFor(s) }
 
 // Add encodes and stores one triple. Safe for concurrent use.

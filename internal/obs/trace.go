@@ -34,7 +34,10 @@ type OpSample struct {
 	// Depth is the nesting level (UNION/OPTIONAL branches recurse).
 	Depth int `json:"depth"`
 	// Op is the operator kind: scan, join, rebalance, filter, union,
-	// optional, distinct, gather, aggregate.
+	// optional, distinct, gather, aggregate. A scan with Note
+	// "probe ?v" is a probe join: the pattern matched through this
+	// rank's own index once per stream row, ?v bound (RowsIn stream
+	// rows, RowsOut matched triples).
 	Op string `json:"op"`
 	// Label describes the operator instance (triple pattern, conjunct
 	// order, ...).
