@@ -10,9 +10,8 @@
 //	ids-cli -e http://host:port stats
 //	ids-cli -e http://host:port profile
 //	ids-cli -e http://host:port metrics
-//	ids-cli -e http://host:port trace  q000001
+//	ids-cli -e http://host:port trace [qid] [-artifact heap|goroutine -o file]
 //	ids-cli -e http://host:port insights [-top N] [-q]
-//	ids-cli -e http://host:port flightrec [qid] [-artifact heap|goroutine -o file]
 //
 // stats prints the graph size (ids_graph_triples, ids_graph_terms) and
 // the query and update counters from /metrics, and the UDFs the
@@ -22,10 +21,11 @@
 // EXPLAIN ANALYZE tree (per-operator rows, virtual seconds, per-rank
 // skew, accounted allocations) after the result table.
 //
-// flightrec lists the server's flight-recorder captures (queries that
-// breached the latency or allocation budget); with a qid it renders
-// that capture's trace, and -artifact downloads the pinned heap or
-// goroutine profile.
+// trace reads the server's retained queries (GET /traces): without a
+// qid it lists the stored traces, with the flight recorder's capture
+// reason and profile sizes for those that breached the latency or
+// allocation budget; with a qid it renders that query's trace, and
+// -artifact downloads its kept heap or goroutine profile.
 package main
 
 import (
@@ -42,7 +42,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ids-cli -e <endpoint> <query|update|vector|module|snapshot|checkpoint|stats|profile|metrics|trace|insights|flightrec> [args]")
+	fmt.Fprintln(os.Stderr, "usage: ids-cli -e <endpoint> <query|update|vector|module|snapshot|checkpoint|stats|profile|metrics|trace|insights> [args]")
 	os.Exit(2)
 }
 
@@ -159,8 +159,6 @@ func main() {
 		err = runMetrics(c)
 	case "trace":
 		err = runTrace(c, args[1:])
-	case "flightrec":
-		err = runFlightRec(c, args[1:])
 	case "insights":
 		err = runInsights(c, args[1:])
 	default:
@@ -230,22 +228,10 @@ func runMetrics(c *ids.Client) error {
 }
 
 func runTrace(c *ids.Client, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("trace takes exactly one trace ID (see /trace for stored IDs)")
-	}
-	tr, err := c.Trace(args[0])
-	if err != nil {
-		return err
-	}
-	tr.Render(os.Stdout, true)
-	return nil
-}
-
-func runFlightRec(c *ids.Client, args []string) error {
-	fs := flag.NewFlagSet("flightrec", flag.ExitOnError)
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	artifact := fs.String("artifact", "", "download a profile instead of the trace: heap|goroutine")
 	out := fs.String("o", "", "output file for -artifact (default <qid>.<artifact>)")
-	// Accept the documented qid-first form (`flightrec q000042 -artifact
+	// Accept the documented qid-first form (`trace q000042 -artifact
 	// heap`): stdlib flag parsing stops at the first positional, so peel
 	// the qid off before handing the rest to the FlagSet.
 	var qid string
@@ -257,67 +243,58 @@ func runFlightRec(c *ids.Client, args []string) error {
 	}
 	if fs.NArg() > 0 {
 		if qid != "" || fs.NArg() > 1 {
-			return fmt.Errorf("flightrec takes at most one qid")
+			return fmt.Errorf("trace takes at most one qid")
 		}
 		qid = fs.Arg(0)
 	}
-	if qid == "" {
-		list, err := c.FlightRecords()
+	switch {
+	case qid == "" && *artifact != "":
+		return fmt.Errorf("trace -artifact needs a qid")
+	case qid == "":
+		idx, err := c.Traces()
 		if err != nil {
 			return err
 		}
-		t := metrics.NewTable(
-			fmt.Sprintf("flight recorder: %d captures, %d suppressed by rate limit", list.Captures, list.Suppressed),
-			"qid", "reason", "captured", "wall(s)", "alloc", "heap-profile", "goroutine-profile")
-		for _, e := range list.Records {
-			t.AddRow(e.QID, e.Reason, e.Captured.Format("15:04:05.000"),
-				fmt.Sprintf("%.3f", e.WallSeconds), obs.FormatBytes(e.AllocBytes),
-				fmt.Sprintf("%d bytes", e.HeapBytes), fmt.Sprintf("%d bytes", e.GoroutineBytes))
+		t := metrics.NewTable(fmt.Sprintf("%d stored traces", len(idx.Traces)),
+			"qid", "start", "wall(s)", "status", "tail", "capture", "heap-profile", "goroutine-profile")
+		for _, e := range idx.Traces {
+			var heap, gor string
+			if e.Capture != "" {
+				heap, gor = obs.FormatBytes(int64(e.HeapBytes)), obs.FormatBytes(int64(e.GoroutineBytes))
+			}
+			t.AddRow(e.ID, e.Start.Format("15:04:05.000"), fmt.Sprintf("%.6f", e.WallSeconds),
+				e.Status, e.TailReason, e.Capture, heap, gor)
 		}
 		t.Render(os.Stdout)
-		if len(list.Records) == 0 {
-			fmt.Println("no captures (no query breached the latency or allocation budget)")
-		}
 		return nil
-	}
-	if *artifact != "" {
-		path := *out
-		if path == "" {
-			path = qid + "." + *artifact
-		}
-		f, err := os.Create(path)
+	case *artifact == "":
+		tr, err := c.Trace(qid)
 		if err != nil {
 			return err
 		}
-		if err := c.FlightArtifact(qid, *artifact, f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s profile written to %s (%d bytes)\n", *artifact, path, info.Size())
-		if *artifact == "heap" {
-			fmt.Printf("inspect with: go tool pprof %s\n", path)
-		}
+		tr.Render(os.Stdout, true)
 		return nil
 	}
-	rec, err := c.FlightRecord(qid)
+	path := *out
+	if path == "" {
+		path = qid + "." + *artifact
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("flight record %s: reason=%s captured=%s wall=%.3fs alloc=%s\n",
-		rec.QID, rec.Reason, rec.Captured.Format("15:04:05.000"),
-		rec.WallSeconds, obs.FormatBytes(rec.AllocBytes))
-	if rec.Trace != nil {
-		fmt.Println()
-		rec.Trace.Render(os.Stdout, true)
+	if err := c.TraceArtifact(qid, *artifact, f); err != nil {
+		f.Close()
+		os.Remove(path)
+		return err
 	}
-	fmt.Printf("\nprofiles: ids-cli flightrec %s -artifact heap|goroutine\n", qid)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("%s profile written to %s\n", *artifact, path)
+	if *artifact == "heap" {
+		fmt.Printf("inspect with: go tool pprof %s\n", path)
+	}
 	return nil
 }
 

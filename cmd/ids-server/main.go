@@ -58,7 +58,6 @@ func main() {
 	slowQueryAlloc := flag.Int64("slow-query-alloc", 0, "allocation budget: a query allocating at least this many heap bytes gets an alloc verdict — pinned, WARN-logged and flight-recorded (0 disables)")
 	tailSampleN := flag.Int("tail-sample-n", 0, "tail-sample 1-in-N queries per fingerprint (0 = default 64, <0 disables)")
 	insightsTopK := flag.Int("insights-top-k", 0, "workload fingerprints tracked with full statistics (0 = default 64)")
-	traceExport := flag.String("trace-export", "", "export tail-retained traces as OTLP-JSON: http(s) collector URL, or a file to append JSON lines")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
 	flag.Parse()
 
@@ -95,7 +94,6 @@ func main() {
 		SlowQueryAllocBytes: *slowQueryAlloc,
 		TailSampleN:         *tailSampleN,
 		InsightsTopK:        *insightsTopK,
-		TraceExportDest:     *traceExport,
 	}
 	if *dataDir != "" {
 		pol, err := wal.ParseFsyncPolicy(*fsync)
@@ -155,7 +153,7 @@ func main() {
 	}
 	fmt.Printf("IDS endpoint listening on http://%s (%d nodes x %d ranks, %d triples)\n",
 		inst.Addr, topo.Nodes, topo.RanksPerNode, inst.Engine.Graph.Len())
-	fmt.Println("POST /query, POST /update, POST /module, POST /checkpoint, GET /profile, GET /metrics, GET /trace, GET /traces, GET /insights, GET /debug/flightrec, GET /healthz, GET /readyz")
+	fmt.Println("POST /query, POST /update, POST /module, POST /checkpoint, POST /vector/upsert, POST /vector/search, GET /snapshot, GET /profile, GET /metrics, GET /traces, GET /insights, GET /healthz, GET /readyz")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

@@ -51,6 +51,22 @@ func (c *Client) post(path string, in, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return c.do(req, out)
+}
+
+func (c *Client) get(path string, out any) error {
+	req, err := http.NewRequest(http.MethodGet, c.Base+path, nil)
+	if err != nil {
+		return err
+	}
+	return c.do(req, out)
+}
+
+// do sends req and reads a 200 answer into out: an io.Writer gets the
+// raw body, anything else is decoded from JSON. Any other status is an
+// error carrying the server's {"error": ...} message, an
+// *OverloadedError for a 429.
+func (c *Client) do(req *http.Request, out any) error {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
@@ -71,7 +87,11 @@ func (c *Client) post(path string, in, out any) error {
 		if e.Error != "" {
 			return fmt.Errorf("ids client: %s", e.Error)
 		}
-		return fmt.Errorf("ids client: %s returned %s", path, resp.Status)
+		return fmt.Errorf("ids client: %s returned %s", req.URL.Path, resp.Status)
+	}
+	if w, ok := out.(io.Writer); ok {
+		_, err := io.Copy(w, resp.Body)
+		return err
 	}
 	// Read the whole body into a reused buffer, then unmarshal: a
 	// json.Decoder on the stream re-grows its own buffer to the size of
@@ -85,20 +105,8 @@ func (c *Client) post(path string, in, out any) error {
 	return json.Unmarshal(buf.Bytes(), out)
 }
 
-// bodyBufPool recycles post's response-body buffers.
+// bodyBufPool recycles do's response-body buffers.
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func (c *Client) get(path string, out any) error {
-	resp, err := c.HTTP.Get(c.Base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ids client: %s returned %s", path, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
 
 // Query runs a query remotely.
 func (c *Client) Query(q string) (*QueryResponse, error) {
@@ -134,56 +142,36 @@ func (c *Client) QueryExplain(q string) (*QueryResponse, error) {
 	return &out, nil
 }
 
-// Trace fetches a stored query trace by ID.
+// TraceIndex is the GET /traces answer: one row per stored trace,
+// newest first, and the slow-query threshold in force.
+type TraceIndex struct {
+	ThresholdSeconds float64               `json:"threshold_seconds"`
+	Traces           []obs.TraceIndexEntry `json:"traces"`
+}
+
+// Traces fetches the index of stored traces (GET /traces).
+func (c *Client) Traces() (*TraceIndex, error) {
+	var out TraceIndex
+	if err := c.get("/traces", &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// Trace fetches a stored query trace by ID (GET /traces?id=).
 func (c *Client) Trace(id string) (*obs.QueryTrace, error) {
 	var out obs.QueryTrace
-	if err := c.get("/trace?id="+url.QueryEscape(id), &out); err != nil {
+	if err := c.get("/traces?id="+url.QueryEscape(id), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// FlightRecList is the /debug/flightrec listing.
-type FlightRecList struct {
-	Captures   int64                  `json:"captures"`
-	Suppressed int64                  `json:"suppressed"`
-	Records    []obs.FlightIndexEntry `json:"records"`
-}
-
-// FlightRecords fetches the flight-recorder index: one entry per
-// retained budget-breach capture, newest first, plus capture totals.
-func (c *Client) FlightRecords() (*FlightRecList, error) {
-	var out FlightRecList
-	if err := c.get("/debug/flightrec", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// FlightRecord fetches one flight record by qid (trace included,
-// profile blobs elided — see FlightArtifact for those).
-func (c *Client) FlightRecord(qid string) (*obs.FlightRecord, error) {
-	var out obs.FlightRecord
-	if err := c.get("/debug/flightrec?id="+url.QueryEscape(qid), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// FlightArtifact streams a flight record's raw profile ("heap" is
-// pprof protobuf for `go tool pprof`, "goroutine" is text) into w.
-func (c *Client) FlightArtifact(qid, artifact string, w io.Writer) error {
-	resp, err := c.HTTP.Get(c.Base + "/debug/flightrec?id=" + url.QueryEscape(qid) +
-		"&artifact=" + url.QueryEscape(artifact))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ids client: /debug/flightrec returned %s", resp.Status)
-	}
-	_, err = io.Copy(w, resp.Body)
-	return err
+// TraceArtifact streams the profile the flight recorder kept for a
+// query into w: "heap" is pprof protobuf for `go tool pprof`,
+// "goroutine" is text.
+func (c *Client) TraceArtifact(id, artifact string, w io.Writer) error {
+	return c.get("/traces?id="+url.QueryEscape(id)+"&artifact="+url.QueryEscape(artifact), w)
 }
 
 // MetricsText fetches the text exposition of the server's metrics
@@ -196,16 +184,9 @@ func (c *Client) MetricsText() (string, error) {
 		return "", err
 	}
 	req.Header.Set("Accept", "application/openmetrics-text")
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("ids client: /metrics returned %s", resp.Status)
-	}
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
+	var text strings.Builder
+	err = c.do(req, &text)
+	return text.String(), err
 }
 
 // Update applies an INSERT DATA / DELETE DATA statement remotely.
@@ -249,16 +230,7 @@ func (c *Client) Profile() (map[string]udf.Stats, error) {
 
 // Snapshot streams the remote graph's binary snapshot into w.
 func (c *Client) Snapshot(w io.Writer) error {
-	resp, err := c.HTTP.Get(c.Base + "/snapshot")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ids client: /snapshot returned %s", resp.Status)
-	}
-	_, err = io.Copy(w, resp.Body)
-	return err
+	return c.get("/snapshot", w)
 }
 
 // Ready reports whether the endpoint is serving queries (GET /readyz

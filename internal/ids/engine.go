@@ -313,7 +313,7 @@ func (e *Engine) Query(qs string) (*Result, error) {
 
 // QueryCtx is Query with a caller context: the context's qid (see
 // obs.WithQID) becomes the trace ID and stamps every log record the
-// query emits, tying the log stream, /trace, and the response together.
+// query emits, tying the log stream, /traces, and the response together.
 func (e *Engine) QueryCtx(ctx context.Context, qs string) (*Result, error) {
 	start := time.Now()
 	e.mu.RLock()
@@ -465,7 +465,7 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 	ru := &obs.ResourceUsage{AllocBytes: allocB, Mallocs: allocM}
 	if traced {
 		// The context's qid (minted at admission) is the trace ID, so
-		// the log stream, GET /trace?id=, and the response share one
+		// the log stream, GET /traces?id=, and the response share one
 		// handle; engine-direct callers without a qid get a fresh one.
 		id := obs.QID(ctx)
 		if id == "" {

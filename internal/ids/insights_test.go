@@ -7,8 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -301,12 +299,12 @@ func TestInsightsFlightRecordLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := s.ring.FlightIndex()
-	if len(recs) != 1 || recs[0].QID != resp.QID {
-		t.Fatalf("flight records = %+v, want one for %s", recs, resp.QID)
+	row0 := capturedRow(t, c, resp.QID)
+	if row0.Capture == "" {
+		t.Fatalf("no flight record for %s: %+v", resp.QID, row0)
 	}
-	if recs[0].Fingerprint != resp.Fingerprint {
-		t.Fatalf("flight record fingerprint = %q, want %q", recs[0].Fingerprint, resp.Fingerprint)
+	if row0.Fingerprint != resp.Fingerprint {
+		t.Fatalf("flight record fingerprint = %q, want %q", row0.Fingerprint, resp.Fingerprint)
 	}
 	snap, err := c.Insights(0)
 	if err != nil {
@@ -323,56 +321,5 @@ func TestInsightsFlightRecordLink(t *testing.T) {
 	}
 	if len(row.FlightRecords) != 1 || row.FlightRecords[0] != resp.QID {
 		t.Fatalf("insights flight records = %v, want [%s]", row.FlightRecords, resp.QID)
-	}
-}
-
-// TestOTLPExportOnRetention: tail-retained traces (and only those)
-// reach the configured OTLP-JSON export file, keyed by the propagated
-// trace context.
-func TestOTLPExportOnRetention(t *testing.T) {
-	dest := filepath.Join(t.TempDir(), "traces.jsonl")
-	exp, err := insights.NewExporter(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	e := newEngine(t, 4)
-	s := NewServerConfig(e, ServerConfig{
-		SlowQuerySeconds: 1e-9, // retain everything as slow
-		TailSampleN:      -1,
-		TraceExporter:    exp,
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	const caller = "00-2af7651916cd43dd8448eb211c80319c-d7ad6b7169203331-01"
-	body, _ := json.Marshal(QueryRequest{Query: `SELECT ?s WHERE { ?s <http://x/name> ?n . }`})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
-	req.Header.Set("traceparent", caller)
-	httpResp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var qresp QueryResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&qresp); err != nil {
-		t.Fatal(err)
-	}
-	httpResp.Body.Close()
-
-	data, err := os.ReadFile(dest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("export file has %d lines, want 1:\n%s", len(lines), data)
-	}
-	line := lines[0]
-	if !strings.Contains(line, qresp.QID) {
-		t.Fatalf("export line missing qid %s:\n%s", qresp.QID, line)
-	}
-	// The caller's trace id (propagated via traceparent) keys the spans.
-	if !strings.Contains(line, "2af7651916cd43dd8448eb211c80319c") {
-		t.Fatalf("export line missing propagated trace id:\n%s", line)
 	}
 }

@@ -8,21 +8,9 @@ import (
 )
 
 // Serving layer of the workload observatory (DESIGN.md §6): the
-// /insights endpoint, the bounded fingerprint metric export, and the
-// OTLP trace export hook. The aggregation itself lives in the engine
-// (internal/obs/insights) so embedded callers get it without HTTP.
-
-// exportTrace writes one tail-retained trace to the configured OTLP
-// exporter. Export failures are logged, never surfaced to the query:
-// a broken collector must not fail queries.
-func (s *Server) exportTrace(tr *obs.QueryTrace) {
-	if s.exporter == nil || tr == nil {
-		return
-	}
-	if err := s.exporter.Export(tr); err != nil {
-		s.log.Warn("trace export failed", "qid", tr.ID, "err", err)
-	}
-}
+// /insights endpoint and the bounded fingerprint metric export. The
+// aggregation itself lives in the engine (internal/obs/insights) so
+// embedded callers get it without HTTP.
 
 // handleInsights serves the workload observatory (GET /insights): the
 // top-k fingerprint table with rolling latency/allocation quantiles
@@ -35,12 +23,12 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 	if top, err := strconv.Atoi(r.URL.Query().Get("top")); err == nil && top > 0 && top < len(snap.Fingerprints) {
 		snap.Fingerprints = snap.Fingerprints[:top]
 	}
-	// Join breach captures onto their shapes: the profiled list is
-	// tiny (8 records), so a scan per row set is fine.
+	// Join breach captures onto their shapes: the trace index marks
+	// every query whose flight record is still kept.
 	byFP := map[string][]string{}
-	for _, rec := range s.ring.FlightIndex() {
-		if rec.Fingerprint != "" {
-			byFP[rec.Fingerprint] = append(byFP[rec.Fingerprint], rec.QID)
+	for _, e := range s.ring.Index() {
+		if e.Capture != "" && e.Fingerprint != "" {
+			byFP[e.Fingerprint] = append(byFP[e.Fingerprint], e.ID)
 		}
 	}
 	for i := range snap.Fingerprints {

@@ -16,7 +16,6 @@ import (
 	"ids/internal/kg"
 	"ids/internal/mpp"
 	"ids/internal/obs"
-	"ids/internal/obs/insights"
 	"ids/internal/vecstore"
 	"ids/internal/wal"
 )
@@ -53,10 +52,6 @@ type LaunchConfig struct {
 	// InsightsTopK bounds the workload observatory's fingerprint sketch
 	// (0 → default).
 	InsightsTopK int
-	// TraceExportDest, when non-empty, exports tail-retained traces as
-	// OTLP-JSON: an http(s):// URL POSTs to a collector, anything else
-	// appends JSON lines to that file path.
-	TraceExportDest string
 	// OnListen, when set, is called with the bound address as soon as
 	// the listener accepts connections — before recovery runs — so
 	// callers can observe the not-yet-ready window (/readyz is 503).
@@ -101,7 +96,6 @@ type Instance struct {
 	Recovery *RecoveryStats
 
 	dur      *durability
-	exporter *insights.Exporter
 	httpSrv  *http.Server
 	handler  atomic.Pointer[http.Handler]
 	doneOnce sync.Once
@@ -290,18 +284,12 @@ func (Launcher) Launch(cfg LaunchConfig) (*Instance, error) {
 	if cfg.Durability != nil {
 		e.SetBuildInfo(cfg.Durability.withDefaults().Fsync.String())
 	}
-	exp, err := insights.NewExporter(cfg.TraceExportDest)
-	if err != nil {
-		return fail(err)
-	}
-	inst.exporter = exp
 	srv := NewServerConfig(e, ServerConfig{
 		Admission:           cfg.Admission,
 		SlowQuerySeconds:    cfg.SlowQuerySeconds,
 		SlowQueryAllocBytes: cfg.SlowQueryAllocBytes,
 		TailSampleN:         cfg.TailSampleN,
 		InsightsTopK:        cfg.InsightsTopK,
-		TraceExporter:       exp,
 		Logger:              lg,
 	})
 	srv.SetHealth(health)
@@ -349,9 +337,6 @@ func (inst *Instance) Teardown() error {
 			if derr := inst.dur.close(); err == nil {
 				err = derr
 			}
-		}
-		if cerr := inst.exporter.Close(); err == nil {
-			err = cerr
 		}
 		for _, a := range inst.Agents {
 			a.Logf("teardown")

@@ -219,16 +219,12 @@ func TestHTTPExplainAndTrace(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	// Unknown trace -> 404; empty ring lists no traces.
-	resp, err := http.Get(ts.URL + "/trace?id=nope")
-	if err != nil {
-		t.Fatal(err)
+	code, _, body := getBody(t, ts.URL+"/traces?id=nope")
+	if code != http.StatusNotFound {
+		t.Fatalf("unknown trace status = %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown trace status = %d", resp.StatusCode)
-	}
-	code, _, body := getBody(t, ts.URL+"/trace")
-	if code != http.StatusOK || !strings.Contains(body, "\"traces\"") {
+	code, _, body = getBody(t, ts.URL+"/traces")
+	if code != http.StatusOK || !strings.Contains(body, `"traces":[]`) {
 		t.Fatalf("trace list: %d %s", code, body)
 	}
 
@@ -265,15 +261,12 @@ func TestHTTPExplainAndTrace(t *testing.T) {
 	if _, err := c.Trace(plain.QID); err != nil {
 		t.Fatalf("plain query qid %s unresolvable: %v", plain.QID, err)
 	}
-	_, _, body = getBody(t, ts.URL+"/trace")
-	var list struct {
-		Traces []string `json:"traces"`
-	}
-	if err := json.Unmarshal([]byte(body), &list); err != nil {
+	list, err := c.Traces()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list.Traces) != 2 {
-		t.Fatalf("trace ring = %v", list.Traces)
+	if len(list.Traces) != 2 || list.Traces[0].ID != plain.QID || list.Traces[1].ID != qr.TraceID {
+		t.Fatalf("trace index = %+v", list.Traces)
 	}
 }
 

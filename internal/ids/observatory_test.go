@@ -207,9 +207,26 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 }
 
+// capturedRow returns the /traces index row of qid, failing the test
+// when the index does not list it.
+func capturedRow(t *testing.T, c *Client, qid string) obs.TraceIndexEntry {
+	t.Helper()
+	idx, err := c.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range idx.Traces {
+		if e.ID == qid {
+			return e
+		}
+	}
+	t.Fatalf("/traces does not list %s: %+v", qid, idx.Traces)
+	return obs.TraceIndexEntry{}
+}
+
 // TestFlightRecorderEndToEnd drives a budget-breaching query and
-// retrieves its flight record — index, trace, and both profile
-// artifacts — through the public endpoint.
+// retrieves its flight record — index row, trace, and both profile
+// artifacts — through GET /traces.
 func TestFlightRecorderEndToEnd(t *testing.T) {
 	e := newEngine(t, 4)
 	// Threshold 0-adjacent so every query breaches.
@@ -222,53 +239,44 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	list, err := c.FlightRecords()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if list.Captures < 1 || len(list.Records) < 1 {
-		t.Fatalf("flight recorder empty after breach: %+v", list)
-	}
-	entry := list.Records[0]
-	if entry.QID != resp.QID || entry.Reason != "latency" {
-		t.Fatalf("index entry = %+v, want qid %s reason latency", entry, resp.QID)
+	entry := capturedRow(t, c, resp.QID)
+	if entry.Capture != "latency" {
+		t.Fatalf("index entry = %+v, want capture latency", entry)
 	}
 	if entry.HeapBytes == 0 || entry.GoroutineBytes == 0 {
 		t.Fatalf("index reports empty artifacts: %+v", entry)
 	}
 
-	rec, err := c.FlightRecord(resp.QID)
+	tr, err := c.Trace(resp.QID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Trace == nil || rec.Trace.ID != resp.QID {
-		t.Fatalf("flight record trace = %+v", rec.Trace)
-	}
-	if rec.WallSeconds <= 0 {
-		t.Errorf("flight record wall = %f", rec.WallSeconds)
+	if tr.ID != resp.QID || tr.WallSeconds <= 0 {
+		t.Fatalf("trace = id %q wall %f", tr.ID, tr.WallSeconds)
 	}
 
 	var heap, gor bytes.Buffer
-	if err := c.FlightArtifact(resp.QID, "heap", &heap); err != nil {
+	if err := c.TraceArtifact(resp.QID, "heap", &heap); err != nil {
 		t.Fatal(err)
 	}
-	if heap.Len() == 0 {
-		t.Error("heap artifact empty")
+	if heap.Len() != entry.HeapBytes {
+		t.Errorf("heap artifact is %d bytes, index says %d", heap.Len(), entry.HeapBytes)
 	}
-	if err := c.FlightArtifact(resp.QID, "goroutine", &gor); err != nil {
+	if err := c.TraceArtifact(resp.QID, "goroutine", &gor); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(gor.Bytes(), []byte("goroutine")) {
 		t.Errorf("goroutine artifact not a text dump (%d bytes)", gor.Len())
 	}
 
-	// Error paths: unknown qid 404s, unknown artifact 400s.
-	if _, err := c.FlightRecord("q999999"); err == nil ||
-		!strings.Contains(err.Error(), "404") {
+	// Error paths carry the server's message: unknown qid, unknown artifact.
+	if _, err := c.Trace("q999999"); err == nil ||
+		!strings.Contains(err.Error(), `no stored trace "q999999"`) {
 		t.Errorf("unknown qid error = %v", err)
 	}
-	if err := c.FlightArtifact(resp.QID, "cpu", &bytes.Buffer{}); err == nil {
-		t.Error("unknown artifact accepted")
+	if err := c.TraceArtifact(resp.QID, "cpu", &bytes.Buffer{}); err == nil ||
+		!strings.Contains(err.Error(), `unknown artifact "cpu"`) {
+		t.Errorf("unknown artifact error = %v", err)
 	}
 
 	// The capture surfaced on /metrics too.
@@ -282,7 +290,7 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 }
 
 // TestFlightRecorderAllocBudget breaches only the allocation budget
-// (latency threshold off) and expects reason "alloc".
+// (latency threshold off) and expects capture reason "alloc".
 func TestFlightRecorderAllocBudget(t *testing.T) {
 	e := newEngine(t, 4)
 	s := NewServerConfig(e, ServerConfig{
@@ -295,15 +303,15 @@ func TestFlightRecorderAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := c.FlightRecord(resp.QID)
+	if row := capturedRow(t, c, resp.QID); row.Capture != "alloc" || row.Slow {
+		t.Fatalf("index row = %+v, want capture alloc, not slow", row)
+	}
+	tr, err := c.Trace(resp.QID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Reason != "alloc" {
-		t.Fatalf("reason = %q, want alloc", rec.Reason)
-	}
-	if rec.AllocBytes <= 0 {
-		t.Fatalf("alloc bytes = %d", rec.AllocBytes)
+	if tr.Resources == nil || tr.Resources.AllocBytes <= 0 {
+		t.Fatalf("trace resources = %+v", tr.Resources)
 	}
 }
 
@@ -315,15 +323,12 @@ func TestFlightRecorderQuietWhenNoBudget(t *testing.T) {
 	c, done := clientFor(t, s)
 	defer done()
 
-	if _, err := c.Query(`SELECT ?s WHERE { ?s <http://x/name> ?n . }`); err != nil {
-		t.Fatal(err)
-	}
-	list, err := c.FlightRecords()
+	resp, err := c.Query(`SELECT ?s WHERE { ?s <http://x/name> ?n . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if list.Captures != 0 || len(list.Records) != 0 {
-		t.Fatalf("unexpected captures without budgets: %+v", list)
+	if row := capturedRow(t, c, resp.QID); row.Capture != "" || row.HeapBytes != 0 {
+		t.Fatalf("unexpected capture without budgets: %+v", row)
 	}
 }
 

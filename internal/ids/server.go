@@ -158,14 +158,21 @@ func (a *admission) release(slot int) {
 // engine; updates bypass admission and serialize on the engine's
 // writer lock. Endpoints:
 //
-//	POST /query   {"query": "...", "explain": bool} -> QueryResponse (429 + Retry-After when overloaded)
-//	POST /module  {"name","source","reload"}        -> ModuleResponse
-//	GET  /profile                                   -> merged UDF profile
-//	GET  /metrics                                   -> Prometheus text exposition
-//	GET  /trace?id=q000001                          -> stored query trace (JSON)
-//	GET  /traces                                    -> retained trace index (qid, wall, status, slow)
-//	GET  /healthz                                   -> 200 ok (pure liveness)
-//	GET  /readyz                                    -> 200 when serving, 503 while recovering/draining
+//	POST /query          {"query": "...", "explain": bool} -> QueryResponse (429 + Retry-After when overloaded)
+//	POST /update         {"update": "INSERT DATA ..."}     -> UpdateResult
+//	POST /vector/upsert  {"store","key","vector"}          -> UpdateResult
+//	POST /vector/search  {"store","key","k"}               -> VectorSearchResponse
+//	POST /module         {"name","source","reload"}        -> ModuleResponse
+//	POST /checkpoint                                       -> CheckpointInfo (durable instances only)
+//	GET  /snapshot                                         -> binary graph snapshot
+//	GET  /profile                                          -> merged UDF profile
+//	GET  /metrics                                          -> Prometheus text exposition
+//	GET  /traces                                           -> retained trace index; ?slow=1 the slow list
+//	GET  /traces?id=q000001                                -> stored query trace (JSON)
+//	GET  /traces?id=q000001&artifact=heap|goroutine        -> flight-recorded profile (raw)
+//	GET  /insights                                         -> workload observatory by fingerprint
+//	GET  /healthz                                          -> 200 ok (pure liveness)
+//	GET  /readyz                                           -> 200 when serving, 503 while recovering/draining
 type Server struct {
 	Engine *Engine
 
@@ -174,7 +181,7 @@ type Server struct {
 
 	// ring is the trace store: recent traces (every query is traced),
 	// the ones the tail verdict pinned, and the profiled budget
-	// breaches — GET /trace, /traces and /debug/flightrec.
+	// breaches — all read through GET /traces.
 	ring *obs.TraceStore
 
 	// health, when set, backs GET /readyz; nil means "always ready"
@@ -187,12 +194,8 @@ type Server struct {
 	slowTotal      *obs.Counter
 	flightrecCaps  *obs.Counter
 	flightrecSuppr *obs.Counter
-
-	// exporter, when set, writes tail-retained traces as OTLP-JSON to
-	// a file or collector endpoint (the -trace-export flag).
-	exporter *insights.Exporter
-	retained *obs.Counter
-	dropped  *obs.Counter
+	retained       *obs.Counter
+	dropped        *obs.Counter
 }
 
 // ServerConfig tunes the HTTP layer beyond admission control.
@@ -217,9 +220,6 @@ type ServerConfig struct {
 	// InsightsTopK bounds the workload observatory's fingerprint sketch
 	// (0 selects the insights default).
 	InsightsTopK int
-	// TraceExporter, when non-nil, receives every tail-retained trace
-	// as OTLP-JSON (see insights.NewExporter / the -trace-export flag).
-	TraceExporter *insights.Exporter
 	// Logger receives request/slow-query lines (default: engine logger).
 	Logger *slog.Logger
 }
@@ -228,20 +228,20 @@ type ServerConfig struct {
 type QueryRequest struct {
 	Query string `json:"query"`
 	// Explain asks the server to trace this query and return the span
-	// trace in the response (also stored for later GET /trace).
+	// trace in the response (also stored for later GET /traces?id=).
 	Explain bool `json:"explain,omitempty"`
 }
 
 // QueryResponse is the /query result. QID is the query's correlation
 // id: it appears in every server log line for the query, resolves via
-// GET /trace?id=<qid>, and the query's latency lands in the
+// GET /traces?id=<qid>, and the query's latency lands in the
 // ids_query_duration_seconds histogram.
 type QueryResponse struct {
 	QID string `json:"qid"`
 	// TraceParent is the query's resolved W3C trace context: the
 	// caller's ingested `traceparent` header when one was sent, else a
 	// freshly minted one — so external callers correlate their
-	// distributed trace with this qid without scraping /trace.
+	// distributed trace with this qid without scraping /traces.
 	TraceParent string             `json:"traceparent,omitempty"`
 	Vars        []string           `json:"vars"`
 	Rows        [][]string         `json:"rows"`
@@ -254,8 +254,8 @@ type QueryResponse struct {
 	// GET /insights and the ids_fingerprint_* metric series.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// TailRetained/TailReason report the tail-sampling decision: when
-	// true, the full trace is pinned past ring eviction (and exported,
-	// if an exporter is configured) for the listed reason(s).
+	// true, the full trace is pinned past ring eviction for the listed
+	// reason(s).
 	TailRetained bool            `json:"tail_retained,omitempty"`
 	TailReason   string          `json:"tail_reason,omitempty"`
 	Trace        *obs.QueryTrace `json:"trace,omitempty"`
@@ -303,7 +303,6 @@ func NewServerConfig(e *Engine, cfg ServerConfig) *Server {
 		slowTotal:      reg.Counter("ids_slow_queries_total"),
 		flightrecCaps:  reg.Counter("ids_flightrec_captures_total"),
 		flightrecSuppr: reg.Counter("ids_flightrec_suppressed_total"),
-		exporter:       cfg.TraceExporter,
 		retained:       reg.Counter("ids_tail_retained_total"),
 		dropped:        reg.Counter("ids_tail_dropped_total"),
 	}
@@ -330,10 +329,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/trace", s.handleTrace)
 	mux.HandleFunc("/traces", s.handleTraces)
 	mux.HandleFunc("/insights", s.handleInsights)
-	mux.HandleFunc("/debug/flightrec", s.handleFlightRec)
 	return mux
 }
 
@@ -387,7 +384,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// valid traceparent header arrives, else mint a fresh one. The
 	// resolved value rides the request context (log lines, WAL append,
 	// operator spans) and is echoed in the response header and body so
-	// the caller can correlate without scraping /trace.
+	// the caller can correlate without scraping /traces.
 	tc, tcErr := obs.ParseTraceparent(r.Header.Get("traceparent"))
 	if tcErr != nil {
 		tc = obs.NewTraceContext()
@@ -410,14 +407,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// admitted on the same slot reuse the same warm arena set.
 	ctx = withSlot(ctx, slot)
 	start := time.Now()
-	// Every query is traced so every qid resolves via GET /trace; the
-	// full span tree is embedded in the response only on explain.
+	// Every query is traced so every qid resolves via GET /traces?id=;
+	// the full span tree is embedded in the response only on explain.
 	res, err := s.Engine.QueryTracedCtx(ctx, req.Query)
 	wall := time.Since(start).Seconds()
 	if err != nil {
 		// Failed queries retain a full stub trace — errors are always a
 		// tail-worthy outcome — so the qid still resolves and the failure
-		// reaches the export pipeline alongside slow successes.
+		// is pinned alongside slow successes.
 		stub := &obs.QueryTrace{
 			ID: qid, Query: req.Query, Start: start,
 			Status: "error", Error: err.Error(), WallSeconds: wall,
@@ -430,29 +427,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusOf(err), err)
 		return
 	}
-	if res.Trace != nil {
-		res.Trace.QueueWaitSeconds = queueWait.Seconds()
-		s.sink(ctx, res.Trace, res.Tail)
-	}
+	res.Trace.QueueWaitSeconds = queueWait.Seconds()
+	s.sink(ctx, res.Trace, res.Tail)
 	s.log.InfoContext(ctx, "query done",
 		"wall_seconds", wall, "rows", len(res.Rows), "makespan_seconds", res.Report.Makespan)
+	// The traced execute has already rendered the plan into the trace.
 	resp := QueryResponse{
 		QID:          qid,
 		TraceParent:  tc.String(),
 		Vars:         res.Vars,
 		Makespan:     res.Report.Makespan,
 		Phases:       res.Report.Phases,
-		Plan:         res.Plan.Explain(),
+		Plan:         res.Trace.Plan,
 		WallTime:     wall,
+		TraceID:      res.Trace.ID,
 		Fingerprint:  plan.FormatFingerprint(res.Plan.Fingerprint),
 		TailRetained: res.Tail.Retain,
 		TailReason:   res.Tail.Reason(),
 	}
-	if res.Trace != nil {
-		resp.TraceID = res.Trace.ID
-		if req.Explain {
-			resp.Trace = res.Trace
-		}
+	if req.Explain {
+		resp.Trace = res.Trace
 	}
 	// The rows go out straight from the result's dictionary IDs; a write
 	// error here means the client went away mid-answer.
@@ -463,15 +457,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // sink acts on one finished query's tail verdict; it is the only
 // consumer of the verdict. Every trace goes into the store (pinned
-// when retained); a retained trace is counted and exported; a verdict
-// that includes "slow" is logged at WARN and counted; one that
-// includes "slow" or "alloc" is flight-recorded.
+// when retained); a retained trace is counted; a verdict that includes
+// "slow" is logged at WARN and counted; one that includes "slow" or
+// "alloc" is flight-recorded.
 func (s *Server) sink(ctx context.Context, tr *obs.QueryTrace, d insights.Decision) {
 	slow, alloc := d.Has("slow"), d.Has("alloc")
 	s.ring.Put(tr, d.Reason(), slow)
 	if d.Retain {
 		s.retained.Inc()
-		s.exportTrace(tr)
 	} else {
 		s.dropped.Inc()
 	}
@@ -496,10 +489,8 @@ func (s *Server) sink(ctx context.Context, tr *obs.QueryTrace, d insights.Decisi
 	case alloc:
 		capture = "alloc"
 	}
-	// Increment from this breach's own outcome rather than Set-ing a
-	// FlightStats() snapshot: two concurrent breaches could Set out of
-	// order, making the _total transiently decrease — which Prometheus
-	// reads as a counter reset and inflates rate()/increase().
+	// Each breach counts its own outcome here, the one place captures
+	// and rate-limit suppressions are tallied.
 	if s.ring.Capture(capture, tr) {
 		s.flightrecCaps.Inc()
 		s.log.WarnContext(ctx, "flight recorder capture", "reason", capture,
@@ -510,42 +501,6 @@ func (s *Server) sink(ctx context.Context, tr *obs.QueryTrace, d insights.Decisi
 	if alloc {
 		s.log.WarnContext(ctx, "query exceeded alloc budget",
 			"alloc_bytes", allocBytes, "budget_bytes", s.Engine.Insights().Config().AllocBudget)
-	}
-}
-
-// handleFlightRec serves the flight recorder (GET /debug/flightrec):
-// without parameters it lists retained captures newest-first; with
-// ?id=<qid> it returns that capture's JSON (trace included); with
-// ?id=<qid>&artifact=heap|goroutine it streams the raw profile bytes
-// (heap is pprof protobuf for `go tool pprof`, goroutine is text).
-func (s *Server) handleFlightRec(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		caps, suppr := s.ring.FlightStats()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"captures":   caps,
-			"suppressed": suppr,
-			"records":    s.ring.FlightIndex(),
-		})
-		return
-	}
-	rec := s.ring.FlightRecord(id)
-	if rec == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("ids: no flight record %q", id))
-		return
-	}
-	switch artifact := r.URL.Query().Get("artifact"); artifact {
-	case "":
-		writeJSON(w, http.StatusOK, rec)
-	case "heap":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(rec.HeapProfile)
-	case "goroutine":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write(rec.GoroutineProfile)
-	default:
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("ids: unknown artifact %q (want heap or goroutine)", artifact))
 	}
 }
 
@@ -570,42 +525,66 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.Engine.Metrics().WritePrometheus(w)
 }
 
-// handleTrace serves a retained query trace by id (GET /trace?id=...);
-// without an id it lists retained trace IDs, newest first (see GET
-// /traces for the richer index). Evicted or unknown ids get 404.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		idx := s.ring.Index()
-		ids := make([]string, len(idx))
-		for i, e := range idx {
-			ids[i] = e.ID
+// handleTraces is the one read path for retained queries (GET /traces):
+//
+//	/traces                                 the index: one row per stored trace, newest first
+//	/traces?slow=1                          only the traces whose verdict includes "slow"
+//	/traces?id=<qid>                        that query's span trace (JSON)
+//	/traces?id=<qid>&artifact=heap|goroutine the profile its flight record kept
+//
+// A heap artifact is pprof protobuf for `go tool pprof`; a goroutine
+// artifact is text. An id no list holds any more answers 404.
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	if id := q.Get("id"); id != "" {
+		s.serveTrace(w, id, q.Get("artifact"))
+		return
+	}
+	slow := false
+	if v := q.Get("slow"); v != "" {
+		var err error
+		if slow, err = strconv.ParseBool(v); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("ids: slow=%q is not a boolean", v))
+			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"traces": ids})
-		return
 	}
-	if tr := s.ring.Get(id); tr != nil {
-		writeJSON(w, http.StatusOK, tr)
-		return
+	idx := s.ring.Index()
+	if slow {
+		idx = s.ring.Slow()
 	}
-	writeErr(w, http.StatusNotFound, fmt.Errorf("ids: no stored trace %q", id))
+	writeJSON(w, http.StatusOK, TraceIndex{
+		ThresholdSeconds: s.Engine.Insights().Config().SlowSeconds,
+		Traces:           idx,
+	})
 }
 
-// handleTraces serves the retained trace index (GET /traces): one row
-// per stored trace with qid, start, wall time, status, and the slow
-// flag; ?slow=1 restricts to the pinned traces whose verdict includes
-// "slow".
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	var idx []obs.TraceIndexEntry
-	if r.URL.Query().Get("slow") != "" {
-		idx = s.ring.Slow()
-	} else {
-		idx = s.ring.Index()
+// serveTrace answers GET /traces?id=<id>[&artifact=heap|goroutine].
+func (s *Server) serveTrace(w http.ResponseWriter, id, artifact string) {
+	if artifact == "" {
+		if tr := s.ring.Get(id); tr != nil {
+			writeJSON(w, http.StatusOK, tr)
+			return
+		}
+		writeErr(w, http.StatusNotFound, fmt.Errorf("ids: no stored trace %q", id))
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"threshold_seconds": s.Engine.Insights().Config().SlowSeconds,
-		"traces":            idx,
-	})
+	if artifact != "heap" && artifact != "goroutine" {
+		writeErr(w, http.StatusBadRequest,
+			fmt.Errorf("ids: unknown artifact %q (want heap or goroutine)", artifact))
+		return
+	}
+	rec := s.ring.FlightRecord(id)
+	if rec == nil {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("ids: no profiles kept for %q", id))
+		return
+	}
+	if artifact == "heap" {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(rec.HeapProfile)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	_, _ = w.Write(rec.GoroutineProfile)
 }
 
 // statusOf maps an engine error to its HTTP status: a rank panic is the

@@ -44,7 +44,7 @@ func (s *syncBuffer) String() string {
 
 // TestQIDCorrelation is the acceptance path: one query's qid from the
 // client response must appear in (a) the server's structured log, (b)
-// the retained trace at GET /trace?id=<qid>, and (c) alongside a
+// the retained trace at GET /traces?id=<qid>, and (c) alongside a
 // populated ids_query_duration_seconds histogram on /metrics.
 func TestQIDCorrelation(t *testing.T) {
 	var logBuf syncBuffer
@@ -223,12 +223,8 @@ func TestSlowVerdictCountsWriterWait(t *testing.T) {
 	if v := e.Metrics().Counter("ids_slow_queries_total").Value(); v != 1 {
 		t.Fatalf("ids_slow_queries_total = %v, want 1", v)
 	}
-	list, err := c.FlightRecords()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Records) != 1 || list.Records[0].QID != resp.QID || list.Records[0].Reason != "latency" {
-		t.Fatalf("flight records = %+v, want one latency record for %s", list.Records, resp.QID)
+	if ent := listed[0]; ent.Capture != "latency" {
+		t.Fatalf("/traces entry = %+v, want a latency capture for %s", ent, resp.QID)
 	}
 }
 
@@ -278,10 +274,11 @@ func TestTraceEvictedQID404(t *testing.T) {
 		}
 		qids = append(qids, resp.QID)
 	}
+	// The server's own message reaches the caller, not just the status.
 	if _, err := c.Trace(qids[0]); err == nil {
 		t.Fatalf("evicted qid %s still resolves", qids[0])
-	} else if !strings.Contains(err.Error(), "404") {
-		t.Fatalf("evicted qid error = %v", err)
+	} else if want := fmt.Sprintf("no stored trace %q", qids[0]); !strings.Contains(err.Error(), want) {
+		t.Fatalf("evicted qid error = %v, want it to say %s", err, want)
 	}
 	if _, err := c.Trace(qids[2]); err != nil {
 		t.Fatalf("recent qid %s unresolvable: %v", qids[2], err)

@@ -27,11 +27,8 @@ func TestFlightRecorderCaptureAndGet(t *testing.T) {
 	if rec == nil {
 		t.Fatal("captured record not retrievable")
 	}
-	if rec.Reason != "latency" || rec.WallSeconds != 2.5 || rec.AllocBytes != 1<<20 {
+	if rec.Reason != "latency" || rec.Trace != tr {
 		t.Fatalf("record fields wrong: %+v", rec)
-	}
-	if rec.Trace != tr {
-		t.Fatalf("trace not pinned: %+v", rec.Trace)
 	}
 	// The snapshots must be real profiles, not empty buffers.
 	if len(rec.HeapProfile) == 0 {
@@ -43,6 +40,16 @@ func TestFlightRecorderCaptureAndGet(t *testing.T) {
 	if s.FlightRecord("q999999") != nil {
 		t.Error("FlightRecord on unknown qid should be nil")
 	}
+	// A captured trace resolves and is indexed, with its capture reason
+	// and profile sizes, even though Put never stored it.
+	if s.Get("q000001") != tr {
+		t.Error("captured trace not resolvable by Get")
+	}
+	idx := s.Index()
+	if len(idx) != 1 || idx[0].Capture != "latency" ||
+		idx[0].HeapBytes != len(rec.HeapProfile) || idx[0].GoroutineBytes != len(rec.GoroutineProfile) {
+		t.Fatalf("index = %+v, want one latency row with profile sizes", idx)
+	}
 }
 
 func TestFlightRecorderRingEviction(t *testing.T) {
@@ -53,15 +60,15 @@ func TestFlightRecorderRingEviction(t *testing.T) {
 			t.Fatalf("capture of %s suppressed one interval after the last", qid)
 		}
 	}
-	idx := s.FlightIndex()
+	idx := s.Index()
 	if len(idx) != 3 {
 		t.Fatalf("profiled list should hold 3, got %d", len(idx))
 	}
 	// Newest first; the two oldest evicted.
-	if idx[0].QID != "q5" || idx[1].QID != "q4" || idx[2].QID != "q3" {
+	if idx[0].ID != "q5" || idx[1].ID != "q4" || idx[2].ID != "q3" {
 		t.Fatalf("index order wrong: %+v", idx)
 	}
-	if s.FlightRecord("q1") != nil || s.FlightRecord("q2") != nil {
+	if s.FlightRecord("q1") != nil || s.FlightRecord("q2") != nil || s.Get("q1") != nil {
 		t.Error("evicted records still retrievable")
 	}
 	if idx[0].HeapBytes == 0 || idx[0].GoroutineBytes == 0 {
@@ -85,10 +92,6 @@ func TestFlightRecorderRateLimit(t *testing.T) {
 	if !s.Capture("latency", &QueryTrace{ID: "q3"}) {
 		t.Fatal("capture after min interval should pass")
 	}
-	caps, suppr := s.FlightStats()
-	if caps != 2 || suppr != 1 {
-		t.Fatalf("stats = (%d, %d), want (2, 1)", caps, suppr)
-	}
 	if s.FlightRecord("q2") != nil {
 		t.Error("suppressed breach must not leave a record")
 	}
@@ -100,8 +103,11 @@ func TestFlightRecorderNewestWinsOnDuplicateQID(t *testing.T) {
 	s.Capture("latency", &QueryTrace{ID: "q1", WallSeconds: 1})
 	s.Capture("latency+alloc", &QueryTrace{ID: "q1", WallSeconds: 9})
 	rec := s.FlightRecord("q1")
-	if rec == nil || rec.Reason != "latency+alloc" || rec.WallSeconds != 9 {
+	if rec == nil || rec.Reason != "latency+alloc" || rec.Trace.WallSeconds != 9 {
 		t.Fatalf("FlightRecord should return newest capture, got %+v", rec)
+	}
+	if idx := s.Index(); len(idx) != 1 || idx[0].Capture != "latency+alloc" {
+		t.Fatalf("index = %+v, want one row from the newest capture", idx)
 	}
 }
 

@@ -69,7 +69,7 @@ type Observation struct {
 
 // Decision is the tail-sampling verdict for one observation — the only
 // place "slow" and "alloc" are decided. The serving layer pins, flags,
-// counts, logs, exports and profiles from it without re-measuring.
+// counts, logs and profiles from it without re-measuring.
 type Decision struct {
 	Retain  bool
 	Reasons []string // "slow", "error", "alloc", "sample"
@@ -114,7 +114,7 @@ type FingerprintStats struct {
 	Query   string `json:"query,omitempty"`
 	LastQID string `json:"last_qid,omitempty"`
 	// FlightRecords links breach captures of this shape (filled by the
-	// serving layer from the flight recorder's index).
+	// serving layer from the /traces index rows that carry a capture).
 	FlightRecords []string `json:"flight_records,omitempty"`
 }
 

@@ -1,16 +1,9 @@
 package insights
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
-	"time"
-
-	"ids/internal/obs"
 )
 
 func TestObservatoryAggregatesByFingerprint(t *testing.T) {
@@ -144,98 +137,6 @@ func TestTopKLimit(t *testing.T) {
 	}
 	if top[0].Count != 20 || top[1].Count != 19 || top[2].Count != 18 {
 		t.Fatalf("TopK order: %+v", top)
-	}
-}
-
-func TestOTLPExportFile(t *testing.T) {
-	tc := obs.NewTraceContext()
-	tr := &obs.QueryTrace{
-		ID: "q000123", Query: "SELECT ?s WHERE { ?s ?p ?o . }",
-		Fingerprint: "00000000deadbeef", TraceParent: tc.String(), TailReason: "slow",
-		Start: time.Unix(1700000000, 0), Status: "ok",
-		ParseSeconds: 0.001, PlanSeconds: 0.002, ExecSeconds: 0.01, WallSeconds: 0.013,
-		Ranks: 2, Rows: 7,
-		Ops: []obs.OpTrace{
-			{Op: "scan", Label: "?s ?p ?o", RowsOut: 100, WallMax: 0.004, AllocBytes: 4096},
-			{Op: "gather", RowsIn: 100, RowsOut: 7, WallMax: 0.001},
-		},
-	}
-
-	req := OTLPFromTrace(tr)
-	spans := req.ResourceSpans[0].ScopeSpans[0].Spans
-	if len(spans) != 1+3+2 {
-		t.Fatalf("span count = %d, want 6 (root + 3 lifecycle + 2 ops)", len(spans))
-	}
-	root := spans[0]
-	wantTrace := strings.Split(tc.String(), "-")[1]
-	if root.TraceID != wantTrace {
-		t.Fatalf("root trace id %s, want propagated %s", root.TraceID, wantTrace)
-	}
-	if root.ParentSpanID == "" {
-		t.Fatal("root span lost the caller's parent span")
-	}
-	for _, sp := range spans[1:] {
-		if sp.TraceID != wantTrace {
-			t.Fatalf("span %s on wrong trace %s", sp.Name, sp.TraceID)
-		}
-	}
-	// Determinism: same trace → same span ids.
-	again := OTLPFromTrace(tr)
-	for i := range spans {
-		if again.ResourceSpans[0].ScopeSpans[0].Spans[i].SpanID != spans[i].SpanID {
-			t.Fatalf("span id %d not deterministic", i)
-		}
-	}
-
-	// File exporter writes one JSONL line per trace.
-	path := filepath.Join(t.TempDir(), "traces.jsonl")
-	ex, err := NewExporter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Export(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Export(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("exported %d lines, want 2", len(lines))
-	}
-	var parsed OTLPRequest
-	if err := json.Unmarshal([]byte(lines[0]), &parsed); err != nil {
-		t.Fatalf("export line not valid OTLP JSON: %v", err)
-	}
-
-	// No traceparent → deterministic qid-derived trace id, no parent.
-	tr2 := *tr
-	tr2.TraceParent = ""
-	req2 := OTLPFromTrace(&tr2)
-	root2 := req2.ResourceSpans[0].ScopeSpans[0].Spans[0]
-	if root2.TraceID == root.TraceID || len(root2.TraceID) != 32 || root2.ParentSpanID != "" {
-		t.Fatalf("fallback trace id wrong: %+v", root2)
-	}
-}
-
-func TestNewExporterDisabled(t *testing.T) {
-	ex, err := NewExporter("")
-	if err != nil || ex != nil {
-		t.Fatalf("empty dest: ex=%v err=%v", ex, err)
-	}
-	// Nil exporter methods are no-ops.
-	if err := ex.Export(&obs.QueryTrace{ID: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

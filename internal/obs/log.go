@@ -36,7 +36,7 @@ func QID(ctx context.Context) string {
 
 // NewQID mints a process-unique query correlation ID. It is the same
 // sequence as trace IDs: the qid IS the trace ID, so the log stream,
-// GET /trace?id=<qid>, and the query response all share one handle.
+// GET /traces?id=<qid>, and the query response all share one handle.
 func NewQID() string { return NewTraceID() }
 
 // qidHandler decorates an slog.Handler, stamping the context's qid

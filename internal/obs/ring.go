@@ -42,9 +42,8 @@ func (r *ring[T]) at(i int) T {
 
 // TraceStore is the one place query traces are kept after a query
 // finishes, so a latency spike seen in a histogram can be drilled into
-// after the fact: GET /traces lists the index, GET /trace?id=<qid>
-// returns the full span tree while it is retained, and GET
-// /debug/flightrec serves the profiled breaches.
+// after the fact. GET /traces reads it: the index, the slow list, one
+// trace by ID, and the profiles kept for a budget breach.
 //
 // It holds three bounded newest-first lists under one mutex:
 //   - recent: every trace, lapped by ordinary traffic;
@@ -53,6 +52,7 @@ func (r *ring[T]) at(i int) T {
 //   - profiled: flight records (the trace plus heap and goroutine
 //     profiles) captured by Capture, at most one per second.
 //
+// A trace stays resolvable while any of the three lists holds it.
 // The store decides nothing: which traces are pinned, which are slow
 // and which get profiled is the caller's verdict (insights.Decision).
 type TraceStore struct {
@@ -61,8 +61,7 @@ type TraceStore struct {
 	pinned   ring[*QueryTrace]
 	profiled ring[*FlightRecord]
 
-	lastCapture          time.Time
-	captures, suppressed int64
+	lastCapture time.Time
 	// now is the capture clock (swapped in tests).
 	now func() time.Time
 }
@@ -79,7 +78,13 @@ type TraceIndexEntry struct {
 	// traces are pinned past ring eviction, with the reason(s) why.
 	Retained   bool   `json:"retained,omitempty"`
 	TailReason string `json:"tail_reason,omitempty"`
-	Query      string `json:"query"`
+	// Capture is the flight recorder's reason ("latency", "alloc" or
+	// "latency+alloc") while the query's profiles are kept, with the
+	// sizes of its heap and goroutine profiles.
+	Capture        string `json:"capture,omitempty"`
+	HeapBytes      int    `json:"heap_profile_bytes,omitempty"`
+	GoroutineBytes int    `json:"goroutine_profile_bytes,omitempty"`
+	Query          string `json:"query"`
 }
 
 // NewTraceStore builds a store with the default bounds.
@@ -113,16 +118,14 @@ func (s *TraceStore) Put(tr *QueryTrace, reason string, slow bool) {
 }
 
 // Get returns the stored trace with the given ID, searching the recent
-// list and then the pinned one, newest first; nil when evicted from
-// both or never seen.
+// list, then the pinned one, then the profiled one, newest first; nil
+// when evicted from all three or never seen.
 func (s *TraceStore) Get(id string) *QueryTrace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, l := range []*ring[*QueryTrace]{&s.recent, &s.pinned} {
-		for i := 0; i < l.n; i++ {
-			if tr := l.at(i); tr.ID == id {
-				return tr
-			}
+	for _, tr := range s.traces() {
+		if tr.ID == id {
+			return tr
 		}
 	}
 	return nil
@@ -136,40 +139,55 @@ func (s *TraceStore) Len() int {
 }
 
 // Index lists stored traces newest-first: the recent list, then the
-// pinned traces it has already lapped.
+// pinned and profiled traces it has already lapped.
 func (s *TraceStore) Index() []TraceIndexEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inRecent := make(map[string]bool, s.recent.n)
-	out := make([]TraceIndexEntry, 0, s.recent.n+s.pinned.n)
-	for i := 0; i < s.recent.n; i++ {
-		tr := s.recent.at(i)
-		inRecent[tr.ID] = true
-		out = append(out, indexEntry(tr))
-	}
-	for i := 0; i < s.pinned.n; i++ {
-		if tr := s.pinned.at(i); !inRecent[tr.ID] {
-			out = append(out, indexEntry(tr))
-		}
-	}
-	return out
+	return s.list(false)
 }
 
-// Slow lists the pinned traces whose verdict includes "slow",
+// Slow lists the stored traces whose verdict includes "slow",
 // newest-first.
 func (s *TraceStore) Slow() []TraceIndexEntry {
+	return s.list(true)
+}
+
+func (s *TraceStore) list(slowOnly bool) []TraceIndexEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TraceIndexEntry, 0, s.pinned.n)
-	for i := 0; i < s.pinned.n; i++ {
-		if tr := s.pinned.at(i); tr.slow {
-			out = append(out, indexEntry(tr))
+	trs := s.traces()
+	out := make([]TraceIndexEntry, 0, len(trs))
+	for _, tr := range trs {
+		if !slowOnly || tr.slow {
+			out = append(out, s.indexEntry(tr))
 		}
 	}
 	return out
 }
 
-func indexEntry(tr *QueryTrace) TraceIndexEntry {
+// traces returns each stored trace once, in Get's search order. s.mu
+// must be held.
+func (s *TraceStore) traces() []*QueryTrace {
+	out := make([]*QueryTrace, 0, s.recent.n+s.pinned.n+s.profiled.n)
+	seen := make(map[string]bool, cap(out))
+	add := func(tr *QueryTrace) {
+		if !seen[tr.ID] {
+			seen[tr.ID] = true
+			out = append(out, tr)
+		}
+	}
+	for i := 0; i < s.recent.n; i++ {
+		add(s.recent.at(i))
+	}
+	for i := 0; i < s.pinned.n; i++ {
+		add(s.pinned.at(i))
+	}
+	for i := 0; i < s.profiled.n; i++ {
+		add(s.profiled.at(i).Trace)
+	}
+	return out
+}
+
+// indexEntry renders tr as an index row. s.mu must be held.
+func (s *TraceStore) indexEntry(tr *QueryTrace) TraceIndexEntry {
 	status := tr.Status
 	if status == "" {
 		status = "ok"
@@ -178,7 +196,7 @@ func indexEntry(tr *QueryTrace) TraceIndexEntry {
 	if len(q) > 200 {
 		q = q[:200] + "…"
 	}
-	return TraceIndexEntry{
+	e := TraceIndexEntry{
 		ID:          tr.ID,
 		Start:       tr.Start,
 		WallSeconds: tr.WallSeconds,
@@ -189,4 +207,10 @@ func indexEntry(tr *QueryTrace) TraceIndexEntry {
 		TailReason:  tr.TailReason,
 		Query:       q,
 	}
+	if rec := s.record(tr.ID); rec != nil {
+		e.Capture = rec.Reason
+		e.HeapBytes = len(rec.HeapProfile)
+		e.GoroutineBytes = len(rec.GoroutineProfile)
+	}
+	return e
 }

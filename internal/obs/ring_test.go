@@ -127,7 +127,6 @@ func TestTraceRingConcurrent(t *testing.T) {
 					s.Capture("latency", tr)
 					s.Index()
 					s.Slow()
-					s.FlightIndex()
 					s.FlightRecord(id)
 				}
 			}
@@ -137,15 +136,21 @@ func TestTraceRingConcurrent(t *testing.T) {
 	if s.Len() != 16 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if n := len(s.Slow()); n != 16 {
-		t.Fatalf("pinned = %d, want 16", n)
+	// Every capture was of a slow trace: the 16 pinned ones, plus up to
+	// 4 profiled ones the pinned list has lapped.
+	if n := len(s.Slow()); n < 16 || n > 20 {
+		t.Fatalf("slow = %d, want 16..20", n)
 	}
-	if caps, _ := s.FlightStats(); caps != writers*per/50 || len(s.FlightIndex()) != 4 {
-		t.Fatalf("captures = %d, profiled = %d", caps, len(s.FlightIndex()))
-	}
+	captured := 0
 	for _, e := range s.Index() {
 		if e.ID == "" {
 			t.Fatal("empty index entry")
 		}
+		if e.Capture != "" {
+			captured++
+		}
+	}
+	if captured != 4 {
+		t.Fatalf("profiled = %d, want 4", captured)
 	}
 }

@@ -134,7 +134,7 @@ type QueryTrace struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// TraceParent is the query's W3C trace context — ingested from the
 	// caller's traceparent header or minted at admission — so the trace
-	// joins the caller's distributed trace on export.
+	// joins the caller's distributed trace.
 	TraceParent string `json:"traceparent,omitempty"`
 	// TailReason records why the tail sampler retained this trace
 	// ("slow", "error", "alloc", "sample", comma-joined); empty for

@@ -13,12 +13,12 @@ import (
 
 // W3C Trace Context (traceparent) support: the cross-process half of
 // query correlation. The qid stays the human-sized local handle
-// (q000042 in logs, /trace, responses); the TraceContext is the wire
+// (q000042 in logs, /traces, responses); the TraceContext is the wire
 // identity that survives process boundaries — ingested from the
 // caller's `traceparent` header, minted fresh when absent, echoed in
-// the response, stamped on every log record, and carried into the
-// OTLP export so one logical request remains one trace across a
-// brokered federation of engines.
+// the response, stamped on every log record, and kept on the stored
+// trace, so one logical request remains one trace across a brokered
+// federation of engines.
 
 // TraceContext is a parsed traceparent: 16-byte trace id, 8-byte span
 // id (the *caller's* span on ingest — our spans become its children),
