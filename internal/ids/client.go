@@ -63,7 +63,8 @@ func (c *Client) get(path string, out any) error {
 }
 
 // do sends req and reads a 200 answer into out: an io.Writer gets the
-// raw body, anything else is decoded from JSON. Any other status is an
+// raw body, a *QueryResponse goes through unmarshalQueryResponse,
+// anything else is decoded from JSON. Any other status is an
 // error carrying the server's {"error": ...} message, an
 // *OverloadedError for a 429.
 func (c *Client) do(req *http.Request, out any) error {
@@ -100,6 +101,10 @@ func (c *Client) do(req *http.Request, out any) error {
 	defer bodyBufPool.Put(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	if qr, ok := out.(*QueryResponse); ok {
+		_, err := unmarshalQueryResponse(buf.Bytes(), qr)
 		return err
 	}
 	return json.Unmarshal(buf.Bytes(), out)

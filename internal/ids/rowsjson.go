@@ -19,7 +19,8 @@ import (
 // server. The wire contract is decoded equality: a client that
 // unmarshals the body into QueryResponse gets exactly the rows
 // Engine.Strings returns, in exactly the envelope json.Marshal of a
-// QueryResponse would carry.
+// QueryResponse would carry. The client's scanner (rowsdecode.go)
+// mirrors this writer: a format change here must change it too.
 
 // rowsChunk bounds how many encoded bytes accumulate before a flush to
 // the writer: large enough that a 1.6 MB answer costs ~50 writes, small

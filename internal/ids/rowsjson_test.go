@@ -55,7 +55,8 @@ func rowsJSONQueries() []string {
 }
 
 // decodeQueryResponse runs writeQueryResponse into a recorder and
-// unmarshals the body as a client would.
+// decodes the body as the client does, which must take the fast path
+// and agree with json.Unmarshal.
 func decodeQueryResponse(t *testing.T, e *Engine, resp *QueryResponse, res *Result) (QueryResponse, []byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -65,9 +66,9 @@ func decodeQueryResponse(t *testing.T, e *Engine, resp *QueryResponse, res *Resu
 	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
 		t.Fatalf("status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
 	}
-	var got QueryResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-		t.Fatalf("body is not a QueryResponse: %v\n%s", err, rec.Body.Bytes())
+	got, fast := checkClientDecode(t, rec.Body.Bytes())
+	if !fast {
+		t.Fatalf("the client decoder refused a body the server wrote:\n%s", rec.Body.Bytes())
 	}
 	return got, rec.Body.Bytes()
 }
@@ -142,7 +143,8 @@ func TestQueryResponseEnvelope(t *testing.T) {
 }
 
 // TestEquivServerRoundTrip drives the corpus through a real server and
-// client: what Client.Query returns is what Engine.Strings renders for
+// client: what Client.Query returns, and what the client decoder makes
+// of the raw body on its fast path, is what Engine.Strings renders for
 // the same query (as sets: two runs of a hash join need not agree on
 // order).
 func TestEquivServerRoundTrip(t *testing.T) {
@@ -173,6 +175,17 @@ func TestEquivServerRoundTrip(t *testing.T) {
 		}
 		if got, want := sorted(resp.Rows), sorted(e.Strings(res)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q:\n client %q\n engine %q", q, got, want)
+		}
+		var raw bytes.Buffer
+		if err := c.post("/query", QueryRequest{Query: q}, &raw); err != nil {
+			t.Fatal(err)
+		}
+		dec, fast := checkClientDecode(t, raw.Bytes())
+		if !fast {
+			t.Fatalf("%q: the client decoder refused the server's body:\n%s", q, raw.Bytes())
+		}
+		if got, want := sorted(dec.Rows), sorted(e.Strings(res)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n decoded %q\n engine  %q", q, got, want)
 		}
 		if !reflect.DeepEqual(resp.Vars, res.Vars) {
 			t.Fatalf("%q: vars %v vs %v", q, resp.Vars, res.Vars)

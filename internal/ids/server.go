@@ -366,14 +366,33 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// maxRequestBytes bounds every POST body: far above any query, update
+// or module a client sends, far below what would exhaust the server.
+const maxRequestBytes = 64 << 20
+
+// readJSON decodes a POST's JSON body, of at most maxRequestBytes, into
+// v. Otherwise it answers the request itself — 405 for another method,
+// 413 for a larger body, 400 for a malformed one — and returns false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return false
 	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	// The qid is minted at admission so even shed queries correlate:
@@ -606,13 +625,8 @@ type UpdateRequest struct {
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	// Updates bypass admission: the engine's writer lock serializes
@@ -626,13 +640,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req ModuleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	var err error

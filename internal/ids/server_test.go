@@ -2,6 +2,8 @@ package ids
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -50,6 +52,56 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	}
 	if resp.Makespan < 0 || resp.Plan == "" {
 		t.Fatalf("metadata missing: %+v", resp)
+	}
+}
+
+// fill reads as an endless run of one byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestRequestBodyCap streams a body whose one literal is maxRequestBytes
+// long to /query and to /update: each answers 413 with an {"error": ...}
+// body, nothing runs or applies, no admission slot stays held, and the
+// next query answers.
+func TestRequestBodyCap(t *testing.T) {
+	_, ts := testServer(t)
+	c := NewClient(ts.URL)
+	for _, tc := range []struct{ path, head, tail string }{
+		{"/query", `{"query":"SELECT ?s WHERE { ?s ?p \"`, `\" . }"}`},
+		{"/update", `{"update":"INSERT DATA { <http://x/capped> <http://x/name> \"`, `\" . }"}`},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.head), io.LimitReader(fill('a'), maxRequestBytes), strings.NewReader(tc.tail))
+		resp, err := c.HTTP.Post(ts.URL+tc.path, "application/json", body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		var msg struct {
+			Error string `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil || !strings.Contains(msg.Error, "too large") {
+			t.Fatalf("%s: status %d, error %q (%v); want 413 and the reason", tc.path, resp.StatusCode, msg.Error, derr)
+		}
+	}
+	text, err := c.MetricsText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nids_inflight_queries 0\n", "\nids_queries_total 0\n", "\nids_updates_total 0\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("metrics lack %q after two refused bodies:\n%s", strings.TrimSpace(want), text)
+		}
+	}
+	resp, err := c.Query(`SELECT ?n WHERE { <http://x/capped> <http://x/name> ?n . }`)
+	if err != nil || len(resp.Rows) != 0 {
+		t.Fatalf("query after the refused bodies: %v, %v", resp, err)
 	}
 }
 

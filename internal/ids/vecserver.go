@@ -1,7 +1,6 @@
 package ids
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"ids/internal/vecstore"
@@ -34,13 +33,8 @@ type VectorSearchResponse struct {
 }
 
 func (s *Server) handleVectorUpsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req VectorUpsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	res, err := s.Engine.VectorUpsert(req.Store, req.Key, req.Vector)
@@ -52,13 +46,8 @@ func (s *Server) handleVectorUpsert(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVectorSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req VectorSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	hits, err := s.Engine.VectorSearch(req.Store, req.Key, req.K)
