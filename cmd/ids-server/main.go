@@ -84,16 +84,18 @@ func main() {
 	topo := mpp.Topology{Nodes: *nodes, RanksPerNode: *rpn}
 	cfg := ids.LaunchConfig{
 		Topo: topo, Addr: *addr, NTriplesPath: *dataPath,
-		Admission: ids.AdmissionConfig{
-			MaxInFlight:  *maxInflight,
-			MaxQueue:     *maxQueue,
-			QueueTimeout: *queueTimeout,
+		ServerConfig: ids.ServerConfig{
+			Admission: ids.AdmissionConfig{
+				MaxInFlight:  *maxInflight,
+				MaxQueue:     *maxQueue,
+				QueueTimeout: *queueTimeout,
+			},
+			Logger:              logger,
+			SlowQuerySeconds:    slowQuery.Seconds(),
+			SlowQueryAllocBytes: *slowQueryAlloc,
+			TailSampleN:         *tailSampleN,
+			InsightsTopK:        *insightsTopK,
 		},
-		Logger:              logger,
-		SlowQuerySeconds:    slowQuery.Seconds(),
-		SlowQueryAllocBytes: *slowQueryAlloc,
-		TailSampleN:         *tailSampleN,
-		InsightsTopK:        *insightsTopK,
 	}
 	if *dataDir != "" {
 		pol, err := wal.ParseFsyncPolicy(*fsync)

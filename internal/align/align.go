@@ -49,15 +49,6 @@ func encode(seq string) ([]int8, error) {
 	return out, nil
 }
 
-// Result is the outcome of a local alignment.
-type Result struct {
-	Score int
-	// EndQuery/EndTarget are the 0-based inclusive end positions of
-	// the optimal local alignment in the query and target.
-	EndQuery  int
-	EndTarget int
-}
-
 // Profile is a preprocessed query: a per-residue score column for each
 // query position, the SSW-style optimization that removes the matrix
 // lookup from the inner loop. Build once per query, reuse against many
@@ -123,13 +114,14 @@ func encodeInto(dst []int8, seq string) ([]int8, error) {
 }
 
 // Align runs affine-gap Smith-Waterman of the profiled query against
-// target, using two rolling DP rows (score-only, O(target) memory).
-func (p *Profile) Align(target string) (Result, error) {
+// target, using two rolling DP rows (score-only, O(target) memory), and
+// returns the optimal local-alignment score.
+func (p *Profile) Align(target string) (int, error) {
 	sc := dpPool.Get().(*dpScratch)
 	defer dpPool.Put(sc)
 	t, err := encodeInto(sc.t, target)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	sc.t = t
 	s := p.scorer
@@ -145,7 +137,7 @@ func (p *Profile) Align(target string) (Result, error) {
 		H[j] = 0
 		E[j] = 0
 	}
-	best := Result{EndQuery: -1, EndTarget: -1}
+	best := 0
 	for i := 0; i < len(t); i++ {
 		col := p.cols[t[i]]
 		f := 0       // best with gap in target for current row
@@ -166,8 +158,8 @@ func (p *Profile) Align(target string) (Result, error) {
 			diag = H[j]
 			H[j] = h
 			E[j] = e
-			if h > best.Score {
-				best = Result{Score: h, EndQuery: j - 1, EndTarget: i}
+			if h > best {
+				best = h
 			}
 		}
 	}
@@ -179,14 +171,14 @@ func (p *Profile) Align(target string) (Result, error) {
 // self-score. This is the quantity thresholded by the Table 2
 // selectivity sweep.
 func (p *Profile) Similarity(target string) (float64, error) {
-	r, err := p.Align(target)
+	score, err := p.Align(target)
 	if err != nil {
 		return 0, err
 	}
 	if p.selfScore <= 0 {
 		return 0, nil
 	}
-	sim := float64(r.Score) / float64(p.selfScore)
+	sim := float64(score) / float64(p.selfScore)
 	if sim > 1 {
 		sim = 1
 	}

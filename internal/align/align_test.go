@@ -43,8 +43,8 @@ func TestLowercaseAccepted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up.Score != low.Score {
-		t.Fatalf("case sensitivity: %d vs %d", up.Score, low.Score)
+	if up != low {
+		t.Fatalf("case sensitivity: %d vs %d", up, low)
 	}
 }
 
@@ -59,8 +59,8 @@ func TestIdenticalSequencesScoreSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Score != p.selfScore {
-		t.Fatalf("self alignment score %d != self score %d", r.Score, p.selfScore)
+	if r != p.selfScore {
+		t.Fatalf("self alignment score %d != self score %d", r, p.selfScore)
 	}
 	sim, err := p.Similarity(seq)
 	if err != nil {
@@ -77,22 +77,22 @@ func TestKnownAlignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Score <= 0 {
-		t.Fatalf("score = %d, want positive", r.Score)
+	if r <= 0 {
+		t.Fatalf("score = %d, want positive", r)
 	}
 	// The optimal local alignment is AWGHE vs AW-HE region; score with
 	// BLOSUM62 open=11 ext=1: checked against reference implementation.
 	ref := bruteForceSW(t, "HEAGAWGHEE", "PAWHEAE", 11, 1)
-	if r.Score != ref {
-		t.Fatalf("score = %d, reference = %d", r.Score, ref)
+	if r != ref {
+		t.Fatalf("score = %d, reference = %d", r, ref)
 	}
 }
 
 // local profiles query and aligns it against target once.
-func local(s *Scorer, query, target string) (Result, error) {
+func local(s *Scorer, query, target string) (int, error) {
 	p, err := s.NewProfile(query)
 	if err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	return p.Align(target)
 }
@@ -160,8 +160,8 @@ func TestProfileMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := bruteForceSW(t, q, tg, 11, 1)
-		if got.Score != want {
-			t.Fatalf("trial %d: q=%s t=%s got %d want %d", trial, q, tg, got.Score, want)
+		if got != want {
+			t.Fatalf("trial %d: q=%s t=%s got %d want %d", trial, q, tg, got, want)
 		}
 	}
 }
@@ -223,7 +223,7 @@ func TestSWProperties(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if r1.Score != r2.Score || r1.Score < 0 {
+		if r1 != r2 || r1 < 0 {
 			return false
 		}
 		pa, _ := s.NewProfile(a)
@@ -232,7 +232,7 @@ func TestSWProperties(t *testing.T) {
 		if pb.selfScore < bound {
 			bound = pb.selfScore
 		}
-		return r1.Score <= bound
+		return r1 <= bound
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -251,11 +251,8 @@ func TestSubstringAlignsPerfectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Score != p.selfScore {
-		t.Fatalf("substring score %d != self %d", r.Score, p.selfScore)
-	}
-	if r.EndTarget != 24 {
-		t.Fatalf("end target = %d, want 24", r.EndTarget)
+	if r != p.selfScore {
+		t.Fatalf("substring score %d != self %d", r, p.selfScore)
 	}
 }
 

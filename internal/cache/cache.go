@@ -66,7 +66,6 @@ type Stats struct {
 	DRAMHitsRemote int64
 	SSDHits        int64
 	StashHits      int64
-	Misses         int64
 	Puts           int64
 	Spills         int64 // DRAM -> SSD demotions
 	Evictions      int64 // dropped from SSD (still in stash)
@@ -78,12 +77,10 @@ type Stats struct {
 
 type meta struct {
 	hash      string
-	size      int
 	locations []Location
 }
 
 type cacheNode struct {
-	id      int
 	dram    Policy
 	ssd     Policy
 	ssdData map[string][]byte
@@ -158,7 +155,7 @@ func New(cfg Config, backing *store.Store) (*Cache, error) {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, &cacheNode{
-			id: i, dram: dp, ssd: sp, ssdData: map[string][]byte{},
+			dram: dp, ssd: sp, ssdData: map[string][]byte{},
 		})
 	}
 	return c, nil
@@ -216,7 +213,7 @@ func (c *Cache) Put(m *fam.Meter, name string, data []byte, hintNode int) error 
 	if err != nil {
 		return err
 	}
-	meterAdd(m, wcost, len(data))
+	meterAdd(m, wcost)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -232,7 +229,6 @@ func (c *Cache) Put(m *fam.Meter, name string, data []byte, hintNode int) error 
 		c.invalidateLocked(name)
 	}
 	mt.hash = hash
-	mt.size = len(data)
 	if hintNode < 0 || hintNode >= len(c.nodes) {
 		hintNode = int(fam.ObjectID(name) % uint64(len(c.nodes)))
 	}
@@ -364,7 +360,7 @@ func (c *Cache) placeSSDLocked(m *fam.Meter, name string, data []byte, nodeID in
 	if mt.hasLoc(loc) {
 		n.ssdUsed += int64(len(data)) - int64(len(n.ssdData[name]))
 		n.ssdData[name] = data
-		meterAdd(m, c.ssdCost(len(data)), len(data))
+		meterAdd(m, c.ssdCost(len(data)))
 		return nil
 	}
 	for n.ssdUsed+int64(len(data)) > c.cfg.SSDPerNode {
@@ -382,17 +378,14 @@ func (c *Cache) placeSSDLocked(m *fam.Meter, name string, data []byte, nodeID in
 	n.ssdUsed += int64(len(data))
 	n.ssd.Add(name)
 	mt.locations = append(mt.locations, loc)
-	meterAdd(m, c.ssdCost(len(data)), len(data))
+	meterAdd(m, c.ssdCost(len(data)))
 	return nil
 }
 
-func meterAdd(m *fam.Meter, sec float64, bytes int) {
-	if m == nil {
-		return
+func meterAdd(m *fam.Meter, sec float64) {
+	if m != nil {
+		m.Seconds += sec
 	}
-	m.Seconds += sec
-	m.Ops++
-	m.Bytes += bytes
 }
 
 // Get retrieves name for a reader on fromNode, searching local DRAM,
@@ -451,7 +444,7 @@ func (c *Cache) Get(m *fam.Meter, name string, fromNode int) ([]byte, error) {
 					if !local {
 						cost += c.cfg.Net.Cost(len(data), false)
 					}
-					meterAdd(m, cost, len(data))
+					meterAdd(m, cost)
 					c.stats.SSDHits++
 					return data, nil
 				}
@@ -461,10 +454,10 @@ func (c *Cache) Get(m *fam.Meter, name string, fromNode int) ([]byte, error) {
 	// Disk stash fallback.
 	data, rcost, err := c.backing.Get(name)
 	if err == nil {
-		meterAdd(m, rcost, len(data))
+		meterAdd(m, rcost)
 		c.stats.StashHits++
 		if mt == nil {
-			mt = &meta{hash: store.Hash(data), size: len(data)}
+			mt = &meta{hash: store.Hash(data)}
 			c.objects[name] = mt
 		}
 		// Repopulate the reader's DRAM for future hits. Best-effort:
@@ -477,7 +470,6 @@ func (c *Cache) Get(m *fam.Meter, name string, fromNode int) ([]byte, error) {
 		}
 		return data, nil
 	}
-	c.stats.Misses++
 	return nil, fmt.Errorf("%w: %s", ErrMiss, name)
 }
 

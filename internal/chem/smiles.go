@@ -12,11 +12,9 @@ import (
 type Atom struct {
 	Element  string // element symbol, e.g. "C", "Cl"
 	Aromatic bool
-	Charge   int
 	// ExplicitH is the hydrogen count given in a bracket atom, or -1
 	// when hydrogens are implicit.
 	ExplicitH int
-	Isotope   int
 }
 
 // Bond connects two atoms by index.
@@ -254,9 +252,8 @@ func (p *smilesParser) bracketAtom() error {
 	p.pos += end + 1
 	a := Atom{ExplicitH: 0}
 	i := 0
-	// Isotope.
+	// Isotope: parsed past, not kept, like the charge below.
 	for i < len(body) && isDigit(body[i]) {
-		a.Isotope = a.Isotope*10 + int(body[i]-'0')
 		i++
 	}
 	if i >= len(body) {
@@ -294,18 +291,11 @@ func (p *smilesParser) bracketAtom() error {
 			i++
 		}
 	}
-	// Charge.
+	// Charge: parsed past, not kept (docking reads no charge).
 	for i < len(body) && (body[i] == '+' || body[i] == '-') {
-		sign := 1
-		if body[i] == '-' {
-			sign = -1
-		}
 		i++
 		if i < len(body) && isDigit(body[i]) {
-			a.Charge += sign * int(body[i]-'0')
 			i++
-		} else {
-			a.Charge += sign
 		}
 	}
 	if i != len(body) {

@@ -97,7 +97,6 @@ type LAtom struct {
 type Ligand struct {
 	Atoms  []LAtom
 	NumRot int // rotatable bonds, used in the affinity normalization
-	SMILES string
 }
 
 // atomClassOf maps a molecular-graph atom to an interaction class.
@@ -165,7 +164,6 @@ func Embed(m *chem.Mol, seed int64) (*Ligand, error) {
 	lig := &Ligand{
 		Atoms:  make([]LAtom, n),
 		NumRot: m.RotatableBonds(),
-		SMILES: m.SMILES,
 	}
 	// Center the conformer on its centroid.
 	var c fold.Point
@@ -322,8 +320,6 @@ type Result struct {
 	// Affinity is the Vina-style binding free energy estimate in
 	// kcal/mol; more negative is better.
 	Affinity float64
-	BestPose Pose
-	Evals    int
 }
 
 // Dock searches for the lowest-energy pose of lig against rec with
@@ -362,8 +358,7 @@ func Dock(rec *Receptor, lig *Ligand, p Params) (Result, error) {
 		RotX: rng.Float64() * 2 * math.Pi,
 	}
 	curE := score(rec, lig, cur)
-	best, bestE := cur, curE
-	evals := 1
+	bestE := curE
 	for step := 0; step < p.Steps; step++ {
 		// Annealed step sizes.
 		frac := 1 - float64(step)/float64(p.Steps)
@@ -383,16 +378,15 @@ func Dock(rec *Receptor, lig *Ligand, p Params) (Result, error) {
 		cand.RotY += (rng.Float64() - 0.5) * frac
 		cand.RotX += (rng.Float64() - 0.5) * frac
 		e := score(rec, lig, cand)
-		evals++
 		if e < curE || rng.Float64() < math.Exp((curE-e)/p.Temp) {
 			cur, curE = cand, e
 			if e < bestE {
-				best, bestE = cand, e
+				bestE = e
 			}
 		}
 	}
 	affinity := bestE / (1 + wNumRot*float64(lig.NumRot))
-	return Result{Affinity: affinity, BestPose: best, Evals: evals}, nil
+	return Result{Affinity: affinity}, nil
 }
 
 // Cost returns the virtual execution cost in seconds of docking the

@@ -535,14 +535,8 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 				cost := call.cost * opts.SpeedFactor
 				prof.Record(call.name, cost, rejected)
 				r.Charge(cost)
-				stats.UDFCost += cost
 			}
-			if err != nil {
-				stats.Errors++
-				keep = false
-				break
-			}
-			if !ok {
+			if rejected {
 				keep = false
 				break
 			}

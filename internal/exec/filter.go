@@ -44,8 +44,6 @@ func (o FilterOpts) logCtx() context.Context {
 type FilterStats struct {
 	Evaluated int // rows evaluated (after re-balancing)
 	Passed    int // rows that survived
-	Errors    int // rows dropped due to evaluation errors
-	UDFCost   float64
 	// Order is the conjunct evaluation order used by this rank
 	// (stringified), exposing per-rank independent reordering.
 	Order []string

@@ -74,7 +74,7 @@ func TestDockDeterminism(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.Affinity != b.Affinity || a.BestPose != b.BestPose || a.Evals != b.Evals {
+	if a != b {
 		t.Fatalf("docking differs between same-seed runs:\n a %+v\n b %+v", a, b)
 	}
 }

@@ -175,7 +175,6 @@ func (sc Scale) newWorkflow(topo mpp.Topology, gc *cache.Cache, swCost float64) 
 type Table1Row struct {
 	Name          string
 	PaperTriples  int64
-	PaperRawBytes int64
 	Generated     int
 	IngestWall    time.Duration
 	TriplesPerSec float64
@@ -198,7 +197,6 @@ func Table1(sc Scale, shards int) ([]Table1Row, error) {
 		rows = append(rows, Table1Row{
 			Name:          src.Name,
 			PaperTriples:  src.PaperTriples,
-			PaperRawBytes: src.PaperRawBytes,
 			Generated:     n,
 			IngestWall:    wall,
 			TriplesPerSec: tps,
@@ -213,18 +211,17 @@ func Table1(sc Scale, shards int) ([]Table1Row, error) {
 
 // ScalingPoint is one node count of the Fig 4/5 sweep.
 type ScalingPoint struct {
-	Nodes     int
-	Ranks     int
-	Total     float64 // simulated end-to-end seconds (Fig 4a)
-	NonDock   float64 // Fig 4a "excluding docking"
-	Dock      float64 // Fig 4b docking phase
-	Filter    float64 // Fig 4b / Fig 5 FILTER phase
-	Scan      float64 // Fig 4b
-	Join      float64 // Fig 4b
-	Merge     float64 // Fig 4b
-	InnerRows int
-	Docked    int
-	Wall      time.Duration // real time the simulation took
+	Nodes   int
+	Ranks   int
+	Total   float64 // simulated end-to-end seconds (Fig 4a)
+	NonDock float64 // Fig 4a "excluding docking"
+	Dock    float64 // Fig 4b docking phase
+	Filter  float64 // Fig 4b / Fig 5 FILTER phase
+	Scan    float64 // Fig 4b
+	Join    float64 // Fig 4b
+	Merge   float64 // Fig 4b
+	Docked  int
+	Wall    time.Duration // real time the simulation took
 }
 
 // Fig4 runs the NCNPR query at every node count of the scale. The
@@ -245,18 +242,17 @@ func Fig4(sc Scale) ([]ScalingPoint, error) {
 		}
 		rep := rr.Report
 		out = append(out, ScalingPoint{
-			Nodes:     nodes,
-			Ranks:     topo.Size(),
-			Total:     rr.TotalTime(),
-			NonDock:   rr.NonDockTime(),
-			Dock:      rep.PhaseMax("dock"),
-			Filter:    rep.PhaseMax("filter"),
-			Scan:      rep.PhaseMax("scan"),
-			Join:      rep.PhaseMax("join"),
-			Merge:     rep.PhaseMax("merge"),
-			InnerRows: rr.InnerRows,
-			Docked:    len(rr.Candidates),
-			Wall:      time.Since(start),
+			Nodes:   nodes,
+			Ranks:   topo.Size(),
+			Total:   rr.TotalTime(),
+			NonDock: rr.NonDockTime(),
+			Dock:    rep.PhaseMax("dock"),
+			Filter:  rep.PhaseMax("filter"),
+			Scan:    rep.PhaseMax("scan"),
+			Join:    rep.PhaseMax("join"),
+			Merge:   rep.PhaseMax("merge"),
+			Docked:  len(rr.Candidates),
+			Wall:    time.Since(start),
 		})
 	}
 	return out, nil
@@ -273,7 +269,6 @@ type Table2Row struct {
 	NoCacheSec  float64
 	CachedSec   float64
 	Speedup     float64
-	CacheHits   int
 }
 
 // PaperTable2 returns the paper's reported Table 2 numbers for
@@ -339,7 +334,6 @@ func Table2(sc Scale) ([]Table2Row, error) {
 			Compounds:   un.InnerRows,
 			NoCacheSec:  un.TotalTime(),
 			CachedSec:   hot.TotalTime(),
-			CacheHits:   hot.CacheHits,
 		}
 		if row.CachedSec > 0 {
 			row.Speedup = row.NoCacheSec / row.CachedSec

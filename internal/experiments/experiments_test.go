@@ -50,8 +50,8 @@ func TestFig4ShapeAtTinyScale(t *testing.T) {
 	}
 	small, big := points[0], points[1]
 	// Candidate counts identical across node counts (same data).
-	if small.InnerRows != big.InnerRows {
-		t.Fatalf("inner rows differ: %d vs %d", small.InnerRows, big.InnerRows)
+	if small.Docked != big.Docked {
+		t.Fatalf("docked candidates differ: %d vs %d", small.Docked, big.Docked)
 	}
 	// Docking dominates the end-to-end time (Fig 4a headline).
 	if small.Dock < small.NonDock {
@@ -97,9 +97,6 @@ func TestTable2CacheSpeedup(t *testing.T) {
 		}
 		if r.Speedup < 1.5 {
 			t.Fatalf("selectivity %.2f: speedup %.2f too small (%+v)", r.Selectivity, r.Speedup, r)
-		}
-		if r.CacheHits != r.Compounds {
-			t.Fatalf("selectivity %.2f: hits %d != compounds %d", r.Selectivity, r.CacheHits, r.Compounds)
 		}
 	}
 	// The low-selectivity row has the most compounds (paper: 1129 vs 56).

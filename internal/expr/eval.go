@@ -31,9 +31,6 @@ type Ctx struct {
 	Env   Env
 	Funcs FuncResolver
 	Terms Resolver
-	// Cost accumulates the total UDF virtual seconds charged during
-	// evaluations through this context.
-	Cost float64
 	// argbuf is a reusable argument-frame stack for Call nodes. A Ctx
 	// lives for a whole operator (thousands of rows), so growing it
 	// once amortizes the per-call slice that used to be allocated for
@@ -172,9 +169,8 @@ func Eval(e Expr, ctx *Ctx) (Value, error) {
 			ctx.argbuf = append(ctx.argbuf, v)
 		}
 		args := ctx.argbuf[base:len(ctx.argbuf):len(ctx.argbuf)]
-		out, cost, err := ctx.Funcs.CallLazy(n.Name, args, ctx.Terms)
+		out, _, err := ctx.Funcs.CallLazy(n.Name, args, ctx.Terms)
 		ctx.argbuf = ctx.argbuf[:base]
-		ctx.Cost += cost
 		if err != nil {
 			return Null, fmt.Errorf("expr: UDF %s: %w", n.Name, err)
 		}

@@ -55,17 +55,12 @@ func (m NetModel) Cost(n int, local bool) float64 {
 // Meter accumulates modeled access time; nil meters are safe to pass.
 type Meter struct {
 	Seconds float64
-	Ops     int
-	Bytes   int
 }
 
-func (m *Meter) add(sec float64, bytes int) {
-	if m == nil {
-		return
+func (m *Meter) add(sec float64) {
+	if m != nil {
+		m.Seconds += sec
 	}
-	m.Seconds += sec
-	m.Ops++
-	m.Bytes += bytes
 }
 
 // Descriptor identifies an allocated data item, as in OpenFAM.
@@ -90,7 +85,6 @@ type server struct {
 }
 
 type region struct {
-	name string
 	size int64
 	used int64
 }
@@ -162,7 +156,7 @@ func (f *FAM) CreateRegion(name string, size int64) error {
 	if _, ok := f.regions[name]; ok {
 		return fmt.Errorf("%w: %s", ErrRegionExists, name)
 	}
-	f.regions[name] = &region{name: name, size: size}
+	f.regions[name] = &region{size: size}
 	return nil
 }
 
@@ -310,7 +304,7 @@ func (f *FAM) Put(m *Meter, d Descriptor, off int, data []byte, local bool) erro
 	s.mu.Lock()
 	copy(it.data[off:], data)
 	s.mu.Unlock()
-	m.add(f.net.Cost(len(data), local), len(data))
+	m.add(f.net.Cost(len(data), local))
 	return nil
 }
 
@@ -328,7 +322,7 @@ func (f *FAM) Get(m *Meter, d Descriptor, off, n int, local bool) ([]byte, error
 	s.mu.Lock()
 	copy(out, it.data[off:off+n])
 	s.mu.Unlock()
-	m.add(f.net.Cost(n, local), n)
+	m.add(f.net.Cost(n, local))
 	return out, nil
 }
 

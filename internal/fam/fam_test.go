@@ -34,8 +34,9 @@ func TestAllocatePutGet(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("Get = %q", got)
 	}
-	if m.Ops != 2 || m.Seconds <= 0 || m.Bytes != 2*len(data) {
-		t.Fatalf("meter = %+v", m)
+	// Two remote transfers of len(data) bytes each.
+	if want := 2 * f.net.Cost(len(data), false); m.Seconds != want {
+		t.Fatalf("meter = %+v, want %g s", m, want)
 	}
 }
 

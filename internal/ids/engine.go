@@ -571,7 +571,7 @@ func (e *Engine) finalize(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.
 // LoadModule loads (cached) an IDscript module and registers its
 // functions as dynamic UDFs.
 func (e *Engine) LoadModule(name, src string) error {
-	_, err := e.Loader.LoadAndRegister(e.Reg, name, src)
+	err := e.Loader.LoadAndRegister(e.Reg, name, src)
 	if err != nil {
 		e.Logger().Error("module load failed", "module", name, "err", err)
 		return err
@@ -583,7 +583,7 @@ func (e *Engine) LoadModule(name, src string) error {
 // ReloadModule force-reloads a module (the paper's special reload
 // function for iterating on UDF code in a running instance).
 func (e *Engine) ReloadModule(name, src string) error {
-	_, err := e.Loader.ReloadAndRegister(e.Reg, name, src)
+	err := e.Loader.ReloadAndRegister(e.Reg, name, src)
 	if err != nil {
 		e.Logger().Error("module reload failed", "module", name, "err", err)
 		return err

@@ -3,7 +3,6 @@ package ids
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -29,29 +28,17 @@ type LaunchConfig struct {
 	Topo  mpp.Topology
 	// Addr is the listen address; ":0" picks a free port.
 	Addr string
-	// Admission tunes the server's query admission controller; the
-	// zero value applies the GOMAXPROCS-derived defaults.
-	Admission AdmissionConfig
+	// ServerConfig tunes the instance's HTTP server: admission, the
+	// tail verdict's budgets, tail sampling and the insights sketch.
+	// Its Logger receives the whole instance's structured log stream
+	// (engine, WAL, checkpointer, HTTP layer); nil discards.
+	ServerConfig
 	// Durability, when non-nil, makes the instance durable: updates
 	// are write-ahead logged under Durability.Dir, a background
 	// checkpointer folds the log into snapshots, and launch recovers
 	// the last durable state (which then takes precedence over Graph
 	// and NTriplesPath — those only seed a fresh directory).
 	Durability *DurabilityConfig
-	// Logger receives the instance's structured log stream (engine,
-	// WAL, checkpointer, HTTP layer). Nil discards.
-	Logger *slog.Logger
-	// SlowQuerySeconds / SlowQueryAllocBytes are the latency and
-	// allocation budgets of the tail verdict (0 disables each); see
-	// ServerConfig for what a breach triggers.
-	SlowQuerySeconds    float64
-	SlowQueryAllocBytes int64
-	// TailSampleN retains every N-th query of each fingerprint in the
-	// tail-sampling pipeline (0 → default; negative disables sampling).
-	TailSampleN int
-	// InsightsTopK bounds the workload observatory's fingerprint sketch
-	// (0 → default).
-	InsightsTopK int
 	// OnListen, when set, is called with the bound address as soon as
 	// the listener accepts connections — before recovery runs — so
 	// callers can observe the not-yet-ready window (/readyz is 503).
@@ -284,14 +271,9 @@ func (Launcher) Launch(cfg LaunchConfig) (*Instance, error) {
 	if cfg.Durability != nil {
 		e.SetBuildInfo(cfg.Durability.withDefaults().Fsync.String())
 	}
-	srv := NewServerConfig(e, ServerConfig{
-		Admission:           cfg.Admission,
-		SlowQuerySeconds:    cfg.SlowQuerySeconds,
-		SlowQueryAllocBytes: cfg.SlowQueryAllocBytes,
-		TailSampleN:         cfg.TailSampleN,
-		InsightsTopK:        cfg.InsightsTopK,
-		Logger:              lg,
-	})
+	scfg := cfg.ServerConfig
+	scfg.Logger = lg
+	srv := NewServerConfig(e, scfg)
 	srv.SetHealth(health)
 	if dur != nil {
 		srv.SetCheckpointer(dur.Checkpoint)

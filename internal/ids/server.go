@@ -373,9 +373,15 @@ const maxRequestBytes = 64 << 20
 // readJSON decodes a POST's JSON body, of at most maxRequestBytes, into
 // v. Otherwise it answers the request itself — 405 for another method,
 // 413 for a larger body, 400 for a malformed one — and returns false.
+// A body that declares a larger Content-Length is refused unread; a
+// chunked one is read up to the cap first.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return false
+	}
+	if r.ContentLength > maxRequestBytes {
+		writeErr(w, http.StatusRequestEntityTooLarge, &http.MaxBytesError{Limit: maxRequestBytes})
 		return false
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v); err != nil {

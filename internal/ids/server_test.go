@@ -65,13 +65,37 @@ func (f fill) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // TestRequestBodyCap streams a body whose one literal is maxRequestBytes
-// long to /query and to /update: each answers 413 with an {"error": ...}
-// body, nothing runs or applies, no admission slot stays held, and the
-// next query answers.
+// long to /query and to /update, and hands each handler a body that
+// declares maxRequestBytes+1 bytes: each answers 413 with an
+// {"error": ...} body, reads none of a declared over-cap body, runs or
+// applies nothing, holds no admission slot, and the next query answers.
 func TestRequestBodyCap(t *testing.T) {
-	_, ts := testServer(t)
+	s, ts := testServer(t)
 	c := NewClient(ts.URL)
+	for _, path := range []string{"/query", "/update"} {
+		body := &countingReader{r: fill('a')}
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = maxRequestBytes + 1
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "too large") || body.n != 0 {
+			t.Fatalf("%s declaring %d bytes: status %d, body %q, %d bytes read; want 413, the reason and none read",
+				path, req.ContentLength, rec.Code, rec.Body.String(), body.n)
+		}
+	}
 	for _, tc := range []struct{ path, head, tail string }{
 		{"/query", `{"query":"SELECT ?s WHERE { ?s ?p \"`, `\" . }"}`},
 		{"/update", `{"update":"INSERT DATA { <http://x/capped> <http://x/name> \"`, `\" . }"}`},

@@ -53,9 +53,9 @@ func TestQIDCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst, err := Launcher{}.Launch(LaunchConfig{
-		Graph:  peopleGraph(4),
-		Topo:   mpp.Topology{Nodes: 1, RanksPerNode: 4},
-		Logger: logger,
+		Graph:        peopleGraph(4),
+		Topo:         mpp.Topology{Nodes: 1, RanksPerNode: 4},
+		ServerConfig: ServerConfig{Logger: logger},
 	})
 	if err != nil {
 		t.Fatal(err)

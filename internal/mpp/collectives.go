@@ -1,5 +1,7 @@
 package mpp
 
+import "errors"
+
 // Collectives. Each collective follows the same lock-free exchange
 // protocol over the world's shared slots: every rank writes its own
 // slot (disjoint indices, no lock needed), a barrier publishes the
@@ -55,7 +57,7 @@ func AllToAll[T any](r *Rank, send [][]T) ([][]T, error) {
 	w := r.w
 	p := r.Size()
 	if len(send) != p {
-		return nil, errSendLen(len(send), p)
+		return nil, errSendLen
 	}
 	total := 0
 	for dst := 0; dst < p; dst++ {
@@ -166,7 +168,7 @@ func AllToAllSized[T any](r *Rank, send []T, elems func(T) int) ([]T, error) {
 	w := r.w
 	p := r.Size()
 	if len(send) != p {
-		return nil, errSendLen(len(send), p)
+		return nil, errSendLen
 	}
 	// The whole send vector is published through the rank's slot as ONE
 	// interface box; receivers index into it. Boxing each destination
@@ -195,10 +197,6 @@ func AllToAllSized[T any](r *Rank, send []T, elems func(T) int) ([]T, error) {
 	return recv, nil
 }
 
-type errSendLenT struct{ got, want int }
-
-func errSendLen(got, want int) error { return errSendLenT{got, want} }
-
-func (e errSendLenT) Error() string {
-	return "mpp: AllToAll send has wrong length"
-}
+// errSendLen is AllToAll's answer to a send vector whose length is not
+// the world size.
+var errSendLen = errors.New("mpp: AllToAll send has wrong length")

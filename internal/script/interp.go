@@ -21,6 +21,10 @@ var (
 const (
 	maxSteps = 1_000_000
 	maxDepth = 128
+	// bytesPerStep is how many bytes of a concatenated string cost one
+	// step, so the step budget bounds the memory a call can build as
+	// well as its time.
+	bytesPerStep = 16
 )
 
 type frame struct {
@@ -227,6 +231,10 @@ func (in *interp) evalBinary(n *binary, f *frame) (expr.Value, error) {
 	switch n.op {
 	case "+":
 		if l.Kind == expr.KindString && r.Kind == expr.KindString {
+			in.steps += (len(l.Str) + len(r.Str)) / bytesPerStep
+			if err := in.tick(); err != nil {
+				return expr.Null, err
+			}
 			return expr.String(l.Str + r.Str), nil
 		}
 		return numOp(l, r, func(a, b float64) float64 { return a + b })
@@ -310,16 +318,8 @@ var builtins = map[string]func(args []expr.Value) (expr.Value, error){
 			return expr.Null, fmt.Errorf("%w: substr(string, start, end)", ErrType)
 		}
 		s := args[0].Str
-		a, b := int(args[1].Num), int(args[2].Num)
-		if a < 0 {
-			a = 0
-		}
-		if b > len(s) {
-			b = len(s)
-		}
-		if a > b {
-			a = b
-		}
+		b := max(0, min(len(s), int(args[2].Num)))
+		a := max(0, min(b, int(args[1].Num)))
 		return expr.String(s[a:b]), nil
 	},
 	"upper": func(args []expr.Value) (expr.Value, error) {

@@ -17,43 +17,39 @@ import (
 type Loader struct {
 	mu    sync.Mutex
 	cache map[string]*Module
-	// LoadCost is the modeled one-time cost in seconds of importing a
-	// module (the paper caches modules to amortize it).
-	LoadCost float64
 }
 
 // NewLoader returns an empty loader.
 func NewLoader() *Loader {
-	return &Loader{cache: map[string]*Module{}, LoadCost: 0.5}
+	return &Loader{cache: map[string]*Module{}}
 }
 
 // Load returns the named module, parsing src only on the first call.
-// The returned cost is LoadCost on a parse and 0 on a cache hit.
-func (l *Loader) Load(name, src string) (*Module, float64, error) {
+func (l *Loader) Load(name, src string) (*Module, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if m, ok := l.cache[name]; ok {
-		return m, 0, nil
+		return m, nil
 	}
 	m, err := ParseModule(name, src)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	l.cache[name] = m
-	return m, l.LoadCost, nil
+	return m, nil
 }
 
 // ForceReload re-parses src and replaces the cached module, returning
-// the new module. The load cost is always paid.
-func (l *Loader) ForceReload(name, src string) (*Module, float64, error) {
+// the new module.
+func (l *Loader) ForceReload(name, src string) (*Module, error) {
 	m, err := ParseModule(name, src)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	l.mu.Lock()
 	l.cache[name] = m
 	l.mu.Unlock()
-	return m, l.LoadCost, nil
+	return m, nil
 }
 
 // Register binds every function of the module into the registry as a
@@ -75,21 +71,21 @@ func (l *Loader) Register(reg *udf.Registry, m *Module) error {
 }
 
 // LoadAndRegister is the common path: Load (cached) then Register.
-func (l *Loader) LoadAndRegister(reg *udf.Registry, name, src string) (float64, error) {
-	m, cost, err := l.Load(name, src)
+func (l *Loader) LoadAndRegister(reg *udf.Registry, name, src string) error {
+	m, err := l.Load(name, src)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return cost, l.Register(reg, m)
+	return l.Register(reg, m)
 }
 
 // ReloadAndRegister is the "special function that forces IDS to reload
 // the module" from the paper.
-func (l *Loader) ReloadAndRegister(reg *udf.Registry, name, src string) (float64, error) {
-	m, cost, err := l.ForceReload(name, src)
+func (l *Loader) ReloadAndRegister(reg *udf.Registry, name, src string) error {
+	m, err := l.ForceReload(name, src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	reg.UnloadModule(name)
-	return cost, l.Register(reg, m)
+	return l.Register(reg, m)
 }

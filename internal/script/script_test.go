@@ -356,32 +356,30 @@ func TestLoaderCacheSemantics(t *testing.T) {
 	l := NewLoader()
 	src1 := `def f() { return 1 }`
 	src2 := `def f() { return 2 }`
-	m1, cost1, err := l.Load("mod", src1)
+	m1, err := l.Load("mod", src1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cost1 != l.LoadCost {
-		t.Fatalf("first load cost = %f", cost1)
 	}
 	// Second load with DIFFERENT source still returns the cached
-	// module (the paper's cache semantics) at zero cost.
-	m2, cost2, err := l.Load("mod", src2)
+	// module (the paper's cache semantics): no parse, so no import
+	// cost is paid.
+	m2, err := l.Load("mod", src2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2 != m1 || cost2 != 0 {
-		t.Fatalf("cache miss on second load: %p vs %p, cost %f", m2, m1, cost2)
+	if m2 != m1 {
+		t.Fatalf("cache miss on second load: %p vs %p", m2, m1)
 	}
 	if v, _ := m2.Call("f", nil); v.Num != 1 {
 		t.Fatalf("cached module returned %s", v)
 	}
 	// ForceReload picks up the new source.
-	m3, cost3, err := l.ForceReload("mod", src2)
+	m3, err := l.ForceReload("mod", src2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost3 != l.LoadCost {
-		t.Fatalf("reload cost = %f", cost3)
+	if m3 == m1 {
+		t.Fatal("reload returned the cached module")
 	}
 	if v, _ := m3.Call("f", nil); v.Num != 2 {
 		t.Fatalf("reloaded module returned %s", v)
@@ -395,7 +393,7 @@ func TestRegisterIntoUDFRegistry(t *testing.T) {
 		def sim_gate(sim, thr) {
 			return sim >= thr
 		}`
-	if _, err := l.LoadAndRegister(reg, "ncnpr", src); err != nil {
+	if err := l.LoadAndRegister(reg, "ncnpr", src); err != nil {
 		t.Fatal(err)
 	}
 	v, _, err := reg.CallUDF("ncnpr.sim_gate", []expr.Value{expr.Float(0.95), expr.Float(0.9)})
@@ -410,7 +408,7 @@ func TestRegisterIntoUDFRegistry(t *testing.T) {
 		def sim_gate(sim, thr) {
 			return sim > thr + 0.04
 		}`
-	if _, err := l.ReloadAndRegister(reg, "ncnpr", src2); err != nil {
+	if err := l.ReloadAndRegister(reg, "ncnpr", src2); err != nil {
 		t.Fatal(err)
 	}
 	v, _, err = reg.CallUDF("ncnpr.sim_gate", []expr.Value{expr.Float(0.92), expr.Float(0.9)})

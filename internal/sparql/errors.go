@@ -1,9 +1,6 @@
 package sparql
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // ErrCode is a stable machine-readable classification of a front-end
 // error. Downstream consumers (the conformance taxonomy, servers that
@@ -36,8 +33,6 @@ type Error struct {
 	// Msg is the human-readable description (without the offset
 	// prefix).
 	Msg string
-	// Context is a short excerpt of the input around Offset.
-	Context string
 	// lexical records whether the error came from the lexer ("at
 	// offset") or the parser ("near offset"); message wording only.
 	lexical bool
@@ -49,39 +44,4 @@ func (e *Error) Error() string {
 		where = "at"
 	}
 	return fmt.Sprintf("sparql: %s offset %d: %s", where, e.Offset, e.Msg)
-}
-
-// excerptRadius bounds the Context window on each side of the offset.
-const excerptRadius = 20
-
-// excerpt returns a short single-line window of in centred on off.
-func excerpt(in string, off int) string {
-	if off < 0 {
-		off = 0
-	}
-	if off > len(in) {
-		off = len(in)
-	}
-	lo := off - excerptRadius
-	if lo < 0 {
-		lo = 0
-	}
-	hi := off + excerptRadius
-	if hi > len(in) {
-		hi = len(in)
-	}
-	s := in[lo:hi]
-	s = strings.Map(func(r rune) rune {
-		if r == '\n' || r == '\t' || r == '\r' {
-			return ' '
-		}
-		return r
-	}, s)
-	if lo > 0 {
-		s = "…" + s
-	}
-	if hi < len(in) {
-		s += "…"
-	}
-	return s
 }

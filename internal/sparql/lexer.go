@@ -72,7 +72,6 @@ func (l *lexer) errf(pos int, format string, args ...any) error {
 		Code:    ErrSyntax,
 		Offset:  pos,
 		Msg:     fmt.Sprintf(format, args...),
-		Context: excerpt(l.in, pos),
 		lexical: true,
 	}
 }

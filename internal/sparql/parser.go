@@ -227,10 +227,9 @@ func (p *parser) advance() error {
 
 func (p *parser) errf(format string, args ...any) error {
 	return &Error{
-		Code:    ErrSyntax,
-		Offset:  p.tok.pos,
-		Msg:     fmt.Sprintf(format, args...),
-		Context: excerpt(p.lex.in, p.tok.pos),
+		Code:   ErrSyntax,
+		Offset: p.tok.pos,
+		Msg:    fmt.Sprintf(format, args...),
 	}
 }
 
@@ -243,7 +242,6 @@ func (p *parser) unsupported(feature string) error {
 		Feature: feature,
 		Offset:  p.tok.pos,
 		Msg:     fmt.Sprintf("%s is not supported in this SPARQL subset", strings.ToUpper(feature)),
-		Context: excerpt(p.lex.in, p.tok.pos),
 	}
 }
 

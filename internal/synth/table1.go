@@ -13,8 +13,6 @@ type Table1Source struct {
 	Name string
 	// PaperTriples is the triple count the paper reports.
 	PaperTriples int64
-	// PaperRawBytes is the on-disk size the paper reports.
-	PaperRawBytes int64
 	// TriplesPerEntity shapes the generated data: how many triples
 	// each entity carries (mimicking each source's record shape).
 	TriplesPerEntity int
@@ -22,16 +20,14 @@ type Table1Source struct {
 
 // Table1Sources reproduces Table 1 of the paper.
 func Table1Sources() []Table1Source {
-	gb := func(x float64) int64 { return int64(x * float64(int64(1)<<30)) }
-	tb := func(x float64) int64 { return int64(x * float64(int64(1)<<40)) }
 	return []Table1Source{
-		{Name: "UniProt", PaperTriples: 87_600_000_000, PaperRawBytes: tb(12.7), TriplesPerEntity: 12},
-		{Name: "ChEMBL-RDF", PaperTriples: 539_000_000, PaperRawBytes: gb(81), TriplesPerEntity: 8},
-		{Name: "Bio2RDF", PaperTriples: 11_500_000_000, PaperRawBytes: tb(2.4), TriplesPerEntity: 10},
-		{Name: "OrthoDB", PaperTriples: 2_200_000_000, PaperRawBytes: gb(275), TriplesPerEntity: 6},
-		{Name: "Biomodels", PaperTriples: 28_000_000, PaperRawBytes: gb(5.2), TriplesPerEntity: 7},
-		{Name: "Biosamples", PaperTriples: 1_100_000_000, PaperRawBytes: gb(112.8), TriplesPerEntity: 9},
-		{Name: "Reactome", PaperTriples: 19_000_000, PaperRawBytes: gb(3.2), TriplesPerEntity: 11},
+		{Name: "UniProt", PaperTriples: 87_600_000_000, TriplesPerEntity: 12},
+		{Name: "ChEMBL-RDF", PaperTriples: 539_000_000, TriplesPerEntity: 8},
+		{Name: "Bio2RDF", PaperTriples: 11_500_000_000, TriplesPerEntity: 10},
+		{Name: "OrthoDB", PaperTriples: 2_200_000_000, TriplesPerEntity: 6},
+		{Name: "Biomodels", PaperTriples: 28_000_000, TriplesPerEntity: 7},
+		{Name: "Biosamples", PaperTriples: 1_100_000_000, TriplesPerEntity: 9},
+		{Name: "Reactome", PaperTriples: 19_000_000, TriplesPerEntity: 11},
 	}
 }
 

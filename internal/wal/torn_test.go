@@ -65,8 +65,12 @@ func TestTornTailTruncateEveryOffset(t *testing.T) {
 		if info.Records != n-1 || info.LastLSN != n-1 {
 			t.Fatalf("cut at %d: info = %+v", cut, info)
 		}
-		if info.TornTailTruncations != 1 || info.TruncatedBytes != cut-lastStart {
+		if info.TornTailTruncations != 1 {
 			t.Fatalf("cut at %d: truncation info = %+v", cut, info)
+		}
+		// The repair removed exactly the cut-lastStart torn bytes.
+		if st, err := os.Stat(seg); err != nil || st.Size() != lastStart {
+			t.Fatalf("cut at %d: segment after repair: %v, %v; want %d bytes", cut, st, err, lastStart)
 		}
 		if got := replayAll(t, l); len(got) != n-1 {
 			t.Fatalf("cut at %d: replayed %d records", cut, len(got))

@@ -149,8 +149,6 @@ type OpenInfo struct {
 	LastLSN uint64
 	// TornTailTruncations counts torn tails dropped (0 or 1 per open).
 	TornTailTruncations int
-	// TruncatedBytes is how many trailing bytes the truncation removed.
-	TruncatedBytes int64
 }
 
 // segment is one on-disk log file; first is the LSN of its first
@@ -260,7 +258,6 @@ func Open(opts Options) (*Log, error) {
 				return nil, err
 			}
 			l.info.TornTailTruncations++
-			l.info.TruncatedBytes = torn
 			opts.Logger.Warn("wal torn tail repaired",
 				"segment", filepath.Base(seg.path), "truncated_bytes", torn)
 		}

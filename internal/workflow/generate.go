@@ -17,12 +17,10 @@ import (
 
 // GenerateResult is one GenerateAndScreen execution.
 type GenerateResult struct {
-	Generated   int
-	Screened    int // survived the DTBA screen
-	Docked      []Candidate
-	Report      *mpp.Report
-	CacheHits   int
-	CacheMisses int
+	Generated int
+	Screened  int // survived the DTBA screen
+	Docked    []Candidate
+	Report    *mpp.Report
 }
 
 // GenerateAndScreen generates n molecules, keeps those whose predicted
@@ -39,8 +37,6 @@ func (w *Workflow) GenerateAndScreen(n, topK int, seed int64) (*GenerateResult, 
 	}
 	perRankScreen := make([][]scored, p)
 	perRankDock := make([][]Candidate, p)
-	hits := make([]int, p)
-	misses := make([]int, p)
 
 	report, err := mpp.Run(w.Engine.Topo, w.Engine.Net, seed, func(r *mpp.Rank) error {
 		// Stage 1: DTBA screen, dealt round-robin; each prediction
@@ -90,11 +86,6 @@ func (w *Workflow) GenerateAndScreen(n, topK int, seed int64) (*GenerateResult, 
 				return err
 			}
 			perRankDock[r.ID()] = append(perRankDock[r.ID()], cand)
-			if cand.Cached {
-				hits[r.ID()]++
-			} else {
-				misses[r.ID()]++
-			}
 		}
 		return r.Barrier()
 	})
@@ -108,8 +99,6 @@ func (w *Workflow) GenerateAndScreen(n, topK int, seed int64) (*GenerateResult, 
 	}
 	for i := range perRankDock {
 		gr.Docked = append(gr.Docked, perRankDock[i]...)
-		gr.CacheHits += hits[i]
-		gr.CacheMisses += misses[i]
 	}
 	sort.Slice(gr.Docked, func(i, j int) bool {
 		return gr.Docked[i].Affinity < gr.Docked[j].Affinity

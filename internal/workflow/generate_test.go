@@ -67,15 +67,23 @@ func TestGenerateAndScreenUsesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.CacheHits != 0 {
-		t.Fatalf("cold run hit %d times", first.CacheHits)
+	cached := func(gr *GenerateResult) (n int) {
+		for _, c := range gr.Docked {
+			if c.Cached {
+				n++
+			}
+		}
+		return n
+	}
+	if n := cached(first); n != 0 {
+		t.Fatalf("cold run hit %d times", n)
 	}
 	second, err := w.GenerateAndScreen(40, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.CacheMisses != 0 {
-		t.Fatalf("repeat run missed %d times", second.CacheMisses)
+	if n := cached(second); n != len(second.Docked) {
+		t.Fatalf("repeat run missed %d times", len(second.Docked)-n)
 	}
 	if second.Report.Makespan > first.Report.Makespan*1.01 {
 		t.Fatalf("warm generative run slower: %f vs %f",

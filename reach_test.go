@@ -31,16 +31,31 @@ import (
 //     is the name of an interface method anywhere in the program or the
 //     packages it imports, because a dynamic call may reach it.
 //
-// To fix a failure, delete the declaration (and the tests that only
+// The same test holds struct fields to two rules (see unusedFields):
+// a field declared under internal/ that non-test code writes must also
+// be read, and a field of an exported *Config, *Options or *Opts struct
+// under internal/ must be set by non-test code.
+//
+// To fix an unreachable declaration, delete it (and the tests that only
 // exercised it), move it into the _test.go file of the package whose
 // tests use it, or, when it must stay, give it a line in keepUnreachable
-// with the reason.
+// with the reason. To fix a write-only field, delete it with the code
+// that computes it; to fix a config field nothing sets, turn it into a
+// constant or set it where a binary builds the config. A field that
+// must stay gets a line in keepFields with the reason.
 
 // keepUnreachable lists the declarations allowed to be unreachable, each
 // with the reason it stays. The check fails when an entry becomes
 // reachable or no longer exists.
 var keepUnreachable = map[string]string{
 	"internal/mpp.Rank.RNG": "the per-rank stream of the seed parameter of mpp.Run/RunCtx, whose signature benchmark/ pins",
+}
+
+// keepFields lists the struct fields the field rules may not flag, each
+// with the reason it stays. The check fails when an entry is no longer
+// flagged or no longer exists.
+var keepFields = map[string]string{
+	"internal/ids.LaunchConfig.OnListen": "only TestReadyzLifecycle sets it: the one deterministic probe of the window before the instance is ready",
 }
 
 // importRules are the architecture rules: no package matching from may
@@ -77,6 +92,15 @@ func TestProductionSurface(t *testing.T) {
 	t.Run("imports", func(t *testing.T) {
 		for _, v := range prog.violations(importRules) {
 			t.Error(v)
+		}
+	})
+	t.Run("fields", func(t *testing.T) {
+		flagged, err := prog.unusedFields(keepFields)
+		if err != nil {
+			t.Error(err)
+		}
+		for _, f := range flagged {
+			t.Error(f)
 		}
 	})
 }
@@ -132,6 +156,54 @@ func TestReachabilityCheck(t *testing.T) {
 	}
 	if v := prog.violations([]importRule{{from: `^cmd/app$`, to: `^internal/lib$`}}); len(v) != 1 {
 		t.Errorf("rule cmd/app -> internal/lib: violations %q, want one", v)
+	}
+
+	// internal/lib/fields.go: lib.UseFields writes every field of lib.S
+	// and reads S.read, the promoted Inner.X and the generic box.v.
+	// Nothing reads box.unread, and only fields_test.go reads S.testRead;
+	// S.Tagged is tagged, S.Inner embedded and S.count atomic. cmd/app
+	// sets AppConfig.Set only.
+	const written, testRead, unread, unset = "internal/lib/fields.go:7 internal/lib.S.written: written, never read",
+		"internal/lib/fields.go:8 internal/lib.S.testRead: written, never read",
+		"internal/lib/fields.go:21 internal/lib.box.unread: written, never read",
+		"internal/lib/fields.go:29 internal/lib.AppConfig.Unset: config field nothing sets"
+	for _, tc := range []struct {
+		name        string
+		keep        map[string]string
+		wantFlagged []string
+		wantErr     string
+	}{
+		{
+			name:        "write-only and never-set config fields are flagged",
+			wantFlagged: []string{written, testRead, unread, unset},
+		},
+		{
+			name:        "a keep-listed field is not flagged",
+			keep:        map[string]string{"internal/lib.AppConfig.Unset": "reason"},
+			wantFlagged: []string{written, testRead, unread},
+		},
+		{
+			name:        "an unflagged keep-list entry fails",
+			keep:        map[string]string{"internal/lib.S.read": "reason"},
+			wantFlagged: []string{written, testRead, unread, unset},
+			wantErr:     "keep-list entry internal/lib.S.read is not flagged",
+		},
+		{
+			name:        "a keep-listed field that does not exist fails",
+			keep:        map[string]string{"internal/lib.S.gone": "reason"},
+			wantFlagged: []string{written, testRead, unread, unset},
+			wantErr:     "keep-list entry internal/lib.S.gone does not exist",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := prog.unusedFields(tc.keep)
+			if (tc.wantErr == "") != (err == nil) || !strings.Contains(fmt.Sprint(err), tc.wantErr) {
+				t.Errorf("err = %v, want %q", err, tc.wantErr)
+			}
+			if got, want := strings.Join(got, "\n"), strings.Join(tc.wantFlagged, "\n"); got != want {
+				t.Errorf("flagged:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -573,4 +645,150 @@ func (p *program) violations(rules []importRule) []string {
 		}
 	}
 	return out
+}
+
+// field is one struct field declared under internal/.
+type field struct {
+	name   string // relative package path, struct type and field name
+	pos    token.Pos
+	config bool // a field of an exported *Config, *Options or *Opts struct
+}
+
+// unusedFields returns "file:line name: why" for every struct field
+// declared under internal/ that non-test code writes and never reads
+// (rule 1), and for every field of an exported *Config, *Options or
+// *Opts struct under internal/ that non-test code never writes (rule 2),
+// minus the keep list, and an error naming every keep-list entry that is
+// not flagged or does not exist. A use is a write when it is the left
+// side of = or op=, the operand of ++ or --, or a key (or a position) in
+// a composite literal; every other use is a read. Fields with a struct
+// tag (reflection reads them), embedded fields (promoted access never
+// names them) and fields of a sync or sync/atomic type are exempt.
+func (p *program) unusedFields(keep map[string]string) ([]string, error) {
+	fields := map[*types.Var]*field{}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, rel := range p.sortedPkgs() {
+		pi := p.pkgs[rel]
+		for _, f := range pi.files {
+			named := map[*ast.StructType]string{}
+			writes := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						named[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					if strings.HasPrefix(rel, "internal/") {
+						declareFields(pi, n, named[n], fields)
+					}
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								writes[sel.Sel] = true
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+						writes[sel.Sel] = true
+					}
+				case *ast.CompositeLit:
+					st, _ := pi.info.Types[n].Type.Underlying().(*types.Struct)
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writes[id] = true
+							}
+						} else if st != nil {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.Ident:
+					if v, ok := p.uses[n].(*types.Var); ok && v.IsField() {
+						if writes[n] {
+							written[v.Origin()] = true
+						} else {
+							read[v.Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	byName := map[string]*types.Var{}
+	var flagged []*field
+	why := map[*field]string{}
+	for v, f := range fields {
+		byName[f.name] = v
+		switch {
+		case written[v] && !read[v]:
+			why[f] = "written, never read"
+		case f.config && !written[v]:
+			why[f] = "config field nothing sets"
+		default:
+			continue
+		}
+		if keep[f.name] == "" {
+			flagged = append(flagged, f)
+		}
+	}
+	var problems []string
+	for name := range keep {
+		switch v, ok := byName[name]; {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("keep-list entry %s does not exist", name))
+		case why[fields[v]] == "":
+			problems = append(problems, fmt.Sprintf("keep-list entry %s is not flagged", name))
+		}
+	}
+	sort.Slice(flagged, func(i, j int) bool { return flagged[i].pos < flagged[j].pos })
+	out := make([]string, len(flagged))
+	for i, f := range flagged {
+		pos := p.fset.Position(f.pos)
+		file, _ := filepath.Rel(p.dir, pos.Filename)
+		out[i] = fmt.Sprintf("%s:%d %s: %s", filepath.ToSlash(file), pos.Line, f.name, why[f])
+	}
+	sort.Strings(problems)
+	if len(problems) > 0 {
+		return out, fmt.Errorf("%s", strings.Join(problems, "; "))
+	}
+	return out, nil
+}
+
+// declareFields adds the fields of st, a struct type in package pi, that
+// the field rules check. typeName is the name st is declared under, or
+// "" for an anonymous struct.
+func declareFields(pi *pkgInfo, st *ast.StructType, typeName string, fields map[*types.Var]*field) {
+	config := token.IsExported(typeName) && (strings.HasSuffix(typeName, "Config") || strings.HasSuffix(typeName, "Options") || strings.HasSuffix(typeName, "Opts"))
+	if typeName == "" {
+		typeName = "struct"
+	}
+	for _, fl := range st.Fields.List {
+		if fl.Tag != nil || len(fl.Names) == 0 || syncType(pi.info.Types[fl.Type].Type) {
+			continue
+		}
+		for _, id := range fl.Names {
+			if id.Name == "_" {
+				continue
+			}
+			fields[pi.info.Defs[id].(*types.Var)] = &field{name: pi.rel + "." + typeName + "." + id.Name, pos: id.Pos(), config: config}
+		}
+	}
+}
+
+// syncType reports whether t, or what it points to, is declared in sync
+// or sync/atomic.
+func syncType(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+		path := named.Obj().Pkg().Path()
+		return path == "sync" || path == "sync/atomic"
+	}
+	return false
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func main() {
-	fmt.Println(lib.Live(), lib.T{})
+	fmt.Println(lib.Live(), lib.T{}, lib.UseFields(lib.AppConfig{Set: 1}))
 }
