@@ -2,8 +2,11 @@ package exec
 
 import (
 	"sync"
+	"unsafe"
 
 	"ids/internal/dict"
+	"ids/internal/expr"
+	"ids/internal/udf"
 )
 
 // Arena is a slab bump allocator for dict.ID column vectors (and the
@@ -41,13 +44,27 @@ type Arena struct {
 	selB []int32
 	// binds holds a probe join's per-match pattern bindings.
 	binds [][3]dict.ID
-	// parts/chunks are the partition counting-sort counters and send
-	// chunks (reused once the preceding exchange's trailing barrier
-	// guarantees no rank still reads them).
+	// parts/chunks are the partition counting-sort counters (and
+	// FILTER's call-record bounds) and send chunks (reused once the
+	// preceding exchange's trailing barrier guarantees no rank still
+	// reads them).
 	parts  []int
 	chunks []batchChunk
 	// build is the reusable hash-join build structure.
 	build *hashBuild
+	// FILTER scratch (see FilterBatch): the evaluation frame (its call
+	// records and argument stack grow once), the compiled conjuncts,
+	// the replay's charges and profile records, and a memo probe's
+	// keys, key offsets, shard order, shard numbers and answers.
+	frame  expr.Frame
+	progs  []*expr.Prog
+	costs  []float64
+	stats  []*udf.Stats
+	keys   []byte
+	keyAt  []int32
+	order  []int32
+	shards []uint8
+	hits   []expr.Result
 }
 
 // arenaSlabIDs is the minimum slab size in IDs (512 KiB per slab).
@@ -133,86 +150,27 @@ func (a *Arena) AllocCols(n int) [][]dict.ID {
 	return slab[0:n:n]
 }
 
-// intScratch returns an n-element int scratch (contents unspecified).
-func (a *Arena) intScratch(n int) []int {
-	if cap(a.parts) < n {
-		a.parts = make([]int, n)
-		a.freshBytes += int64(n) * 8
+// scratch returns *s resized to n, its contents unspecified. Short
+// capacity is replaced by at least twice as much (counted as fresh), so
+// a slowly growing need reallocates rarely.
+func scratch[T any](a *Arena, s *[]T, n int) []T {
+	if cap(*s) < n {
+		var zero T
+		c := max(n, 2*cap(*s))
+		*s = make([]T, c)
+		a.freshBytes += int64(c) * int64(unsafe.Sizeof(zero))
 		a.freshMallocs++
 	}
-	return a.parts[:n]
+	return (*s)[:n]
 }
 
-// chunkScratch returns an n-element send-chunk scratch. Callers may
-// only reuse it after the exchange consuming the previous chunks has
-// fully completed (its trailing barrier is the fence).
-func (a *Arena) chunkScratch(n int) []batchChunk {
-	if cap(a.chunks) < n {
-		a.chunks = make([]batchChunk, n)
-		a.freshBytes += int64(n) * 32
+// saveScratch stores appended-to scratch back into *s, counting any growth.
+func saveScratch[T any](a *Arena, s *[]T, grown []T) {
+	if cap(grown) > cap(*s) {
+		var zero T
+		a.freshBytes += int64(cap(grown)-cap(*s)) * int64(unsafe.Sizeof(zero))
 		a.freshMallocs++
-	}
-	return a.chunks[:n]
-}
-
-// selSlice returns the primary selection scratch with length 0 and
-// capacity at least hint.
-func (a *Arena) selSlice(hint int) []int32 {
-	if cap(a.sel) < hint {
-		a.growSel(&a.sel, hint)
-	}
-	return a.sel[:0]
-}
-
-// selSliceB returns the secondary selection scratch (build-side row
-// indexes) with length 0.
-func (a *Arena) selSliceB(hint int) []int32 {
-	if cap(a.selB) < hint {
-		a.growSel(&a.selB, hint)
-	}
-	return a.selB[:0]
-}
-
-func (a *Arena) growSel(s *[]int32, hint int) {
-	n := cap(*s) * 2
-	if n < hint {
-		n = hint
-	}
-	if n < 1024 {
-		n = 1024
-	}
-	*s = make([]int32, 0, n)
-	a.freshBytes += int64(n) * 4
-	a.freshMallocs++
-}
-
-// saveSel stores grown selection scratch back for reuse; the batch
-// operators call it after appending (append may have reallocated).
-func (a *Arena) saveSel(s []int32) {
-	if cap(s) > cap(a.sel) {
-		a.freshBytes += int64(cap(s)-cap(a.sel)) * 4
-		a.freshMallocs++
-		a.sel = s
-	}
-}
-
-func (a *Arena) saveSelB(s []int32) {
-	if cap(s) > cap(a.selB) {
-		a.freshBytes += int64(cap(s)-cap(a.selB)) * 4
-		a.freshMallocs++
-		a.selB = s
-	}
-}
-
-// bindScratch returns the probe join's binding scratch with length 0.
-func (a *Arena) bindScratch() [][3]dict.ID { return a.binds[:0] }
-
-// saveBinds stores grown binding scratch back for reuse.
-func (a *Arena) saveBinds(s [][3]dict.ID) {
-	if cap(s) > cap(a.binds) {
-		a.freshBytes += int64(cap(s)-cap(a.binds)) * 24
-		a.freshMallocs++
-		a.binds = s
+		*s = grown
 	}
 }
 

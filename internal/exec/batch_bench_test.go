@@ -157,6 +157,35 @@ func BenchmarkFilterBatchUDFWarm(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchEntities, "ns/row")
 }
 
+// BenchmarkFilterBatchUDFWarmShared is BenchmarkFilterBatchUDFWarm on
+// two ranks that filter their own copy of the batch at once over one
+// registry, as the ranks of a query do: the memo's locks are contended.
+// ns/row is per rank's row, comparable with the single-rank figure.
+func BenchmarkFilterBatchUDFWarmShared(b *testing.B) {
+	in, e, reg, res := benchUDFFilter(b, benchEntities)
+	profs, arenas := []*udf.Profiler{udf.NewProfiler(), udf.NewProfiler()}, []*Arena{NewArena(), NewArena()}
+	run := func() {
+		if _, err := mpp.Run(topo(2), mpp.DefaultNet(), 1, func(r *mpp.Rank) error {
+			a := arenas[r.ID()]
+			a.Reset()
+			_, st, err := FilterBatch(r, in, e, reg, profs[r.ID()], res, FilterOpts{}, a)
+			if err == nil && st.Passed == 0 {
+				err = fmt.Errorf("filter stats %+v", st)
+			}
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // fill the memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchEntities, "ns/row")
+}
+
 func BenchmarkHashJoinBatch(b *testing.B) {
 	g := benchGraph(benchEntities, 1)
 	ain, a := NewArena(), NewArena()

@@ -3,7 +3,6 @@ package exec
 import (
 	"log/slog"
 	"slices"
-	"strings"
 
 	"ids/internal/dict"
 	"ids/internal/expr"
@@ -121,7 +120,7 @@ func ProbeJoinBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch,
 	// match and binds its pattern bindings; the columns are built to
 	// size from them.
 	keys := left.Cols[keyCol]
-	sel, binds := a.selSlice(left.NRows), a.bindScratch()
+	sel, binds := scratch(a, &a.sel, left.NRows)[:0], a.binds[:0]
 	for i := 0; i < left.NRows && ok; i++ {
 		if tp.S = keys[i]; tp.S == dict.None {
 			continue // an unbound key is no subject: a wildcard would match all
@@ -151,8 +150,8 @@ func ProbeJoinBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch,
 		}
 		out.Cols[c] = to
 	}
-	a.saveSel(sel)
-	a.saveBinds(binds)
+	saveScratch(a, &a.sel, sel)
+	saveScratch(a, &a.binds, binds)
 	r.Charge(float64(matched)*scanCostPerTriple + float64(left.NRows)*joinCostPerRow)
 	return out, matched
 }
@@ -175,7 +174,7 @@ func partitionBatch(a *Arena, b *Batch, keyIdx []int, p int) []batchChunk {
 	hv := a.AllocIDs(n) // hash scratch: dict.ID is uint64
 	// Counting-sort counters live in one reused int scratch: counts,
 	// offsets (p+1) and cursors back to back.
-	s := a.intScratch(3*p + 1)
+	s := scratch(a, &a.parts, 3*p+1)
 	counts, offs, cur := s[0:p], s[p:2*p+1], s[2*p+1:3*p+1]
 	for d := range counts {
 		counts[d] = 0
@@ -189,14 +188,14 @@ func partitionBatch(a *Arena, b *Batch, keyIdx []int, p int) []batchChunk {
 	for d := 0; d < p; d++ {
 		offs[d+1] = offs[d] + counts[d]
 	}
-	sel := a.selSlice(n)[0:n]
+	sel := scratch(a, &a.sel, n)
 	copy(cur, offs[:p])
 	for i := 0; i < n; i++ {
 		d := uint64(hv[i]) % uint64(p)
 		sel[cur[d]] = int32(i)
 		cur[d]++
 	}
-	send := a.chunkScratch(p)
+	send := scratch(a, &a.chunks, p)
 	for d := 0; d < p; d++ {
 		send[d] = selChunk(a, b, sel[offs[d]:offs[d+1]])
 	}
@@ -344,8 +343,8 @@ func hashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*B
 	rb := concatChunks(a, right.Vars, rRecv)
 
 	hb := buildBatch(a, rb, rIdx)
-	lsel := a.selSlice(lb.NRows)
-	rsel := a.selSliceB(lb.NRows)
+	lsel := scratch(a, &a.sel, lb.NRows)[:0]
+	rsel := scratch(a, &a.selB, lb.NRows)[:0]
 	probes := 0
 	for i := 0; i < lb.NRows; i++ {
 		probes++
@@ -363,8 +362,8 @@ func hashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*B
 		}
 	}
 	out := joinOutput(a, outVars, lb, lsel, rb, rAppend, rsel)
-	a.saveSel(lsel)
-	a.saveSelB(rsel)
+	saveScratch(a, &a.sel, lsel)
+	saveScratch(a, &a.selB, rsel)
 	r.Charge(float64(probes+out.NRows) * joinCostPerRow)
 	return out, nil
 }
@@ -396,7 +395,7 @@ func DistinctLocalBatch(b *Batch, a *Arena) *Batch {
 		allIdx[i] = i
 	}
 	hb := a.buildFor(b.NRows)
-	keep := a.selSlice(b.NRows)
+	keep := scratch(a, &a.sel, b.NRows)[:0]
 	for i := 0; i < b.NRows; i++ {
 		head := hb.bucket(hashBatchRow(b.Cols, allIdx, i))
 		dup := false
@@ -410,7 +409,7 @@ func DistinctLocalBatch(b *Batch, a *Arena) *Batch {
 		keep = append(keep, int32(i))
 	}
 	out := gatherBatch(a, b, keep)
-	a.saveSel(keep)
+	saveScratch(a, &a.sel, keep)
 	return out
 }
 
@@ -437,32 +436,20 @@ func ConcatBatches(a *Arena, vars []string, parts []*Batch) *Batch {
 	return concatChunks(a, vars, chunks)
 }
 
-// batchEnv adapts one batch row to expr.Env with lazy ID lookup; the
-// column map is built once per operator, never per row.
-type batchEnv struct {
-	cols map[string]int
-	b    *Batch
-	row  int
-}
-
-func (e *batchEnv) Lookup(name string) (expr.Value, bool) {
-	i, ok := e.cols[name]
-	if !ok {
-		return expr.Null, false
-	}
-	id := e.b.Cols[i][e.row]
-	if id == dict.None {
-		return expr.Null, true
-	}
-	return expr.IDVal(id), true
-}
-
 // FilterBatch evaluates e against every row of the batch, keeping rows
 // whose effective boolean value is true. UDF calls are profiled per
 // rank (execution count, total time, rejections) and their virtual cost
 // is charged to the rank clock. Rows whose evaluation errors are
 // dropped, following SPARQL semantics. Ranks reorder and re-balance
 // independently; the caller synchronizes afterwards.
+//
+// Each conjunct is compiled once and runs over the rows every earlier
+// conjunct kept — the rows a row-at-a-time short circuit reaches. Calls
+// of a pure UDF on columns and constants are first answered from the
+// memo for the whole selection at once (probeMemo). The calls' charges
+// are replayed afterwards in row order (replayCalls), so the clock and
+// the profile add the same numbers in the same order as row-at-a-time
+// evaluation.
 func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 	prof *udf.Profiler, res expr.Resolver, opts FilterOpts, a *Arena) (*Batch, FilterStats, error) {
 
@@ -474,18 +461,14 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 		chain = expr.ReorderChain(chain, prof)
 	}
 	if opts.Logger != nil && opts.Logger.Enabled(opts.logCtx(), slog.LevelDebug) && len(chain) > 1 {
-		order := make([]string, len(chain))
-		for i, c := range chain {
-			order[i] = c.String()
-		}
 		opts.Logger.DebugContext(opts.logCtx(), "filter conjunct order",
-			"rank", r.ID(), "reordered", opts.Reorder, "order", strings.Join(order, " AND "))
+			"rank", r.ID(), "reordered", opts.Reorder, "order", chain)
 	}
 
 	// Cost-aware re-balancing needs this rank's throughput estimate:
 	// seconds per solution across the (reordered) chain, from the
 	// profile.
-	stats := FilterStats{RowsBefore: b.Len()}
+	stats := FilterStats{RowsBefore: b.Len(), Chain: chain}
 	if opts.Rebalance != RebalanceNone {
 		secPerSol := 0.0
 		for _, c := range chain {
@@ -510,45 +493,141 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 		}
 	}
 
-	stats.Order = make([]string, len(chain))
-	for i, c := range chain {
-		stats.Order[i] = c.String()
-	}
-
-	cols := make(map[string]int, len(b.Vars))
-	for i, v := range b.Vars {
-		cols[v] = i
-	}
-	rec := &callRecorder{inner: funcs}
-	env := &batchEnv{cols: cols, b: b}
-	ctx := &expr.Ctx{Funcs: rec, Terms: res, Env: env}
-	sel := a.selSlice(b.NRows)
+	// fail[i] is the conjunct row i failed (len(chain) if it passed);
+	// starts[k] is where conjunct k's call records begin.
+	f := &a.frame
+	f.Vals, f.Terms, f.Calls = scratch(a, &f.Vals, len(b.Vars)), res, f.Calls[:0]
+	calls := f.Calls
+	sel, fail := scratch(a, &a.sel, b.NRows)[:0], scratch(a, &a.selB, b.NRows)
 	for i := 0; i < b.NRows; i++ {
-		stats.Evaluated++
-		env.row = i
-		keep := true
-		for _, conjunct := range chain {
-			rec.calls = rec.calls[:0]
-			ok, err := expr.EvalBool(conjunct, ctx)
-			rejected := err != nil || !ok
-			for _, call := range rec.calls {
-				cost := call.cost * opts.SpeedFactor
-				prof.Record(call.name, cost, rejected)
-				r.Charge(cost)
+		sel, fail[i] = append(sel, int32(i)), int32(len(chain))
+	}
+	progs, starts := scratch(a, &a.progs, len(chain)), scratch(a, &a.parts, 3*len(chain)+1)
+	for k, c := range chain {
+		progs[k], starts[k] = expr.Compile(c, b.Vars, funcs), len(f.Calls)
+		memo := memoSites(a, progs[k])
+		kept := sel[:0] // filtered in place: kept never overtakes the chunk read
+		for lo := 0; lo < len(sel); lo += probeRows {
+			chunk := sel[lo:min(lo+probeRows, len(sel))]
+			if memo {
+				probeMemo(a, b, progs[k], f, chunk)
 			}
-			if rejected {
-				keep = false
-				break
+			for pos, i := range chunk {
+				f.Pos, f.Row = pos, i
+				loadRow(f, b, progs[k].Slots, i)
+				if v, err := progs[k].Eval(f); err == nil && v.Truthy() {
+					kept = append(kept, i)
+				} else {
+					fail[i] = int32(k)
+				}
 			}
 		}
-		if keep {
-			sel = append(sel, int32(i))
-			stats.Passed++
+		sel = kept
+	}
+	starts[len(chain)] = len(f.Calls)
+	saveScratch(a, &calls, f.Calls) // count what the records grew
+	replayCalls(r, prof, progs, f.Calls, starts, fail, opts.SpeedFactor, a)
+	stats.Evaluated, stats.Passed = b.NRows, len(sel)
+	out := gatherBatch(a, b, sel)
+	saveScratch(a, &a.sel, sel)
+	return out, stats, nil
+}
+
+// loadRow puts row i's cells of the given columns into f.Vals.
+func loadRow(f *expr.Frame, b *Batch, slots []int, i int32) {
+	for _, s := range slots {
+		f.Vals[s] = expr.Null
+		if id := b.Cols[s][i]; id != dict.None {
+			f.Vals[s] = expr.IDVal(id)
 		}
 	}
-	out := gatherBatch(a, b, sel)
-	a.saveSel(sel)
-	return out, stats, nil
+}
+
+// probeRows is how many selected rows one memo probe answers: enough
+// that a read lock covers many keys, few enough that the probe's
+// scratch stays small and in cache until the rows are evaluated.
+const probeRows = 1024
+
+// memoSites readies the calls of p that can be answered from the memo
+// ahead of evaluation — a registry bound them to a pure UDF, re-checked
+// against its current table now, and their arguments are columns or
+// constants — giving each a Hits buffer, and reports whether there are
+// any. The answers of one pass all come from the table checked here.
+func memoSites(a *Arena, p *expr.Prog) bool {
+	any := false
+	for j, s := range p.Sites {
+		if c, ok := s.Callee.(*udf.Callee); ok && s.Leaf && c.Memoized() {
+			hits := scratch(a, &a.hits, len(p.Sites)*probeRows)
+			s.Hits, any = hits[j*probeRows:(j+1)*probeRows], true
+		}
+	}
+	return any
+}
+
+// probeMemo answers the memo sites of p for the rows of sel into their
+// Hits: one key per row, one read lock per memo shard
+// (udf.Callee.Probe).
+func probeMemo(a *Arena, b *Batch, p *expr.Prog, f *expr.Frame, sel []int32) {
+	for _, s := range p.Sites {
+		if s.Hits == nil {
+			continue
+		}
+		c, keys, at := s.Callee.(*udf.Callee), a.keys[:0], scratch(a, &a.keyAt, len(sel)+1)
+		for pos, i := range sel {
+			loadRow(f, b, p.Slots, i)
+			if args, err := s.Args(f); err == nil {
+				keys = c.AppendKey(keys, args, f.Terms != nil)
+			}
+			at[pos+1] = int32(len(keys))
+		}
+		at[0], s.Hits = 0, s.Hits[:len(sel)]
+		c.Probe(keys, at, scratch(a, &a.shards, len(sel)), scratch(a, &a.order, len(sel)), s.Hits)
+		saveScratch(a, &a.keys, keys)
+	}
+}
+
+// replayCalls charges the rank clock and records the profile for the
+// calls the conjuncts made — calls[starts[k]:starts[k+1]] are conjunct
+// k's, in row order — row by row and, within a row, conjunct by
+// conjunct: the order of a row-at-a-time evaluation. A call is a
+// rejection when its conjunct is the one its row failed. The profiler
+// is locked once; each site's record is looked up once.
+func replayCalls(r *mpp.Rank, prof *udf.Profiler, progs []*expr.Prog, calls []expr.CallCost,
+	starts []int, fail []int32, speed float64, a *Arena) {
+	if len(calls) == 0 {
+		return
+	}
+	k := len(progs)
+	cur, costs := starts[k+1:], scratch(a, &a.costs, len(calls))[:0]
+	copy(cur, starts) // cur[j]: conjunct j's next record; cur[k+j]: its first site's record
+	nsites := 0
+	for j, p := range progs {
+		cur[k+j], nsites = nsites, nsites+len(p.Sites)
+	}
+	recs := scratch(a, &a.stats, nsites)
+	clear(recs)
+	prof.Lock()
+	for i, last := range fail {
+		for j := 0; j < k && j <= int(last); j++ {
+			for ; cur[j] < starts[j+1] && calls[cur[j]].Row == int32(i); cur[j]++ {
+				c := calls[cur[j]]
+				st := recs[cur[k+j]+int(c.Site)]
+				if st == nil {
+					st = prof.Stat(progs[j].Sites[c.Site].Name)
+					recs[cur[k+j]+int(c.Site)] = st
+				}
+				cost := c.Cost * speed
+				st.Execs++
+				st.TotalSeconds += cost
+				if int(last) == j {
+					st.Rejections++
+				}
+				costs = append(costs, cost)
+			}
+		}
+	}
+	prof.Unlock()
+	r.ChargeEach(costs)
 }
 
 // RebalanceBatchCounted redistributes the distributed batch so each

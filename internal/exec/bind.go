@@ -22,19 +22,15 @@ type BindSpec struct {
 // W3C rule that an erroring BIND leaves the variable unbound while the
 // solution survives. UDF calls are charged to the rank clock.
 func ApplyBinds(r *mpp.Rank, t *Table, binds []BindSpec, funcs expr.FuncResolver, res expr.Resolver) *Table {
+	f := &expr.Frame{Terms: res}
 	for _, b := range binds {
-		cols := t.colIndex()
-		rec := &callRecorder{inner: funcs}
-		ctx := &expr.Ctx{Funcs: rec, Terms: res}
+		p := expr.Compile(b.Expr, t.Vars, funcs)
 		out := NewTable(append(append(make([]string, 0, len(t.Vars)+1), t.Vars...), b.Var)...)
 		out.Rows = make([][]expr.Value, 0, len(t.Rows))
 		for _, row := range t.Rows {
-			rec.calls = rec.calls[:0]
-			ctx.Env = rowEnv{cols: cols, row: row}
-			v, err := expr.Eval(b.Expr, ctx)
-			for _, call := range rec.calls {
-				r.Charge(call.cost)
-			}
+			f.Vals, f.Calls = row, f.Calls[:0]
+			v, err := p.Eval(f)
+			chargeCalls(r, f.Calls)
 			if err != nil {
 				v = expr.Null
 			}
@@ -55,20 +51,20 @@ func ApplyPostFilters(r *mpp.Rank, t *Table, filters []expr.Expr, funcs expr.Fun
 	if len(filters) == 0 {
 		return t
 	}
-	cols := t.colIndex()
-	rec := &callRecorder{inner: funcs}
-	ctx := &expr.Ctx{Funcs: rec, Terms: res}
+	progs := make([]*expr.Prog, len(filters))
+	for i, e := range filters {
+		progs[i] = expr.Compile(e, t.Vars, funcs)
+	}
+	f := &expr.Frame{Terms: res}
 	out := NewTable(t.Vars...)
 	for _, row := range t.Rows {
-		ctx.Env = rowEnv{cols: cols, row: row}
+		f.Vals = row
 		keep := true
-		for _, f := range filters {
-			rec.calls = rec.calls[:0]
-			ok, err := expr.EvalBool(f, ctx)
-			for _, call := range rec.calls {
-				r.Charge(call.cost)
-			}
-			if err != nil || !ok {
+		for _, p := range progs {
+			f.Calls = f.Calls[:0]
+			v, err := p.Eval(f)
+			chargeCalls(r, f.Calls)
+			if err != nil || !v.Truthy() {
 				keep = false
 				break
 			}
@@ -78,4 +74,11 @@ func ApplyPostFilters(r *mpp.Rank, t *Table, filters []expr.Expr, funcs expr.Fun
 		}
 	}
 	return out
+}
+
+// chargeCalls charges the rank clock for one row's calls, in order.
+func chargeCalls(r *mpp.Rank, calls []expr.CallCost) {
+	for _, c := range calls {
+		r.Charge(c.Cost)
+	}
 }

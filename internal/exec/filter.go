@@ -44,9 +44,9 @@ func (o FilterOpts) logCtx() context.Context {
 type FilterStats struct {
 	Evaluated int // rows evaluated (after re-balancing)
 	Passed    int // rows that survived
-	// Order is the conjunct evaluation order used by this rank
-	// (stringified), exposing per-rank independent reordering.
-	Order []string
+	// Chain is the conjunct evaluation order used by this rank,
+	// exposing per-rank independent reordering.
+	Chain []expr.Expr
 	// RowsBefore is the local row count before §2.4.2 re-balancing.
 	RowsBefore int
 	// Rebalance reports the rows this rank shipped/received during
@@ -55,24 +55,4 @@ type FilterStats struct {
 	// RebalanceSeconds is the virtual time the re-balancing step took
 	// on this rank, collectives included.
 	RebalanceSeconds float64
-}
-
-// callRecorder wraps a FuncResolver, capturing each UDF call's name
-// and cost so the FILTER loop can attribute profile records and
-// rejections per conjunct. Arguments pass through as they came,
-// unresolved IDs included: the recorder needs only name and cost.
-type callRecorder struct {
-	inner expr.FuncResolver
-	calls []callRec
-}
-
-type callRec struct {
-	name string
-	cost float64
-}
-
-func (cr *callRecorder) CallLazy(name string, args []expr.Value, terms expr.Resolver) (expr.Value, float64, error) {
-	v, cost, err := cr.inner.CallLazy(name, args, terms)
-	cr.calls = append(cr.calls, callRec{name, cost})
-	return v, cost, err
 }

@@ -33,7 +33,7 @@ func KNNBatch(a *Arena, varName string, ids []dict.ID) *Batch {
 // (the global top-k set). Unbound cells are dropped — they cannot be
 // vector-store keys.
 func SemiFilterBatch(a *Arena, b *Batch, col int, keep map[dict.ID]bool) *Batch {
-	sel := a.selSlice(b.NRows)
+	sel := scratch(a, &a.sel, b.NRows)[:0]
 	c := b.Cols[col]
 	for i := 0; i < b.NRows; i++ {
 		if id := c[i]; id != dict.None && keep[id] {
@@ -41,6 +41,6 @@ func SemiFilterBatch(a *Arena, b *Batch, col int, keep map[dict.ID]bool) *Batch 
 		}
 	}
 	out := gatherBatch(a, b, sel)
-	a.saveSel(sel)
+	saveScratch(a, &a.sel, sel)
 	return out
 }

@@ -42,29 +42,6 @@ func (t *Table) Col(name string) int {
 // Len returns the local row count.
 func (t *Table) Len() int { return len(t.Rows) }
 
-// rowEnv adapts one row to expr.Env.
-type rowEnv struct {
-	cols map[string]int
-	row  []expr.Value
-}
-
-func (e rowEnv) Lookup(name string) (expr.Value, bool) {
-	i, ok := e.cols[name]
-	if !ok {
-		return expr.Null, false
-	}
-	return e.row[i], true
-}
-
-// colIndex builds the name->index map once per operator invocation.
-func (t *Table) colIndex() map[string]int {
-	m := make(map[string]int, len(t.Vars))
-	for i, v := range t.Vars {
-		m[v] = i
-	}
-	return m
-}
-
 // Project returns a table with only the named columns, in order — the
 // receiver itself when that is every column in place. Unknown names
 // produce an error.

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -99,24 +100,12 @@ func (a *Arith) String() string {
 // FILTER chain).
 type And struct{ Children []Expr }
 
-func (a *And) String() string {
-	parts := make([]string, len(a.Children))
-	for i, c := range a.Children {
-		parts[i] = c.String()
-	}
-	return "(" + strings.Join(parts, " && ") + ")"
-}
+func (a *And) String() string { return "(" + join(a.Children, " && ") + ")" }
 
 // Or is a disjunction.
 type Or struct{ Children []Expr }
 
-func (o *Or) String() string {
-	parts := make([]string, len(o.Children))
-	for i, c := range o.Children {
-		parts[i] = c.String()
-	}
-	return "(" + strings.Join(parts, " || ") + ")"
-}
+func (o *Or) String() string { return "(" + join(o.Children, " || ") + ")" }
 
 // Not negates a sub-expression.
 type Not struct{ Child Expr }
@@ -129,88 +118,62 @@ type Call struct {
 	Args []Expr
 }
 
-func (c *Call) String() string {
-	parts := make([]string, len(c.Args))
-	for i, a := range c.Args {
-		parts[i] = a.String()
+func (c *Call) String() string { return c.Name + "(" + join(c.Args, ", ") + ")" }
+
+// join renders es separated by sep.
+func join(es []Expr, sep string) string {
+	parts := make([]string, len(es))
+	for i, e := range es {
+		parts[i] = e.String()
 	}
-	return c.Name + "(" + strings.Join(parts, ", ") + ")"
+	return strings.Join(parts, sep)
 }
 
 // Vars returns the distinct variable names referenced by e, in first-
 // appearance order.
 func Vars(e Expr) []string {
 	var out []string
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case *Var:
-			if !seen[n.Name] {
-				seen[n.Name] = true
-				out = append(out, n.Name)
-			}
-		case *Cmp:
-			walk(n.L)
-			walk(n.R)
-		case *Arith:
-			walk(n.L)
-			walk(n.R)
-		case *And:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case *Or:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case *Not:
-			walk(n.Child)
-		case *Call:
-			for _, a := range n.Args {
-				walk(a)
-			}
+	walk(e, func(e Expr) {
+		if v, ok := e.(*Var); ok && !slices.Contains(out, v.Name) {
+			out = append(out, v.Name)
 		}
-	}
-	walk(e)
+	})
 	return out
 }
 
 // CallNames returns the distinct UDF names invoked anywhere in e.
 func CallNames(e Expr) []string {
 	var out []string
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case *Cmp:
-			walk(n.L)
-			walk(n.R)
-		case *Arith:
-			walk(n.L)
-			walk(n.R)
-		case *And:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case *Or:
-			for _, c := range n.Children {
-				walk(c)
-			}
-		case *Not:
-			walk(n.Child)
-		case *Call:
-			if !seen[n.Name] {
-				seen[n.Name] = true
-				out = append(out, n.Name)
-			}
-			for _, a := range n.Args {
-				walk(a)
-			}
+	walk(e, func(e Expr) {
+		if c, ok := e.(*Call); ok && !slices.Contains(out, c.Name) {
+			out = append(out, c.Name)
 		}
-	}
-	walk(e)
+	})
 	return out
+}
+
+// walk calls fn on e and every node below it, parents first, children
+// left to right.
+func walk(e Expr, fn func(Expr)) {
+	fn(e)
+	var kids []Expr
+	switch n := e.(type) {
+	case *Cmp:
+		kids = []Expr{n.L, n.R}
+	case *Arith:
+		kids = []Expr{n.L, n.R}
+	case *And:
+		kids = n.Children
+	case *Or:
+		kids = n.Children
+	case *Not:
+		kids = []Expr{n.Child}
+	case *Call:
+		kids = n.Args
+	}
+	for _, k := range kids {
+		walk(k, fn)
+	}
 }
 
 // Conjuncts flattens nested And nodes into a conjunct list; a non-And

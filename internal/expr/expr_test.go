@@ -115,53 +115,69 @@ func TestCompareTwoIDsByValue(t *testing.T) {
 // TestEvalUnboundVariableIsAnError: in scope but unbound (an unmatched
 // OPTIONAL) errors like out of scope, so !(?d) cannot turn it into true.
 func TestEvalUnboundVariableIsAnError(t *testing.T) {
-	ctx := &Ctx{Env: MapEnv{"d": Null}}
 	for _, e := range []Expr{&Var{Name: "d"}, &Not{Child: &Var{Name: "d"}}, &Var{Name: "nosuch"}} {
-		if _, err := Eval(e, ctx); !errors.Is(err, ErrUnboundVar) {
+		if _, err := eval(e, env{"d": Null}, nil, nil); !errors.Is(err, ErrUnboundVar) {
 			t.Errorf("%s: err = %v, want ErrUnboundVar", e, err)
 		}
 	}
 }
 
+// env is one row, by variable name.
+type env map[string]Value
+
+// eval compiles e for a layout of env's variables and evaluates it on
+// env's row.
+func eval(e Expr, row env, funcs FuncResolver, terms Resolver) (Value, error) {
+	var vars []string
+	var vals []Value
+	for name, v := range row {
+		vars, vals = append(vars, name), append(vals, v)
+	}
+	return Compile(e, vars, funcs).Eval(&Frame{Vals: vals, Terms: terms})
+}
+
+func evalBool(e Expr, row env, funcs FuncResolver) (bool, error) {
+	v, err := eval(e, row, funcs, nil)
+	return err == nil && v.Truthy(), err
+}
+
 type fakeFuncs map[string]func(args []Value) (Value, error)
 
-func (f fakeFuncs) CallLazy(name string, args []Value, terms Resolver) (Value, float64, error) {
-	fn, ok := f[name]
-	if !ok {
-		return Null, 0, errors.New("unknown UDF " + name)
+func (f fakeFuncs) Bind(name string) Callee { return fakeCallee(f[name]) }
+
+// fakeCallee costs 0.25 a call; a nil one is an unknown UDF.
+type fakeCallee func(args []Value) (Value, error)
+
+func (fn fakeCallee) Call(args []Value, terms Resolver) (Value, float64, error) {
+	if fn == nil {
+		return Null, 0, errors.New("unknown UDF")
 	}
 	ResolveArgs(args, terms)
 	v, err := fn(args)
 	return v, 0.25, err
 }
 
-func testCtx(env MapEnv) *Ctx {
-	return &Ctx{
-		Env: env,
-		Funcs: fakeFuncs{
-			"double": func(args []Value) (Value, error) { return Float(args[0].Num * 2), nil },
-			"fail":   func(args []Value) (Value, error) { return Null, errors.New("boom") },
-		},
-	}
+var testFuncs = fakeFuncs{
+	"double": func(args []Value) (Value, error) { return Float(args[0].Num * 2), nil },
+	"fail":   func(args []Value) (Value, error) { return Null, errors.New("boom") },
 }
 
 func TestEvalConstsAndVars(t *testing.T) {
-	ctx := testCtx(MapEnv{"x": Float(3)})
-	v, err := Eval(&Const{Val: Float(2)}, ctx)
+	x := env{"x": Float(3)}
+	v, err := eval(&Const{Val: Float(2)}, x, testFuncs, nil)
 	if err != nil || v.Num != 2 {
 		t.Fatalf("const: %s %v", v, err)
 	}
-	v, err = Eval(&Var{Name: "x"}, ctx)
+	v, err = eval(&Var{Name: "x"}, x, testFuncs, nil)
 	if err != nil || v.Num != 3 {
 		t.Fatalf("var: %s %v", v, err)
 	}
-	if _, err = Eval(&Var{Name: "missing"}, ctx); !errors.Is(err, ErrUnboundVar) {
+	if _, err = eval(&Var{Name: "missing"}, x, testFuncs, nil); !errors.Is(err, ErrUnboundVar) {
 		t.Fatalf("unbound: %v", err)
 	}
 }
 
 func TestEvalComparisons(t *testing.T) {
-	ctx := testCtx(MapEnv{"x": Float(3)})
 	cases := []struct {
 		op   CmpOp
 		want bool
@@ -170,7 +186,7 @@ func TestEvalComparisons(t *testing.T) {
 	}
 	for _, c := range cases {
 		e := &Cmp{Op: c.op, L: &Var{Name: "x"}, R: &Const{Val: Float(5)}}
-		got, err := EvalBool(e, ctx)
+		got, err := evalBool(e, env{"x": Float(3)}, testFuncs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,109 +197,112 @@ func TestEvalComparisons(t *testing.T) {
 }
 
 func TestEvalIncomparableEquality(t *testing.T) {
-	ctx := testCtx(MapEnv{})
 	eq := &Cmp{Op: EQ, L: &Const{Val: Float(1)}, R: &Const{Val: String("a")}}
-	if got, err := EvalBool(eq, ctx); err != nil || got {
+	if got, err := evalBool(eq, nil, testFuncs); err != nil || got {
 		t.Fatalf("cross-kind EQ: %v %v", got, err)
 	}
 	ne := &Cmp{Op: NE, L: &Const{Val: Float(1)}, R: &Const{Val: String("a")}}
-	if got, err := EvalBool(ne, ctx); err != nil || !got {
+	if got, err := evalBool(ne, nil, testFuncs); err != nil || !got {
 		t.Fatalf("cross-kind NE: %v %v", got, err)
 	}
 	lt := &Cmp{Op: LT, L: &Const{Val: Float(1)}, R: &Const{Val: String("a")}}
-	if _, err := EvalBool(lt, ctx); !errors.Is(err, ErrIncomparable) {
+	if _, err := evalBool(lt, nil, testFuncs); !errors.Is(err, ErrIncomparable) {
 		t.Fatalf("cross-kind LT err = %v", err)
 	}
 }
 
 func TestEvalArith(t *testing.T) {
-	ctx := testCtx(MapEnv{"x": Float(10)})
+	x := env{"x": Float(10)}
 	e := &Arith{Op: Div, L: &Arith{Op: Add, L: &Var{Name: "x"}, R: &Const{Val: Float(2)}}, R: &Const{Val: Float(4)}}
-	v, err := Eval(e, ctx)
+	v, err := eval(e, x, testFuncs, nil)
 	if err != nil || v.Num != 3 {
 		t.Fatalf("(10+2)/4 = %s, %v", v, err)
 	}
 	sub := &Arith{Op: Sub, L: &Var{Name: "x"}, R: &Const{Val: Float(1)}}
-	if v, _ := Eval(sub, ctx); v.Num != 9 {
+	if v, _ := eval(sub, x, testFuncs, nil); v.Num != 9 {
 		t.Fatalf("10-1 = %s", v)
 	}
 	mul := &Arith{Op: Mul, L: &Var{Name: "x"}, R: &Const{Val: Float(3)}}
-	if v, _ := Eval(mul, ctx); v.Num != 30 {
+	if v, _ := eval(mul, x, testFuncs, nil); v.Num != 30 {
 		t.Fatalf("10*3 = %s", v)
 	}
 	div0 := &Arith{Op: Div, L: &Var{Name: "x"}, R: &Const{Val: Float(0)}}
-	if _, err := Eval(div0, ctx); !errors.Is(err, ErrDivByZero) {
+	if _, err := eval(div0, x, testFuncs, nil); !errors.Is(err, ErrDivByZero) {
 		t.Fatalf("div0 err = %v", err)
 	}
 	bad := &Arith{Op: Add, L: &Const{Val: String("a")}, R: &Const{Val: Float(1)}}
-	if _, err := Eval(bad, ctx); !errors.Is(err, ErrNotNumeric) {
+	if _, err := eval(bad, x, testFuncs, nil); !errors.Is(err, ErrNotNumeric) {
 		t.Fatalf("non-numeric err = %v", err)
 	}
 }
 
 func TestEvalLogic(t *testing.T) {
-	ctx := testCtx(MapEnv{})
 	tr := &Const{Val: Bool(true)}
 	fa := &Const{Val: Bool(false)}
-	if got, _ := EvalBool(&And{Children: []Expr{tr, tr}}, ctx); !got {
+	if got, _ := evalBool(&And{Children: []Expr{tr, tr}}, nil, testFuncs); !got {
 		t.Fatal("true && true")
 	}
-	if got, _ := EvalBool(&And{Children: []Expr{tr, fa}}, ctx); got {
+	if got, _ := evalBool(&And{Children: []Expr{tr, fa}}, nil, testFuncs); got {
 		t.Fatal("true && false")
 	}
-	if got, _ := EvalBool(&Or{Children: []Expr{fa, tr}}, ctx); !got {
+	if got, _ := evalBool(&Or{Children: []Expr{fa, tr}}, nil, testFuncs); !got {
 		t.Fatal("false || true")
 	}
-	if got, _ := EvalBool(&Or{Children: []Expr{fa, fa}}, ctx); got {
+	if got, _ := evalBool(&Or{Children: []Expr{fa, fa}}, nil, testFuncs); got {
 		t.Fatal("false || false")
 	}
-	if got, _ := EvalBool(&Not{Child: fa}, ctx); !got {
+	if got, _ := evalBool(&Not{Child: fa}, nil, testFuncs); !got {
 		t.Fatal("!false")
 	}
 }
 
 func TestEvalShortCircuit(t *testing.T) {
 	// The failing UDF must never run when And short-circuits.
-	ctx := testCtx(MapEnv{})
 	e := &And{Children: []Expr{
 		&Const{Val: Bool(false)},
 		&Call{Name: "fail"},
 	}}
-	got, err := EvalBool(e, ctx)
+	got, err := evalBool(e, nil, testFuncs)
 	if err != nil || got {
 		t.Fatalf("short-circuit: %v %v", got, err)
 	}
 }
 
 func TestEvalUDFCall(t *testing.T) {
-	ctx := testCtx(MapEnv{"x": Float(21)})
+	x := env{"x": Float(21)}
 	e := &Call{Name: "double", Args: []Expr{&Var{Name: "x"}}}
-	v, err := Eval(e, ctx)
+	v, err := eval(e, x, testFuncs, nil)
 	if err != nil || v.Num != 42 {
 		t.Fatalf("double(21) = %s, %v", v, err)
 	}
-	if _, err := Eval(&Call{Name: "nope"}, ctx); err == nil {
+	if _, err := eval(&Call{Name: "nope"}, x, testFuncs, nil); err == nil {
 		t.Fatal("unknown UDF succeeded")
 	}
-	noCtx := &Ctx{Env: MapEnv{}}
-	if _, err := Eval(&Call{Name: "double"}, noCtx); !errors.Is(err, ErrNoResolver) {
+	if _, err := eval(&Call{Name: "double"}, x, nil, nil); !errors.Is(err, ErrNoResolver) {
 		t.Fatalf("no resolver err = %v", err)
 	}
 }
 
-// argSpy is a FuncResolver that records the argument frame as Eval
-// handed it over, then behaves like fakeFuncs.
+// argSpy is a FuncResolver whose callees record the argument frame as
+// the program handed it over, then behave like fakeFuncs.
 type argSpy struct {
 	fakeFuncs
 	got map[string][]Value
 }
 
-func (s *argSpy) CallLazy(name string, args []Value, terms Resolver) (Value, float64, error) {
-	s.got[name] = append([]Value(nil), args...)
-	return s.fakeFuncs.CallLazy(name, args, terms)
+func (s *argSpy) Bind(name string) Callee { return spyCallee{s, name} }
+
+type spyCallee struct {
+	s    *argSpy
+	name string
 }
 
-// TestEvalPassesIDsToUDFs pins the FuncResolver contract: a variable
+func (c spyCallee) Call(args []Value, terms Resolver) (Value, float64, error) {
+	c.s.got[c.name] = append([]Value(nil), args...)
+	return c.s.fakeFuncs.Bind(c.name).Call(args, terms)
+}
+
+// TestEvalPassesIDsToUDFs pins the Callee contract: a variable
 // bound to a dictionary ID reaches the resolver as that ID, computed
 // arguments (nested calls, arithmetic) reach it as concrete values, and
 // the UDF body never sees an ID either way.
@@ -311,8 +330,7 @@ func TestEvalPassesIDsToUDFs(t *testing.T) {
 	}
 	for _, c := range cases {
 		spy := &argSpy{fakeFuncs: fakeFuncs{"f": concrete, "g": concrete}, got: map[string][]Value{}}
-		ctx := &Ctx{Env: MapEnv{"x": IDVal(id)}, Funcs: spy, Terms: DictResolver{Dict: d}}
-		v, err := Eval(c.e, ctx)
+		v, err := eval(c.e, env{"x": IDVal(id)}, spy, DictResolver{Dict: d})
 		if err != nil || v != Float(c.want) {
 			t.Fatalf("%s = %s, %v; want %g", c.name, v, err, c.want)
 		}
@@ -477,13 +495,4 @@ func TestReorderPreservesConjuncts(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// MapEnv is an Env backed by a map; convenient in tests and UDF glue.
-type MapEnv map[string]Value
-
-// Lookup implements Env.
-func (m MapEnv) Lookup(name string) (Value, bool) {
-	v, ok := m[name]
-	return v, ok
 }

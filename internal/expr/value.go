@@ -119,7 +119,7 @@ func resolve(v Value, r Resolver) Value {
 }
 
 // ResolveArgs concretizes the KindID elements of a UDF argument frame
-// in place — the step a FuncResolver performs before the function body
+// in place — the step a Callee performs before the function body
 // runs. It reports whether every ID was known: an ID that resolves to
 // Null now may be assigned by a later update, so a result computed from
 // it must not be remembered under that ID. A nil resolver leaves IDs

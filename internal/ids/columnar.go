@@ -194,7 +194,7 @@ func (e *Engine) runSteps(r *mpp.Rank, steps []plan.Step, b *exec.Batch, rec *ob
 				ft.record(rec, r, obs.OpSample{
 					Depth: depth, Op: "filter",
 					RowsIn: fstats.Evaluated, RowsOut: fstats.Passed,
-					Note: "order: " + strings.Join(fstats.Order, " AND "),
+					Note: "order: " + conjunctOrder(fstats.Chain),
 				})
 			}
 			// Global sync after independent per-rank evaluation
@@ -316,3 +316,13 @@ func probeCol(b *exec.Batch, pat sparql.TriplePattern, placed string) int {
 
 // res returns the engine's cached ID resolver.
 func (e *Engine) res() expr.Resolver { return e.cres }
+
+// conjunctOrder renders the order a rank evaluated a FILTER's conjuncts
+// in, for its trace span.
+func conjunctOrder(chain []expr.Expr) string {
+	parts := make([]string, len(chain))
+	for i, c := range chain {
+		parts[i] = c.String()
+	}
+	return strings.Join(parts, " AND ")
+}

@@ -55,7 +55,7 @@ func (s *strlen) fn(args []expr.Value) (expr.Value, error) {
 func (s *strlen) cost(args []expr.Value) float64 { return 0.5 + float64(len(args[0].Str)) }
 
 // call is one invocation form: by value through CallUDF, or by
-// dictionary ID through CallLazy with the fake dictionary.
+// dictionary ID through a bound callee with the fake dictionary.
 type call func(r *Registry, name string) (expr.Value, float64, error)
 
 func byValue(v expr.Value) call {
@@ -66,7 +66,7 @@ func byValue(v expr.Value) call {
 
 func byID(id dict.ID, d terms) call {
 	return func(r *Registry, name string) (expr.Value, float64, error) {
-		return r.CallLazy(name, []expr.Value{expr.IDVal(id)}, d)
+		return r.Bind(name).Call([]expr.Value{expr.IDVal(id)}, d)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestMemoContract(t *testing.T) {
 	t.Run("ID with nil resolver runs unresolved and is not stored", func(t *testing.T) {
 		r, s := setup(t, true)
 		for i := 0; i < 2; i++ {
-			v, _, err := r.CallLazy("strlen", []expr.Value{expr.IDVal(7)}, nil)
+			v, _, err := r.Bind("strlen").Call([]expr.Value{expr.IDVal(7)}, nil)
 			if err != nil || v != expr.Float(0) {
 				t.Fatalf("got (%s, %v)", v, err)
 			}

@@ -77,12 +77,6 @@ type table struct {
 // *[]byte so Get/Put themselves do not allocate).
 var keyBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// memoVal is one memoized pure-UDF result.
-type memoVal struct {
-	v    expr.Value
-	cost float64
-}
-
 // memoMaxEntries bounds the memo table; inserts stop (lookups keep
 // working) once the table is full, so a pathological argument stream
 // cannot grow memory without bound. The bound is split evenly over the
@@ -96,7 +90,7 @@ const (
 // to a cache line so ranks probing different shards share nothing.
 type memoShard struct {
 	mu sync.RWMutex
-	m  map[string]memoVal
+	m  map[string]expr.Result
 	_  [32]byte
 }
 
@@ -125,7 +119,7 @@ func NewRegistry() *Registry {
 	r := &Registry{seed: maphash.MakeSeed(), shardCap: memoMaxEntries / memoShards}
 	r.tab.Store(&table{entries: map[string]*entry{}})
 	for i := range r.memo {
-		r.memo[i].m = map[string]memoVal{}
+		r.memo[i].m = map[string]expr.Result{}
 	}
 	return r
 }
@@ -158,7 +152,7 @@ func (r *Registry) publish(edit func(t *table) error) error {
 		for i := range r.memo {
 			sh := &r.memo[i]
 			sh.mu.Lock()
-			sh.m = map[string]memoVal{}
+			sh.m = map[string]expr.Result{}
 			sh.mu.Unlock()
 		}
 	}
@@ -269,21 +263,20 @@ func appendMemoKey(dst []byte, name string, args []expr.Value, byID bool) ([]byt
 	return b, true
 }
 
-// CallUDF invokes the named UDF on concrete arguments: CallLazy for
-// callers that hold no dictionary IDs.
+// CallUDF invokes the named UDF on concrete arguments, for callers that
+// hold no dictionary IDs.
 func (r *Registry) CallUDF(name string, args []expr.Value) (expr.Value, float64, error) {
-	return r.CallLazy(name, args, nil)
+	t := r.tab.Load()
+	return r.call(t, t.entries[name], name, args, nil)
 }
 
-// CallLazy implements expr.FuncResolver: it invokes the named UDF and
-// returns its result plus the cost to charge. Arguments may be
-// dictionary IDs; terms resolves them, in place, immediately before
-// the function runs — which for a pure UDF is only on a memo miss. A
-// hit is answered from the IDs alone.
-func (r *Registry) CallLazy(name string, args []expr.Value, terms expr.Resolver) (expr.Value, float64, error) {
-	t := r.tab.Load()
-	e, ok := t.entries[name]
-	if !ok {
+// call runs entry e of table t (nil: name is unknown there) and returns
+// its result plus the cost to charge. Arguments may be dictionary IDs;
+// terms resolves them, in place, immediately before the function runs
+// — which for a pure UDF is only on a memo miss. A hit is answered from
+// the IDs alone.
+func (r *Registry) call(t *table, e *entry, name string, args []expr.Value, terms expr.Resolver) (expr.Value, float64, error) {
+	if e == nil {
 		return expr.Null, 0, fmt.Errorf("%w: %s", ErrUnknown, name)
 	}
 	if !e.pure {
@@ -304,11 +297,12 @@ func (r *Registry) CallLazy(name string, args []expr.Value, terms expr.Resolver)
 	}
 	sh := &r.memo[maphash.Bytes(r.seed, b)%memoShards]
 	sh.mu.RLock()
-	mv, hit := sh.m[string(b)]
+	hit, ok := sh.m[string(b)]
+	ok = ok && r.tab.Load().gen == t.gen
 	sh.mu.RUnlock()
-	if hit {
+	if ok {
 		keyBufPool.Put(bp)
-		return mv.v, mv.cost, nil
+		return hit.V, hit.Cost, nil
 	}
 	key := string(b)
 	keyBufPool.Put(bp)
@@ -319,11 +313,96 @@ func (r *Registry) CallLazy(name string, args []expr.Value, terms expr.Resolver)
 	if known && err == nil {
 		sh.mu.Lock()
 		if len(sh.m) < r.shardCap && r.tab.Load().gen == t.gen {
-			sh.m[key] = memoVal{v: out, cost: cost}
+			sh.m[key] = expr.Result{V: out, Cost: cost}
 		}
 		sh.mu.Unlock()
 	}
 	return out, cost, err
+}
+
+// Callee is a UDF bound by name: it holds the entry its name had in the
+// table it was bound under. Memoized re-checks that table against the
+// registry's current one; every memo read checks the table's generation
+// under the shard lock, so one callee never mixes answers of two
+// implementations. A callee belongs to one compiled program, used by
+// one goroutine at a time.
+type Callee struct {
+	r    *Registry
+	name string
+	t    *table
+	e    *entry
+}
+
+// Bind implements expr.FuncResolver.
+func (r *Registry) Bind(name string) expr.Callee {
+	t := r.tab.Load()
+	return &Callee{r: r, name: name, t: t, e: t.entries[name]}
+}
+
+// Call implements expr.Callee.
+func (c *Callee) Call(args []expr.Value, terms expr.Resolver) (expr.Value, float64, error) {
+	return c.r.call(c.t, c.e, c.name, args, terms)
+}
+
+// Memoized re-binds the callee if the registry has published a new
+// table since, and reports whether its calls are memoized (a pure UDF).
+func (c *Callee) Memoized() bool {
+	if t := c.r.tab.Load(); t != c.t {
+		c.t, c.e = t, t.entries[c.name]
+	}
+	return c.e != nil && c.e.pure
+}
+
+// AppendKey appends the memo key of a call on args to dst, or returns
+// dst as it was when the call is not memoized by key (an ID without a
+// resolver; see appendMemoKey).
+func (c *Callee) AppendKey(dst []byte, args []expr.Value, byID bool) []byte {
+	if b, ok := appendMemoKey(dst, c.name, args, byID); ok {
+		return b
+	}
+	return dst
+}
+
+// Probe answers a batch of calls from the memo. Key i is
+// keys[at[i]:at[i+1]]; an empty key is no call. The keys are grouped by
+// shard and each shard is read under one read lock, so out[i] is key
+// i's memoized answer, or has a null value where there is none. shard
+// and order are scratch of len(out). Call Memoized first; what the
+// probe leaves unanswered is answered by Call.
+func (c *Callee) Probe(keys []byte, at []int32, shard []uint8, order []int32, out []expr.Result) {
+	var next [memoShards + 1]int32
+	for i := range out {
+		shard[i], out[i] = memoShards, expr.Result{}
+		if at[i+1] > at[i] {
+			shard[i] = uint8(maphash.Bytes(c.r.seed, keys[at[i]:at[i+1]]) % memoShards)
+			next[shard[i]+1]++
+		}
+	}
+	for s := 1; s <= memoShards; s++ {
+		next[s] += next[s-1]
+	}
+	for i, s := range shard {
+		if s < memoShards {
+			order[next[s]] = int32(i)
+			next[s]++
+		}
+	}
+	// next[s] is now the end of shard s's run in order.
+	start := int32(0)
+	for s := range c.r.memo[:] {
+		if start == next[s] {
+			continue
+		}
+		sh := &c.r.memo[s]
+		sh.mu.RLock()
+		if c.r.tab.Load().gen == c.t.gen {
+			for _, i := range order[start:next[s]] {
+				out[i] = sh.m[string(keys[at[i]:at[i+1]])]
+			}
+		}
+		sh.mu.RUnlock()
+		start = next[s]
+	}
 }
 
 var _ expr.FuncResolver = (*Registry)(nil)
@@ -369,21 +448,21 @@ func NewProfilerOver(base *Profiler) *Profiler {
 	return &Profiler{stats: map[string]*Stats{}, base: base}
 }
 
-// Record adds one execution of name taking seconds; rejected marks
-// that the enclosing expression rejected the solution because of it.
-func (p *Profiler) Record(name string, seconds float64, rejected bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// Lock and Unlock bracket a batch of additions to the records Stat
+// returns: a FILTER batch takes the lock once and adds to each record in
+// the order its calls were made.
+func (p *Profiler) Lock()   { p.mu.Lock() }
+func (p *Profiler) Unlock() { p.mu.Unlock() }
+
+// Stat returns name's record, created on first use. Call it, and add
+// to what it returns, only between Lock and Unlock.
+func (p *Profiler) Stat(name string) *Stats {
 	s, ok := p.stats[name]
 	if !ok {
 		s = &Stats{}
 		p.stats[name] = s
 	}
-	s.Execs++
-	s.TotalSeconds += seconds
-	if rejected {
-		s.Rejections++
-	}
+	return s
 }
 
 // EstimateCost implements expr.Estimator.

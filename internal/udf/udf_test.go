@@ -116,8 +116,8 @@ func TestUnloadModule(t *testing.T) {
 
 func TestProfilerRecordAndEstimate(t *testing.T) {
 	p := NewProfiler()
-	p.Record("sw", 0.001, true)
-	p.Record("sw", 0.003, false)
+	record(p, "sw", 0.001, true)
+	record(p, "sw", 0.003, false)
 	s := p.Get("sw")
 	if s.Execs != 2 || s.Rejections != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -146,10 +146,10 @@ func TestProfilerUnknown(t *testing.T) {
 
 func TestProfilerSnapshotMerge(t *testing.T) {
 	a := NewProfiler()
-	a.Record("f", 1, true)
+	record(a, "f", 1, true)
 	b := NewProfiler()
-	b.Record("f", 3, false)
-	b.Record("g", 2, true)
+	record(b, "f", 3, false)
+	record(b, "g", 2, true)
 	a.Merge(b.Snapshot())
 	f := a.Get("f")
 	if f.Execs != 2 || f.TotalSeconds != 4 || f.Rejections != 1 {
@@ -162,7 +162,7 @@ func TestProfilerSnapshotMerge(t *testing.T) {
 
 func TestProfilerString(t *testing.T) {
 	p := NewProfiler()
-	p.Record("dock", 35, false)
+	record(p, "dock", 35, false)
 	out := p.String()
 	if !strings.Contains(out, "dock") || !strings.Contains(out, "execs=1") {
 		t.Fatalf("String = %q", out)
@@ -190,12 +190,12 @@ func TestRegistryImplementsEstimatorPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Record("cheap", c, false)
+		record(p, "cheap", c, false)
 		_, c, err = r.CallUDF("pricey", []expr.Value{expr.Float(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Record("pricey", c, true)
+		record(p, "pricey", c, true)
 	}
 	chain := []expr.Expr{
 		&expr.Call{Name: "pricey"},
@@ -211,4 +211,16 @@ func TestRegistryImplementsEstimatorPipeline(t *testing.T) {
 func has(r *Registry, name string) bool {
 	_, ok := r.tab.Load().entries[name]
 	return ok
+}
+
+// record adds one execution of name the way a FILTER batch does.
+func record(p *Profiler, name string, seconds float64, rejected bool) {
+	p.Lock()
+	defer p.Unlock()
+	s := p.Stat(name)
+	s.Execs++
+	s.TotalSeconds += seconds
+	if rejected {
+		s.Rejections++
+	}
 }

@@ -160,13 +160,15 @@ func TestReachabilityCheck(t *testing.T) {
 
 	// internal/lib/fields.go: lib.UseFields writes every field of lib.S
 	// and reads S.read, the promoted Inner.X and the generic box.v.
-	// Nothing reads box.unread, and only fields_test.go reads S.testRead;
-	// S.Tagged is tagged, S.Inner embedded and S.count atomic. cmd/app
-	// sets AppConfig.Set only.
-	const written, testRead, unread, unset = "internal/lib/fields.go:7 internal/lib.S.written: written, never read",
+	// Nothing reads box.unread, only fields_test.go reads S.testRead, and
+	// S.self is read only on the right of its own assignment; S.Tagged
+	// is tagged, S.Inner embedded and S.count atomic. cmd/app sets
+	// AppConfig.Set only.
+	const written, testRead, self, unread, unset = "internal/lib/fields.go:7 internal/lib.S.written: written, never read",
 		"internal/lib/fields.go:8 internal/lib.S.testRead: written, never read",
-		"internal/lib/fields.go:21 internal/lib.box.unread: written, never read",
-		"internal/lib/fields.go:29 internal/lib.AppConfig.Unset: config field nothing sets"
+		"internal/lib/fields.go:13 internal/lib.S.self: written, never read",
+		"internal/lib/fields.go:22 internal/lib.box.unread: written, never read",
+		"internal/lib/fields.go:30 internal/lib.AppConfig.Unset: config field nothing sets"
 	for _, tc := range []struct {
 		name        string
 		keep        map[string]string
@@ -175,23 +177,23 @@ func TestReachabilityCheck(t *testing.T) {
 	}{
 		{
 			name:        "write-only and never-set config fields are flagged",
-			wantFlagged: []string{written, testRead, unread, unset},
+			wantFlagged: []string{written, testRead, self, unread, unset},
 		},
 		{
 			name:        "a keep-listed field is not flagged",
 			keep:        map[string]string{"internal/lib.AppConfig.Unset": "reason"},
-			wantFlagged: []string{written, testRead, unread},
+			wantFlagged: []string{written, testRead, self, unread},
 		},
 		{
 			name:        "an unflagged keep-list entry fails",
 			keep:        map[string]string{"internal/lib.S.read": "reason"},
-			wantFlagged: []string{written, testRead, unread, unset},
+			wantFlagged: []string{written, testRead, self, unread, unset},
 			wantErr:     "keep-list entry internal/lib.S.read is not flagged",
 		},
 		{
 			name:        "a keep-listed field that does not exist fails",
 			keep:        map[string]string{"internal/lib.S.gone": "reason"},
-			wantFlagged: []string{written, testRead, unread, unset},
+			wantFlagged: []string{written, testRead, self, unread, unset},
 			wantErr:     "keep-list entry internal/lib.S.gone does not exist",
 		},
 	} {
@@ -660,8 +662,9 @@ type field struct {
 // *Opts struct under internal/ that non-test code never writes (rule 2),
 // minus the keep list, and an error naming every keep-list entry that is
 // not flagged or does not exist. A use is a write when it is the left
-// side of = or op=, the operand of ++ or --, or a key (or a position) in
-// a composite literal; every other use is a read. Fields with a struct
+// side of = or op=, a use of that same field on the right side of the
+// assignment, the operand of ++ or --, or a key (or a position) in a
+// composite literal; every other use is a read. Fields with a struct
 // tag (reflection reads them), embedded fields (promoted access never
 // names them) and fields of a sync or sync/atomic type are exempt.
 func (p *program) unusedFields(keep map[string]string) ([]string, error) {
@@ -687,6 +690,7 @@ func (p *program) unusedFields(keep map[string]string) ([]string, error) {
 						for _, lhs := range n.Lhs {
 							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
 								writes[sel.Sel] = true
+								selfReads(p, sel.Sel, n.Rhs, writes)
 							}
 						}
 					}
@@ -757,6 +761,26 @@ func (p *program) unusedFields(keep map[string]string) ([]string, error) {
 		return out, fmt.Errorf("%s", strings.Join(problems, "; "))
 	}
 	return out, nil
+}
+
+// selfReads marks as writes the uses of the field lhs names that occur
+// in rhs: a field read only to compute its own next value (a.f =
+// a.f*10 + d) is not read by anything else.
+func selfReads(p *program, lhs *ast.Ident, rhs []ast.Expr, writes map[*ast.Ident]bool) {
+	v, ok := p.uses[lhs].(*types.Var)
+	if !ok || !v.IsField() {
+		return
+	}
+	for _, e := range rhs {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if u, ok := p.uses[id].(*types.Var); ok && u.Origin() == v.Origin() {
+					writes[id] = true
+				}
+			}
+			return true
+		})
+	}
 }
 
 // declareFields adds the fields of st, a struct type in package pi, that

@@ -10,6 +10,7 @@ type S struct {
 	Tagged   int          `json:"tagged"` // read by reflection: exempt
 	Inner                 // embedded, never named again: exempt
 	count    atomic.Int64 // never read: exempt as a sync/atomic type
+	self     int          // read only to compute its own next value: flagged
 }
 
 // Inner is embedded in S; UseFields reads X through promotion.
@@ -34,5 +35,6 @@ func UseFields(cfg AppConfig) int {
 	s := S{written: 1, Tagged: 2, Inner: Inner{X: cfg.Set}, count: atomic.Int64{}}
 	s.testRead = 3
 	s.read++
+	s.self = s.self*10 + s.read
 	return s.read + s.X + newBox(cfg.Unset).v
 }
