@@ -48,6 +48,9 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Errorf("category %q never emitted in %d queries", c.name, sweepN)
 		}
 	}
+	if seen[CategoryUDF] != sweepN/10 {
+		t.Errorf("udf stream: %d queries, want %d", seen[CategoryUDF], sweepN/10)
+	}
 }
 
 // TestConformanceSweep is the differential property test: every query

@@ -28,7 +28,7 @@ func Generate(seed int64, n int) []Query {
 	for _, c := range categories {
 		total += c.weight
 	}
-	out := make([]Query, 0, n)
+	out := make([]Query, 0, n+n/10)
 	for i := 0; i < n; i++ {
 		roll := r.Intn(total)
 		for _, c := range categories {
@@ -40,8 +40,18 @@ func Generate(seed int64, n int) []Query {
 			roll -= c.weight
 		}
 	}
+	// One udf query per ten, from a stream of its own, after the
+	// weighted corpus: adding it left every other query as it was.
+	u := rand.New(rand.NewSource(seed ^ 0x75646621))
+	for i := n; i < n+n/10; i++ {
+		out = append(out, Query{ID: i, Category: CategoryUDF, Text: genUDF(u), Expect: BucketOK})
+	}
 	return out
 }
+
+// CategoryUDF is the category of the queries that call the world's
+// UDFs (registerUDFs), the paper's FILTER path.
+const CategoryUDF = "udf"
 
 type category struct {
 	name   string
@@ -301,6 +311,48 @@ func genCompound(r *rand.Rand) string {
 	return fmt.Sprintf(
 		`SELECT ?s ?w WHERE { VALUES ?s { %s %s %s } ?s <%s> ?v . OPTIONAL { ?s <%s> ?d . } BIND(?v * %d AS ?w) FILTER(?w >= 0) } ORDER BY ?w ?s`,
 		ent(r), ent(r), ent(r), PredScore, PredDesc, 1+r.Intn(4))
+}
+
+// genUDF draws FILTER chains of one to four conjuncts that mix calls
+// and comparisons: nested calls, the same function twice, calls over
+// text, over an OPTIONAL column that is unbound on half the rows, and
+// on both sides of a join.
+func genUDF(r *rand.Rand) string {
+	conj := func(v string) string {
+		switch r.Intn(7) {
+		case 0:
+			return fmt.Sprintf("u.tiny(%s) < %d", v, 2+r.Intn(6))
+		case 1:
+			return fmt.Sprintf("u.model(%s) > 0.%d", v, r.Intn(8))
+		case 2:
+			return fmt.Sprintf("u.fragile(%s)", v)
+		case 3:
+			return fmt.Sprintf("dyn.live(%s) >= %d", v, r.Intn(100))
+		case 4:
+			return fmt.Sprintf("u.model(u.tiny(%s)) < 0.%d", v, 1+r.Intn(9))
+		case 5:
+			return fmt.Sprintf("u.tiny(%s) + u.tiny(%s) > %d", v, v, r.Intn(9))
+		}
+		return fmt.Sprintf("%s > %d", v, r.Intn(70))
+	}
+	chain := func(v string) string {
+		parts := make([]string, 1+r.Intn(4))
+		for i := range parts {
+			parts[i] = conj(v)
+		}
+		return strings.Join(parts, " && ")
+	}
+	switch r.Intn(4) {
+	case 0:
+		return fmt.Sprintf(`SELECT ?s ?v WHERE { ?s <%s> ?v . FILTER(%s) }`, PredScore, chain("?v"))
+	case 1:
+		return fmt.Sprintf(`SELECT ?a ?w WHERE { ?a <%s> ?v . FILTER(%s) ?a <%s> ?b . ?b <%s> ?w . FILTER(%s) }`,
+			PredScore, chain("?v"), PredLinks, PredScore, chain("?w"))
+	case 2:
+		return fmt.Sprintf(`SELECT ?s ?d WHERE { ?s <%s> ?v . OPTIONAL { ?s <%s> ?d . } FILTER(%s || %s) }`,
+			PredScore, PredDesc, conj("?v"), conj("?d"))
+	}
+	return fmt.Sprintf(`SELECT ?s ?t WHERE { ?s <%s> ?t . FILTER(%s) }`, PredTag, chain([]string{"?t", "?s"}[r.Intn(2)]))
 }
 
 // Unsupported-feature generators: well-formed W3C SPARQL the parser

@@ -12,13 +12,16 @@ package conformance
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"ids/internal/conformance/ref"
 	"ids/internal/dict"
+	"ids/internal/expr"
 	"ids/internal/ids"
 	"ids/internal/kg"
 	"ids/internal/mpp"
+	"ids/internal/udf"
 	"ids/internal/vecstore"
 	"ids/internal/vecstore/hnsw"
 )
@@ -109,10 +112,68 @@ func NewWorld(ranks int) (*World, error) {
 	if err := e.AttachVectors(VecSpace, vs); err != nil {
 		return nil, err
 	}
-	w := &ref.World{UDFs: e.Reg, Vectors: map[string]*vecstore.Store{VecSpace: vs}}
+	// The reference calls the same bodies through a registry of its own
+	// that memoizes nothing, so a memo fault shows as a wrong answer.
+	refUDFs := udf.NewRegistry()
+	for _, reg := range []*udf.Registry{e.Reg, refUDFs} {
+		if err := registerUDFs(reg, reg == e.Reg); err != nil {
+			return nil, err
+		}
+	}
+	w := &ref.World{UDFs: refUDFs, Vectors: map[string]*vecstore.Store{VecSpace: vs}}
 	g.Triples(func(s, p, o dict.Term) bool {
 		w.Triples = append(w.Triples, ref.Triple{S: s, P: p, O: o})
 		return true
 	})
 	return &World{Ranks: ranks, Engine: e, Ref: w}, nil
+}
+
+// registerUDFs registers the udf category's functions over the world's
+// literals (a number is itself, any other term its byte sum mod 101): a
+// cheap numeric test, an expensive "model", one that errs on every
+// multiple of three, and a dynamic one, which is never memoized. Their
+// declared costs span three orders of magnitude. memo marks the static
+// three pure.
+func registerUDFs(reg *udf.Registry, memo bool) error {
+	fns := []struct {
+		name string
+		cost float64
+		fn   func(x float64) (expr.Value, error)
+	}{
+		{"u.tiny", 1e-6, func(x float64) (expr.Value, error) { return expr.Float(math.Mod(x, 7)), nil }},
+		{"u.model", 2e-3, func(x float64) (expr.Value, error) { return expr.Float(math.Mod(x*37+11, 101) / 101), nil }},
+		{"u.fragile", 4e-5, func(x float64) (expr.Value, error) {
+			if math.Mod(x, 3) == 0 {
+				return expr.Null, fmt.Errorf("conformance: u.fragile(%g)", x)
+			}
+			return expr.Bool(x > 40), nil
+		}},
+		{"dyn.live", 1e-5, func(x float64) (expr.Value, error) { return expr.Float(x + 1), nil }},
+	}
+	for _, f := range fns {
+		body := func(args []expr.Value) (expr.Value, error) {
+			if len(args) != 1 {
+				return expr.Null, fmt.Errorf("conformance: %s takes one argument", f.name)
+			}
+			x := args[0].Num
+			if args[0].Kind != expr.KindFloat {
+				for _, c := range []byte(args[0].Str) {
+					x += float64(c)
+				}
+				x = math.Mod(x, 101)
+			}
+			return f.fn(x)
+		}
+		cost := func([]expr.Value) float64 { return f.cost }
+		var err error
+		if f.name == "dyn.live" {
+			err = reg.RegisterDynamic("dyn", "live", body, cost)
+		} else if err = reg.RegisterWithCost(f.name, body, cost); err == nil && memo {
+			err = reg.MarkPure(f.name)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
