@@ -52,19 +52,21 @@ type Arena struct {
 	chunks []batchChunk
 	// build is the reusable hash-join build structure.
 	build *hashBuild
-	// FILTER scratch (see FilterBatch): the evaluation frame (its call
-	// records and argument stack grow once), the compiled conjuncts,
-	// the replay's charges and profile records, and a memo probe's
-	// keys, key offsets, shard order, shard numbers and answers.
-	frame  expr.Frame
-	progs  []*expr.Prog
-	costs  []float64
-	stats  []*udf.Stats
-	keys   []byte
-	keyAt  []int32
-	order  []int32
-	shards []uint8
-	hits   []expr.Result
+	// FILTER scratch (see Filter.Run): the evaluation frame (its call
+	// records, argument stack and result slots grow once), the rank's
+	// conjunct order, the replay's charges and profile records, and a
+	// memo probe's keys, key offsets, shard order, shard numbers and
+	// answers, by site.
+	frame    expr.Frame
+	progs    []*expr.Prog
+	costs    []float64
+	stats    []*udf.Stats
+	keys     []byte
+	keyAt    []int32
+	order    []int32
+	shards   []uint8
+	hits     []expr.Result
+	hitSites [][]expr.Result
 }
 
 // arenaSlabIDs is the minimum slab size in IDs (512 KiB per slab).

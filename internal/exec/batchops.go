@@ -25,22 +25,30 @@ const scanCostPerTriple = 5e-8
 // joinCostPerRow is the modeled hash-join cost per probed row.
 const joinCostPerRow = 1e-7
 
-// patternLayout resolves pat's constant terms against d and numbers
-// its variables in S, P, O order of first appearance: col[i] is the
-// output column of position i (S, P, O), -1 for a constant. ok is false
-// when a constant is absent from the dictionary (nothing matches).
+// PatternVars is the header a scan of pat gives: its variables in S, P,
+// O order of first appearance.
+func PatternVars(pat sparql.TriplePattern) []string {
+	var vars []string
+	for _, tv := range [3]sparql.TermOrVar{pat.S, pat.P, pat.O} {
+		if tv.IsVar && !slices.Contains(vars, tv.Var) {
+			vars = append(vars, tv.Var)
+		}
+	}
+	return vars
+}
+
+// patternLayout resolves pat's constant terms against d and lays out
+// its variables as PatternVars: col[i] is the output column of position
+// i (S, P, O), -1 for a constant. ok is false when a constant is absent
+// from the dictionary (nothing matches).
 func patternLayout(d *dict.Dict, pat sparql.TriplePattern) (tp triple.Pattern, vars []string, col [3]int, ok bool) {
-	ok = true
+	ok, vars = true, PatternVars(pat)
 	var ids [3]dict.ID
 	for i, tv := range [3]sparql.TermOrVar{pat.S, pat.P, pat.O} {
+		col[i] = slices.Index(vars, tv.Var)
 		if !tv.IsVar {
 			id, found := d.Lookup(tv.Term)
 			ids[i], ok, col[i] = id, ok && found, -1
-			continue
-		}
-		if col[i] = slices.Index(vars, tv.Var); col[i] < 0 {
-			col[i] = len(vars)
-			vars = append(vars, tv.Var)
 		}
 	}
 	return triple.Pattern{S: ids[0], P: ids[1], O: ids[2]}, vars, col, ok
@@ -241,12 +249,12 @@ func joinOutput(a *Arena, outVars []string, lb *Batch, lsel []int32, rb *Batch, 
 	return out
 }
 
-// joinHeader computes the output header and the build-side columns to
-// append (those not shared with the probe side).
-func joinHeader(left, right *Batch) (outVars []string, rAppend []int) {
-	outVars = append([]string{}, left.Vars...)
-	for i, v := range right.Vars {
-		if left.Col(v) < 0 {
+// JoinHeader computes a join's output header — left's columns, then
+// right's that left lacks — and the right-side columns appended.
+func JoinHeader(left, right []string) (outVars []string, rAppend []int) {
+	outVars = append([]string{}, left...)
+	for i, v := range right {
+		if !slices.Contains(left, v) {
 			outVars = append(outVars, v)
 			rAppend = append(rAppend, i)
 		}
@@ -258,7 +266,7 @@ func joinHeader(left, right *Batch) (outVars []string, rAppend []int) {
 // product (leftJoin additionally null-extends when the right side is
 // globally empty).
 func crossJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*Batch, error) {
-	outVars, rAppend := joinHeader(left, right)
+	outVars, rAppend := JoinHeader(left.Vars, right.Vars)
 	allRight, err := mpp.AllGatherSized(r, sliceChunk(a, right, 0, right.NRows), chunkRows)
 	if err != nil {
 		return nil, err
@@ -323,7 +331,7 @@ func hashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*B
 	if len(shared) == 0 {
 		return crossJoinBatch(r, left, right, a, leftJoin)
 	}
-	outVars, rAppend := joinHeader(left, right)
+	outVars, rAppend := JoinHeader(left.Vars, right.Vars)
 	p := r.Size()
 	lIdx := make([]int, len(shared))
 	rIdx := make([]int, len(shared))
@@ -437,28 +445,54 @@ func ConcatBatches(a *Arena, vars []string, parts []*Batch) *Batch {
 }
 
 // FilterBatch evaluates e against every row of the batch, keeping rows
-// whose effective boolean value is true. UDF calls are profiled per
-// rank (execution count, total time, rejections) and their virtual cost
-// is charged to the rank clock. Rows whose evaluation errors are
-// dropped, following SPARQL semantics. Ranks reorder and re-balance
-// independently; the caller synchronizes afterwards.
-//
-// Each conjunct is compiled once and runs over the rows every earlier
-// conjunct kept — the rows a row-at-a-time short circuit reaches. Calls
-// of a pure UDF on columns and constants are first answered from the
-// memo for the whole selection at once (probeMemo). The calls' charges
-// are replayed afterwards in row order (replayCalls), so the clock and
-// the profile add the same numbers in the same order as row-at-a-time
-// evaluation.
+// whose effective boolean value is true: it compiles e for the batch's
+// header and runs Filter.Run.
 func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 	prof *udf.Profiler, res expr.Resolver, opts FilterOpts, a *Arena) (*Batch, FilterStats, error) {
+	return CompileFilter(e, b.Vars, funcs).Run(r, b, prof, res, opts, a)
+}
 
+// Filter is a FILTER compiled for one input layout: its conjuncts and
+// one program each. It is read-only once compiled, so the ranks of a
+// query share it; each evaluates it in its own arena's frame.
+type Filter struct {
+	Chain []expr.Expr
+	progs []*expr.Prog
+}
+
+// CompileFilter compiles e's conjuncts for rows laid out as vars.
+func CompileFilter(e expr.Expr, vars []string, funcs expr.FuncResolver) *Filter {
+	flt := &Filter{Chain: expr.Conjuncts(e)}
+	flt.progs = make([]*expr.Prog, len(flt.Chain))
+	for k, c := range flt.Chain {
+		flt.progs[k] = expr.Compile(c, vars, funcs)
+	}
+	return flt
+}
+
+// Run evaluates the filter against every row of b, whose header must be
+// the layout it was compiled for. UDF calls are profiled per rank
+// (execution count, total time, rejections) and their virtual cost is
+// charged to the rank clock. Rows whose evaluation errors are dropped,
+// following SPARQL semantics. Ranks reorder and re-balance
+// independently; the caller synchronizes afterwards.
+//
+// Each conjunct runs over the rows every earlier conjunct kept — the
+// rows a row-at-a-time short circuit reaches. Calls of a pure UDF on
+// columns and constants are first answered from the memo for the whole
+// selection at once (probeMemo). The calls' charges are replayed
+// afterwards in row order (replayCalls), so the clock and the profile
+// add the same numbers in the same order as row-at-a-time evaluation.
+func (flt *Filter) Run(r *mpp.Rank, b *Batch, prof *udf.Profiler, res expr.Resolver, opts FilterOpts, a *Arena) (*Batch, FilterStats, error) {
 	if opts.SpeedFactor <= 0 {
 		opts.SpeedFactor = 1
 	}
-	chain := expr.Conjuncts(e)
+	chain, progs := flt.Chain, flt.progs
 	if opts.Reorder {
-		chain = expr.ReorderChain(chain, prof)
+		chain, progs = expr.ReorderChain(chain, prof), scratch(a, &a.progs, len(chain))
+		for k, c := range chain {
+			progs[k] = flt.progs[slices.Index(flt.Chain, c)]
+		}
 	}
 	if opts.Logger != nil && opts.Logger.Enabled(opts.logCtx(), slog.LevelDebug) && len(chain) > 1 {
 		opts.Logger.DebugContext(opts.logCtx(), "filter conjunct order",
@@ -502,20 +536,20 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 	for i := 0; i < b.NRows; i++ {
 		sel, fail[i] = append(sel, int32(i)), int32(len(chain))
 	}
-	progs, starts := scratch(a, &a.progs, len(chain)), scratch(a, &a.parts, 3*len(chain)+1)
-	for k, c := range chain {
-		progs[k], starts[k] = expr.Compile(c, b.Vars, funcs), len(f.Calls)
-		memo := memoSites(a, progs[k])
+	starts := scratch(a, &a.parts, 3*len(chain)+1)
+	for k, p := range progs {
+		starts[k] = len(f.Calls)
+		memo := memoSites(a, f, p)
 		kept := sel[:0] // filtered in place: kept never overtakes the chunk read
 		for lo := 0; lo < len(sel); lo += probeRows {
 			chunk := sel[lo:min(lo+probeRows, len(sel))]
 			if memo {
-				probeMemo(a, b, progs[k], f, chunk)
+				probeMemo(a, b, p, f, chunk)
 			}
 			for pos, i := range chunk {
 				f.Pos, f.Row = pos, i
-				loadRow(f, b, progs[k].Slots, i)
-				if v, err := progs[k].Eval(f); err == nil && v.Truthy() {
+				loadRow(f, b, p.Slots, i)
+				if v, err := p.Eval(f); err == nil && v.Truthy() {
 					kept = append(kept, i)
 				} else {
 					fail[i] = int32(k)
@@ -548,28 +582,28 @@ func loadRow(f *expr.Frame, b *Batch, slots []int, i int32) {
 // scratch stays small and in cache until the rows are evaluated.
 const probeRows = 1024
 
-// memoSites readies the calls of p that can be answered from the memo
-// ahead of evaluation — a registry bound them to a pure UDF, re-checked
-// against its current table now, and their arguments are columns or
-// constants — giving each a Hits buffer, and reports whether there are
-// any. The answers of one pass all come from the table checked here.
-func memoSites(a *Arena, p *expr.Prog) bool {
+// memoSites readies f.Hits for the calls of p that can be answered from
+// the memo ahead of evaluation — bound to a pure UDF, with columns and
+// constants for arguments — and reports whether there are any.
+func memoSites(a *Arena, f *expr.Frame, p *expr.Prog) bool {
+	f.Hits = scratch(a, &a.hitSites, len(p.Sites))
 	any := false
 	for j, s := range p.Sites {
+		f.Hits[j] = nil
 		if c, ok := s.Callee.(*udf.Callee); ok && s.Leaf && c.Memoized() {
 			hits := scratch(a, &a.hits, len(p.Sites)*probeRows)
-			s.Hits, any = hits[j*probeRows:(j+1)*probeRows], true
+			f.Hits[j], any = hits[j*probeRows:(j+1)*probeRows], true
 		}
 	}
 	return any
 }
 
-// probeMemo answers the memo sites of p for the rows of sel into their
-// Hits: one key per row, one read lock per memo shard
+// probeMemo answers the memo sites of p for the rows of sel into
+// f.Hits: one key per row, one read lock per memo shard
 // (udf.Callee.Probe).
 func probeMemo(a *Arena, b *Batch, p *expr.Prog, f *expr.Frame, sel []int32) {
-	for _, s := range p.Sites {
-		if s.Hits == nil {
+	for j, s := range p.Sites {
+		if f.Hits[j] == nil {
 			continue
 		}
 		c, keys, at := s.Callee.(*udf.Callee), a.keys[:0], scratch(a, &a.keyAt, len(sel)+1)
@@ -580,8 +614,8 @@ func probeMemo(a *Arena, b *Batch, p *expr.Prog, f *expr.Frame, sel []int32) {
 			}
 			at[pos+1] = int32(len(keys))
 		}
-		at[0], s.Hits = 0, s.Hits[:len(sel)]
-		c.Probe(keys, at, scratch(a, &a.shards, len(sel)), scratch(a, &a.order, len(sel)), s.Hits)
+		at[0] = 0
+		c.Probe(keys, at, scratch(a, &a.shards, len(sel)), scratch(a, &a.order, len(sel)), f.Hits[j][:len(sel)])
 		saveScratch(a, &a.keys, keys)
 	}
 }

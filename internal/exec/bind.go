@@ -18,13 +18,15 @@ type BindSpec struct {
 }
 
 // ApplyBinds appends one computed column per spec, in order, to the
-// gathered table. An evaluation error binds null for that row — the
-// W3C rule that an erroring BIND leaves the variable unbound while the
-// solution survives. UDF calls are charged to the rank clock.
-func ApplyBinds(r *mpp.Rank, t *Table, binds []BindSpec, funcs expr.FuncResolver, res expr.Resolver) *Table {
+// gathered table; progs[i] is binds[i].Expr compiled for the table's
+// columns and those of the binds before it. An evaluation error binds
+// null for that row — the W3C rule that an erroring BIND leaves the
+// variable unbound while the solution survives. UDF calls are charged
+// to the rank clock.
+func ApplyBinds(r *mpp.Rank, t *Table, binds []BindSpec, progs []*expr.Prog, res expr.Resolver) *Table {
 	f := &expr.Frame{Terms: res}
-	for _, b := range binds {
-		p := expr.Compile(b.Expr, t.Vars, funcs)
+	for i, b := range binds {
+		p := progs[i]
 		out := NewTable(append(append(make([]string, 0, len(t.Vars)+1), t.Vars...), b.Var)...)
 		out.Rows = make([][]expr.Value, 0, len(t.Rows))
 		for _, row := range t.Rows {
@@ -44,17 +46,10 @@ func ApplyBinds(r *mpp.Rank, t *Table, binds []BindSpec, funcs expr.FuncResolver
 }
 
 // ApplyPostFilters evaluates FILTER expressions that reference bind
-// aliases, dropping rows whose effective boolean value errors or is
-// false (standard FILTER semantics, applied on the gathered table
-// right after ApplyBinds).
-func ApplyPostFilters(r *mpp.Rank, t *Table, filters []expr.Expr, funcs expr.FuncResolver, res expr.Resolver) *Table {
-	if len(filters) == 0 {
-		return t
-	}
-	progs := make([]*expr.Prog, len(filters))
-	for i, e := range filters {
-		progs[i] = expr.Compile(e, t.Vars, funcs)
-	}
+// aliases, compiled for the table's layout, dropping rows whose
+// effective boolean value errors or is false (standard FILTER
+// semantics, applied on the gathered table right after ApplyBinds).
+func ApplyPostFilters(r *mpp.Rank, t *Table, progs []*expr.Prog, res expr.Resolver) *Table {
 	f := &expr.Frame{Terms: res}
 	out := NewTable(t.Vars...)
 	for _, row := range t.Rows {

@@ -42,14 +42,20 @@ var (
 	ErrDivByZero    = errors.New("expr: division by zero")
 )
 
-// Frame is what evaluations read and write; one serves a whole operator.
+// Frame is everything an evaluation writes; one serves a whole operator
+// on one goroutine, while the programs it evaluates are shared.
 type Frame struct {
 	Vals  []Value // the row: slot i holds the variable vars[i] of Compile
 	Terms Resolver
-	Pos   int        // the row's index into CallSite.Hits
+	// Hits[i], when not nil, answers site i of the program being
+	// evaluated ahead of evaluation: a Hits[i][Pos] with a non-null value
+	// is the call's answer for the row, recorded without running it.
+	Hits  [][]Result
+	Pos   int        // the row's index into Hits
 	Row   int32      // tags the Calls records
 	Calls []CallCost // one record per call evaluated, in order
 	args  []Value    // argument frames; nested calls push above the caller's
+	outs  []Value    // the nodes' result slots (Prog.nOut of them)
 	err   error      // why the last step returned nil
 }
 
@@ -59,17 +65,19 @@ func (f *Frame) fail(err error) *Value {
 }
 
 // step evaluates one node to a pointer at its value (a constant, a cell
-// of Vals, a call's answer or the node's own result slot), or to nil
-// with f.err set: copying values up the tree costs more than the work.
+// of Vals, a call's answer or the node's result slot in the frame), or
+// to nil with f.err set: copying values up the tree costs more than the
+// work.
 type step func(f *Frame) *Value
 
 // Prog is an expression compiled for a fixed variable layout: variables
-// are slots and each call holds the callee its name was bound to. Its
-// result slots live inside, so one goroutine at a time evaluates it.
+// are slots and each call holds the callee its name was bound to.
+// Evaluation writes only the frame, so goroutines share a program.
 type Prog struct {
 	eval  step
 	Sites []*CallSite
 	Slots []int // the distinct slots the program reads
+	nOut  int   // result slots the frame provides
 	// Room for the usual few sites and slots, so a conjunct's program
 	// does not allocate them apart.
 	sites [2]*CallSite
@@ -78,16 +86,14 @@ type Prog struct {
 
 // CallSite is one UDF call in a program. Leaf reports that every
 // argument is a variable or a constant, so the call can be answered
-// ahead of evaluation: a Hits[Frame.Pos] with a non-null value is the
-// call's answer for the row, recorded without running the call.
+// ahead of evaluation (Frame.Hits).
 type CallSite struct {
 	Name   string
 	Callee Callee // nil when compiled without a FuncResolver
 	Leaf   bool
-	Hits   []Result
 	idx    int32
 	args   []step
-	out    Value
+	out    int // result slot
 }
 
 // Compile compiles e for rows laid out as vars; a variable not in vars
@@ -101,10 +107,19 @@ func Compile(e Expr, vars []string, funcs FuncResolver) *Prog {
 
 // Eval evaluates the program on the row in f.
 func (p *Prog) Eval(f *Frame) (Value, error) {
+	if len(f.outs) < p.nOut {
+		f.outs = make([]Value, p.nOut)
+	}
 	if v := p.eval(f); v != nil {
 		return *v, nil
 	}
 	return Null, f.err
+}
+
+// slot numbers a node's result slot in the frame.
+func (p *Prog) slot() int {
+	p.nOut++
+	return p.nOut - 1
 }
 
 func (p *Prog) compile(e Expr, vars []string, funcs FuncResolver) step {
@@ -126,7 +141,7 @@ func (p *Prog) compile(e Expr, vars []string, funcs FuncResolver) step {
 			return &f.Vals[slot]
 		}
 	case *Cmp:
-		l, r, out := sub(n.L), sub(n.R), new(Value) // out: the node's result slot
+		l, r, out := sub(n.L), sub(n.R), p.slot()
 		return func(f *Frame) *Value {
 			lv := l(f)
 			if lv == nil {
@@ -140,11 +155,11 @@ func (p *Prog) compile(e Expr, vars []string, funcs FuncResolver) step {
 			if err != nil {
 				return f.fail(err)
 			}
-			*out = Bool(b)
-			return out
+			f.outs[out] = Bool(b)
+			return &f.outs[out]
 		}
 	case *Arith:
-		l, r, out := sub(n.L), sub(n.R), new(Value)
+		l, r, out := sub(n.L), sub(n.R), p.slot()
 		return func(f *Frame) *Value {
 			x, err := numeric(l, f)
 			if err != nil {
@@ -155,33 +170,33 @@ func (p *Prog) compile(e Expr, vars []string, funcs FuncResolver) step {
 			case err != nil:
 				return f.fail(err)
 			case n.Op == Add:
-				*out = Float(x + y)
+				f.outs[out] = Float(x + y)
 			case n.Op == Sub:
-				*out = Float(x - y)
+				f.outs[out] = Float(x - y)
 			case n.Op == Mul:
-				*out = Float(x * y)
+				f.outs[out] = Float(x * y)
 			case y == 0:
 				return f.fail(ErrDivByZero)
 			default:
-				*out = Float(x / y)
+				f.outs[out] = Float(x / y)
 			}
-			return out
+			return &f.outs[out]
 		}
 	case *And:
-		return connective(sub, n.Children, false)
+		return connective(sub, n.Children, false, p.slot())
 	case *Or:
-		return connective(sub, n.Children, true)
+		return connective(sub, n.Children, true, p.slot())
 	case *Not:
-		c, out := sub(n.Child), new(Value)
+		c, out := sub(n.Child), p.slot()
 		return func(f *Frame) *Value {
 			if v := c(f); v != nil {
-				*out = Bool(!v.Truthy())
-				return out
+				f.outs[out] = Bool(!v.Truthy())
+				return &f.outs[out]
 			}
 			return nil
 		}
 	case *Call:
-		s := &CallSite{Name: n.Name, Leaf: true, idx: int32(len(p.Sites))}
+		s := &CallSite{Name: n.Name, Leaf: true, idx: int32(len(p.Sites)), out: p.slot()}
 		p.Sites = append(p.Sites, s)
 		if funcs != nil {
 			s.Callee = funcs.Bind(n.Name)
@@ -202,8 +217,8 @@ func (p *Prog) compile(e Expr, vars []string, funcs FuncResolver) step {
 
 // connective compiles && (or false) and || (or true): it stops at the
 // first child whose truth is or; an erring child errs the whole.
-func connective(sub func(Expr) step, children []Expr, or bool) step {
-	kids, out := make([]step, len(children)), new(Value)
+func connective(sub func(Expr) step, children []Expr, or bool, out int) step {
+	kids := make([]step, len(children))
 	for i, c := range children {
 		kids[i] = sub(c)
 	}
@@ -214,12 +229,12 @@ func connective(sub func(Expr) step, children []Expr, or bool) step {
 				return nil
 			}
 			if v.Truthy() == or {
-				*out = Bool(or)
-				return out
+				f.outs[out] = Bool(or)
+				return &f.outs[out]
 			}
 		}
-		*out = Bool(!or)
-		return out
+		f.outs[out] = Bool(!or)
+		return &f.outs[out]
 	}
 }
 
@@ -250,8 +265,8 @@ func numeric(e step, f *Frame) (float64, error) {
 	return 0, ErrNotNumeric
 }
 
-// Args evaluates the argument frame of a top-level site for the row in
-// f. The frame is f's scratch, valid until f evaluates again.
+// Args evaluates the argument frame of a Leaf site for the row in f.
+// The frame is f's scratch, valid until f evaluates again.
 func (s *CallSite) Args(f *Frame) ([]Value, error) {
 	f.args = f.args[:0]
 	if !s.pushArgs(f) {
@@ -276,8 +291,8 @@ func (s *CallSite) pushArgs(f *Frame) bool {
 }
 
 func (s *CallSite) eval(f *Frame) *Value {
-	if s.Hits != nil && !s.Hits[f.Pos].V.IsNull() {
-		r := &s.Hits[f.Pos]
+	if int(s.idx) < len(f.Hits) && f.Hits[s.idx] != nil && !f.Hits[s.idx][f.Pos].V.IsNull() {
+		r := &f.Hits[s.idx][f.Pos]
 		f.Calls = append(f.Calls, CallCost{s.idx, f.Row, r.Cost})
 		return &r.V
 	}
@@ -294,6 +309,6 @@ func (s *CallSite) eval(f *Frame) *Value {
 	if err != nil {
 		return f.fail(err)
 	}
-	s.out = v
-	return &s.out
+	f.outs[s.out] = v
+	return &f.outs[s.out]
 }

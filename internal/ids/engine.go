@@ -386,6 +386,10 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 	alloc0 := obs.ReadAllocs()
 	planStart := time.Now()
 	pl, err := plan.Build(q, e.stats.Load())
+	var pp *physPlan
+	if err == nil {
+		pp, err = e.physical(pl, traced)
+	}
 	if err != nil {
 		e.met.queryErrors.Inc()
 		e.observeWorkload(ctx, insights.Observation{
@@ -431,7 +435,7 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 		if recs != nil {
 			rec = recs[r.ID()]
 		}
-		tab, err := e.runPlanRec(r, pl, rec, qprofs, arenas)
+		tab, err := e.runPlanRec(r, pp, rec, qprofs, arenas)
 		if r.ID() == exec.RootRank {
 			answer = tab
 		}
@@ -517,44 +521,16 @@ func (e *Engine) observeWorkload(ctx context.Context, ob insights.Observation) i
 	return e.workload.Load().Observe(ob)
 }
 
-// finalize turns the gathered solutions into the answer: BIND columns
-// and the filters that depend on them (exec/bind.go explains why BIND
-// sits post-gather), aggregation, ORDER BY, OFFSET/LIMIT, projection.
-// DISTINCT is over the projected rows, so a DISTINCT plan projects and
-// de-duplicates (first occurrence kept) between the sort and the slice.
-// It runs once per query, on the gather root, inside the gather (see
-// exec.GatherBatchTo); the other ranks receive the table it returns and
-// record none of its operators.
-func (e *Engine) finalize(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *obs.RankRecorder, a *exec.Arena) (*exec.Table, error) {
-	res := e.res()
-	if len(pl.Binds) > 0 {
-		ot := startOp(rec, r, a)
-		in := tab.Len()
-		tab = exec.ApplyBinds(r, tab, pl.Binds, e.Reg, res)
-		ab, am := tab.Footprint()
-		ot.record(rec, r, obs.OpSample{Op: "bind", RowsIn: in, RowsOut: tab.Len(),
-			Label: fmt.Sprintf("%d columns", len(pl.Binds)), AllocBytes: ab, Mallocs: am})
-	}
-	if len(pl.PostFilters) > 0 {
-		ot := startOp(rec, r, a)
-		in := tab.Len()
-		tab = exec.ApplyPostFilters(r, tab, pl.PostFilters, e.Reg, res)
-		ot.record(rec, r, obs.OpSample{Op: "filter", RowsIn: in, RowsOut: tab.Len(),
-			Note: "post-bind"})
-	}
-	if len(pl.Aggregates) > 0 {
-		ot := startOp(rec, r, a)
-		in := tab.Len()
-		var err error
-		tab, err = exec.Aggregate(tab, pl.GroupBy, pl.Aggregates, res)
-		if err != nil {
-			return nil, err
-		}
-		ab, am := tab.Footprint()
-		ot.record(rec, r, obs.OpSample{Op: "aggregate", RowsIn: in, RowsOut: tab.Len(),
-			AllocBytes: ab, Mallocs: am})
-	}
-	tab.SortBy(pl.OrderBy, res)
+// finalize turns the gathered solutions, after the post-gather
+// operators (BIND columns and the filters that depend on them — exec/
+// bind.go explains why BIND sits post-gather — and aggregation), into
+// the answer: ORDER BY, OFFSET/LIMIT, projection. DISTINCT is over the
+// projected rows, so a DISTINCT plan projects and de-duplicates (first
+// occurrence kept) between the sort and the slice. It runs once per
+// query, on the gather root, inside the gather (see
+// exec.GatherBatchTo); the other ranks receive the table it returns.
+func (e *Engine) finalize(pl *plan.Plan, tab *exec.Table, a *exec.Arena) (*exec.Table, error) {
+	tab.SortBy(pl.OrderBy, e.res())
 	if pl.Distinct {
 		var err error
 		if tab, err = tab.Project(pl.Select); err != nil {

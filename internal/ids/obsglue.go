@@ -4,9 +4,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
-	"ids/internal/exec"
 	"ids/internal/mpp"
 	"ids/internal/obs"
 )
@@ -18,7 +16,7 @@ var Version = "dev"
 // This file wires the engine into the observability layer: a
 // per-engine metrics registry with pre-resolved handles for the hot
 // query path (so instrumentation is a handful of atomic adds, not map
-// lookups), and the tiny operator timer the tracer uses.
+// lookups).
 
 // engineMetrics caches registry handles for the query path.
 type engineMetrics struct {
@@ -184,41 +182,4 @@ func (e *Engine) SetBuildInfo(fsyncPolicy string) {
 			"fsync", fsyncPolicy,
 		).Set(1)
 	})
-}
-
-// opTimer brackets one operator execution on one rank: the virtual
-// and wall clocks and the arena's fresh-heap counters at its start.
-// The zero value (tracing disabled) is inert, so the untraced path
-// stays free of time.Now calls and allocates nothing.
-type opTimer struct {
-	a        *exec.Arena
-	vt0      float64
-	w0       time.Time
-	fb0, fm0 int64
-	on       bool
-}
-
-func startOp(rec *obs.RankRecorder, r *mpp.Rank, a *exec.Arena) opTimer {
-	if rec == nil {
-		return opTimer{}
-	}
-	fb0, fm0 := a.Fresh()
-	return opTimer{a: a, vt0: r.Now(), w0: time.Now(), fb0: fb0, fm0: fm0, on: true}
-}
-
-// record fills the sample's VT/Wall from the timer, adds the heap the
-// arena genuinely grew by since startOp to whatever the caller already
-// put in AllocBytes/Mallocs (what the operator materialized outside the
-// arena) and appends the sample. It is the only place operator
-// telemetry is assembled.
-func (ot opTimer) record(rec *obs.RankRecorder, r *mpp.Rank, s obs.OpSample) {
-	if !ot.on {
-		return
-	}
-	fb, fm := ot.a.Fresh()
-	s.AllocBytes += fb - ot.fb0
-	s.Mallocs += fm - ot.fm0
-	s.VT = r.Now() - ot.vt0
-	s.Wall = time.Since(ot.w0).Seconds()
-	rec.Record(s)
 }

@@ -2,9 +2,11 @@
 // graph pattern greedily by estimated cardinality (most selective
 // first, staying connected to already-bound variables), places FILTER
 // elements at the earliest point where their variables are bound, and
-// carries the solution modifiers. FILTER-internal optimization
-// (conjunct reordering) happens later, per rank, inside the exec
-// operator, because it depends on rank-local profiling data.
+// carries the solution modifiers. The engine lowers a Plan once per
+// query to the physical operators all ranks share, FILTER conjuncts
+// compiled there; only the conjuncts' order is chosen later, per rank,
+// inside the exec operator, because it depends on rank-local profiling
+// data.
 package plan
 
 import (

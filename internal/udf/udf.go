@@ -321,11 +321,10 @@ func (r *Registry) call(t *table, e *entry, name string, args []expr.Value, term
 }
 
 // Callee is a UDF bound by name: it holds the entry its name had in the
-// table it was bound under. Memoized re-checks that table against the
-// registry's current one; every memo read checks the table's generation
-// under the shard lock, so one callee never mixes answers of two
-// implementations. A callee belongs to one compiled program, used by
-// one goroutine at a time.
+// table it was bound under, for good. Every memo read checks that
+// table's generation under the shard lock, so one callee never mixes
+// answers of two implementations. A callee is read-only: the ranks of
+// a query share it.
 type Callee struct {
 	r    *Registry
 	name string
@@ -333,25 +332,32 @@ type Callee struct {
 	e    *entry
 }
 
-// Bind implements expr.FuncResolver.
-func (r *Registry) Bind(name string) expr.Callee {
-	t := r.tab.Load()
-	return &Callee{r: r, name: name, t: t, e: t.entries[name]}
+// Binder binds names against one table of a registry (Registry.Binder).
+type Binder struct {
+	r *Registry
+	t *table
 }
+
+// Binder returns a resolver that binds every name against the table
+// current now. A query binds all its calls through one, so all its ranks
+// run one version of each function, whatever is reloaded meanwhile.
+func (r *Registry) Binder() Binder { return Binder{r, r.tab.Load()} }
+
+// Bind implements expr.FuncResolver.
+func (t Binder) Bind(name string) expr.Callee {
+	return &Callee{r: t.r, name: name, t: t.t, e: t.t.entries[name]}
+}
+
+// Bind implements expr.FuncResolver against the current table.
+func (r *Registry) Bind(name string) expr.Callee { return r.Binder().Bind(name) }
 
 // Call implements expr.Callee.
 func (c *Callee) Call(args []expr.Value, terms expr.Resolver) (expr.Value, float64, error) {
 	return c.r.call(c.t, c.e, c.name, args, terms)
 }
 
-// Memoized re-binds the callee if the registry has published a new
-// table since, and reports whether its calls are memoized (a pure UDF).
-func (c *Callee) Memoized() bool {
-	if t := c.r.tab.Load(); t != c.t {
-		c.t, c.e = t, t.entries[c.name]
-	}
-	return c.e != nil && c.e.pure
-}
+// Memoized reports whether the callee's calls are memoized (a pure UDF).
+func (c *Callee) Memoized() bool { return c.e != nil && c.e.pure }
 
 // AppendKey appends the memo key of a call on args to dst, or returns
 // dst as it was when the call is not memoized by key (an ID without a
@@ -367,8 +373,8 @@ func (c *Callee) AppendKey(dst []byte, args []expr.Value, byID bool) []byte {
 // keys[at[i]:at[i+1]]; an empty key is no call. The keys are grouped by
 // shard and each shard is read under one read lock, so out[i] is key
 // i's memoized answer, or has a null value where there is none. shard
-// and order are scratch of len(out). Call Memoized first; what the
-// probe leaves unanswered is answered by Call.
+// and order are scratch of len(out). Only a Memoized callee has answers;
+// what the probe leaves unanswered is answered by Call.
 func (c *Callee) Probe(keys []byte, at []int32, shard []uint8, order []int32, out []expr.Result) {
 	var next [memoShards + 1]int32
 	for i := range out {
@@ -405,7 +411,10 @@ func (c *Callee) Probe(keys []byte, at []int32, shard []uint8, order []int32, ou
 	}
 }
 
-var _ expr.FuncResolver = (*Registry)(nil)
+var (
+	_ expr.FuncResolver = (*Registry)(nil)
+	_ expr.FuncResolver = Binder{}
+)
 
 // Stats is the per-UDF profiling record of one rank (paper §2.4.1).
 type Stats struct {
