@@ -25,10 +25,10 @@ func (e *Engine) rebuildStatsLocked() {
 }
 
 // SIMILAR execution support: the planner-visible kNN access path
-// (plan.SimilarStep) runs here. Every rank executes the identical
-// deterministic top-k search — the store index is shared and the
-// result is a function of (store, query, k, ef) — so no broadcast is
-// needed: access mode keeps on each rank the hits whose subject triples
+// (plan.SimilarStep) runs here. The top-k search is deterministic — the
+// store index is shared and the result is a function of (store, query,
+// k, ef) — so the physical plan runs it once and every rank uses the
+// hits: access mode keeps on each rank the hits whose subject triples
 // its shard holds (kg.Graph.ShardOf), so a following subject-bound
 // pattern probes that shard's index instead of a hash join, and semi
 // mode filters each rank's stream partition against the full top-k key
@@ -56,11 +56,11 @@ func (e *Engine) similarStore(name string) (*vecstore.Store, error) {
 	return vs, nil
 }
 
-// knnHits runs the top-k search for a SIMILAR clause and maps the hit
-// keys to dictionary IDs (IRI first, then literal). Hits without a
-// graph term are dropped — they cannot join. The rank 0 caller also
-// feeds the ids_vector_* metrics.
-func (e *Engine) knnHits(sp sparql.SimilarPattern, observe bool) ([]dict.ID, vecstore.SearchInfo, error) {
+// knnHits runs the top-k search for a SIMILAR clause, feeds the
+// ids_vector_* metrics and maps the hit keys to dictionary IDs (IRI
+// first, then literal). Hits without a graph term are dropped — they
+// cannot join.
+func (e *Engine) knnHits(sp sparql.SimilarPattern) ([]dict.ID, vecstore.SearchInfo, error) {
 	vs, err := e.similarStore(sp.Store)
 	if err != nil {
 		return nil, vecstore.SearchInfo{}, err
@@ -76,10 +76,8 @@ func (e *Engine) knnHits(sp sparql.SimilarPattern, observe bool) ([]dict.ID, vec
 	if err != nil {
 		return nil, vecstore.SearchInfo{}, err
 	}
-	if observe {
-		e.met.vecSearchSeconds.Observe(time.Since(start).Seconds())
-		e.met.vecVisited.Add(float64(info.Visited))
-	}
+	e.met.vecSearchSeconds.Observe(time.Since(start).Seconds())
+	e.met.vecVisited.Add(float64(info.Visited))
 	ids := make([]dict.ID, 0, len(hits))
 	for _, h := range hits {
 		if id, ok := e.Graph.Dict.LookupIRI(h.Key); ok {
@@ -93,11 +91,11 @@ func (e *Engine) knnHits(sp sparql.SimilarPattern, observe bool) ([]dict.ID, vec
 	return ids, info, nil
 }
 
-// knnOwned keeps, in place, the hits rank owns as subjects (access
-// mode emits each hit once, on the rank whose shard holds its triples,
-// so a subject-bound pattern can join it through that shard's index).
+// knnOwned returns the hits rank owns as subjects (access mode emits
+// each hit once, on the rank whose shard holds its triples, so a
+// subject-bound pattern can join it through that shard's index).
 func (e *Engine) knnOwned(ids []dict.ID, rank int) []dict.ID {
-	out := ids[:0]
+	out := make([]dict.ID, 0, len(ids))
 	for _, id := range ids {
 		if e.Graph.ShardOf(id) == rank {
 			out = append(out, id)
