@@ -104,3 +104,48 @@ func TestUntracedQueryAllocCeiling(t *testing.T) {
 		t.Errorf("untraced 4-rank query: %.0f allocations, ceiling %d", got, ceiling)
 	}
 }
+
+// TestModuleReloadAtomic: a query planned while a module reloads binds
+// every function of one version — never none of them, which would err
+// each call and drop every row, nor two versions. Each version's f and
+// g return its own number, so a row passes FILTER(m.f(?v) = m.g(?v))
+// only when both bind, from one version.
+func TestModuleReloadAtomic(t *testing.T) {
+	e := equivEngine(t, 2)
+	version := func(k int) string {
+		return fmt.Sprintf("def f(x) { return %d }\ndef g(x) { return %d }", k, k)
+	}
+	if err := e.LoadModule("m", version(0)); err != nil {
+		t.Fatal(err)
+	}
+	stop, reloadErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for k := 1; ; k++ {
+			select {
+			case <-stop:
+				reloadErr <- nil
+				return
+			default:
+			}
+			if err := e.ReloadModule("m", version(k)); err != nil {
+				reloadErr <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-reloadErr; err != nil {
+			t.Error(err)
+		}
+	}()
+	for q := 0; q < 200; q++ {
+		res, err := e.Query(`SELECT ?s WHERE { ?s <http://x/score> ?v . FILTER(m.f(?v) = m.g(?v)) }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 40 {
+			t.Fatalf("query %d: %d rows, want 40: it bound no version of m, or two", q, len(res.Rows))
+		}
+	}
+}

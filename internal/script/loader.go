@@ -53,19 +53,18 @@ func (l *Loader) ForceReload(name, src string) (*Module, error) {
 }
 
 // Register binds every function of the module into the registry as a
-// dynamic UDF named "module.fn". Re-registering after ForceReload
-// replaces the bindings.
+// dynamic UDF named "module.fn", in one publication
+// (udf.Registry.ReplaceModule): registering after ForceReload replaces
+// the module's bindings all at once.
 func (l *Loader) Register(reg *udf.Registry, m *Module) error {
+	fns := make(map[string]udf.Func, len(m.Funcs))
 	for name, fd := range m.Funcs {
-		fd := fd
-		mod := m
-		fn := func(args []expr.Value) (expr.Value, error) {
-			in := &interp{mod: mod}
-			return in.invoke(fd, args)
+		fns[name] = func(args []expr.Value) (expr.Value, error) {
+			return (&interp{mod: m}).invoke(fd, args)
 		}
-		if err := reg.RegisterDynamic(m.Name, name, fn, nil); err != nil {
-			return fmt.Errorf("script: registering %s.%s: %w", m.Name, name, err)
-		}
+	}
+	if err := reg.ReplaceModule(m.Name, fns); err != nil {
+		return fmt.Errorf("script: registering module %s: %w", m.Name, err)
 	}
 	return nil
 }
@@ -86,6 +85,5 @@ func (l *Loader) ReloadAndRegister(reg *udf.Registry, name, src string) error {
 	if err != nil {
 		return err
 	}
-	reg.UnloadModule(name)
 	return l.Register(reg, m)
 }

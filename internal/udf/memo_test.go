@@ -197,8 +197,8 @@ func TestMemoContract(t *testing.T) {
 				t.Fatalf("%s: after reload got %s, want 2", form, v)
 			}
 		}
-		if n := r.UnloadModule("mod"); n != 1 {
-			t.Fatalf("unloaded %d, want 1", n)
+		if err := r.ReplaceModule("mod", nil); err != nil {
+			t.Fatal(err)
 		}
 		if m := memoLen(r); m != 0 {
 			t.Fatalf("%d entries survived the unload", m)

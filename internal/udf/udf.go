@@ -192,25 +192,28 @@ func (r *Registry) RegisterDynamic(module, method string, fn Func, cost CostFn) 
 	})
 }
 
-// UnloadModule removes every dynamic UDF belonging to module and
-// returns how many were removed; used by forced module reload. The
-// whole memo is dropped: a reloaded implementation may compute
-// different results for the same arguments.
-func (r *Registry) UnloadModule(module string) int {
-	n := 0
-	_ = r.publish(func(t *table) error { // the edit cannot fail
+// ReplaceModule makes fns, by method name, module's dynamic UDFs in one
+// publication, so a query binds all of one version of the module: never
+// none of it, nor a mix. Functions of the module that fns lacks are
+// removed. Replacing or removing any invalidates the memo once.
+func (r *Registry) ReplaceModule(module string, fns map[string]Func) error {
+	return r.publish(func(t *table) error {
+		gen := t.gen
 		for name, e := range t.entries {
 			if e.dynamic && e.module == module {
 				delete(t.entries, name)
-				n++
+				t.gen = gen + 1
 			}
 		}
-		if n > 0 {
-			t.gen++
+		for method, fn := range fns {
+			name := module + "." + method
+			if _, ok := t.entries[name]; ok {
+				return fmt.Errorf("%w: %s", ErrStatic, name)
+			}
+			t.entries[name] = &entry{fn: fn, dynamic: true, module: module}
 		}
 		return nil
 	})
-	return n
 }
 
 // MarkPure declares the named UDF referentially transparent, enabling
