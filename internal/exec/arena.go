@@ -53,11 +53,13 @@ type Arena struct {
 	// build is the reusable hash-join build structure.
 	build *hashBuild
 	// FILTER scratch (see Filter.Run): the evaluation frame (its call
-	// records, argument stack and result slots grow once), the rank's
-	// conjunct order, the replay's charges and profile records, and a
+	// records, argument stack and result slots grow once), the
+	// conjuncts' estimates, the rank's conjunct order, the replay's charges and profile records, and a
 	// memo probe's keys, key offsets, shard order, shard numbers and
 	// answers, by site.
 	frame    expr.Frame
+	est      []expr.ConjunctStats
+	chain    []expr.Expr
 	progs    []*expr.Prog
 	costs    []float64
 	stats    []*udf.Stats

@@ -23,11 +23,6 @@ type Batch struct {
 	NRows int
 }
 
-// NewBatch returns an empty batch with the given header.
-func NewBatch(vars ...string) *Batch {
-	return &Batch{Vars: vars, Cols: make([][]dict.ID, len(vars))}
-}
-
 // Len returns the local row count.
 func (b *Batch) Len() int { return b.NRows }
 
@@ -177,7 +172,7 @@ func concatChunks(a *Arena, vars []string, chunks []batchChunk) *Batch {
 	for _, c := range chunks {
 		total += c.n
 	}
-	out := &Batch{Vars: vars, Cols: make([][]dict.ID, len(vars)), NRows: total}
+	out := &Batch{Vars: vars, Cols: a.AllocCols(len(vars)), NRows: total}
 	for j := range vars {
 		dst := a.AllocIDs(total)
 		off := 0

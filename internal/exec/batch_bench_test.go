@@ -316,7 +316,7 @@ func TestAllocCeilings(t *testing.T) {
 // one shard owns) through the shard's index: the probe-join twin of the
 // hash join BenchmarkHashJoinBatch measures, with the same answer.
 func probeAge(r *mpp.Rank, g *kg.Graph, l *Batch, a *Arena) (*Batch, error) {
-	out, _ := ProbeJoinBatch(r, g.Shard(0), g.Dict, l, l.Col("t"), pat("?t", "http://x/age", "?v"), a)
+	out, _ := probeJoin(r, g.Shard(0), g.Dict, l, l.Col("t"), pat("?t", "http://x/age", "?v"), a)
 	if out.Len() != l.Len() {
 		return nil, fmt.Errorf("probe join: %d rows, want %d", out.Len(), l.Len())
 	}

@@ -165,6 +165,17 @@ func TestHashJoinBatchMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// newBatch returns an empty batch with the given header.
+func newBatch(vars ...string) *Batch {
+	return &Batch{Vars: vars, Cols: make([][]dict.ID, len(vars))}
+}
+
+// probeJoin joins pat into left through the shard's index, keyed by
+// left's column keyCol (Probe).
+func probeJoin(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch, keyCol int, pat sparql.TriplePattern, a *Arena) (*Batch, int) {
+	return NewProbe(pat, left.Vars, keyCol).Run(r, shard, d, left, a)
+}
+
 // TestProbeJoinBatchMatchesHashJoin joins patterns into a stream whose
 // rows sit on the rank owning their ?t as a subject (a scan with
 // subject ?t) both ways: through each rank's own index, and by the
@@ -188,7 +199,7 @@ func TestProbeJoinBatchMatchesHashJoin(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			out, _ := ProbeJoinBatch(r, g.Shard(r.ID()), g.Dict, l, l.Col("t"), tp, a)
+			out, _ := probeJoin(r, g.Shard(r.ID()), g.Dict, l, l.Col("t"), tp, a)
 			return out, nil
 		})
 		hashed := gathered(t, g, func(r *mpp.Rank, a *Arena) (*Batch, error) {
@@ -210,7 +221,7 @@ func TestProbeJoinBatchMatchesHashJoin(t *testing.T) {
 	runWorld(t, 1, func(r *mpp.Rank) error {
 		g1 := buildGraph(1)
 		l := &Batch{Vars: []string{"t"}, Cols: [][]dict.ID{{dict.None, dict.None}}, NRows: 2}
-		out, matched := ProbeJoinBatch(r, g1.Shard(0), g1.Dict, l, 0, pat("?t", "?p", "?o"), NewArena())
+		out, matched := probeJoin(r, g1.Shard(0), g1.Dict, l, 0, pat("?t", "?p", "?o"), NewArena())
 		if out.Len() != 0 || matched != 0 {
 			return fmt.Errorf("unbound keys matched %d triples into %d rows", matched, out.Len())
 		}
@@ -231,7 +242,7 @@ func TestLeftJoinBatchNullExtension(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		out, err := LeftJoinBatch(r, l, empty, a)
+		out, err := NewJoin(l.Vars, empty.Vars, true).Run(r, l, empty, a)
 		if err != nil {
 			return err
 		}
@@ -451,7 +462,7 @@ func TestGatherToFinishesOnRootOnly(t *testing.T) {
 // clock charge — without running the function again.
 func TestFilterBatchUDFMemoKeys(t *testing.T) {
 	d := dict.New()
-	in := NewBatch("x")
+	in := newBatch("x")
 	for _, lit := range []string{"3", "3.0", "4", "3"} {
 		in.Cols[0] = append(in.Cols[0], d.Encode(dict.Term{Kind: dict.Literal, Value: lit}))
 		in.NRows++

@@ -25,33 +25,39 @@ const scanCostPerTriple = 5e-8
 // joinCostPerRow is the modeled hash-join cost per probed row.
 const joinCostPerRow = 1e-7
 
-// PatternVars is the header a scan of pat gives: its variables in S, P,
-// O order of first appearance.
-func PatternVars(pat sparql.TriplePattern) []string {
-	var vars []string
-	for _, tv := range [3]sparql.TermOrVar{pat.S, pat.P, pat.O} {
-		if tv.IsVar && !slices.Contains(vars, tv.Var) {
-			vars = append(vars, tv.Var)
-		}
-	}
-	return vars
+// Scan is a triple-pattern scan planned once: the pattern and the
+// header its batches carry, its variables in S, P, O order of first
+// appearance.
+type Scan struct {
+	Pat  sparql.TriplePattern
+	Vars []string
 }
 
-// patternLayout resolves pat's constant terms against d and lays out
-// its variables as PatternVars: col[i] is the output column of position
-// i (S, P, O), -1 for a constant. ok is false when a constant is absent
-// from the dictionary (nothing matches).
-func patternLayout(d *dict.Dict, pat sparql.TriplePattern) (tp triple.Pattern, vars []string, col [3]int, ok bool) {
-	ok, vars = true, PatternVars(pat)
+// NewScan plans a scan of pat.
+func NewScan(pat sparql.TriplePattern) *Scan {
+	s := &Scan{Pat: pat}
+	for _, tv := range [3]sparql.TermOrVar{pat.S, pat.P, pat.O} {
+		if tv.IsVar && !slices.Contains(s.Vars, tv.Var) {
+			s.Vars = append(s.Vars, tv.Var)
+		}
+	}
+	return s
+}
+
+// layout resolves the pattern's constant terms against d: col[i] is the
+// output column of position i (S, P, O), -1 for a constant. ok is false
+// when a constant is absent from the dictionary (nothing matches).
+func (s *Scan) layout(d *dict.Dict) (tp triple.Pattern, col [3]int, ok bool) {
+	ok = true
 	var ids [3]dict.ID
-	for i, tv := range [3]sparql.TermOrVar{pat.S, pat.P, pat.O} {
-		col[i] = slices.Index(vars, tv.Var)
+	for i, tv := range [3]sparql.TermOrVar{s.Pat.S, s.Pat.P, s.Pat.O} {
+		col[i] = slices.Index(s.Vars, tv.Var)
 		if !tv.IsVar {
 			id, found := d.Lookup(tv.Term)
 			ids[i], ok, col[i] = id, ok && found, -1
 		}
 	}
-	return triple.Pattern{S: ids[0], P: ids[1], O: ids[2]}, vars, col, ok
+	return triple.Pattern{S: ids[0], P: ids[1], O: ids[2]}, col, ok
 }
 
 // bindTriple writes t's components into vals by layout col. Repeated
@@ -79,10 +85,16 @@ func bindTriple(t triple.Triple, col [3]int, vals *[3]dict.ID) bool {
 // returns the local bindings as ID column vectors. Repeated variables
 // within the pattern are enforced as equality constraints.
 func ScanBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, pat sparql.TriplePattern, a *Arena) (*Batch, error) {
-	tp, vars, col, ok := patternLayout(d, pat)
-	out := NewBatch(vars...)
+	return NewScan(pat).Run(r, shard, d, a), nil
+}
+
+// Run is ScanBatch for the planned pattern.
+func (s *Scan) Run(r *mpp.Rank, shard *triple.Store, d *dict.Dict, a *Arena) *Batch {
+	tp, col, ok := s.layout(d)
+	out := &Batch{Vars: s.Vars, Cols: a.AllocCols(len(s.Vars))}
 	if !ok {
-		return out, nil
+		clear(out.Cols)
+		return out
 	}
 	capacity := shard.Count(tp)
 	for c := range out.Cols {
@@ -105,29 +117,40 @@ func ScanBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, pat sparql.Triple
 	}
 	out.NRows = rows
 	r.Charge(float64(matched) * scanCostPerTriple)
-	return out, nil
+	return out
 }
 
-// ProbeJoinBatch joins pat into left through the shard's spo index: for
-// each left row it matches pat with its subject bound to the row's
-// keyCol cell — one subject range per row, no exchange. pat's subject
-// must be the variable of left's column keyCol. It is a join only when
-// every left row sits on the rank that owns its key as a subject (each
-// triple lives on the shard of its subject, kg.Graph.ShardOf) and pat
-// shares no other variable with left; the engine decides that from the
-// plan alone. The output header is the hash join's: left's columns,
-// then pat's new variables. matched counts the triples the probes
-// touched.
-func ProbeJoinBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch, keyCol int, pat sparql.TriplePattern, a *Arena) (out *Batch, matched int) {
-	tp, vars, col, ok := patternLayout(d, pat)
-	// Pattern column 0 is the subject, which left already carries; the
-	// others follow left's columns.
+// Probe joins a pattern into a stream through the shard's spo index:
+// for each row it matches the pattern with its subject bound to the
+// row's Key cell — one subject range per row, no exchange. The pattern's
+// subject is the variable of that column. It is a join only when every
+// row sits on the rank that owns its key as a subject (each triple lives
+// on the shard of its subject, kg.Graph.ShardOf) and
+// the pattern shares no other variable with the stream; the engine
+// decides that from the plan alone. The output header is the hash
+// join's: the stream's columns, then the pattern's new variables.
+type Probe struct {
+	Scan
+	Key  int
+	Vars []string // output header
+}
+
+// NewProbe plans a probe of pat from rows laid out as left.
+func NewProbe(pat sparql.TriplePattern, left []string, key int) *Probe {
+	p := &Probe{Scan: *NewScan(pat), Key: key}
+	p.Vars = append(slices.Clip(left), p.Scan.Vars[1:]...) // the subject is left's
+	return p
+}
+
+// Run joins the pattern into left, laid out as planned; matched counts
+// the triples the probes touched.
+func (p *Probe) Run(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch, a *Arena) (out *Batch, matched int) {
+	tp, col, ok := p.layout(d)
 	nl := len(left.Vars)
-	outVars := append(left.Vars[:nl:nl], vars[1:]...)
 	// One subject range per row: sel collects the left row of each
 	// match and binds its pattern bindings; the columns are built to
 	// size from them.
-	keys := left.Cols[keyCol]
+	keys := left.Cols[p.Key]
 	sel, binds := scratch(a, &a.sel, left.NRows)[:0], a.binds[:0]
 	for i := 0; i < left.NRows && ok; i++ {
 		if tp.S = keys[i]; tp.S == dict.None {
@@ -144,7 +167,7 @@ func ProbeJoinBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch,
 		})
 	}
 	n := len(sel)
-	out = &Batch{Vars: outVars, Cols: a.AllocCols(len(outVars)), NRows: n}
+	out = &Batch{Vars: p.Vars, Cols: a.AllocCols(len(p.Vars)), NRows: n}
 	for c := range out.Cols {
 		to := a.AllocIDs(n)
 		if c < nl {
@@ -164,42 +187,34 @@ func ProbeJoinBatch(r *mpp.Rank, shard *triple.Store, d *dict.Dict, left *Batch,
 	return out, matched
 }
 
-// sharedVarsBatch returns the variables common to both headers.
-func sharedVarsBatch(a, b *Batch) []string {
-	var out []string
-	for _, v := range a.Vars {
-		if b.Col(v) >= 0 {
-			out = append(out, v)
-		}
+// partitionBatch routes each row to the rank its join key hashes to
+// and returns the p send chunks.
+func partitionBatch(a *Arena, b *Batch, keyIdx []int, p int) []batchChunk {
+	dest := a.AllocIDs(b.NRows) // dict.ID is uint64
+	for i := range dest {
+		dest[i] = dict.ID(hashBatchRow(b.Cols, keyIdx, i) % uint64(p))
 	}
-	return out
+	return routeBatch(a, b, dest, p)
 }
 
-// partitionBatch routes each row to the rank owning its join key and
-// returns the p send chunks (arena-backed, counting-sort layout).
-func partitionBatch(a *Arena, b *Batch, keyIdx []int, p int) []batchChunk {
-	n := b.NRows
-	hv := a.AllocIDs(n) // hash scratch: dict.ID is uint64
+// routeBatch returns the p send chunks that route row i of b to rank
+// dest[i] (arena-backed, counting-sort layout).
+func routeBatch(a *Arena, b *Batch, dest []dict.ID, p int) []batchChunk {
 	// Counting-sort counters live in one reused int scratch: counts,
 	// offsets (p+1) and cursors back to back.
 	s := scratch(a, &a.parts, 3*p+1)
 	counts, offs, cur := s[0:p], s[p:2*p+1], s[2*p+1:3*p+1]
-	for d := range counts {
-		counts[d] = 0
-	}
-	for i := 0; i < n; i++ {
-		h := hashBatchRow(b.Cols, keyIdx, i)
-		hv[i] = dict.ID(h)
-		counts[h%uint64(p)]++
+	clear(counts)
+	for _, d := range dest {
+		counts[d]++
 	}
 	offs[0] = 0
 	for d := 0; d < p; d++ {
 		offs[d+1] = offs[d] + counts[d]
 	}
-	sel := scratch(a, &a.sel, n)
+	sel := scratch(a, &a.sel, len(dest))
 	copy(cur, offs[:p])
-	for i := 0; i < n; i++ {
-		d := uint64(hv[i]) % uint64(p)
+	for i, d := range dest {
 		sel[cur[d]] = int32(i)
 		cur[d]++
 	}
@@ -223,18 +238,18 @@ func buildBatch(a *Arena, b *Batch, keyIdx []int) *hashBuild {
 
 // joinOutput gathers the probe/build row pairs into the join's output
 // batch. rsel entries of -1 null-extend (LeftJoin).
-func joinOutput(a *Arena, outVars []string, lb *Batch, lsel []int32, rb *Batch, rAppend []int, rsel []int32) *Batch {
+func (j *Join) output(a *Arena, lb *Batch, lsel []int32, rb *Batch, rsel []int32) *Batch {
 	nout := len(lsel)
-	out := &Batch{Vars: outVars, Cols: make([][]dict.ID, len(outVars)), NRows: nout}
-	for j := range lb.Vars {
+	out := &Batch{Vars: j.Vars, Cols: a.AllocCols(len(j.Vars)), NRows: nout}
+	for c := range lb.Vars {
 		dst := a.AllocIDs(nout)
-		col := lb.Cols[j]
+		col := lb.Cols[c]
 		for k, li := range lsel {
 			dst[k] = col[li]
 		}
-		out.Cols[j] = dst
+		out.Cols[c] = dst
 	}
-	for j, rc := range rAppend {
+	for c, rc := range j.rAppend {
 		dst := a.AllocIDs(nout)
 		col := rb.Cols[rc]
 		for k, ri := range rsel {
@@ -244,29 +259,44 @@ func joinOutput(a *Arena, outVars []string, lb *Batch, lsel []int32, rb *Batch, 
 				dst[k] = dict.None
 			}
 		}
-		out.Cols[len(lb.Vars)+j] = dst
+		out.Cols[len(lb.Vars)+c] = dst
 	}
 	return out
 }
 
-// JoinHeader computes a join's output header — left's columns, then
-// right's that left lacks — and the right-side columns appended.
-func JoinHeader(left, right []string) (outVars []string, rAppend []int) {
-	outVars = append([]string{}, left...)
-	for i, v := range right {
-		if !slices.Contains(left, v) {
-			outVars = append(outVars, v)
-			rAppend = append(rAppend, i)
-		}
-	}
-	return outVars, rAppend
+// Join is a hash join planned for fixed input headers: its output
+// header (left's columns, then right's that left lacks), the right-side
+// columns it appends, and each side's columns of the variables the
+// headers share, its key.
+type Join struct {
+	Vars       []string
+	rAppend    []int
+	lIdx, rIdx []int
+	leftJoin   bool
 }
 
-// crossJoinBatch replicates the right side and produces the cross
-// product (leftJoin additionally null-extends when the right side is
-// globally empty).
-func crossJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*Batch, error) {
-	outVars, rAppend := JoinHeader(left.Vars, right.Vars)
+// NewJoin plans a join of rows laid out as right into rows laid out as
+// left; leftJoin gives it OPTIONAL semantics: left rows without a match
+// survive with dict.None in the right columns.
+func NewJoin(left, right []string, leftJoin bool) *Join {
+	j := &Join{Vars: slices.Clip(left), leftJoin: leftJoin}
+	for l, v := range left {
+		if r := slices.Index(right, v); r >= 0 {
+			j.lIdx, j.rIdx = append(j.lIdx, l), append(j.rIdx, r)
+		}
+	}
+	for r, v := range right {
+		if !slices.Contains(left, v) {
+			j.Vars, j.rAppend = append(j.Vars, v), append(j.rAppend, r)
+		}
+	}
+	return j
+}
+
+// cross replicates the right side and produces the cross product (a
+// left join additionally null-extends when the right side is globally
+// empty).
+func (j *Join) cross(r *mpp.Rank, left, right *Batch, a *Arena) (*Batch, error) {
 	allRight, err := mpp.AllGatherSized(r, sliceChunk(a, right, 0, right.NRows), chunkRows)
 	if err != nil {
 		return nil, err
@@ -275,34 +305,34 @@ func crossJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*
 	for _, part := range allRight {
 		total += part.n
 	}
-	if total == 0 && leftJoin {
+	if total == 0 && j.leftJoin {
 		// Null-extend every left row.
-		out := &Batch{Vars: outVars, Cols: make([][]dict.ID, len(outVars)), NRows: left.NRows}
+		out := &Batch{Vars: j.Vars, Cols: a.AllocCols(len(j.Vars)), NRows: left.NRows}
 		copy(out.Cols, left.Cols)
-		for j := range rAppend {
+		for c := range j.rAppend {
 			dst := a.AllocIDs(left.NRows)
 			for k := range dst {
 				dst[k] = dict.None
 			}
-			out.Cols[len(left.Vars)+j] = dst
+			out.Cols[len(left.Vars)+c] = dst
 		}
 		r.Charge(float64(left.NRows) * joinCostPerRow)
 		return out, nil
 	}
 	nout := left.NRows * total
-	out := &Batch{Vars: outVars, Cols: make([][]dict.ID, len(outVars)), NRows: nout}
-	for j := range outVars {
-		out.Cols[j] = a.AllocIDs(nout)
+	out := &Batch{Vars: j.Vars, Cols: a.AllocCols(len(j.Vars)), NRows: nout}
+	for c := range j.Vars {
+		out.Cols[c] = a.AllocIDs(nout)
 	}
 	k := 0
 	for lr := 0; lr < left.NRows; lr++ {
 		for _, part := range allRight {
 			for i := 0; i < part.n; i++ {
-				for j := range left.Vars {
-					out.Cols[j][k] = left.Cols[j][lr]
+				for c := range left.Vars {
+					out.Cols[c][k] = left.Cols[c][lr]
 				}
-				for j, rc := range rAppend {
-					out.Cols[len(left.Vars)+j][k] = part.cols[rc][i]
+				for c, rc := range j.rAppend {
+					out.Cols[len(left.Vars)+c][k] = part.cols[rc][i]
 				}
 				k++
 			}
@@ -317,28 +347,15 @@ func crossJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*
 // column chunks), the right side builds, the left side probes, and the
 // matching row pairs gather column-wise into the output.
 func HashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena) (*Batch, error) {
-	return hashJoinBatch(r, left, right, a, false)
+	return NewJoin(left.Vars, right.Vars, false).Run(r, left, right, a)
 }
 
-// LeftJoinBatch joins right into left with OPTIONAL semantics: left
-// rows without a match survive with dict.None in the right columns.
-func LeftJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena) (*Batch, error) {
-	return hashJoinBatch(r, left, right, a, true)
-}
-
-func hashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*Batch, error) {
-	shared := sharedVarsBatch(left, right)
-	if len(shared) == 0 {
-		return crossJoinBatch(r, left, right, a, leftJoin)
+// Run joins right into left, laid out as planned.
+func (j *Join) Run(r *mpp.Rank, left, right *Batch, a *Arena) (*Batch, error) {
+	if len(j.lIdx) == 0 {
+		return j.cross(r, left, right, a)
 	}
-	outVars, rAppend := JoinHeader(left.Vars, right.Vars)
-	p := r.Size()
-	lIdx := make([]int, len(shared))
-	rIdx := make([]int, len(shared))
-	for i, v := range shared {
-		lIdx[i] = left.Col(v)
-		rIdx[i] = right.Col(v)
-	}
+	lIdx, rIdx, p := j.lIdx, j.rIdx, r.Size()
 	lRecv, err := mpp.AllToAllSized(r, partitionBatch(a, left, lIdx, p), chunkRows)
 	if err != nil {
 		return nil, err
@@ -357,19 +374,19 @@ func hashJoinBatch(r *mpp.Rank, left, right *Batch, a *Arena, leftJoin bool) (*B
 	for i := 0; i < lb.NRows; i++ {
 		probes++
 		matched := false
-		for j := *hb.bucket(hashBatchRow(lb.Cols, lIdx, i)); j >= 0; j = hb.next[j] {
-			if batchKeyEqual(lb.Cols, lIdx, i, rb.Cols, rIdx, int(j)) {
+		for k := *hb.bucket(hashBatchRow(lb.Cols, lIdx, i)); k >= 0; k = hb.next[k] {
+			if batchKeyEqual(lb.Cols, lIdx, i, rb.Cols, rIdx, int(k)) {
 				matched = true
 				lsel = append(lsel, int32(i))
-				rsel = append(rsel, int32(j))
+				rsel = append(rsel, int32(k))
 			}
 		}
-		if !matched && leftJoin {
+		if !matched && j.leftJoin {
 			lsel = append(lsel, int32(i))
 			rsel = append(rsel, -1)
 		}
 	}
-	out := joinOutput(a, outVars, lb, lsel, rb, rAppend, rsel)
+	out := j.output(a, lb, lsel, rb, rsel)
 	saveScratch(a, &a.sel, lsel)
 	saveScratch(a, &a.selB, rsel)
 	r.Charge(float64(probes+out.NRows) * joinCostPerRow)
@@ -458,14 +475,15 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 type Filter struct {
 	Chain []expr.Expr
 	progs []*expr.Prog
+	calls [][]string // each conjunct's expr.CallNames, for its estimate
 }
 
 // CompileFilter compiles e's conjuncts for rows laid out as vars.
 func CompileFilter(e expr.Expr, vars []string, funcs expr.FuncResolver) *Filter {
 	flt := &Filter{Chain: expr.Conjuncts(e)}
-	flt.progs = make([]*expr.Prog, len(flt.Chain))
+	flt.progs, flt.calls = make([]*expr.Prog, len(flt.Chain)), make([][]string, len(flt.Chain))
 	for k, c := range flt.Chain {
-		flt.progs[k] = expr.Compile(c, vars, funcs)
+		flt.progs[k], flt.calls[k] = expr.Compile(c, vars, funcs), expr.CallNames(c)
 	}
 	return flt
 }
@@ -487,11 +505,16 @@ func (flt *Filter) Run(r *mpp.Rank, b *Batch, prof *udf.Profiler, res expr.Resol
 	if opts.SpeedFactor <= 0 {
 		opts.SpeedFactor = 1
 	}
-	chain, progs := flt.Chain, flt.progs
+	// The conjuncts' estimates, in the order they run (expr.SortConjuncts).
+	chain, progs, est := flt.Chain, flt.progs, scratch(a, &a.est, len(flt.Chain))
+	for k, c := range flt.Chain {
+		est[k] = expr.EstimateCalls(c, flt.calls[k], prof)
+	}
 	if opts.Reorder {
-		chain, progs = expr.ReorderChain(chain, prof), scratch(a, &a.progs, len(chain))
-		for k, c := range chain {
-			progs[k] = flt.progs[slices.Index(flt.Chain, c)]
+		expr.SortConjuncts(est)
+		chain, progs = scratch(a, &a.chain, len(est)), scratch(a, &a.progs, len(est))
+		for k, c := range est {
+			chain[k], progs[k] = c.Expr, flt.progs[slices.Index(flt.Chain, c.Expr)]
 		}
 	}
 	if opts.Logger != nil && opts.Logger.Enabled(opts.logCtx(), slog.LevelDebug) && len(chain) > 1 {
@@ -505,8 +528,8 @@ func (flt *Filter) Run(r *mpp.Rank, b *Batch, prof *udf.Profiler, res expr.Resol
 	stats := FilterStats{RowsBefore: b.Len(), Chain: chain}
 	if opts.Rebalance != RebalanceNone {
 		secPerSol := 0.0
-		for _, c := range chain {
-			secPerSol += expr.EstimateConjunct(c, prof).Cost
+		for _, c := range est {
+			secPerSol += c.Cost
 		}
 		rate := 1e9 // effectively free when nothing is profiled
 		if secPerSol > 0 {

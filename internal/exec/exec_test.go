@@ -115,7 +115,7 @@ func TestScanBatchRepeatedVariable(t *testing.T) {
 // idBatch builds a batch whose cells are the dictionary IDs of the given
 // literals, one row per element of rows.
 func idBatch(d *dict.Dict, vars []string, rows ...[]string) *Batch {
-	b := NewBatch(vars...)
+	b := newBatch(vars...)
 	for _, row := range rows {
 		for c, lit := range row {
 			b.Cols[c] = append(b.Cols[c], d.Encode(dict.Term{Kind: dict.Literal, Value: lit}))
@@ -286,7 +286,7 @@ func TestSendRowMatchesTransferPlan(t *testing.T) {
 // rawBatch is a one-column batch ?v of the IDs lo+1 .. lo+n: re-balancing
 // moves cells without decoding them, so the IDs need no dictionary.
 func rawBatch(lo, n int) *Batch {
-	b := NewBatch("v")
+	b := newBatch("v")
 	for i := 1; i <= n; i++ {
 		b.Cols[0] = append(b.Cols[0], dict.ID(lo+i))
 	}
@@ -584,7 +584,7 @@ func TestFilterBatchWithRebalance(t *testing.T) {
 	runWorld(t, 4, func(r *mpp.Rank) error {
 		mine := in
 		if r.ID() != 0 {
-			mine = NewBatch("v")
+			mine = newBatch("v")
 		}
 		_, stats, err := FilterBatch(r, mine, call("gt10"), reg, udf.NewProfiler(), res, FilterOpts{Rebalance: RebalanceCount}, NewArena())
 		if err != nil {

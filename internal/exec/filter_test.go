@@ -22,7 +22,7 @@ import (
 func semanticsBatch() (*Batch, *dict.Dict) {
 	d := dict.New()
 	lit := func(s string) dict.ID { return d.Encode(dict.Term{Kind: dict.Literal, Value: s}) }
-	b := NewBatch("v", "d", "s")
+	b := newBatch("v", "d", "s")
 	for i := 0; i < 8; i++ {
 		v := strconv.Itoa(i)
 		od := dict.None
@@ -191,7 +191,7 @@ func TestFilterSemantics(t *testing.T) {
 func TestFilterBatchMemoRaceReload(t *testing.T) {
 	const nArgs, ranks = 16, 4
 	d := dict.New()
-	in := NewBatch("x")
+	in := newBatch("x")
 	for i := 0; i < 4*probeRows; i++ { // four probes per pass
 		in.Cols[0] = append(in.Cols[0], d.Encode(dict.Term{Kind: dict.Literal, Value: strconv.Itoa(i % nArgs)}))
 		in.NRows++

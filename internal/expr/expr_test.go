@@ -398,12 +398,26 @@ func (f fakeEst) RejectRate(name string) float64 { return f.rejects[name] }
 
 func callNamed(name string) Expr { return &Call{Name: name} }
 
+// reorderChain is the order a rank runs chain's conjuncts in.
+func reorderChain(chain []Expr, est Estimator) []Expr {
+	stats := make([]ConjunctStats, len(chain))
+	for i, c := range chain {
+		stats[i] = EstimateCalls(c, CallNames(c), est)
+	}
+	SortConjuncts(stats)
+	out := make([]Expr, len(stats))
+	for i, s := range stats {
+		out[i] = s.Expr
+	}
+	return out
+}
+
 func TestReorderByCost(t *testing.T) {
 	est := fakeEst{
 		costs: map[string]float64{"dock": 35, "dtba": 0.5, "sw": 0.001, "pic50": 0.00001},
 	}
 	chain := []Expr{callNamed("dock"), callNamed("dtba"), callNamed("sw"), callNamed("pic50")}
-	got := ReorderChain(chain, est)
+	got := reorderChain(chain, est)
 	want := []string{"pic50", "sw", "dtba", "dock"}
 	for i, e := range got {
 		if e.(*Call).Name != want[i] {
@@ -418,7 +432,7 @@ func TestReorderTieBreakBySelectivity(t *testing.T) {
 		costs:   map[string]float64{"a": 1.0, "b": 1.1},
 		rejects: map[string]float64{"a": 0.1, "b": 0.9},
 	}
-	got := ReorderChain([]Expr{callNamed("a"), callNamed("b")}, est)
+	got := reorderChain([]Expr{callNamed("a"), callNamed("b")}, est)
 	if got[0].(*Call).Name != "b" {
 		t.Fatalf("tie-break failed: first = %s", got[0].(*Call).Name)
 	}
@@ -427,7 +441,7 @@ func TestReorderTieBreakBySelectivity(t *testing.T) {
 		costs:   map[string]float64{"a": 1.0, "b": 10},
 		rejects: map[string]float64{"a": 0.1, "b": 0.9},
 	}
-	got = ReorderChain([]Expr{callNamed("b"), callNamed("a")}, est2)
+	got = reorderChain([]Expr{callNamed("b"), callNamed("a")}, est2)
 	if got[0].(*Call).Name != "a" {
 		t.Fatalf("cost order failed: first = %s", got[0].(*Call).Name)
 	}
@@ -436,7 +450,7 @@ func TestReorderTieBreakBySelectivity(t *testing.T) {
 func TestReorderPlainConjunctsFirst(t *testing.T) {
 	est := fakeEst{costs: map[string]float64{"udf": 0.5}}
 	plain := &Cmp{Op: GT, L: &Var{Name: "x"}, R: &Const{Val: Float(0)}}
-	got := ReorderChain([]Expr{callNamed("udf"), plain}, est)
+	got := reorderChain([]Expr{callNamed("udf"), plain}, est)
 	if _, ok := got[0].(*Cmp); !ok {
 		t.Fatal("plain comparison should evaluate before UDFs")
 	}
@@ -444,7 +458,7 @@ func TestReorderPlainConjunctsFirst(t *testing.T) {
 
 func TestReorderUnknownUDFLast(t *testing.T) {
 	est := fakeEst{costs: map[string]float64{"known": 0.01}}
-	got := ReorderChain([]Expr{callNamed("mystery"), callNamed("known")}, est)
+	got := reorderChain([]Expr{callNamed("mystery"), callNamed("known")}, est)
 	if got[0].(*Call).Name != "known" {
 		t.Fatal("unprofiled UDF should be pessimistically late")
 	}
@@ -453,12 +467,12 @@ func TestReorderUnknownUDFLast(t *testing.T) {
 func TestReorderWholeExpr(t *testing.T) {
 	est := fakeEst{costs: map[string]float64{"slow": 10, "fast": 0.001}}
 	e := &And{Children: []Expr{callNamed("slow"), callNamed("fast")}}
-	if got := ReorderChain(Conjuncts(e), est); got[0].(*Call).Name != "fast" {
+	if got := reorderChain(Conjuncts(e), est); got[0].(*Call).Name != "fast" {
 		t.Fatalf("ReorderChain = %v", got)
 	}
 	// A non-conjunction is a chain of one, unchanged.
 	single := callNamed("slow")
-	if got := ReorderChain(Conjuncts(single), est); len(got) != 1 || got[0] != Expr(single) {
+	if got := reorderChain(Conjuncts(single), est); len(got) != 1 || got[0] != Expr(single) {
 		t.Fatal("single expression should be unchanged")
 	}
 }
@@ -474,7 +488,7 @@ func TestReorderPreservesConjuncts(t *testing.T) {
 		for i, n := range names {
 			chain[i] = callNamed("f" + n)
 		}
-		out := ReorderChain(chain, est)
+		out := reorderChain(chain, est)
 		if len(out) != len(chain) {
 			return false
 		}

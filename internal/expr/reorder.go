@@ -1,6 +1,6 @@
 package expr
 
-import "sort"
+import "slices"
 
 // This file implements the FILTER expression optimization of paper
 // §2.4.3: before evaluating a conjunction that contains UDF calls,
@@ -41,11 +41,12 @@ type ConjunctStats struct {
 	RejectRate float64 // estimated fraction of solutions rejected
 }
 
-// EstimateConjunct computes cost and rejection estimates for one
-// conjunct from the estimator's profiling data.
-func EstimateConjunct(e Expr, est Estimator) ConjunctStats {
+// EstimateCalls computes cost and rejection estimates for conjunct e,
+// whose UDF calls are calls (CallNames), from the estimator's profiling
+// data.
+func EstimateCalls(e Expr, calls []string, est Estimator) ConjunctStats {
 	cs := ConjunctStats{Expr: e, Cost: cheapConjunctCost}
-	for _, name := range CallNames(e) {
+	for _, name := range calls {
 		c, ok := est.EstimateCost(name)
 		if !ok {
 			c = unknownUDFCost
@@ -58,33 +59,31 @@ func EstimateConjunct(e Expr, est Estimator) ConjunctStats {
 	return cs
 }
 
-// ReorderChain orders a conjunct list by ascending estimated cost;
-// conjuncts whose costs fall within the similarity band are ordered by
-// descending rejection rate so the stronger pruner runs first. The
-// sort is stable with respect to the input for exact ties.
-func ReorderChain(chain []Expr, est Estimator) []Expr {
-	stats := make([]ConjunctStats, len(chain))
-	for i, c := range chain {
-		stats[i] = EstimateConjunct(c, est)
-	}
-	sort.SliceStable(stats, func(i, j int) bool {
-		a, b := stats[i], stats[j]
-		hi, lo := a.Cost, b.Cost
-		if hi < lo {
-			hi, lo = lo, hi
+// SortConjuncts orders conjunct estimates, in place, by ascending
+// estimated cost; conjuncts whose costs fall within the similarity band
+// are ordered by descending rejection rate so the stronger pruner runs
+// first. The sort is stable with respect to the input for exact ties.
+func SortConjuncts(stats []ConjunctStats) {
+	slices.SortStableFunc(stats, func(a, b ConjunctStats) int {
+		if runsFirst(a, b) {
+			return -1
 		}
-		if lo > 0 && hi/lo <= similarityBand {
-			// Similar cost: stronger pruner first.
-			if a.RejectRate != b.RejectRate {
-				return a.RejectRate > b.RejectRate
-			}
-			return false // stable
+		if runsFirst(b, a) {
+			return 1
 		}
-		return a.Cost < b.Cost
+		return 0
 	})
-	out := make([]Expr, len(stats))
-	for i, s := range stats {
-		out[i] = s.Expr
+}
+
+// runsFirst reports whether conjunct a runs before b.
+func runsFirst(a, b ConjunctStats) bool {
+	hi, lo := a.Cost, b.Cost
+	if hi < lo {
+		hi, lo = lo, hi
 	}
-	return out
+	if lo > 0 && hi/lo <= similarityBand {
+		// Similar cost: stronger pruner first.
+		return a.RejectRate > b.RejectRate // equal: stable
+	}
+	return a.Cost < b.Cost
 }

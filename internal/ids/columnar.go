@@ -21,9 +21,10 @@ import (
 // Plan execution. Engine.physical lowers the planner's steps once per
 // query, on the coordinating goroutine, to a flat operator list that
 // fixes what every rank does alike: each operator's access method, the
-// column layouts it reads, SIMILAR placement and the probe joins it
-// allows, every FILTER compiled for its layout (one registry table binds
-// all UDF calls of the query), the trace labels. Ranks share the list
+// column layouts it reads and writes and its join keys, SIMILAR
+// placement and the probe joins it allows, every FILTER compiled for its
+// layout (one registry table binds all UDF calls of the query), the
+// trace labels. Ranks share the list
 // read-only and run one loop over it (rankExec.run). A rank decides only
 // what rests on its own data: a FILTER's conjunct order, from its
 // profile, and re-balancing. Batches of dict IDs flow through arena
@@ -58,8 +59,8 @@ func slotFrom(ctx context.Context) int {
 
 // physOp is one operator of a query's physical plan, built on the
 // coordinating goroutine and only read by the ranks. run is its access
-// method with everything static bound in (pattern, placement, compiled
-// programs); it gets the batches the operator reads, popped off the
+// method with everything static bound in (pattern, headers and join
+// keys, placement, compiled programs); it gets the batches the operator reads, popped off the
 // stack once their headers matched ins, pushes what it leaves, and notes
 // its rows on the open sample. Read in before pushing: it aliases the
 // stack. label and note are rendered for a traced query only.
@@ -302,36 +303,36 @@ func (pb *planBuilder) steps(steps []plan.Step) (stream, error) {
 
 // pattern lowers a triple pattern. When the stream is placed on the
 // pattern's subject and shares no other variable with it, the pattern
-// joins through the rank's own spo index (a probe, which keeps the
-// placement); else it is scanned and hash-joined in. The choice reads
-// only the plan, as it must: the hash join enters collectives.
+// joins through the rank's own spo index (a probe, exec.Probe, which
+// keeps the placement); else it is scanned and hash-joined in. The
+// choice reads only the plan, as it must: the hash join enters
+// collectives.
 func (pb *planBuilder) pattern(s stream, pat sparql.TriplePattern, placed string) stream {
-	vars := exec.PatternVars(pat)
+	scan := exec.NewScan(pat)
 	op := physOp{op: "scan", phase: "scan"}
 	if pb.traced {
 		op.label = pat.String()
 	}
 	if placed == "" || !pat.S.IsVar || pat.S.Var != placed ||
-		slices.ContainsFunc(vars[1:], func(v string) bool { return slices.Contains(s.vars, v) }) {
+		slices.ContainsFunc(scan.Vars[1:], func(v string) bool { return slices.Contains(s.vars, v) }) {
 		op.run = func(x *rankExec, _ []*exec.Batch) error {
-			t, err := exec.ScanBatch(x.r, x.e.Graph.Shard(x.r.ID()), x.e.Graph.Dict, pat, x.a)
-			return x.push(t, 0, err)
+			return x.push(scan.Run(x.r, x.e.Graph.Shard(x.r.ID()), x.e.Graph.Dict, x.a), 0, nil)
 		}
 		pb.add(op)
-		return pb.joinIn(s, vars, false)
+		return pb.joinIn(s, scan.Vars, false)
 	}
-	key := slices.Index(s.vars, placed)
+	probe := exec.NewProbe(pat, s.vars, slices.Index(s.vars, placed))
 	if op.ins = [][]string{s.vars}; pb.traced {
 		op.note = "probe ?" + placed
 	}
 	op.run = func(x *rankExec, in []*exec.Batch) error {
-		out, matched := exec.ProbeJoinBatch(x.r, x.e.Graph.Shard(x.r.ID()), x.e.Graph.Dict, in[0], key, pat, x.a)
+		out, matched := probe.Run(x.r, x.e.Graph.Shard(x.r.ID()), x.e.Graph.Dict, in[0], x.a)
 		x.push(out, in[0].Len(), nil)
 		x.rowsOut = matched
 		return nil
 	}
 	pb.add(op)
-	return stream{seeded: true, vars: append(slices.Clip(s.vars), vars[1:]...), owned: placed}
+	return stream{seeded: true, vars: probe.Vars, owned: placed}
 }
 
 // joinIn seeds the stream with an operator's output laid out as vars,
@@ -340,17 +341,17 @@ func (pb *planBuilder) joinIn(s stream, vars []string, optional bool) stream {
 	if !s.seeded {
 		return stream{seeded: true, vars: vars}
 	}
-	op, join := physOp{ins: [][]string{s.vars, vars}, op: "join", phase: "join"}, exec.HashJoinBatch
+	join := exec.NewJoin(s.vars, vars, optional)
+	op := physOp{ins: [][]string{s.vars, vars}, op: "join", phase: "join"}
 	if optional {
-		op.op, join = "optional", exec.LeftJoinBatch
+		op.op = "optional"
 	}
 	op.run = func(x *rankExec, in []*exec.Batch) error {
-		out, err := join(x.r, in[0], in[1], x.a)
+		out, err := join.Run(x.r, in[0], in[1], x.a)
 		return x.push(out, in[0].Len()+in[1].Len(), err)
 	}
 	pb.add(op)
-	out, _ := exec.JoinHeader(s.vars, vars)
-	return stream{seeded: true, vars: out}
+	return stream{seeded: true, vars: join.Vars}
 }
 
 // rankExec runs a physical plan on one rank: a stack of batches (a UNION

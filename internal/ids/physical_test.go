@@ -99,7 +99,7 @@ func TestUntracedQueryAllocCeiling(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		run() // warm the arenas, the memo and the resolver
 	}
-	const ceiling = 476
+	const ceiling = 336
 	if got := testing.AllocsPerRun(20, run); got > ceiling {
 		t.Errorf("untraced 4-rank query: %.0f allocations, ceiling %d", got, ceiling)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // The engine joins SIMILAR hits through the owning rank's own index
-// (exec.ProbeJoinBatch), which is only a join while every triple sits
+// (exec.Probe), which is only a join while every triple sits
 // on the shard of its subject. These tests pin that rule on every way a
 // graph comes to be: generated, updated, restored into another shard
 // count, and replayed from the write-ahead log.

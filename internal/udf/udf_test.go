@@ -197,12 +197,12 @@ func TestRegistryImplementsEstimatorPipeline(t *testing.T) {
 		}
 		record(p, "pricey", c, true)
 	}
-	chain := []expr.Expr{
-		&expr.Call{Name: "pricey"},
-		&expr.Call{Name: "cheap"},
+	var chain []expr.ConjunctStats
+	for _, name := range []string{"pricey", "cheap"} {
+		chain = append(chain, expr.EstimateCalls(&expr.Call{Name: name}, []string{name}, p))
 	}
-	ordered := expr.ReorderChain(chain, p)
-	if ordered[0].(*expr.Call).Name != "cheap" {
+	expr.SortConjuncts(chain)
+	if chain[0].Expr.(*expr.Call).Name != "cheap" {
 		t.Fatal("profiled costs did not drive reordering")
 	}
 }
