@@ -125,7 +125,7 @@ func (s *Scan) Run(r *mpp.Rank, shard *triple.Store, d *dict.Dict, a *Arena) *Ba
 // row's Key cell — one subject range per row, no exchange. The pattern's
 // subject is the variable of that column. It is a join only when every
 // row sits on the rank that owns its key as a subject (each triple lives
-// on the shard of its subject, kg.Graph.ShardOf) and
+// on the shard of its subject, kg.Graph.ShardOf; see ExchangeBatch) and
 // the pattern shares no other variable with the stream; the engine
 // decides that from the plan alone. The output header is the hash
 // join's: the stream's columns, then the pattern's new variables.
@@ -195,6 +195,22 @@ func partitionBatch(a *Arena, b *Batch, keyIdx []int, p int) []batchChunk {
 		dest[i] = dict.ID(hashBatchRow(b.Cols, keyIdx, i) % uint64(p))
 	}
 	return routeBatch(a, b, dest, p)
+}
+
+// ExchangeBatch sends each row of b to the rank owner names for its
+// keyCol cell, in one all-to-all, and returns the rows this rank
+// receives. With kg.Graph.ShardOf for owner, every row then sits on the
+// rank whose shard holds its key's triples as a subject (Probe).
+func ExchangeBatch(r *mpp.Rank, b *Batch, keyCol int, owner func(dict.ID) int, a *Arena) (*Batch, error) {
+	dest := a.AllocIDs(b.NRows)
+	for i := range dest {
+		dest[i] = dict.ID(owner(b.Cols[keyCol][i]))
+	}
+	recv, err := mpp.AllToAllSized(r, routeBatch(a, b, dest, r.Size()), chunkRows)
+	if err != nil {
+		return nil, err
+	}
+	return concatChunks(a, b.Vars, recv), nil
 }
 
 // routeBatch returns the p send chunks that route row i of b to rank

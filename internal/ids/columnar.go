@@ -20,11 +20,11 @@ import (
 
 // Plan execution. Engine.physical lowers the planner's steps once per
 // query, on the coordinating goroutine, to a flat operator list that
-// fixes what every rank does alike: each operator's access method, the
-// column layouts it reads and writes and its join keys, SIMILAR
-// placement and the probe joins it allows, every FILTER compiled for its
-// layout (one registry table binds all UDF calls of the query), the
-// trace labels. Ranks share the list
+// fixes what every rank does alike: each operator's access method (a
+// subject join's among three, planBuilder.pattern), the column layouts
+// it reads and writes and its join keys, SIMILAR placement, every FILTER
+// compiled for its layout (one registry table binds all UDF calls of the
+// query), the trace labels. Ranks share the list
 // read-only and run one loop over it (rankExec.run). A rank decides only
 // what rests on its own data: a FILTER's conjunct order, from its
 // profile, and re-balancing. Batches of dict IDs flow through arena
@@ -90,13 +90,19 @@ type planBuilder struct {
 }
 
 // stream is the builder's view of a running stream: whether an access
-// path has seeded it, its layout, and the variable whose every row sits
-// on the rank that owns its value as a subject ("" for none).
+// path has seeded it, its layout, the variable whose every row sits on
+// the rank that owns its value as a subject ("" for none), and the
+// plan's estimate of its rows (-1: unknown).
 type stream struct {
 	seeded bool
 	vars   []string
 	owned  string
+	est    int
 }
+
+// probeFactor is how many times smaller than a pattern's estimate a
+// stream's must be for an exchange-then-probe join (planBuilder.pattern).
+const probeFactor = 8
 
 // physical lowers pl to its physical plan. All UDF calls bind through
 // one registry table (udf.Registry.Binder), so every rank runs one
@@ -198,17 +204,21 @@ func (pb *planBuilder) add(op physOp) {
 
 // steps lowers a step list whose stream starts empty. UNION branches
 // and OPTIONAL bodies lower the same way, one level deeper, leaving
-// their stream above the enclosing one.
+// their stream above the enclosing one. The stream's estimate is its
+// last access step's (ScanStep.Est, else OutEst), carried through
+// FILTERs; a UNION or OPTIONAL leaves it unknown.
 func (pb *planBuilder) steps(steps []plan.Step) (stream, error) {
-	var s stream
+	s := stream{est: -1}
 	for _, step := range steps {
 		placed := s.owned
 		s.owned = ""
 		switch st := step.(type) {
 		case plan.ScanStep:
-			s = pb.pattern(s, st.Pattern, placed)
+			s = pb.pattern(s, st.Pattern, placed, st.Est)
+			s.est = st.Est
 		case plan.JoinStep:
-			s = pb.pattern(s, st.Pattern, placed)
+			s = pb.pattern(s, st.Pattern, placed, st.Est)
+			s.est = st.OutEst
 		case plan.FilterStep:
 			flt := exec.CompileFilter(st.Expr, s.vars, pb.funcs)
 			op := physOp{ins: [][]string{s.vars}, op: "filter", phase: "filter",
@@ -269,6 +279,7 @@ func (pb *planBuilder) steps(steps []plan.Step) (stream, error) {
 				} else { // its hits are placed by kg.Graph.ShardOf (knnOwned)
 					s = stream{seeded: true, vars: []string{v}, owned: v}
 				}
+				s.est = st.OutEst
 				break
 			}
 			keep := knnKeepSet(ids)
@@ -278,6 +289,7 @@ func (pb *planBuilder) steps(steps []plan.Step) (stream, error) {
 				return x.push(exec.SemiFilterBatch(x.a, in[0], key, keep), in[0].Len(), nil)
 			}
 			pb.add(op)
+			s.est = st.OutEst
 		case plan.ValuesStep:
 			vars, rows := st.Values.Vars, exec.ResolveValues(st.Values, pb.e.Graph.Dict)
 			op := physOp{op: "values", phase: "scan", run: func(x *rankExec, _ []*exec.Batch) error {
@@ -288,6 +300,7 @@ func (pb *planBuilder) steps(steps []plan.Step) (stream, error) {
 			}
 			pb.add(op)
 			s = pb.joinIn(s, vars, false)
+			s.est = st.OutEst
 		case plan.OptionalStep:
 			pb.depth++
 			body, err := pb.steps(st.Body)
@@ -301,45 +314,62 @@ func (pb *planBuilder) steps(steps []plan.Step) (stream, error) {
 	return s, nil
 }
 
-// pattern lowers a triple pattern. When the stream is placed on the
-// pattern's subject and shares no other variable with it, the pattern
-// joins through the rank's own spo index (a probe, exec.Probe, which
-// keeps the placement); else it is scanned and hash-joined in. The
-// choice reads only the plan, as it must: the hash join enters
-// collectives.
-func (pb *planBuilder) pattern(s stream, pat sparql.TriplePattern, placed string) stream {
+// pattern lowers a triple pattern whose planned rows number est, by one
+// of three access methods. The choice reads only the plan, as it must:
+// two of them enter collectives.
+//   - Probe: the stream is placed on the pattern's subject and shares no
+//     other variable with it. Each rank joins its rows through its own
+//     spo index (exec.Probe), and the placement holds.
+//   - Exchange-then-probe: the same, but the stream is not placed, and
+//     it is known to be small (estimate × probeFactor < est). One
+//     all-to-all sends each row to the owner of its subject
+//     (kg.Graph.ShardOf), then each rank probes; the stream is placed.
+//   - Else the pattern is scanned and hash-joined in, both sides
+//     repartitioned.
+func (pb *planBuilder) pattern(s stream, pat sparql.TriplePattern, placed string, est int) stream {
 	scan := exec.NewScan(pat)
 	op := physOp{op: "scan", phase: "scan"}
 	if pb.traced {
 		op.label = pat.String()
 	}
-	if placed == "" || !pat.S.IsVar || pat.S.Var != placed ||
-		slices.ContainsFunc(scan.Vars[1:], func(v string) bool { return slices.Contains(s.vars, v) }) {
+	v, exchange := pat.S.Var, placed != pat.S.Var
+	if !s.seeded || !pat.S.IsVar || !slices.Contains(s.vars, v) ||
+		slices.ContainsFunc(scan.Vars[1:], func(w string) bool { return slices.Contains(s.vars, w) }) ||
+		exchange && (s.est < 0 || s.est*probeFactor >= est) {
 		op.run = func(x *rankExec, _ []*exec.Batch) error {
 			return x.push(scan.Run(x.r, x.e.Graph.Shard(x.r.ID()), x.e.Graph.Dict, x.a), 0, nil)
 		}
 		pb.add(op)
 		return pb.joinIn(s, scan.Vars, false)
 	}
-	probe := exec.NewProbe(pat, s.vars, slices.Index(s.vars, placed))
+	probe := exec.NewProbe(pat, s.vars, slices.Index(s.vars, v))
 	if op.ins = [][]string{s.vars}; pb.traced {
-		op.note = "probe ?" + placed
+		op.note = "probe ?" + v
+		if exchange {
+			op.note = "exchange, " + op.note
+		}
 	}
-	op.run = func(x *rankExec, in []*exec.Batch) error {
-		out, matched := probe.Run(x.r, x.e.Graph.Shard(x.r.ID()), x.e.Graph.Dict, in[0], x.a)
-		x.push(out, in[0].Len(), nil)
+	op.run = func(x *rankExec, in []*exec.Batch) (err error) {
+		b := in[0]
+		if exchange {
+			if b, err = exec.ExchangeBatch(x.r, b, probe.Key, x.e.Graph.ShardOf, x.a); err != nil {
+				return err
+			}
+		}
+		out, matched := probe.Run(x.r, x.e.Graph.Shard(x.r.ID()), x.e.Graph.Dict, b, x.a)
+		x.push(out, b.Len(), nil)
 		x.rowsOut = matched
 		return nil
 	}
 	pb.add(op)
-	return stream{seeded: true, vars: probe.Vars, owned: placed}
+	return stream{seeded: true, vars: probe.Vars, owned: v, est: -1}
 }
 
 // joinIn seeds the stream with an operator's output laid out as vars,
 // or joins that output into it (optional: with OPTIONAL semantics).
 func (pb *planBuilder) joinIn(s stream, vars []string, optional bool) stream {
 	if !s.seeded {
-		return stream{seeded: true, vars: vars}
+		return stream{seeded: true, vars: vars, est: -1}
 	}
 	join := exec.NewJoin(s.vars, vars, optional)
 	op := physOp{ins: [][]string{s.vars, vars}, op: "join", phase: "join"}
@@ -351,7 +381,7 @@ func (pb *planBuilder) joinIn(s stream, vars []string, optional bool) stream {
 		return x.push(out, in[0].Len()+in[1].Len(), err)
 	}
 	pb.add(op)
-	return stream{seeded: true, vars: join.Vars}
+	return stream{seeded: true, vars: join.Vars, est: -1}
 }
 
 // rankExec runs a physical plan on one rank: a stack of batches (a UNION

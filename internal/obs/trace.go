@@ -37,7 +37,8 @@ type OpSample struct {
 	// optional, distinct, gather, aggregate. A scan with Note
 	// "probe ?v" is a probe join: the pattern matched through this
 	// rank's own index once per stream row, ?v bound (RowsIn stream
-	// rows, RowsOut matched triples).
+	// rows, RowsOut matched triples); "exchange, probe ?v" first sent
+	// each stream row to the owner of its ?v (RowsIn counts it there).
 	Op string `json:"op"`
 	// Label describes the operator instance (triple pattern, conjunct
 	// order, ...).
