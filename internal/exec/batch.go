@@ -95,12 +95,25 @@ func fnvUint64(h, u uint64) uint64 {
 }
 
 // hashBatchRow streams row i's key-column IDs through FNV-1a,
-// producing the 64-bit join key with zero allocations.
+// producing the 64-bit join key with zero allocations. It routes rows to
+// ranks (partitionBatch), so it fixes where every row of a join lives.
 func hashBatchRow(cols [][]dict.ID, keyIdx []int, i int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range keyIdx {
 		h = fnvUint64(h, uint64(cols[c][i]))
 		h = fnvByte(h, 0xfe)
+	}
+	return h
+}
+
+// bucketHash hashes row i's key-column IDs for a rank-local hash build.
+// It places no row, so it only has to agree on equal keys: one multiply
+// per column. Matches come out in the same order whatever the hash, as
+// each bucket chains its rows newest first.
+func bucketHash(cols [][]dict.ID, keyIdx []int, i int) uint64 {
+	h := uint64(0)
+	for _, c := range keyIdx {
+		h = (h ^ uint64(cols[c][i])) * 0x9e3779b97f4a7c15
 	}
 	return h
 }

@@ -246,7 +246,7 @@ func routeBatch(a *Arena, b *Batch, dest []dict.ID, p int) []batchChunk {
 func buildBatch(a *Arena, b *Batch, keyIdx []int) *hashBuild {
 	hb := a.buildFor(b.NRows)
 	for i := 0; i < b.NRows; i++ {
-		head := hb.bucket(hashBatchRow(b.Cols, keyIdx, i))
+		head := hb.bucket(bucketHash(b.Cols, keyIdx, i))
 		hb.next[i], *head = *head, int32(i)
 	}
 	return hb
@@ -390,7 +390,7 @@ func (j *Join) Run(r *mpp.Rank, left, right *Batch, a *Arena) (*Batch, error) {
 	for i := 0; i < lb.NRows; i++ {
 		probes++
 		matched := false
-		for k := *hb.bucket(hashBatchRow(lb.Cols, lIdx, i)); k >= 0; k = hb.next[k] {
+		for k := *hb.bucket(bucketHash(lb.Cols, lIdx, i)); k >= 0; k = hb.next[k] {
 			if batchKeyEqual(lb.Cols, lIdx, i, rb.Cols, rIdx, int(k)) {
 				matched = true
 				lsel = append(lsel, int32(i))
@@ -438,7 +438,7 @@ func DistinctLocalBatch(b *Batch, a *Arena) *Batch {
 	hb := a.buildFor(b.NRows)
 	keep := scratch(a, &a.sel, b.NRows)[:0]
 	for i := 0; i < b.NRows; i++ {
-		head := hb.bucket(hashBatchRow(b.Cols, allIdx, i))
+		head := hb.bucket(bucketHash(b.Cols, allIdx, i))
 		dup := false
 		for j := *head; j >= 0 && !dup; j = hb.next[j] {
 			dup = batchKeyEqual(b.Cols, allIdx, i, b.Cols, allIdx, int(j))
