@@ -191,9 +191,9 @@ type hashBuild struct {
 }
 
 // bucket returns the heads slot a 64-bit key hash falls in. The high
-// half is folded in because the low bits alone are poor here: a rank
-// holds only rows with one value of h % p, and FNV-1a's low bits depend
-// only on its input's low bits.
+// half is folded in because the low bits alone are poor: those of a
+// multiplicative hash (bucketHash) or of FNV-1a depend only on the low
+// bits of its input.
 func (hb *hashBuild) bucket(h uint64) *int32 {
 	return &hb.heads[(h^h>>32)&uint64(len(hb.heads)-1)]
 }

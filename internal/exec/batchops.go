@@ -252,8 +252,8 @@ func buildBatch(a *Arena, b *Batch, keyIdx []int) *hashBuild {
 	return hb
 }
 
-// joinOutput gathers the probe/build row pairs into the join's output
-// batch. rsel entries of -1 null-extend (LeftJoin).
+// output gathers the probe/build row pairs into the join's output
+// batch. rsel entries of -1 null-extend (a left join).
 func (j *Join) output(a *Arena, lb *Batch, lsel []int32, rb *Batch, rsel []int32) *Batch {
 	nout := len(lsel)
 	out := &Batch{Vars: j.Vars, Cols: a.AllocCols(len(j.Vars)), NRows: nout}
