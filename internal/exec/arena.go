@@ -54,9 +54,9 @@ type Arena struct {
 	build *hashBuild
 	// FILTER scratch (see Filter.Run): the evaluation frame (its call
 	// records, argument stack and result slots grow once), the
-	// conjuncts' estimates, the rank's conjunct order, the replay's charges and profile records, and a
-	// memo probe's keys, key offsets, shard order, shard numbers and
-	// answers, by site.
+	// conjuncts' estimates, the rank's conjunct order, the replay's
+	// charges and profile records, and a memo probe's keys, key
+	// offsets, shard order, shard numbers and answers, by site.
 	frame    expr.Frame
 	est      []expr.ConjunctStats
 	chain    []expr.Expr

@@ -24,12 +24,12 @@ import (
 // subject join's among three, planBuilder.pattern), the column layouts
 // it reads and writes and its join keys, SIMILAR placement, every FILTER
 // compiled for its layout (one registry table binds all UDF calls of the
-// query), the trace labels. Ranks share the list
-// read-only and run one loop over it (rankExec.run). A rank decides only
-// what rests on its own data: a FILTER's conjunct order, from its
-// profile, and re-balancing. Batches of dict IDs flow through arena
-// buffers; the gather root materializes rows once and runs the
-// post-gather operators and Engine.finalize.
+// query), the trace labels. Ranks share the list read-only and run one
+// loop over it (rankExec.run). A rank decides only what rests on its own
+// data: a FILTER's conjunct order, from its profile, and re-balancing.
+// Batches of dict IDs flow through arena buffers; the gather root
+// materializes rows once and runs the post-gather operators and
+// Engine.finalize.
 //
 // Accounting discipline: arena scratch is recycled across operators and
 // queries, so an operator may allocate nothing. A traced operator
@@ -60,10 +60,11 @@ func slotFrom(ctx context.Context) int {
 // physOp is one operator of a query's physical plan, built on the
 // coordinating goroutine and only read by the ranks. run is its access
 // method with everything static bound in (pattern, headers and join
-// keys, placement, compiled programs); it gets the batches the operator reads, popped off the
-// stack once their headers matched ins, pushes what it leaves, and notes
-// its rows on the open sample. Read in before pushing: it aliases the
-// stack. label and note are rendered for a traced query only.
+// keys, placement, compiled programs); it gets the batches the operator
+// reads, popped off the stack once their headers matched ins, pushes
+// what it leaves, and notes its rows on the open sample. Read in before
+// pushing: it aliases the stack. label and note are rendered for a
+// traced query only.
 type physOp struct {
 	ins         [][]string // layouts of the batches it reads, bottom to top
 	run         func(x *rankExec, in []*exec.Batch) error
